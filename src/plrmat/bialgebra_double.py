@@ -328,6 +328,12 @@ class ReductionSetup:
     chosen decomposition in K coordinates, Hdual / Mdual are the dual-basis
     rows spanning ann(M) and ann(H).  ``double`` is D(K, K*) and
     ``sub_double`` the double of (H, H*) realized on the subspace H + H*.
+
+    The rows of [Hdual; Mdual] = inv(w)ᵀ with w = [H_in_K; M_in_K] are the
+    dual basis of the rows of w, so the four matrices are also the splitting
+    maps: Mdual takes a K vector to its M coordinates, and H_in_K / M_in_K
+    take a K* vector to its H* / M* coordinates.  Every component below is
+    one product with a matrix validated here, never a solve.
     """
 
     G: LieAlgebra
@@ -375,20 +381,15 @@ class ReductionSetup:
 
     def M_component(self, vK) -> np.ndarray:
         """Coordinates over the M basis of the M-part of a K vector (split along H)."""
-        w = np.vstack([self.H_in_K, self.M_in_K])
-        coords = np.linalg.solve(w.T, np.asarray(vK))
-        return coords[self.dim_H :]
+        return self.Mdual @ np.asarray(vK)
 
     def Mstar_component(self, aK) -> np.ndarray:
         """Coordinates over the dual M basis of the M*-part of a K* vector."""
-        d = np.vstack([self.Hdual, self.Mdual])
-        coords = np.linalg.solve(d.T, np.asarray(aK))
-        return coords[self.dim_H :]
+        return self.M_in_K @ np.asarray(aK)
 
     def Hstar_component(self, aK) -> np.ndarray:
-        d = np.vstack([self.Hdual, self.Mdual])
-        coords = np.linalg.solve(d.T, np.asarray(aK))
-        return coords[: self.dim_H]
+        """Coordinates over the dual H basis of the H*-part of a K* vector."""
+        return self.H_in_K @ np.asarray(aK)
 
     def closure_pairing_residuals(self) -> tuple:
         """Pairings <<[H*,H], M>> and <<[H,H*], M*>>, each of which must vanish.

@@ -66,10 +66,6 @@ def structure_constants_from_table(dim: int, table) -> np.ndarray:
     return c
 
 
-def sl2_algebra() -> LieAlgebra:
-    return LieAlgebra(structure_constants_from_table(3, SL2_TABLE), SL2_LABELS)
-
-
 def sl3_algebra() -> LieAlgebra:
     return LieAlgebra(structure_constants_from_table(8, SL3_TABLE), SL3_LABELS)
 
@@ -84,13 +80,18 @@ def _dj_r(dim: int, pairs) -> Tensor2:
 
 
 class CatalogEntry:
-    """Named setup ingredients plus the sampling defaults that certify it."""
+    """Named setup ingredients plus the sampling defaults that certify it.
 
-    def __init__(self, name, notes, algebra_builder, labels, r_pairs, k_rows, h_rows, m_rows,
+    ``table`` lists the structure constants as (i, j, k, value) for i < j
+    over the basis named by ``labels``; the algebra and the exported input
+    file are both built from it.
+    """
+
+    def __init__(self, name, notes, table, labels, r_pairs, k_rows, h_rows, m_rows,
                  seed, num_points, cond_threshold=1e8):
         self.name = name
         self.notes = notes
-        self._algebra_builder = algebra_builder
+        self.table = table
         self.labels = labels
         self.r_pairs = r_pairs
         self.k_rows = k_rows
@@ -104,7 +105,8 @@ class CatalogEntry:
         self.cond_threshold = cond_threshold
 
     def algebra(self) -> LieAlgebra:
-        return self._algebra_builder()
+        c = structure_constants_from_table(len(self.labels), self.table)
+        return LieAlgebra(c, self.labels)
 
     def r_matrix(self) -> Tensor2:
         return _dj_r(self.algebra().dim, self.r_pairs)
@@ -135,7 +137,7 @@ _register(
     CatalogEntry(
         name="abelian2",
         notes="two-dimensional abelian ambient algebra, zero R, trivial reduction",
-        algebra_builder=lambda: LieAlgebra.abelian(2, ("a0", "a1")),
+        table=(),
         labels=("a0", "a1"),
         r_pairs=(),
         k_rows=_rows(2, (0, 1)),
@@ -150,7 +152,7 @@ _register(
     CatalogEntry(
         name="sl2_classical",
         notes="split sl2 with R = 0: the dual group is the linear dual space",
-        algebra_builder=sl2_algebra,
+        table=SL2_TABLE,
         labels=SL2_LABELS,
         r_pairs=(),
         k_rows=_rows(3, (0, 1, 2)),
@@ -166,7 +168,7 @@ _register(
     CatalogEntry(
         name="sl2_dj",
         notes="split sl2 with the standard antisymmetrized R, Cartan residual subgroup",
-        algebra_builder=sl2_algebra,
+        table=SL2_TABLE,
         labels=SL2_LABELS,
         r_pairs=((1, 2),),
         k_rows=_rows(3, (0, 1, 2)),
@@ -182,7 +184,7 @@ _register(
     CatalogEntry(
         name="sl3_dj_cartan",
         notes="split sl3 with the standard antisymmetrized R, Cartan residual subgroup",
-        algebra_builder=sl3_algebra,
+        table=SL3_TABLE,
         labels=SL3_LABELS,
         r_pairs=((2, 5), (3, 6), (4, 7)),
         k_rows=_rows(8, range(8)),
@@ -198,7 +200,7 @@ _register(
     CatalogEntry(
         name="sl3_dj_levi",
         notes="split sl3 with the standard antisymmetrized R, gl2-type regular residual subgroup",
-        algebra_builder=sl3_algebra,
+        table=SL3_TABLE,
         labels=SL3_LABELS,
         r_pairs=((2, 5), (3, 6), (4, 7)),
         k_rows=_rows(8, range(8)),
@@ -232,8 +234,7 @@ def export_entry(name: str) -> dict:
     """The entry in the structured input-file schema (round-trips through the CLI)."""
     e = get_entry(name)
     g = e.algebra()
-    table = SL2_TABLE if g.dim == 3 else SL3_TABLE if g.dim == 8 else ()
-    sc = [[int(i), int(j), int(k), float(v)] for i, j, k, v in table]
+    sc = [[int(i), int(j), int(k), float(v)] for i, j, k, v in e.table]
     r_entries = [[int(a), int(b), 0.5] for a, b in e.r_pairs]
     return {
         "schema_version": "1",

@@ -20,7 +20,6 @@ from .errors import (
 )
 from .reduction import (
     constraint_matrix,
-    reduced_r,
     rho,
     sample_hstar_points,
 )
@@ -144,15 +143,9 @@ def cmd_reduce(args) -> int:
     words, points = _collect_points(setup, sampling, tol["cond_threshold"])
     dump = []
     for k, w in enumerate(words):
-        t = rho(setup, w, tol["cond_threshold"])
-        rstar = reduced_r(setup, None, w, tol["cond_threshold"])
-        dump.append(
-            {
-                "index": k,
-                "rho": t.coeffs.tolist(),
-                "r_star": rstar.coeffs.tolist(),
-            }
-        )
+        # with no base r, r* = r + rho is rho itself
+        coeffs = rho(setup, w, tol["cond_threshold"]).coeffs.tolist()
+        dump.append({"index": k, "rho": coeffs, "r_star": coeffs})
     doc = report_document(
         input_digest(raw),
         {"command": "reduce", "sampling": sampling, "tolerances": tol},

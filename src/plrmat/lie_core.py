@@ -86,16 +86,25 @@ class LieAlgebra:
         return float(np.max(np.abs(self.c + np.swapaxes(self.c, 0, 1))))
 
     def jacobi_residual(self) -> float:
-        """Max-norm of Σ_m (c^m_ij c^l_mk + c^m_jk c^l_mi + c^m_ki c^l_mj)."""
+        """Max-norm of Σ_m (c^m_ij c^l_mk + c^m_jk c^l_mi + c^m_ki c^l_mj).
+
+        Evaluated one first index i at a time, as three matrix products, so
+        only a dim³ slice of the dim⁴ Jacobiator is ever held.
+        """
         if self.c.size == 0:
             return 0.0
         c = self.c
-        j = (
-            np.einsum("ijm,mkl->ijkl", c, c)
-            + np.einsum("jkm,mil->ijkl", c, c)
-            + np.einsum("kim,mjl->ijkl", c, c)
-        )
-        return float(np.max(np.abs(j)))
+        n = self.dim
+        c_rows = c.reshape(n, n * n)  # [m, (k, l)]
+        c_pairs = c.reshape(n * n, n)  # [(j, k), m]
+        worst = 0.0
+        for i in range(n):
+            c_i = c[:, i, :]  # [k, m] = c^m_ki
+            j = (c[i] @ c_rows).reshape(n, n, n)  # Σ_m c^m_ij c^l_mk
+            j += (c_pairs @ c_i).reshape(n, n, n)  # Σ_m c^m_jk c^l_mi
+            j += (c_i @ c_rows).reshape(n, n, n).transpose(1, 0, 2)  # Σ_m c^m_ki c^l_mj
+            worst = max(worst, float(np.max(np.abs(j))))
+        return worst
 
     def _check_vector(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

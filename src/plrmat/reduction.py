@@ -14,9 +14,16 @@ invertible the constraints are second class and the reduced r-matrix
 
     rho(λ) = Σ_ij (C^{-1})_ij (Ad_λ M^i)_M ⊗ (Ad_λ M^j)_M
 
-is defined; it is antisymmetric and supported on M⊗M, and can equivalently
-be written as -Σ_i N_i(λ) ⊗ M^i = Σ_i M^i ⊗ N_i(λ) through the unique
-vectors N_i(λ) in M with  Ad_λ^{-1} M_i = (Ad_λ^{-1} N_i(λ))_{M*}.
+is defined.  Evaluation is a few dense products per point: the moved basis
+Ad_λ M^i is one product of the K columns of Ad_λ with M_in_Kᵀ, its
+components are products with the splitting maps the ReductionSetup holds
+(Mdual for the M-part, M_in_K for the M*-part), both forms of C are one
+product each, and rho is one solve against C.  The CMatrix keeps the moved
+M-parts, so rho and the Dirac correction reuse them.
+
+rho is antisymmetric and supported on M⊗M, and can equivalently be written
+as -Σ_i N_i(λ) ⊗ M^i = Σ_i M^i ⊗ N_i(λ) through the unique vectors N_i(λ)
+in M with  Ad_λ^{-1} M_i = (Ad_λ^{-1} N_i(λ))_{M*}.
 
 The Dirac bracket of functions F1, F2 on the dual of H (extended to the
 ambient dual group as constant along the exp(M*) directions) is
@@ -78,6 +85,7 @@ class CMatrix:
     cond: float
     antisym_residual: float
     form_agreement: float
+    m_parts: np.ndarray  # rows: (Ad_λ M^i)_M in K coordinates
 
     @property
     def m(self) -> int:
@@ -99,22 +107,15 @@ class CMatrix:
 def _moved_basis(S: ReductionSetup, word: GroupWord):
     """Ad_λ M^i for every i, split into components.
 
-    Returns (m_parts, kstar_parts, mstar_parts): the M-component over the K
-    basis, the K*-component over the dual basis, and the M*-coordinates of
-    the latter.
+    Returns (m_parts, kstar_parts, mstar_coords), one row per i: the
+    M-component over the K basis, the K*-component over the dual basis, and
+    the M*-coordinates of the latter.
     """
-    d = S.double
-    m = S.dim_M
-    m_parts = np.zeros((m, S.n))
-    kstar_parts = np.zeros((m, S.n))
-    mstar_coords = np.zeros((m, m))
-    for i in range(m):
-        v = word.ad @ d.embed_K(S.M_in_K[i])
-        k_part = d.comp_K(v)
-        m_coords = S.M_component(k_part)
-        m_parts[i] = m_coords @ S.M_in_K if m else np.zeros(S.n)
-        kstar_parts[i] = d.comp_Kstar(v)
-        mstar_coords[i] = S.Mstar_component(kstar_parts[i])
+    n = S.n
+    moved = word.ad[:, :n] @ S.M_in_K.T  # column i: Ad_λ M^i in the double
+    m_parts = (S.Mdual @ moved[:n]).T @ S.M_in_K
+    kstar_parts = moved[n:].T
+    mstar_coords = kstar_parts @ S.M_in_K.T
     return m_parts, kstar_parts, mstar_coords
 
 
@@ -127,15 +128,11 @@ def constraint_matrix(S: ReductionSetup, word: GroupWord) -> CMatrix:
     """
     m = S.dim_M
     m_parts, kstar_parts, mstar_coords = _moved_basis(S, word)
-    c_a = np.zeros((m, m))
-    c_b = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            # << (Ad M^j)_{M*}, (Ad M^i)_M >>: canonical pairing is the
-            # coordinate dot product between dual and primal K coordinates
-            c_a[i, j] = (mstar_coords[j] @ S.Mdual) @ m_parts[i]
-            # << (Ad M^i)_M, Ad M^j >> picks out the full K*-part of Ad M^j
-            c_b[i, j] = m_parts[i] @ kstar_parts[j]
+    # << (Ad M^j)_{M*}, (Ad M^i)_M >>: canonical pairing is the coordinate
+    # dot product between dual and primal K coordinates
+    c_a = m_parts @ (mstar_coords @ S.Mdual).T
+    # << (Ad M^i)_M, Ad M^j >> picks out the full K*-part of Ad M^j
+    c_b = m_parts @ kstar_parts.T
     scale = 1.0 + float(np.max(np.abs(c_a), initial=0.0))
     agree = float(np.max(np.abs(c_a - c_b), initial=0.0))
     if agree > FORM_AGREE_TOL * scale:
@@ -153,7 +150,12 @@ def constraint_matrix(S: ReductionSetup, word: GroupWord) -> CMatrix:
         cond = float(max(s[0], 1.0) / s[-1]) if s[-1] > 0.0 else float("inf")
     anti = float(np.max(np.abs(c_a + c_a.T), initial=0.0))
     return CMatrix(
-        entries=c_a, word=word, cond=cond, antisym_residual=anti, form_agreement=agree
+        entries=c_a,
+        word=word,
+        cond=cond,
+        antisym_residual=anti,
+        form_agreement=agree,
+        m_parts=m_parts,
     )
 
 
@@ -182,8 +184,7 @@ def rho(
     _require_second_class(C, cond_threshold)
     if C.m == 0:
         return Tensor2.zero(S.G.dim)
-    m_parts, _, _ = _moved_basis(S, word)
-    a_g = np.array([S.K_to_G(v) for v in m_parts])  # rows: (Ad M^i)_M in G coords
+    a_g = S.K_to_G(C.m_parts)  # rows: (Ad M^i)_M in G coords
     w = np.linalg.solve(C.entries, a_g)
     coeffs = a_g.T @ w
     return Tensor2(coeffs, antisymmetric=True, tol=1e-9)
@@ -293,7 +294,7 @@ def constraint_inverse_operator_residual(
     m = S.dim_M
     if m == 0:
         return 0.0
-    m_parts, _, _ = _moved_basis(S, word)
+    m_parts = C.m_parts
     ns = n_vectors(S, word, cond_threshold)
     worst = 0.0
     for k in range(m):
@@ -404,7 +405,7 @@ def dirac_bracket(
     plain = d.pair(d.embed_K(g1), word.ad @ d.embed_K(g2p))
     if C.m == 0:
         return plain
-    m_parts, _, _ = _moved_basis(S, word)
+    m_parts = C.m_parts
     # {f1, ξ_i} = << grad f1, Ad_λ M^i >>  (grad' ξ_i = M^i)
     b1 = np.array(
         [d.pair(d.embed_K(g1), word.ad @ d.embed_K(S.M_in_K[i])) for i in range(C.m)]
