@@ -33,6 +33,7 @@ split rank-one algebra, and numerically everywhere).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -361,6 +362,16 @@ class ReductionSetup:
     @property
     def dim_M(self) -> int:
         return self.M_embed.dim
+
+    @cached_property
+    def sub_restrict(self) -> np.ndarray:
+        """(2p, 2n): rows read the sub-double coordinates of a vector of H + H*.
+
+        sub_restrict @ sub_embedᵀ = I.  For λ in the dual of H, Ad_λ keeps
+        H + H*, so sub_restrict @ Ad_λ @ sub_embedᵀ is Ad_λ on the double of
+        (H, H*).
+        """
+        return self.sub_double.pairing @ self.sub_embed @ self.double.pairing
 
     @property
     def Hstar(self) -> Subspace:

@@ -30,7 +30,7 @@ from .specio import (
     parse_spec_text,
     report_document,
 )
-from .verify import run_suite
+from .verify import describe_word, run_suite
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -82,25 +82,11 @@ def _diagnostic(exc: Exception) -> str:
     return dumps_canonical(doc)
 
 
-def _collect_points(setup, sampling, cond_threshold):
-    words = sample_hstar_points(
-        setup,
-        sampling["num_points"],
-        sampling["seed"],
-        sampling["box_radius"],
-        cond_threshold,
-    )
-    points = []
-    for k, w in enumerate(words):
-        c = constraint_matrix(setup, w)
-        points.append(
-            {
-                "index": k,
-                "factors": [list(map(float, f)) for f in w.factors],
-                "cond": c.cond,
-            }
-        )
-    return words, points
+def _describe_points(setup, words):
+    return [
+        {"index": k, "factors": describe_word(w), "cond": constraint_matrix(setup, w).cond}
+        for k, w in enumerate(words)
+    ]
 
 
 def cmd_validate(args) -> int:
@@ -140,7 +126,14 @@ def cmd_reduce(args) -> int:
     setup = build_setup(parsed)
     tol = parsed["tolerances"]
     sampling = parsed["sampling"]
-    words, points = _collect_points(setup, sampling, tol["cond_threshold"])
+    words = sample_hstar_points(
+        setup,
+        sampling["num_points"],
+        sampling["seed"],
+        sampling["box_radius"],
+        tol["cond_threshold"],
+    )
+    points = _describe_points(setup, words)
     dump = []
     for k, w in enumerate(words):
         # with no base r, r* = r + rho is rho itself
@@ -170,7 +163,7 @@ def cmd_verify(args) -> int:
         "EQUIVARIANCE": residual_tol,
         "DIRAC_EQ_HSTAR": residual_tol,
     }
-    reports = run_suite(
+    reports, words = run_suite(
         setup,
         args.suite,
         num_points=sampling["num_points"],
@@ -180,7 +173,7 @@ def cmd_verify(args) -> int:
         box_radius=sampling["box_radius"],
         tolerances=overrides,
     )
-    words, points = _collect_points(setup, sampling, tol["cond_threshold"])
+    points = _describe_points(setup, words)
     doc = report_document(
         input_digest(raw),
         {

@@ -1,10 +1,16 @@
 """Elements of the dual group as exponential words, and calculus on them.
 
-A point of K* is a word exp(x1)·exp(x2)·… with factors in K*; everything the
-formulas consume factors through the adjoint matrix of the word on the double,
-so a word caches Ad = Π exp(ad_{x_i}).  Functions on K* are pullbacks of
-Ad-matrix entries (or combinations of them), which separate points well
-enough for bracket testing.  Derivatives are central finite differences:
+A point of K* is a GroupWord: the word exp(x1)·exp(x2)·… with factors in K*,
+carried by its read-only adjoint matrix Ad = Π exp(ad_{x_i}) on the double,
+through which everything the formulas consume factors.  The exponential is
+taken only where a word is built from its factors (ad_of_word) and in a
+StepCache; a translation is one product with a cached step matrix, and a
+translate keeps no factor list.  The ambient factor of a product point in
+the verification suites is a GroupWord over G, translated the same way.
+
+Functions on K* are pullbacks of Ad-matrix entries (or combinations of
+them), which separate points well enough for bracket testing.  Derivatives
+are central finite differences:
 
     (L_X f)(w) = d/dt f(exp(tX) w)|_0,   (R_X f)(w) = d/dt f(w exp(tX))|_0,
 
@@ -20,13 +26,14 @@ in K moves k along k·exp(t·(Ad_k^{-1} X)_{K*}).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 from scipy.linalg import expm
 
 from .bialgebra_double import DoubleAlgebra
 from .errors import FactorNotInDualError, InputShapeError
+from .lie_core import LieAlgebra
 
 DEFAULT_FD_STEP = 1e-5
 DUAL_COMPONENT_TOL = 1e-12
@@ -34,22 +41,24 @@ DUAL_COMPONENT_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class GroupWord:
-    """A dual-group element together with its cached adjoint matrix.
+    """A group element carried by its read-only adjoint matrix.
 
-    factors holds the K*-coordinate vectors of the word, left to right; it is
-    None for points derived purely at the Ad level (finite-difference
-    translates), for which only the matrix is meaningful.
+    double is the algebra Ad acts on: the double D(K, K*) for a point of K*,
+    or the ambient Lie algebra G for the ambient factor of a product point,
+    which is only translated and read.  factors holds the coordinate vectors
+    of the word, left to right, for a word built from factors (ad_of_word,
+    identity_word, and the sampled points built on them); it is None for
+    translates, for which only the matrix is meaningful.
     """
 
-    double: DoubleAlgebra
+    double: Union[DoubleAlgebra, LieAlgebra]
     factors: Optional[tuple]
     ad: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.ad, dtype=float)
+        a = np.ascontiguousarray(self.ad, dtype=float)
         if a.shape != (self.double.dim, self.double.dim):
             raise InputShapeError(f"Ad matrix must be {self.double.dim}x{self.double.dim}")
-        a = np.ascontiguousarray(a)
         a.setflags(write=False)
         object.__setattr__(self, "ad", a)
 
@@ -59,19 +68,22 @@ class GroupWord:
         rev = tuple(-f for f in reversed(self.factors))
         return ad_of_word(self.double, rev)
 
-    def left_mul(self, xi, exp_matrix=None) -> "GroupWord":
-        """The word exp(xi)·self, with xi in K* coordinates."""
-        xi = _dual_coords(self.double, xi)
-        e = _exp_ad(self.double, xi) if exp_matrix is None else exp_matrix
-        factors = None if self.factors is None else (xi,) + self.factors
-        return GroupWord(self.double, factors, e @ self.ad)
+    def left_mul(self, step: np.ndarray) -> "GroupWord":
+        """The translate exp(X)·self, for step = Ad(exp X) from a StepCache."""
+        return self._translate(step @ self.ad)
 
-    def right_mul(self, xi, exp_matrix=None) -> "GroupWord":
-        """The word self·exp(xi), with xi in K* coordinates."""
-        xi = _dual_coords(self.double, xi)
-        e = _exp_ad(self.double, xi) if exp_matrix is None else exp_matrix
-        factors = None if self.factors is None else self.factors + (xi,)
-        return GroupWord(self.double, factors, self.ad @ e)
+    def right_mul(self, step: np.ndarray) -> "GroupWord":
+        """The translate self·exp(X), for step = Ad(exp X) from a StepCache."""
+        return self._translate(self.ad @ step)
+
+    def _translate(self, ad: np.ndarray) -> "GroupWord":
+        # the matrix is a fresh product with a step over the same algebra, so
+        # the construction checks cannot fail and are skipped: this runs once
+        # per finite-difference evaluation
+        ad.setflags(write=False)
+        word = object.__new__(GroupWord)
+        word.__dict__.update(double=self.double, factors=None, ad=ad)
+        return word
 
     def pairing_residual(self) -> float:
         p = self.double.pairing
@@ -99,8 +111,11 @@ def _dual_coords(double: DoubleAlgebra, xi) -> np.ndarray:
     raise InputShapeError(f"factor must have length {n} or {2 * n}, got shape {xi.shape}")
 
 
-def _exp_ad(double: DoubleAlgebra, xi: np.ndarray) -> np.ndarray:
-    return expm(double.D.ad_matrix(double.embed_Kstar(xi)))
+def _exp_ad(algebra, x: np.ndarray) -> np.ndarray:
+    """exp(ad_x) on a double, x in K* coordinates, or on a Lie algebra."""
+    if isinstance(algebra, DoubleAlgebra):
+        return expm(algebra.D.ad_matrix(algebra.embed_Kstar(x)))
+    return expm(algebra.ad_matrix(x))
 
 
 def identity_word(double: DoubleAlgebra) -> GroupWord:
@@ -129,52 +144,33 @@ class AdEntry:
         return f"AdEntry({self.a}, {self.b})"
 
 
-class FuncCombo:
-    """Finite linear combination of functions on the dual group."""
-
-    def __init__(self, terms):
-        self.terms = tuple(terms)  # (coefficient, function) pairs
-
-    def __call__(self, w: GroupWord) -> float:
-        return float(sum(c * f(w) for c, f in self.terms))
-
-
-class FuncProduct:
-    """Pointwise product of two functions on the dual group."""
-
-    def __init__(self, f1, f2):
-        self.f1, self.f2 = f1, f2
-
-    def __call__(self, w: GroupWord) -> float:
-        return self.f1(w) * self.f2(w)
-
-
 class StepCache:
-    """Precomputed exp(±h·ad) matrices along the K*-coordinate directions.
+    """The step matrices exp(±h·ad_X) for a fixed list of directions X.
 
     Finite-difference loops hit the same step matrices thousands of times;
-    precomputing turns every translate into a single matrix product.
+    with them cached, every translate is a single matrix product.  Over a
+    double the directions are K*-coordinate vectors, by default the K*
+    basis; over the ambient Lie algebra G they are G vectors and must be
+    given.
     """
 
-    def __init__(self, double: DoubleAlgebra, h: float, directions=None):
+    def __init__(self, double, h: float, directions=None):
         self.double = double
         self.h = h
-        n = double.n
-        dirs = np.eye(n) if directions is None else np.asarray(directions, dtype=float)
-        self.directions = dirs
+        dirs = np.eye(double.n) if directions is None else np.asarray(directions, dtype=float)
         self.plus = [_exp_ad(double, h * d) for d in dirs]
         self.minus = [_exp_ad(double, -h * d) for d in dirs]
 
 
-def left_derivative(w: GroupWord, X, f, h: float = DEFAULT_FD_STEP) -> float:
+def left_derivative(w: GroupWord, X, f, h: float = DEFAULT_FD_STEP):
     """Central difference of f along left translation by exp(tX), X in K*."""
-    X = _dual_coords(w.double, X)
-    return (f(w.left_mul(h * X)) - f(w.left_mul(-h * X))) / (2.0 * h)
+    step = StepCache(w.double, h, [_dual_coords(w.double, X)])
+    return (f(w.left_mul(step.plus[0])) - f(w.left_mul(step.minus[0]))) / (2.0 * h)
 
 
-def right_derivative(w: GroupWord, X, f, h: float = DEFAULT_FD_STEP) -> float:
-    X = _dual_coords(w.double, X)
-    return (f(w.right_mul(h * X)) - f(w.right_mul(-h * X))) / (2.0 * h)
+def right_derivative(w: GroupWord, X, f, h: float = DEFAULT_FD_STEP):
+    step = StepCache(w.double, h, [_dual_coords(w.double, X)])
+    return (f(w.right_mul(step.plus[0])) - f(w.right_mul(step.minus[0]))) / (2.0 * h)
 
 
 def gradients(
@@ -183,27 +179,24 @@ def gradients(
     h: float = DEFAULT_FD_STEP,
     cache: Optional[StepCache] = None,
 ) -> tuple:
-    """Left and right gradients of f at w, as K-coordinate vectors.
+    """Left and right gradients of f at w, one coordinate per cache direction.
 
-    grad lives in K = (K*)*; its i-th coordinate is the left derivative along
-    the i-th dual basis direction, and similarly for grad_prime with right
-    derivatives.  The two satisfy grad' f = (Ad_w^{-1} grad f)_K up to O(h²).
+    Over the default directions grad lives in K = (K*)*: its i-th coordinate
+    is the left derivative along the i-th dual basis direction, and similarly
+    for grad_prime with right derivatives.  The two satisfy
+    grad' f = (Ad_w^{-1} grad f)_K up to O(h²).  A cache over other
+    directions (the H* basis, or the basis of G for an ambient word) gives
+    the gradients over those.
     """
-    n = w.double.n
-    if cache is not None and cache.h == h and cache.double is w.double:
-        plus, minus = cache.plus, cache.minus
-        eye = cache.directions
-    else:
-        eye = np.eye(n)
-        plus = [_exp_ad(w.double, h * eye[i]) for i in range(n)]
-        minus = [_exp_ad(w.double, -h * eye[i]) for i in range(n)]
-    grad = np.zeros(n)
-    grad_prime = np.zeros(n)
-    for i in range(n):
-        grad[i] = (f(w.left_mul(eye[i], plus[i])) - f(w.left_mul(eye[i], minus[i]))) / (2 * h)
-        grad_prime[i] = (f(w.right_mul(eye[i], plus[i])) - f(w.right_mul(eye[i], minus[i]))) / (
-            2 * h
-        )
+    if cache is None or cache.h != h or cache.double is not w.double:
+        cache = StepCache(w.double, h)
+    k = len(cache.plus)
+    grad = np.zeros(k)
+    grad_prime = np.zeros(k)
+    for i in range(k):
+        plus, minus = cache.plus[i], cache.minus[i]
+        grad[i] = (f(w.left_mul(plus)) - f(w.left_mul(minus))) / (2 * h)
+        grad_prime[i] = (f(w.right_mul(plus)) - f(w.right_mul(minus))) / (2 * h)
     return grad, grad_prime
 
 

@@ -59,24 +59,6 @@ MAX_SAMPLE_ATTEMPTS = 100
 
 
 @dataclass(frozen=True, eq=False)
-class ConstraintBasis:
-    """Basis {M^i} of M and the dual basis {M_i} of M* with <M_i, M^j> = δ."""
-
-    M_basis: np.ndarray  # (m, n) rows in K coordinates
-    M_dual: np.ndarray  # (m, n) rows in K* coordinates
-
-    def duality_residual(self) -> float:
-        if self.M_basis.shape[0] == 0:
-            return 0.0
-        g = self.M_dual @ self.M_basis.T
-        return float(np.max(np.abs(g - np.eye(g.shape[0]))))
-
-
-def constraint_basis(S: ReductionSetup) -> ConstraintBasis:
-    return ConstraintBasis(M_basis=S.M_in_K, M_dual=S.Mdual)
-
-
-@dataclass(frozen=True, eq=False)
 class CMatrix:
     """Constraint-bracket matrix at a point, with its conditioning data."""
 
@@ -316,7 +298,9 @@ def characterization_identity_residual(
 
     << (λ^{-1}uλ)_M, λ^{-1}vλ >> = Σ_i << (λ^{-1}uλ)_M, λ^{-1}M^iλ >> ·
                                         << (λ^{-1}vλ)_M, λ^{-1}N_iλ >>
-    for u, v in M (K coordinates).
+    for u, v in M (K coordinates).  u and v may also be stacks of such
+    vectors, one (u, v) pair per row: the largest residual over the pairs is
+    returned, with the N_i and Ad_λ^{-1} computed once for all of them.
     """
     d = S.double
     inv_ad = np.linalg.inv(word.ad)
@@ -329,14 +313,18 @@ def characterization_identity_residual(
         coords = S.M_component(d.comp_K(w_vec))
         return d.embed_K(coords @ S.M_in_K)
 
-    mu, mv = moved(np.asarray(u, dtype=float)), moved(np.asarray(v, dtype=float))
-    lhs = d.pair(m_part_embedded(mu), mv)
-    rhs = 0.0
-    for i in range(S.dim_M):
-        t1 = d.pair(m_part_embedded(mu), moved(S.M_in_K[i]))
-        t2 = d.pair(m_part_embedded(mv), moved(ns[i]))
-        rhs += t1 * t2
-    return abs(lhs - rhs)
+    worst = 0.0
+    for u_k, v_k in zip(np.atleast_2d(np.asarray(u, dtype=float)),
+                        np.atleast_2d(np.asarray(v, dtype=float))):
+        mu, mv = moved(u_k), moved(v_k)
+        lhs = d.pair(m_part_embedded(mu), mv)
+        rhs = 0.0
+        for i in range(S.dim_M):
+            t1 = d.pair(m_part_embedded(mu), moved(S.M_in_K[i]))
+            t2 = d.pair(m_part_embedded(mv), moved(ns[i]))
+            rhs += t1 * t2
+        worst = max(worst, abs(lhs - rhs))
+    return worst
 
 
 def hstar_coords_of_word(S: ReductionSetup, word: GroupWord, tol: float = 1e-10):

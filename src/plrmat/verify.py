@@ -31,7 +31,16 @@ import numpy as np
 from scipy.linalg import expm
 
 from .bialgebra_double import ReductionSetup
-from .dual_group import GroupWord, ad_of_word, dressing_vector
+from .dual_group import (
+    AdEntry,
+    GroupWord,
+    StepCache,
+    ad_of_word,
+    dressing_vector,
+    gradients,
+    left_derivative,
+    right_derivative,
+)
 from .errors import CDegenerateError, ConsistencyError, InputShapeError
 from .lie_core import LieAlgebra, Tensor2, Tensor3, cybe_lhs, invariance_residual3
 from .reduction import (
@@ -39,7 +48,6 @@ from .reduction import (
     constraint_inverse_operator_residual,
     constraint_pb_check,
     dirac_bracket,
-    hstar_coords_of_word,
     native_hstar_bracket,
     rho,
     rho_via_n,
@@ -114,16 +122,11 @@ def describe_word(word: GroupWord) -> list:
 
 def _fd_tensor(rfun, word: GroupWord, xi: np.ndarray, h: float, side: str):
     """Central difference of rfun along a group translation, halving on demand."""
+    derivative = left_derivative if side == "left" else right_derivative
     step = h
     for _ in range(MAX_HALVINGS + 1):
         try:
-            if side == "left":
-                plus = rfun(word.left_mul(step * xi))
-                minus = rfun(word.left_mul(-step * xi))
-            else:
-                plus = rfun(word.right_mul(step * xi))
-                minus = rfun(word.right_mul(-step * xi))
-            return (plus.coeffs - minus.coeffs) / (2.0 * step)
+            return derivative(word, xi, lambda w: rfun(w).coeffs, step)
         except CDegenerateError:
             step /= 2.0
     raise CDegenerateError(
@@ -254,32 +257,22 @@ def largest_entry(t: Tensor2) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# words in the ambient group and points of the product spaces
+# points of the product spaces
 # ---------------------------------------------------------------------------
+#
+# Every factor of a product point is a GroupWord: the ambient factor a word
+# over G, each dual factor a point of the dual of H as a word over D(K, K*)
+# (a sampled point or a translate of one).  The dual functions read entries
+# of Ad on the double of (H, H*) through the restriction
+# sub_restrict·Ad·sub_embedᵀ, so no second word over the sub-double is
+# carried or re-exponentiated.  A slot gradient is one call of
+# dual_group.gradients, with a StepCache over that slot's directions (the
+# basis of G, or the H* basis in D(K, K*)) and a closure that puts the
+# translated factor back into the point.
 
 
-@dataclass(frozen=True, eq=False)
-class AmbientWord:
-    """Element of the ambient group as a word, carried by its adjoint matrix."""
-
-    algebra: LieAlgebra
-    factors: Optional[tuple]
-    ad: np.ndarray
-
-    def left_mul(self, x, exp_matrix=None) -> "AmbientWord":
-        x = np.asarray(x, dtype=float)
-        e = expm(self.algebra.ad_matrix(x)) if exp_matrix is None else exp_matrix
-        factors = None if self.factors is None else (x,) + self.factors
-        return AmbientWord(self.algebra, factors, e @ self.ad)
-
-    def right_mul(self, x, exp_matrix=None) -> "AmbientWord":
-        x = np.asarray(x, dtype=float)
-        e = expm(self.algebra.ad_matrix(x)) if exp_matrix is None else exp_matrix
-        factors = None if self.factors is None else self.factors + (x,)
-        return AmbientWord(self.algebra, factors, self.ad @ e)
-
-
-def ambient_word(G: LieAlgebra, factors) -> AmbientWord:
+def ambient_word(G: LieAlgebra, factors) -> GroupWord:
+    """The element exp(x1)·exp(x2)·… of the ambient group, as a word over G."""
     ad = np.eye(G.dim)
     fs = []
     for f in factors:
@@ -288,62 +281,26 @@ def ambient_word(G: LieAlgebra, factors) -> AmbientWord:
             raise InputShapeError(f"ambient factors must have length {G.dim}")
         fs.append(f)
         ad = ad @ expm(G.ad_matrix(f))
-    return AmbientWord(G, tuple(fs), ad)
-
-
-@dataclass(frozen=True, eq=False)
-class DualPoint:
-    """A point of the dual of H carried on both doubles at once.
-
-    ``big`` is the word over D(K, K*) consumed by the r-matrix evaluation,
-    ``small`` the same point over D(H, H*) consumed by the dual-side Poisson
-    calculus; both are kept in lock step under translations.
-    """
-
-    setup: ReductionSetup
-    factors_h: tuple
-    big: GroupWord
-    small: GroupWord
-
-    @staticmethod
-    def from_coords(S: ReductionSetup, factors_h) -> "DualPoint":
-        factors_h = tuple(np.asarray(f, dtype=float) for f in factors_h)
-        big = ad_of_word(S.double, [f @ S.Hdual for f in factors_h])
-        small = ad_of_word(S.sub_double, factors_h)
-        return DualPoint(S, factors_h, big, small)
-
-    @staticmethod
-    def from_word(S: ReductionSetup, word: GroupWord) -> "DualPoint":
-        return DualPoint.from_coords(S, hstar_coords_of_word(S, word))
-
-    def left_mul_h(self, xi_h, big_exp=None, small_exp=None) -> "DualPoint":
-        xi_h = np.asarray(xi_h, dtype=float)
-        big = self.big.left_mul(xi_h @ self.setup.Hdual, big_exp)
-        small = self.small.left_mul(xi_h, small_exp)
-        return DualPoint(self.setup, (xi_h,) + self.factors_h, big, small)
-
-    def right_mul_h(self, xi_h, big_exp=None, small_exp=None) -> "DualPoint":
-        xi_h = np.asarray(xi_h, dtype=float)
-        big = self.big.right_mul(xi_h @ self.setup.Hdual, big_exp)
-        small = self.small.right_mul(xi_h, small_exp)
-        return DualPoint(self.setup, self.factors_h + (xi_h,), big, small)
+    return GroupWord(G, tuple(fs), ad)
 
 
 @dataclass(frozen=True, eq=False)
 class QPoint:
-    """Point of the product space: an ambient-group word and a dual point."""
+    """Point (g, λ) of the product space G × Ȟ* of a setup."""
 
-    g: AmbientWord
-    lam: DualPoint
+    setup: ReductionSetup
+    g: GroupWord
+    dual: GroupWord
 
 
 @dataclass(frozen=True, eq=False)
 class PPoint:
-    """Point of the two-sided product space (λ̃, g, λ̂)."""
+    """Point (λ̃, g, λ̂) of the two-sided product space Ȟ* × G × Ȟ*."""
 
-    tilde: DualPoint
-    g: AmbientWord
-    hat: DualPoint
+    setup: ReductionSetup
+    tilde: GroupWord
+    g: GroupWord
+    hat: GroupWord
 
 
 class QFunction:
@@ -362,93 +319,48 @@ class QFunction:
         return float(self.fn(pt))
 
 
+def _sub_entry(S: ReductionSetup, word: GroupWord, a: int, b: int) -> float:
+    """Entry (a, b) of Ad on the double of (H, H*), read off a word over D(K, K*)."""
+    return S.sub_restrict[a] @ word.ad @ S.sub_embed[b]
+
+
 def g_entry(a: int, b: int) -> QFunction:
     return QFunction(lambda pt: pt.g.ad[a, b], depends=("g",))
 
 
 def dual_entry(a: int, b: int) -> QFunction:
-    return QFunction(lambda pt: pt.lam.small.ad[a, b], depends=("dual",))
+    return QFunction(lambda pt: _sub_entry(pt.setup, pt.dual, a, b), depends=("dual",))
 
 
 def hat_entry(a: int, b: int) -> QFunction:
-    return QFunction(lambda pt: pt.hat.small.ad[a, b], depends=("hat",))
+    return QFunction(lambda pt: _sub_entry(pt.setup, pt.hat, a, b), depends=("hat",))
 
 
 def tilde_entry(a: int, b: int) -> QFunction:
-    return QFunction(lambda pt: pt.tilde.small.ad[a, b], depends=("tilde",))
+    return QFunction(lambda pt: _sub_entry(pt.setup, pt.tilde, a, b), depends=("tilde",))
 
 
-class ProductCaches:
-    """Precomputed step matrices for every differencing direction at step h."""
-
-    def __init__(self, S: ReductionSetup, h: float):
-        self.setup = S
-        self.h = h
-        g = S.G
-        eye_g = np.eye(g.dim)
-        self.g_plus = [expm(h * g.ad_matrix(eye_g[i])) for i in range(g.dim)]
-        self.g_minus = [expm(-h * g.ad_matrix(eye_g[i])) for i in range(g.dim)]
-        p = S.dim_H
-        big, small = S.double, S.sub_double
-        eye_h = np.eye(p)
-        self.big_plus = [
-            expm(h * big.D.ad_matrix(big.embed_Kstar(eye_h[a] @ S.Hdual))) for a in range(p)
-        ]
-        self.big_minus = [
-            expm(-h * big.D.ad_matrix(big.embed_Kstar(eye_h[a] @ S.Hdual))) for a in range(p)
-        ]
-        self.small_plus = [
-            expm(h * small.D.ad_matrix(small.embed_Kstar(eye_h[a]))) for a in range(p)
-        ]
-        self.small_minus = [
-            expm(-h * small.D.ad_matrix(small.embed_Kstar(eye_h[a]))) for a in range(p)
-        ]
+def step_caches(S: ReductionSetup, h: float) -> tuple:
+    """StepCaches at step h over the basis of G and over the H* basis in D(K, K*)."""
+    return StepCache(S.G, h, np.eye(S.G.dim)), StepCache(S.double, h, S.Hdual)
 
 
-def _g_gradients(u: QFunction, pt, caches: ProductCaches, set_g):
-    """Left and right gradients of u with respect to the ambient factor."""
-    g = pt.g
-    n = g.algebra.dim
-    h = caches.h
-    eye = np.eye(n)
-    grad = np.zeros(n)
-    grad_p = np.zeros(n)
-    if "g" not in u.depends:
-        return grad, grad_p
-    for i in range(n):
-        gp = g.left_mul(eye[i], caches.g_plus[i])
-        gm = g.left_mul(eye[i], caches.g_minus[i])
-        grad[i] = (u(set_g(pt, gp)) - u(set_g(pt, gm))) / (2 * h)
-        gp = g.right_mul(eye[i], caches.g_plus[i])
-        gm = g.right_mul(eye[i], caches.g_minus[i])
-        grad_p[i] = (u(set_g(pt, gp)) - u(set_g(pt, gm))) / (2 * h)
-    return grad, grad_p
+def _slot_gradients(u: QFunction, slot: str, word: GroupWord, cache: StepCache, put):
+    """Left and right gradients of u along one factor of a product point.
+
+    put(w) is the point with that factor replaced by w; the gradients vanish
+    identically when u does not read the factor.
+    """
+    if slot not in u.depends:
+        k = len(cache.plus)
+        return np.zeros(k), np.zeros(k)
+    return gradients(word, lambda w: u(put(w)), cache.h, cache)
 
 
-def _dual_gradients(u: QFunction, pt, lam: DualPoint, caches: ProductCaches, dep, set_lam):
-    """Left and right gradients of u with respect to one dual factor, over H."""
-    S = caches.setup
-    p = S.dim_H
-    h = caches.h
-    grad = np.zeros(p)
-    grad_p = np.zeros(p)
-    if dep not in u.depends:
-        return grad, grad_p
-    eye = np.eye(p)
-    for a in range(p):
-        lp = lam.left_mul_h(eye[a], caches.big_plus[a], caches.small_plus[a])
-        lm = lam.left_mul_h(eye[a], caches.big_minus[a], caches.small_minus[a])
-        grad[a] = (u(set_lam(pt, lp)) - u(set_lam(pt, lm))) / (2 * h)
-        rp = lam.right_mul_h(eye[a], caches.big_plus[a], caches.small_plus[a])
-        rm = lam.right_mul_h(eye[a], caches.big_minus[a], caches.small_minus[a])
-        grad_p[a] = (u(set_lam(pt, rp)) - u(set_lam(pt, rm))) / (2 * h)
-    return grad, grad_p
-
-
-def _dual_block(S: ReductionSetup, lam: DualPoint, gu, gpv) -> float:
-    """<< grad u, Ad_λ grad' v >> on the double of (H, H*)."""
-    d = S.sub_double
-    return d.pair(d.embed_K(gu), lam.small.ad @ d.embed_K(gpv))
+def _dual_block(S: ReductionSetup, lam: GroupWord, gu, gpv) -> float:
+    """<< grad u, Ad_λ grad' v >> on D(K, K*), for gradients in H coordinates."""
+    d = S.double
+    return d.pair(d.embed_K(gu @ S.H_in_K), lam.ad @ d.embed_K(gpv @ S.H_in_K))
 
 
 def _embed_h_to_g(S: ReductionSetup, vh) -> np.ndarray:
@@ -462,7 +374,7 @@ def q_bracket(
     u: QFunction,
     v: QFunction,
     h: float = 1e-3,
-    caches: Optional[ProductCaches] = None,
+    caches: Optional[tuple] = None,
 ) -> float:
     """The bracket ansatz on G × Ȟ* evaluated on two scalar functions.
 
@@ -470,17 +382,17 @@ def q_bracket(
     the mixed pairing of right ambient gradients with dual gradients, and the
     double contraction of ambient gradients against R + r(λ) and R.
     """
-    caches = caches or ProductCaches(S, h)
-    set_g = lambda q, g: QPoint(g, q.lam)
-    set_lam = lambda q, lam: QPoint(q.g, lam)
-    gu, gpu = _g_gradients(u, pt, caches, set_g)
-    gv, gpv = _g_gradients(v, pt, caches, set_g)
-    du, dpu = _dual_gradients(u, pt, pt.lam, caches, "dual", set_lam)
-    dv, dpv = _dual_gradients(v, pt, pt.lam, caches, "dual", set_lam)
+    g_steps, h_steps = caches or step_caches(S, h)
+    at_g = lambda w: QPoint(pt.setup, w, pt.dual)
+    at_dual = lambda w: QPoint(pt.setup, pt.g, w)
+    gu, gpu = _slot_gradients(u, "g", pt.g, g_steps, at_g)
+    gv, gpv = _slot_gradients(v, "g", pt.g, g_steps, at_g)
+    du, dpu = _slot_gradients(u, "dual", pt.dual, h_steps, at_dual)
+    dv, dpv = _slot_gradients(v, "dual", pt.dual, h_steps, at_dual)
 
-    val = _dual_block(S, pt.lam, du, dpv)
+    val = _dual_block(S, pt.dual, du, dpv)
     val += gpu @ _embed_h_to_g(S, dv) - gpv @ _embed_h_to_g(S, du)
-    r_here = rfun(pt.lam.big).coeffs
+    r_here = rfun(pt.dual).coeffs
     val += gpu @ (S.R.coeffs + r_here) @ gpv
     val -= gu @ S.R.coeffs @ gv
     return float(val)
@@ -494,10 +406,10 @@ def q_jacobi_residual(
     f2: QFunction,
     f3: QFunction,
     h: float = 1e-3,
-    caches: Optional[ProductCaches] = None,
+    caches: Optional[tuple] = None,
 ) -> float:
     """Cyclic Jacobiator of the G × Ȟ* bracket through nested differencing."""
-    caches = caches or ProductCaches(S, h)
+    caches = caches or step_caches(S, h)
 
     def inner(a: QFunction, b: QFunction) -> QFunction:
         return QFunction(
@@ -517,7 +429,7 @@ def p_bracket(
     u: QFunction,
     v: QFunction,
     h: float = 1e-3,
-    caches: Optional[ProductCaches] = None,
+    caches: Optional[tuple] = None,
 ) -> float:
     """The two-sided bracket ansatz on Ȟ* × G × Ȟ*.
 
@@ -526,22 +438,22 @@ def p_bracket(
     minus sign and pairs with left ambient gradients against R + r(λ̃); the
     two dual copies commute with each other.
     """
-    caches = caches or ProductCaches(S, h)
-    set_g = lambda q, g: PPoint(q.tilde, g, q.hat)
-    set_hat = lambda q, lam: PPoint(q.tilde, q.g, lam)
-    set_tilde = lambda q, lam: PPoint(lam, q.g, q.hat)
-    gu, gpu = _g_gradients(u, pt, caches, set_g)
-    gv, gpv = _g_gradients(v, pt, caches, set_g)
-    hu, hpu = _dual_gradients(u, pt, pt.hat, caches, "hat", set_hat)
-    hv, hpv = _dual_gradients(v, pt, pt.hat, caches, "hat", set_hat)
-    tu, tpu = _dual_gradients(u, pt, pt.tilde, caches, "tilde", set_tilde)
-    tv, tpv = _dual_gradients(v, pt, pt.tilde, caches, "tilde", set_tilde)
+    g_steps, h_steps = caches or step_caches(S, h)
+    at_g = lambda w: PPoint(pt.setup, pt.tilde, w, pt.hat)
+    at_hat = lambda w: PPoint(pt.setup, pt.tilde, pt.g, w)
+    at_tilde = lambda w: PPoint(pt.setup, w, pt.g, pt.hat)
+    gu, gpu = _slot_gradients(u, "g", pt.g, g_steps, at_g)
+    gv, gpv = _slot_gradients(v, "g", pt.g, g_steps, at_g)
+    hu, hpu = _slot_gradients(u, "hat", pt.hat, h_steps, at_hat)
+    hv, hpv = _slot_gradients(v, "hat", pt.hat, h_steps, at_hat)
+    tu, tpu = _slot_gradients(u, "tilde", pt.tilde, h_steps, at_tilde)
+    tv, tpv = _slot_gradients(v, "tilde", pt.tilde, h_steps, at_tilde)
 
     val = _dual_block(S, pt.hat, hu, hpv) - _dual_block(S, pt.tilde, tu, tpv)
     val += gpu @ _embed_h_to_g(S, hv) - gpv @ _embed_h_to_g(S, hu)
     val += gu @ _embed_h_to_g(S, tv) - gv @ _embed_h_to_g(S, tu)
-    r_hat = rfun(pt.hat.big).coeffs
-    r_tilde = rfun(pt.tilde.big).coeffs
+    r_hat = rfun(pt.hat).coeffs
+    r_tilde = rfun(pt.tilde).coeffs
     val += gpu @ (S.R.coeffs + r_hat) @ gpv
     val -= gu @ (S.R.coeffs + r_tilde) @ gv
     return float(val)
@@ -555,9 +467,9 @@ def p_jacobi_residual(
     f2: QFunction,
     f3: QFunction,
     h: float = 1e-3,
-    caches: Optional[ProductCaches] = None,
+    caches: Optional[tuple] = None,
 ) -> float:
-    caches = caches or ProductCaches(S, h)
+    caches = caches or step_caches(S, h)
 
     def inner(a: QFunction, b: QFunction) -> QFunction:
         return QFunction(
@@ -607,8 +519,9 @@ def run_suite(
 ) -> list:
     """Run the requested residual suites on the reduced r* = rho of the setup.
 
-    Returns one ResidualReport per equation, deterministically for a fixed
-    seed; points are the second-class samples of the dual of H.
+    Returns (reports, words): one ResidualReport per equation, and the
+    second-class samples of the dual of H the suites ran on, both
+    deterministic for a fixed seed.
     """
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
@@ -660,8 +573,6 @@ def run_suite(
                 res.append(worst)
             reports.append(_report(EQ_EQUIVARIANCE, words, res, h, tol[EQ_EQUIVARIANCE]))
         elif s == "dirac":
-            from .dual_group import AdEntry, StepCache
-
             cache = StepCache(S.sub_double, h)
             dim2 = S.sub_double.dim
             res_d, res_c = [], []
@@ -690,21 +601,20 @@ def run_suite(
             reports.append(_report(EQ_RHO_CONSISTENCY, words, res, h, tol[EQ_RHO_CONSISTENCY]))
             res = []
             for w in words:
-                worst = 0.0
-                for _ in range(20):
-                    u = rng.uniform(-1, 1, S.dim_M) @ S.M_in_K if S.dim_M else np.zeros(S.n)
-                    v = rng.uniform(-1, 1, S.dim_M) @ S.M_in_K if S.dim_M else np.zeros(S.n)
-                    worst = max(worst, characterization_identity_residual(S, w, u, v, cond_threshold))
-                res.append(worst)
+                # 20 (u, v) pairs per point, checked in one call
+                u, v = np.zeros((20, S.n)), np.zeros((20, S.n))
+                for k in range(20 if S.dim_M else 0):
+                    u[k] = rng.uniform(-1, 1, S.dim_M) @ S.M_in_K
+                    v[k] = rng.uniform(-1, 1, S.dim_M) @ S.M_in_K
+                res.append(characterization_identity_residual(S, w, u, v, cond_threshold))
             reports.append(_report(EQ_CHARACTERIZATION, words, res, h, tol[EQ_CHARACTERIZATION]))
         elif s == "jacobi":
-            caches = ProductCaches(S, jacobi_step)
+            caches = step_caches(S, jacobi_step)
             pts = [words[k % len(words)] for k in range(jacobi_points)]
             dim_g = S.G.dim
             dim2 = S.sub_double.dim
             res_q, res_p = [], []
             for k, w in enumerate(pts):
-                lam = DualPoint.from_word(S, w)
                 # nested-difference truncation grows with exp of the ambient
                 # word size, so generic points are drawn from a modest box
                 g = ambient_word(S.G, [rng.uniform(-ambient_box, ambient_box, dim_g)])
@@ -715,15 +625,14 @@ def run_suite(
                     for _ in range(3)
                 ]
                 fd = dual_entry(int(rng.integers(0, dim2)), int(rng.integers(0, dim2)))
-                qpt = QPoint(g, lam)
+                qpt = QPoint(S, g, w)
                 worst = q_jacobi_residual(S, rfun, qpt, *phis, jacobi_step, caches)
                 worst = max(
                     worst,
                     q_jacobi_residual(S, rfun, qpt, phis[0], phis[1], fd, jacobi_step, caches),
                 )
                 res_q.append(worst)
-                lam2 = DualPoint.from_word(S, pts[(k + 1) % len(pts)])
-                ppt = PPoint(lam2, g, lam)
+                ppt = PPoint(S, pts[(k + 1) % len(pts)], g, w)
                 f3p = hat_entry(int(rng.integers(0, dim2)), int(rng.integers(0, dim2)))
                 f2p = tilde_entry(int(rng.integers(0, dim2)), int(rng.integers(0, dim2)))
                 worst = p_jacobi_residual(S, rfun, ppt, *phis, jacobi_step, caches)
@@ -734,4 +643,4 @@ def run_suite(
                 res_p.append(worst)
             reports.append(_report(EQ_Q_JACOBI, pts, res_q, jacobi_step, tol[EQ_Q_JACOBI]))
             reports.append(_report(EQ_P_JACOBI, pts, res_p, jacobi_step, tol[EQ_P_JACOBI]))
-    return reports
+    return reports, words

@@ -57,7 +57,7 @@ def suite_results():
         e = get_entry(name)
         setup = load_entry(name)
         t0 = time.perf_counter()
-        reports = run_suite(
+        reports, _ = run_suite(
             setup,
             "all",
             num_points=e.num_points,

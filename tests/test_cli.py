@@ -133,6 +133,30 @@ class TestReduceAndVerify:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_verify_samples_once(self, tmp_path, capsys, monkeypatch):
+        # the report's points are the words the suites ran on
+        import plrmat.reduction
+        import plrmat.verify
+
+        calls = []
+        original = plrmat.reduction.sample_hstar_points
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(plrmat.verify, "sample_hstar_points", counting)
+        monkeypatch.setattr("plrmat.cli.sample_hstar_points", counting)
+        out = tmp_path / "v.json"
+        code, _, _ = run(
+            ["verify", "--input", "sl2_dj", "--suite", "dirac", "--samples", "3",
+             "--output", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert len(calls) == 1
+        assert len(json.loads(out.read_text())["sample_points"]) == 3
+
     def test_reduce_reports_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "ra.json", tmp_path / "rb.json"
         for target in (a, b):

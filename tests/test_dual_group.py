@@ -15,8 +15,6 @@ import pytest
 from plrmat.bialgebra_double import build_double, derive_cobracket
 from plrmat.dual_group import (
     AdEntry,
-    FuncCombo,
-    FuncProduct,
     StepCache,
     ad_of_word,
     dressing_vector,
@@ -208,7 +206,7 @@ class TestPoissonBracket:
         d = double_sl2_dj()
         w = ad_of_word(d, [np.array([0.3, 0.1, -0.2])])
         f1, f2, f3 = AdEntry(1, 4), AdEntry(2, 5), AdEntry(0, 0)
-        combo = FuncCombo([(2.0, f1), (-1.5, f3)])
+        combo = lambda v: 2.0 * f1(v) - 1.5 * f3(v)
         lhs = pb_dual(w, combo, f2, 1e-5)
         rhs = 2.0 * pb_dual(w, f1, f2, 1e-5) - 1.5 * pb_dual(w, f3, f2, 1e-5)
         assert abs(lhs - rhs) <= 1e-8
@@ -236,7 +234,7 @@ class TestPoissonBracket:
         d = double_sl2_dj()
         w = ad_of_word(d, [np.array([0.5, -0.2, 0.3])])
         f1, f2, g = AdEntry(1, 4), AdEntry(4, 4), AdEntry(2, 5)
-        prod = FuncProduct(f1, f2)
+        prod = lambda v: f1(v) * f2(v)
         lhs = pb_dual(w, prod, g, 1e-5)
         rhs = f1(w) * pb_dual(w, f2, g, 1e-5) + f2(w) * pb_dual(w, f1, g, 1e-5)
         assert abs(lhs - rhs) <= 1e-6

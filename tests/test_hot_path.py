@@ -158,7 +158,7 @@ class TestMemoisedRfun:
     def test_distinct_word_objects_are_evaluated_apart(self):
         rfun = reduced_r_function(self.S)
         w = self.words[0]
-        twin = w.right_mul(np.zeros(self.S.n))
+        twin = w.right_mul(np.eye(self.S.double.dim))
         assert twin is not w
         assert rfun(twin) is not rfun(w)
         np.testing.assert_array_equal(rfun(twin).coeffs, rfun(w).coeffs)
@@ -182,7 +182,7 @@ def test_cdybe_suite_control_and_triangularity(name):
     reports = {
         r.equation_id: r
         for r in run_suite(S, "cdybe", num_points=3, seed=e.seed,
-                           cond_threshold=e.cond_threshold)
+                           cond_threshold=e.cond_threshold)[0]
     }
     control = reports[EQ_CONTROL]
     assert control.passed and control.max_residual >= control.tolerance

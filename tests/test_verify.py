@@ -14,14 +14,13 @@ verify their tolerances.
 import numpy as np
 import pytest
 
-from plrmat.dual_group import identity_word
+from plrmat.catalog import get_entry, list_entries
+from plrmat.dual_group import StepCache, identity_word
 from plrmat.errors import InputShapeError
 from plrmat.lie_core import Tensor2
-from plrmat.reduction import hstar_word, sample_hstar_points
+from plrmat.reduction import hstar_word, sample_hstar_points, small_word
 from plrmat.verify import (
-    DualPoint,
     PPoint,
-    ProductCaches,
     QFunction,
     QPoint,
     ResidualReport,
@@ -40,6 +39,7 @@ from plrmat.verify import (
     reduced_r_function,
     run_suite,
     sign_flipped_rfun,
+    step_caches,
     tilde_entry,
     triangularity_check,
     zero_r_function,
@@ -156,13 +156,13 @@ class TestProductBrackets:
         self.s = dj_setup()
         self.rfun = reduced_r_function(self.s, None, 2.5)
         self.h = 1e-3
-        self.caches = ProductCaches(self.s, self.h)
+        self.caches = step_caches(self.s, self.h)
         rng = np.random.default_rng(1)
         self.g = ambient_word(self.s.G, [rng.uniform(-0.3, 0.3, 3)])
-        self.lam = DualPoint.from_coords(self.s, [np.array([0.8])])
-        self.lam2 = DualPoint.from_coords(self.s, [np.array([-0.6])])
-        self.qpt = QPoint(self.g, self.lam)
-        self.ppt = PPoint(self.lam2, self.g, self.lam)
+        self.lam = hstar_word(self.s, [0.8])
+        self.lam2 = hstar_word(self.s, [-0.6])
+        self.qpt = QPoint(self.s, self.g, self.lam)
+        self.ppt = PPoint(self.s, self.lam2, self.g, self.lam)
 
     def test_constant_function_brackets_vanish(self):
         const = QFunction(lambda pt: 2.0, depends=())
@@ -172,11 +172,11 @@ class TestProductBrackets:
     def test_ambient_block_vanishes_without_r(self):
         # zero R and zero r kill the double-gradient contraction block
         s = abelian_trivial_setup()
-        caches = ProductCaches(s, self.h)
+        caches = step_caches(s, self.h)
         g = ambient_word(s.G, [np.array([0.4, -0.2])])
-        lam = DualPoint.from_coords(s, [np.zeros(2)])
+        lam = hstar_word(s, np.zeros(2))
         val = q_bracket(
-            s, zero_r_function(s), QPoint(g, lam), g_entry(0, 0), g_entry(1, 1), self.h, caches
+            s, zero_r_function(s), QPoint(s, g, lam), g_entry(0, 0), g_entry(1, 1), self.h, caches
         )
         assert val == 0.0
 
@@ -212,11 +212,98 @@ class TestProductBrackets:
         assert res == 0.0
 
     def test_corrupted_r_breaks_q_jacobi(self):
-        a, b = largest_entry(self.rfun(self.lam.big))
+        a, b = largest_entry(self.rfun(self.lam))
         bad = sign_flipped_rfun(self.rfun, int(a), int(b))
         phis = [g_entry(1, 2), g_entry(0, 1), g_entry(2, 0)]
         res = q_jacobi_residual(self.s, bad, self.qpt, *phis, self.h, self.caches)
         assert res > 1e-2
+
+
+def _catalog_samples():
+    for name in list_entries():
+        e = get_entry(name)
+        S = e.setup()
+        yield name, S, sample_hstar_points(S, e.num_points, e.seed, 1.0, e.cond_threshold)
+
+
+CATALOG_SAMPLES = list(_catalog_samples())
+
+
+def _restriction_cases():
+    """Catalog samples at 1e-15, plus a setup whose K, H and M bases are all
+    skewed: there sub_restrict differs from sub_embed, and the restriction
+    rounds through non-trivial products, so it is held to 1e-14."""
+    from test_hot_path import skewed_levi_setup
+
+    for name, S, words in CATALOG_SAMPLES:
+        yield pytest.param(S, words, 1e-15, id=name)
+    S = skewed_levi_setup()
+    yield pytest.param(S, sample_hstar_points(S, 4, 2), 1e-14, id="skewed_levi")
+
+
+RESTRICTION_CASES = list(_restriction_cases())
+
+
+class TestRestrictedDualEntries:
+    """The dual factor of a product point is a word over D(K, K*).
+
+    Its functions read Ad on the double of (H, H*) as the restriction
+    sub_restrict·Ad·sub_embedᵀ; these tests check that restriction against
+    the same point built on the sub-double itself, at every catalog sample
+    and after one cached H* step on either side.  On the catalog the bases
+    are coordinate rows and sub_restrict equals sub_embed, so the skewed
+    setup is what tells the two apart.
+    """
+
+    h = 1e-3
+
+    @staticmethod
+    def _read(S, pt, entry):
+        dim2 = S.sub_double.dim
+        return np.array([[entry(a, b)(pt) for b in range(dim2)] for a in range(dim2)])
+
+    def _entries(self, S, w):
+        """What dual_entry, hat_entry and tilde_entry read at the dual point w."""
+        g = ambient_word(S.G, [])
+        other = identity_word(S.double)
+        return (
+            self._read(S, QPoint(S, g, w), dual_entry),
+            self._read(S, PPoint(S, other, g, w), hat_entry),
+            self._read(S, PPoint(S, w, g, other), tilde_entry),
+        )
+
+    @pytest.mark.parametrize("S,words,tol", RESTRICTION_CASES)
+    def test_entries_match_sub_double_word(self, S, words, tol):
+        for w in words:
+            want = small_word(S, w).ad
+            for got in self._entries(S, w):
+                assert float(np.max(np.abs(got - want))) <= tol
+
+    @pytest.mark.parametrize("S,words,tol", RESTRICTION_CASES)
+    def test_entries_match_after_one_cached_step(self, S, words, tol):
+        _, big = step_caches(S, self.h)
+        small = StepCache(S.sub_double, self.h)
+        for w in words:
+            sw = small_word(S, w)
+            for a in range(S.dim_H):
+                for bstep, sstep in ((big.plus[a], small.plus[a]), (big.minus[a], small.minus[a])):
+                    for side in ("left_mul", "right_mul"):
+                        moved = getattr(w, side)(bstep)
+                        want = getattr(sw, side)(sstep).ad
+                        for got in self._entries(S, moved):
+                            assert float(np.max(np.abs(got - want))) <= tol
+
+    def test_translates_carry_no_factors(self):
+        _, S, words = CATALOG_SAMPLES[list_entries().index("sl3_dj_levi")]
+        g = ambient_word(S.G, [np.full(S.G.dim, 0.1)])
+        g_steps, h_steps = step_caches(S, self.h)
+        for word, cache in ((words[0], h_steps), (g, g_steps)):
+            assert word.factors is not None and len(word.factors) == 1
+            for step in cache.plus + cache.minus:
+                assert word.left_mul(step).factors is None
+                assert word.right_mul(step).factors is None
+            assert len(word.factors) == 1
+        assert identity_word(S.double).factors == ()
 
 
 class TestResidualReport:
@@ -236,7 +323,7 @@ class TestResidualReport:
 class TestRunSuite:
     def test_all_suites_pass_on_dj(self):
         s = dj_setup()
-        reports = run_suite(s, "all", num_points=10, seed=6, cond_threshold=2.5)
+        reports, _ = run_suite(s, "all", num_points=10, seed=6, cond_threshold=2.5)
         ids = {r.equation_id for r in reports}
         assert {"mCYBE", "PL_CDYBE", "TRIANGULARITY", "EQUIVARIANCE",
                 "DIRAC_EQ_HSTAR", "CONSTRAINT_PB", "RHO_CONSISTENCY",
@@ -246,7 +333,7 @@ class TestRunSuite:
 
     def test_single_suite_selection(self):
         s = classical_setup()
-        reports = run_suite(s, "equivariance", num_points=3, seed=6, cond_threshold=2.5)
+        reports, _ = run_suite(s, "equivariance", num_points=3, seed=6, cond_threshold=2.5)
         assert [r.equation_id for r in reports] == ["EQUIVARIANCE"]
 
     def test_unknown_suite_rejected(self):
@@ -256,8 +343,8 @@ class TestRunSuite:
     def test_suite_results_independent_of_combination(self):
         # the jacobi numbers must not depend on which other suites ran
         s = classical_setup()
-        alone = run_suite(s, "jacobi", num_points=5, seed=6, cond_threshold=2.5)
-        combined = run_suite(s, "all", num_points=5, seed=6, cond_threshold=2.5)
+        alone, _ = run_suite(s, "jacobi", num_points=5, seed=6, cond_threshold=2.5)
+        combined, _ = run_suite(s, "all", num_points=5, seed=6, cond_threshold=2.5)
         combined_j = [r for r in combined if r.equation_id in ("Q_JACOBI", "P_JACOBI")]
         for ra, rb in zip(alone, combined_j):
             assert ra.equation_id == rb.equation_id
