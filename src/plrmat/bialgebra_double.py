@@ -59,16 +59,20 @@ DUAL_BRACKET_SIGN = -1.0
 def _expand(rows: np.ndarray, vectors: np.ndarray):
     """Least-squares coordinates of vectors (rows) in the span of rows.
 
-    Returns (coords, residual) with residual the max-norm reconstruction error.
+    Returns (coords, residuals) with residuals[k] the max-norm reconstruction
+    error of vectors[k].
     """
     if rows.shape[0] == 0:
         coords = np.zeros((vectors.shape[0], 0))
-        resid = float(np.max(np.abs(vectors))) if vectors.size else 0.0
-        return coords, resid
+        return coords, np.max(np.abs(vectors), axis=1, initial=0.0)
     sol, *_ = np.linalg.lstsq(rows.T, vectors.T, rcond=None)
     coords = sol.T
-    resid = float(np.max(np.abs(coords @ rows - vectors))) if vectors.size else 0.0
-    return coords, resid
+    return coords, np.max(np.abs(coords @ rows - vectors), axis=1, initial=0.0)
+
+
+def _brackets(A: LieAlgebra, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Bracket table: out[a, b] = [X[a], Y[b]] for the rows of X and Y."""
+    return Y @ np.tensordot(X, A.c, axes=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,17 +117,20 @@ class Bialgebra:
         return float(np.max(np.abs(self.Kstar.c - want)))
 
     def cocycle_residual(self) -> float:
-        """Max-norm of delta([x,y]) - ad_x.delta(y) + ad_y.delta(x) over basis pairs."""
+        """Max-norm of delta([x,y]) - ad_x.delta(y) + ad_y.delta(x) over basis pairs.
+
+        Evaluated one first index i at a time, over all j at once, so only
+        dim³ arrays are held.
+        """
+        c, cb = self.K.c, self.cobracket
         n = self.K.dim
+        ads = np.swapaxes(c, 1, 2)  # ads[i] is the matrix of ad_{e_i}
+        cb_rows = cb.reshape(n, n * n)
         worst = 0.0
-        eye = np.eye(n)
-        ads = [self.K.ad_matrix(eye[i]) for i in range(n)]
         for i in range(n):
-            for j in range(n):
-                lhs = np.einsum("k,kab->ab", self.K.bracket(eye[i], eye[j]), self.cobracket)
-                di, dj = self.cobracket[i], self.cobracket[j]
-                rhs = (ads[i] @ dj + dj @ ads[i].T) - (ads[j] @ di + di @ ads[j].T)
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+            lhs = (c[i] @ cb_rows).reshape(n, n, n)  # delta([e_i, e_j]) for every j
+            rhs = (ads[i] @ cb + cb @ c[i]) - (ads @ cb[i] + cb[i] @ c)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         return worst
 
 
@@ -150,9 +157,10 @@ def derive_cobracket(
     n = K_embed.dim
 
     # closure of K and its structure constants
-    brackets = np.array([[G.bracket(P[i], P[j]) for j in range(n)] for i in range(n)])
-    coords, resid = _expand(P, brackets.reshape(n * n, G.dim))
-    scale = 1.0 + float(np.max(np.abs(brackets))) if brackets.size else 1.0
+    brackets = _brackets(G, P, P).reshape(n * n, G.dim)
+    coords, resid = _expand(P, brackets)
+    resid = float(np.max(resid, initial=0.0))
+    scale = 1.0 + float(np.max(np.abs(brackets), initial=0.0))
     if resid > tol * scale:
         raise SubalgebraError(
             f"K is not closed under the ambient bracket: residual {resid:.3e}"
@@ -162,18 +170,16 @@ def derive_cobracket(
 
     # delta(X) = (ad_X ⊗ 1 + 1 ⊗ ad_X) R for each K basis vector, over the K basis
     pinv = np.linalg.pinv(P.T)  # maps G coordinates to K coordinates
-    cobracket = np.zeros((n, n, n))
-    for k in range(n):
-        m = G.ad_matrix(P[k])
-        d_g = m @ R.coeffs + R.coeffs @ m.T
-        d_k = pinv @ d_g @ pinv.T
-        back = P.T @ d_k @ P
-        leak = float(np.max(np.abs(back - d_g)))
-        if leak > tol * (1.0 + float(np.max(np.abs(d_g)))):
-            raise NotSubBialgebraError(
-                f"cobracket of K basis vector {k} leaks outside K∧K: residual {leak:.3e}"
-            )
-        cobracket[k] = d_k
+    ads = np.swapaxes(np.tensordot(P, G.c, axes=1), 1, 2)  # ads[k]: ad of P[k] on G
+    d_g = ads @ R.coeffs + R.coeffs @ np.swapaxes(ads, 1, 2)
+    cobracket = pinv @ d_g @ pinv.T
+    leak = np.max(np.abs(P.T @ cobracket @ P - d_g), axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(leak > tol * (1.0 + np.max(np.abs(d_g), axis=(1, 2), initial=0.0)))
+    if bad.size:
+        k = bad[0]
+        raise NotSubBialgebraError(
+            f"cobracket of K basis vector {k} leaks outside K∧K: residual {leak[k]:.3e}"
+        )
 
     c_star = DUAL_BRACKET_SIGN * np.transpose(cobracket, (1, 2, 0))
     try:
@@ -185,7 +191,7 @@ def derive_cobracket(
 
 @dataclass(frozen=True, eq=False)
 class DoubleAlgebra:
-    """The double D(K, K*) with canonical pairing and subspace projectors.
+    """The double D(K, K*) with its canonical pairing.
 
     Basis order is the K basis followed by the K* basis; this ordering is part
     of the file-format contract.  The pairing matrix couples the two halves by
@@ -206,18 +212,6 @@ class DoubleAlgebra:
     @property
     def dim(self) -> int:
         return 2 * self.n
-
-    @property
-    def proj_K(self) -> np.ndarray:
-        p = np.zeros((self.dim, self.dim))
-        p[: self.n, : self.n] = np.eye(self.n)
-        return p
-
-    @property
-    def proj_Kstar(self) -> np.ndarray:
-        p = np.zeros((self.dim, self.dim))
-        p[self.n :, self.n :] = np.eye(self.n)
-        return p
 
     def embed_K(self, v) -> np.ndarray:
         out = np.zeros(self.dim)
@@ -249,16 +243,6 @@ class DoubleAlgebra:
         c, p = self.D.c, self.pairing
         t = np.einsum("zak,kb->zab", c, p) + np.einsum("ak,zbk->zab", p, c)
         return float(np.max(np.abs(t)))
-
-    def projector_residual(self) -> float:
-        pk, ps = self.proj_K, self.proj_Kstar
-        return float(
-            max(
-                np.max(np.abs(pk + ps - np.eye(self.dim))),
-                np.max(np.abs(pk @ pk - pk)),
-                np.max(np.abs(ps @ ps - ps)),
-            )
-        )
 
 
 def build_double(B: Bialgebra, jacobi_tol: float = CLOSURE_TOL) -> DoubleAlgebra:
@@ -303,12 +287,12 @@ def suggest_complement(G: LieAlgebra, K_embed: Subspace, H_embed: Subspace) -> S
     """
     P = K_embed.basis
     n = K_embed.dim
-    ads = [G.ad_matrix(P[i]) for i in range(n)]
-    form = np.array([[np.trace(ads[i] @ ads[j]) for j in range(n)] for i in range(n)])
+    ads = np.swapaxes(np.tensordot(P, G.c, axes=1), 1, 2)  # ads[i]: ad of P[i] on G
+    form = np.einsum("iab,jba->ij", ads, ads)  # trace(ad_i ad_j)
     if n and np.linalg.cond(form) > 1e8:
         raise DecompositionError("trace form on K is degenerate; supply M explicitly")
     h_coords, resid = _expand(P, H_embed.basis)
-    if resid > 1e-10:
+    if np.max(resid, initial=0.0) > 1e-10:
         raise DecompositionError("H basis not contained in the span of K")
     if h_coords.shape[0] == 0:
         return Subspace(G.dim, P)
@@ -333,8 +317,9 @@ class ReductionSetup:
     The rows of [Hdual; Mdual] = inv(w)ᵀ with w = [H_in_K; M_in_K] are the
     dual basis of the rows of w, so the four matrices are also the splitting
     maps: Mdual takes a K vector to its M coordinates, and H_in_K / M_in_K
-    take a K* vector to its H* / M* coordinates.  Every component below is
-    one product with a matrix validated here, never a solve.
+    take a K* vector to its H* / M* coordinates.  validate_setup inverts w
+    once and reads the components of its own checks through these same
+    products; every component below is one such product, never a solve.
     """
 
     G: LieAlgebra
@@ -373,22 +358,9 @@ class ReductionSetup:
         """
         return self.sub_double.pairing @ self.sub_embed @ self.double.pairing
 
-    @property
-    def Hstar(self) -> Subspace:
-        return Subspace(self.n, self.Hdual)
-
-    @property
-    def Mstar(self) -> Subspace:
-        return Subspace(self.n, self.Mdual)
-
     def K_to_G(self, v) -> np.ndarray:
         """Ambient coordinates of a K-coordinate vector."""
         return np.asarray(v) @ self.K_embed.basis
-
-    def tensor2_to_G(self, t: np.ndarray) -> np.ndarray:
-        """Push a K⊗K coefficient matrix forward to G⊗G coordinates."""
-        P = self.K_embed.basis
-        return P.T @ t @ P
 
     def M_component(self, vK) -> np.ndarray:
         """Coordinates over the M basis of the M-part of a K vector (split along H)."""
@@ -408,16 +380,10 @@ class ReductionSetup:
         Vanishing of the two pairings is equivalent to [H, H*] staying inside
         H + H* in the double.
         """
-        dd = self.double
-        r1 = r2 = 0.0
-        for a in range(self.dim_H):
-            X = dd.embed_K(self.H_in_K[a])
-            for b in range(self.dim_H):
-                al = dd.embed_Kstar(self.Hdual[b])
-                br = dd.D.bracket(X, al)
-                for i in range(self.dim_M):
-                    r1 = max(r1, abs(dd.pair(br, dd.embed_K(self.M_in_K[i]))))
-                    r2 = max(r2, abs(dd.pair(br, dd.embed_Kstar(self.Mdual[i]))))
+        n, p = self.n, self.dim_H
+        br = _brackets(self.double.D, self.sub_embed[:p], self.sub_embed[p:])  # [H_a, H^b]
+        r1 = float(np.max(np.abs(br[..., n:] @ self.M_in_K.T), initial=0.0))
+        r2 = float(np.max(np.abs(br[..., :n] @ self.Mdual.T), initial=0.0))
         return r1, r2
 
 
@@ -425,23 +391,18 @@ def _build_sub_double(setup_args: dict, tol: float) -> tuple:
     """Extract the double of (H, H*) from the big double on the span H + H*."""
     double: DoubleAlgebra = setup_args["double"]
     H_in_K, Hdual = setup_args["H_in_K"], setup_args["Hdual"]
-    p = H_in_K.shape[0]
-    rows = np.vstack(
-        [
-            np.hstack([H_in_K, np.zeros_like(H_in_K)]),
-            np.hstack([np.zeros_like(Hdual), Hdual]),
-        ]
-    ) if p else np.zeros((0, 2 * setup_args["n"]))
-    c_sub = np.zeros((2 * p, 2 * p, 2 * p))
-    for i in range(2 * p):
-        for j in range(2 * p):
-            br = double.D.bracket(rows[i], rows[j])
-            coords, resid = _expand(rows, br[None, :])
-            if resid > tol * (1.0 + float(np.max(np.abs(br)))):
-                raise SubalgebraError(
-                    f"H + H* is not closed in the double: residual {resid:.3e}"
-                )
-            c_sub[i, j] = coords[0]
+    p, n = H_in_K.shape[0], setup_args["n"]
+    rows = np.zeros((2 * p, 2 * n))
+    rows[:p, :n] = H_in_K
+    rows[p:, n:] = Hdual
+    br = _brackets(double.D, rows, rows).reshape(4 * p * p, 2 * n)
+    coords, resid = _expand(rows, br)
+    bad = resid > tol * (1.0 + np.max(np.abs(br), axis=1, initial=0.0))
+    if np.any(bad):
+        raise SubalgebraError(
+            f"H + H* is not closed in the double: residual {resid[bad][0]:.3e}"
+        )
+    c_sub = coords.reshape(2 * p, 2 * p, 2 * p)
     pairing = np.zeros((2 * p, 2 * p))
     pairing[:p, p:] = np.eye(p)
     pairing[p:, :p] = np.eye(p)
@@ -469,6 +430,11 @@ def validate_setup(
     Each failed hypothesis raises a distinct error naming the violated
     condition.  On success the closure of H + H* inside the
     double and the sub-double extraction have also been certified.
+
+    The splitting is solved once: after the span check, w = [H_in_K; M_in_K]
+    is inverted and its dual basis gives Hdual / Mdual.  Each condition is
+    then one bracket table over the relevant bases, multiplied by the
+    splitting map that extracts the component which must vanish.
     """
     for name, sub in (("K", K_embed), ("H", H_embed), ("M", M_embed)):
         if sub.ambient_dim != G.dim:
@@ -479,15 +445,17 @@ def validate_setup(
     P = K_embed.basis
 
     H_in_K, resid = _expand(P, H_embed.basis)
+    resid = np.max(resid, initial=0.0)
     if resid > tol:
         raise DecompositionError(f"H basis not inside the span of K: residual {resid:.3e}")
     M_in_K, resid = _expand(P, M_embed.basis)
+    resid = np.max(resid, initial=0.0)
     if resid > tol:
         raise DecompositionError(f"M basis not inside the span of K: residual {resid:.3e}")
     p, m = H_embed.dim, M_embed.dim
     if p + m != n:
         raise DecompositionError(f"dim H + dim M = {p + m} but dim K = {n}")
-    w = np.vstack([H_in_K, M_in_K]) if n else np.zeros((0, 0))
+    w = np.vstack([H_in_K, M_in_K])
     if n:
         s = np.linalg.svd(w, compute_uv=False)
         if s[-1] <= 1e-10 * s[0]:
@@ -495,57 +463,36 @@ def validate_setup(
                 f"H ⊕ M does not span K (smallest singular value ratio {s[-1] / s[0]:.3e})"
             )
 
-    # H a subalgebra of K
-    K = bialgebra.K
-    for a in range(p):
-        for b in range(p):
-            br = K.bracket(H_in_K[a], H_in_K[b])
-            _, resid = _expand(H_in_K, br[None, :])
-            if resid > tol * (1.0 + float(np.max(np.abs(br)))):
-                raise SubalgebraError(
-                    f"H is not closed under the K bracket: residual {resid:.3e}"
-                )
+    # dual splitting: rows of inv(w)ᵀ are the dual basis of (H-basis, M-basis)
+    duals = np.linalg.inv(w).T
+    Hdual, Mdual = duals[:p], duals[p:]
+    K, Kstar = bialgebra.K, bialgebra.Kstar
+
+    # H a subalgebra of K: no [H, H] bracket has an M-part
+    br = _brackets(K, H_in_K, H_in_K)
+    resid = np.max(np.abs(br @ Mdual.T @ M_in_K), axis=2, initial=0.0)
+    bad = resid > tol * (1.0 + np.max(np.abs(br), axis=2, initial=0.0))
+    if np.any(bad):
+        raise SubalgebraError(
+            f"H is not closed under the K bracket: residual {resid[bad][0]:.3e}"
+        )
 
     # reductivity [H, M] ⊆ M, measured as the H-component of the bracket
-    winv = np.linalg.inv(w.T) if n else w
-    worst = 0.0
-    for a in range(p):
-        for i in range(m):
-            br = K.bracket(H_in_K[a], M_in_K[i])
-            coords = winv @ br
-            worst = max(worst, float(np.max(np.abs(coords[:p]), initial=0.0)))
+    worst = np.max(np.abs(_brackets(K, H_in_K, M_in_K) @ Hdual.T), initial=0.0)
     if worst > tol:
         raise ReductivityError(
             f"[H, M] has a component along H: projection residual {worst:.3e}"
         )
 
-    # dual splitting: rows of inv(w)^T are the dual basis of (H-basis, M-basis)
-    duals = np.linalg.inv(w).T if n else w
-    Hdual, Mdual = duals[:p], duals[p:]
-
     # H* = ann(M) must be a subalgebra of K*
-    Kstar = bialgebra.Kstar
-    dinv = np.linalg.inv(np.vstack([Hdual, Mdual]).T) if n else duals
-    worst = 0.0
-    for a in range(p):
-        for b in range(p):
-            br = Kstar.bracket(Hdual[a], Hdual[b])
-            coords = dinv @ br
-            worst = max(worst, float(np.max(np.abs(coords[p:]), initial=0.0)))
+    worst = np.max(np.abs(_brackets(Kstar, Hdual, Hdual) @ M_in_K.T), initial=0.0)
     if worst > tol:
         raise DualSubalgebraError(
             f"ann(M) is not a subalgebra of K*: M*-component {worst:.3e}"
         )
 
     # M* = ann(H) must be an ideal of K*
-    worst = 0.0
-    for j in range(n):
-        ej = np.zeros(n)
-        ej[j] = 1.0
-        for i in range(m):
-            br = Kstar.bracket(ej, Mdual[i])
-            coords = dinv @ br
-            worst = max(worst, float(np.max(np.abs(coords[:p]), initial=0.0)))
+    worst = np.max(np.abs(_brackets(Kstar, np.eye(n), Mdual) @ H_in_K.T), initial=0.0)
     if worst > tol:
         raise IdealError(f"ann(H) is not an ideal of K*: H*-component {worst:.3e}")
 

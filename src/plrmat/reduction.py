@@ -186,29 +186,16 @@ def reduced_r(
     return Tensor2(base.coeffs + p.coeffs, antisymmetric=True, tol=1e-9)
 
 
-def n_vectors(
-    S: ReductionSetup,
-    word: GroupWord,
-    cond_threshold: float = COND_THRESHOLD,
-) -> list:
-    """The unique N_i in M with Ad_λ^{-1} M_i = (Ad_λ^{-1} N_i)_{M*}.
-
-    Returned as K-coordinate vectors, one per dual basis element M_i.  The
-    defining relation is verified to 1e-10 after the solve.
-    """
+def _n_matrix(S: ReductionSetup, word: GroupWord, cond_threshold: float):
+    """(N, Ad_λ^{-1}): the rows of N are the N_i of n_vectors, in K coordinates."""
     C = constraint_matrix(S, word)
     _require_second_class(C, cond_threshold)
-    m = S.dim_M
-    if m == 0:
-        return []
-    d = S.double
+    n, m = S.n, S.dim_M
     inv_ad = np.linalg.inv(word.ad)
-    # columns of E: M*-coordinates of (Ad^{-1} M^j)_{M*}
-    e_mat = np.zeros((m, m))
-    moved_m = np.zeros((m, 2 * S.n))
-    for j in range(m):
-        moved_m[j] = inv_ad @ d.embed_K(S.M_in_K[j])
-        e_mat[:, j] = S.Mstar_component(d.comp_Kstar(moved_m[j]))
+    if m == 0:
+        return np.zeros((0, n)), inv_ad
+    # column j: M*-coordinates of (Ad^{-1} M^j)_{M*}
+    e_mat = S.M_in_K @ inv_ad[n:, :n] @ S.M_in_K.T
     # solvability guard only: second-class membership was already enforced
     # through C, so this fires solely on numerically singular systems
     s = np.linalg.svd(e_mat, compute_uv=False)
@@ -217,24 +204,35 @@ def n_vectors(
             f"moved complement basis is numerically singular "
             f"(condition {s[0] / max(s[-1], 1e-300):.3e})"
         )
-    out = []
-    for i in range(m):
-        target = inv_ad @ d.embed_Kstar(S.Mdual[i])
-        beta = S.Mstar_component(d.comp_Kstar(target))
-        coeffs = np.linalg.solve(e_mat, beta)
-        n_i = coeffs @ S.M_in_K
-        # full residual of the defining relation in double coordinates; the
-        # solve fixes the M* component, so this certifies that Ad^{-1} M_i
-        # has no H* leak (which is what makes the relation an equality)
-        moved_n = inv_ad @ d.embed_K(n_i)
-        rhs = d.embed_Kstar(S.Mstar_component(d.comp_Kstar(moved_n)) @ S.Mdual)
-        resid = float(np.max(np.abs(target - rhs)))
-        if resid > 1e-10 * (1.0 + float(np.max(np.abs(target)))):
-            raise ConsistencyError(
-                f"defining relation for N_{i} has residual {resid:.3e}"
-            )
-        out.append(n_i)
-    return out
+    # column i: Ad^{-1} M_i in the double, and its M*-coordinates
+    targets = inv_ad[:, n:] @ S.Mdual.T
+    N = np.linalg.solve(e_mat, S.M_in_K @ targets[n:]).T @ S.M_in_K
+    # full residual of the defining relation in double coordinates; the
+    # solve fixes the M* component, so this certifies that Ad^{-1} M_i
+    # has no H* leak (which is what makes the relation an equality)
+    rhs = S.Mdual.T @ (S.M_in_K @ (inv_ad[n:, :n] @ N.T))
+    resid = np.maximum(
+        np.max(np.abs(targets[:n]), axis=0), np.max(np.abs(targets[n:] - rhs), axis=0)
+    )
+    bad = np.flatnonzero(resid > 1e-10 * (1.0 + np.max(np.abs(targets), axis=0)))
+    if bad.size:
+        i = bad[0]
+        raise ConsistencyError(f"defining relation for N_{i} has residual {resid[i]:.3e}")
+    return N, inv_ad
+
+
+def n_vectors(
+    S: ReductionSetup,
+    word: GroupWord,
+    cond_threshold: float = COND_THRESHOLD,
+) -> list:
+    """The unique N_i in M with Ad_λ^{-1} M_i = (Ad_λ^{-1} N_i)_{M*}.
+
+    Returned as K-coordinate vectors, one per dual basis element M_i.  All
+    N_i come from one solve against the moved complement basis; the defining
+    relation is verified to 1e-10 for each of them after the solve.
+    """
+    return list(_n_matrix(S, word, cond_threshold)[0])
 
 
 def rho_via_n(
@@ -247,15 +245,10 @@ def rho_via_n(
     Both -Σ N_i ⊗ M^i and +Σ M^i ⊗ N_i are assembled; they must agree with
     each other to 1e-9 (and with rho, which callers assert separately).
     """
-    ns = n_vectors(S, word, cond_threshold)
-    dim_g = S.G.dim
-    a = np.zeros((dim_g, dim_g))
-    b = np.zeros((dim_g, dim_g))
-    for i, n_i in enumerate(ns):
-        n_g = S.K_to_G(n_i)
-        m_g = S.K_to_G(S.M_in_K[i])
-        a -= np.outer(n_g, m_g)
-        b += np.outer(m_g, n_g)
+    n_g = S.K_to_G(_n_matrix(S, word, cond_threshold)[0])
+    m_g = S.K_to_G(S.M_in_K)
+    a = -(n_g.T @ m_g)
+    b = m_g.T @ n_g
     if np.max(np.abs(a - b), initial=0.0) > 1e-9 * (1.0 + np.max(np.abs(a), initial=0.0)):
         raise ConsistencyError("the two product orders for rho disagree")
     return Tensor2(a, antisymmetric=True, tol=1e-8)
@@ -273,18 +266,12 @@ def constraint_inverse_operator_residual(
     """
     C = constraint_matrix(S, word)
     _require_second_class(C, cond_threshold)
-    m = S.dim_M
-    if m == 0:
+    if S.dim_M == 0:
         return 0.0
-    m_parts = C.m_parts
-    ns = n_vectors(S, word, cond_threshold)
-    worst = 0.0
-    for k in range(m):
-        pair_vec = np.array([S.Mdual[k] @ m_parts[j] for j in range(m)])
-        coeffs = np.linalg.solve(C.entries, pair_vec)  # Σ_j (C^{-1})_ij pair_j
-        image = coeffs @ m_parts
-        worst = max(worst, float(np.max(np.abs(image + ns[k]))))
-    return worst
+    N, _ = _n_matrix(S, word, cond_threshold)
+    # column k: Σ_j (C^{-1})_ij <M_k, (Ad M^j)_M>
+    coeffs = np.linalg.solve(C.entries, C.m_parts @ S.Mdual.T)
+    return float(np.max(np.abs(coeffs.T @ C.m_parts + N)))
 
 
 def characterization_identity_residual(
@@ -302,29 +289,18 @@ def characterization_identity_residual(
     vectors, one (u, v) pair per row: the largest residual over the pairs is
     returned, with the N_i and Ad_λ^{-1} computed once for all of them.
     """
-    d = S.double
-    inv_ad = np.linalg.inv(word.ad)
-    ns = n_vectors(S, word, cond_threshold)
-
-    def moved(x_k):
-        return inv_ad @ d.embed_K(x_k)
-
-    def m_part_embedded(w_vec):
-        coords = S.M_component(d.comp_K(w_vec))
-        return d.embed_K(coords @ S.M_in_K)
-
-    worst = 0.0
-    for u_k, v_k in zip(np.atleast_2d(np.asarray(u, dtype=float)),
-                        np.atleast_2d(np.asarray(v, dtype=float))):
-        mu, mv = moved(u_k), moved(v_k)
-        lhs = d.pair(m_part_embedded(mu), mv)
-        rhs = 0.0
-        for i in range(S.dim_M):
-            t1 = d.pair(m_part_embedded(mu), moved(S.M_in_K[i]))
-            t2 = d.pair(m_part_embedded(mv), moved(ns[i]))
-            rhs += t1 * t2
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    n = S.n
+    N, inv_ad = _n_matrix(S, word, cond_threshold)
+    move = inv_ad[:, :n].T  # K row -> its image under Ad_λ^{-1}, in the double
+    to_m = S.Mdual.T @ S.M_in_K  # K row -> its M-part
+    pu = np.atleast_2d(np.asarray(u, dtype=float)) @ move
+    pv = np.atleast_2d(np.asarray(v, dtype=float)) @ move
+    mu, mv = pu[:, :n] @ to_m, pv[:, :n] @ to_m
+    # every left side is a K vector, so each pairing reads a K*-part
+    lhs = np.sum(mu * pv[:, n:], axis=1)
+    t1 = mu @ (S.M_in_K @ move)[:, n:].T
+    t2 = mv @ (N @ move)[:, n:].T
+    return float(np.max(np.abs(lhs - np.sum(t1 * t2, axis=1)), initial=0.0))
 
 
 def hstar_coords_of_word(S: ReductionSetup, word: GroupWord, tol: float = 1e-10):
@@ -388,19 +364,18 @@ def dirac_bracket(
     C = constraint_matrix(S, word)
     _require_second_class(C, cond_threshold)
     d = S.double
+    n = S.n
     g1, _ = _extended_gradients(S, word, F1, h, cache)
     _, g2p = _extended_gradients(S, word, F2, h, cache)
-    plain = d.pair(d.embed_K(g1), word.ad @ d.embed_K(g2p))
+    moved_g2 = word.ad @ d.embed_K(g2p)
+    plain = d.pair(d.embed_K(g1), moved_g2)
     if C.m == 0:
         return plain
-    m_parts = C.m_parts
+    # a K vector pairs with the K*-part of its partner
     # {f1, ξ_i} = << grad f1, Ad_λ M^i >>  (grad' ξ_i = M^i)
-    b1 = np.array(
-        [d.pair(d.embed_K(g1), word.ad @ d.embed_K(S.M_in_K[i])) for i in range(C.m)]
-    )
+    b1 = S.M_in_K @ (g1 @ word.ad[n:, :n])
     # {ξ_j, f2} = << (Ad_λ M^j)_M, Ad_λ grad' f2 >>
-    moved_g2 = word.ad @ d.embed_K(g2p)
-    b2 = np.array([d.pair(d.embed_K(m_parts[j]), moved_g2) for j in range(C.m)])
+    b2 = C.m_parts @ moved_g2[n:]
     correction = b1 @ np.linalg.solve(C.entries, b2)
     return plain - correction
 

@@ -49,7 +49,6 @@ from .reduction import (
     constraint_pb_check,
     dirac_bracket,
     native_hstar_bracket,
-    rho,
     rho_via_n,
     sample_hstar_points,
 )
@@ -593,7 +592,7 @@ def run_suite(
             reports.append(_report(EQ_CONSTRAINT_PB, words, res_c, h, tol[EQ_CONSTRAINT_PB]))
             res = []
             for w in words:
-                direct = rho(S, w, cond_threshold).coeffs
+                direct = rfun(w).coeffs
                 via = rho_via_n(S, w, cond_threshold).coeffs
                 r1 = float(np.max(np.abs(direct - via), initial=0.0))
                 r1 = max(r1, constraint_inverse_operator_residual(S, w, cond_threshold))

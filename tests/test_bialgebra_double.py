@@ -18,6 +18,7 @@ from plrmat.bialgebra_double import (
 from plrmat.errors import (
     DecompositionError,
     DoubleJacobiError,
+    InputShapeError,
     NotSubBialgebraError,
     ReductivityError,
     SubalgebraError,
@@ -123,7 +124,6 @@ class TestBuildDouble:
         assert d.dim == 4
         assert np.all(d.D.c == 0.0)
         assert d.pairing_isotropy_residual() <= 1e-14
-        assert d.projector_residual() <= 1e-14
 
     def test_semidirect_mixed_brackets_r_zero(self):
         """With R = 0 the double is K ⋉ K* via <[X,a],Y> = -<a,[X,Y]>."""
@@ -213,6 +213,60 @@ class TestValidateSetup:
                 full_subspace(3),
                 Subspace(3, np.array([[1.0, 0, 0]])),
                 Subspace(3, np.array([[0.0, 1.0, 0]])),
+            )
+
+    def test_h_not_closed_rejected(self):
+        # [e, f] = h leaves span{e, f}
+        with pytest.raises(SubalgebraError, match="H is not closed"):
+            validate_setup(
+                sl2(),
+                r_dj_sl2(),
+                full_subspace(3),
+                Subspace(3, np.array([[0.0, 1.0, 0], [0.0, 0, 1.0]])),
+                Subspace(3, np.array([[1.0, 0, 0]])),
+            )
+
+    def test_h_row_outside_k_rejected(self):
+        borel = Subspace(3, np.array([[1.0, 0, 0], [0.0, 1.0, 0]]))  # span{h, e}
+        with pytest.raises(DecompositionError, match="H basis"):
+            validate_setup(
+                sl2(),
+                r_dj_sl2(),
+                borel,
+                Subspace(3, np.array([[0.0, 0, 1.0]])),
+                Subspace(3, np.array([[0.0, 1.0, 0]])),
+            )
+
+    def test_m_row_outside_k_rejected(self):
+        borel = Subspace(3, np.array([[1.0, 0, 0], [0.0, 1.0, 0]]))
+        with pytest.raises(DecompositionError, match="M basis"):
+            validate_setup(
+                sl2(),
+                r_dj_sl2(),
+                borel,
+                Subspace(3, np.array([[1.0, 0, 0]])),
+                Subspace(3, np.array([[0.0, 0, 1.0]])),
+            )
+
+    def test_dependent_split_of_right_dimension_rejected(self):
+        # dim H + dim M = 3, but h + e lies in span{h, e}
+        with pytest.raises(DecompositionError, match="does not span K"):
+            validate_setup(
+                sl2(),
+                r_dj_sl2(),
+                full_subspace(3),
+                Subspace(3, np.array([[1.0, 0, 0]])),
+                Subspace(3, np.array([[0.0, 1.0, 0], [1.0, 1.0, 0]])),
+            )
+
+    def test_wrong_ambient_dimension_rejected(self):
+        with pytest.raises(InputShapeError, match="H must be"):
+            validate_setup(
+                sl2(),
+                r_dj_sl2(),
+                full_subspace(3),
+                Subspace(2, np.array([[1.0, 0]])),
+                Subspace(3, np.array([[0.0, 1.0, 0], [0.0, 0, 1.0]])),
             )
 
     def test_sub_double_of_cartan_is_abelian_for_sl2(self):
@@ -334,3 +388,73 @@ class TestSuggestComplement:
             g, _dj_r(8, ((2, 5), (3, 6), (4, 7))), Subspace(8, e8), levi, m
         )
         assert s.dim_M == 4
+
+
+def ref_cocycle_residual(B):
+    """The cocycle residual one basis pair at a time."""
+    n = B.K.dim
+    eye = np.eye(n)
+    ads = [B.K.ad_matrix(eye[i]) for i in range(n)]
+    worst = 0.0
+    for i in range(n):
+        for j in range(n):
+            lhs = np.einsum("k,kab->ab", B.K.bracket(eye[i], eye[j]), B.cobracket)
+            di, dj = B.cobracket[i], B.cobracket[j]
+            rhs = (ads[i] @ dj + dj @ ads[i].T) - (ads[j] @ di + di @ ads[j].T)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+def ref_closure_pairing_residuals(S):
+    """<<[H_a, H^b], M_i>> and <<[H_a, H^b], M^i>> one triple at a time."""
+    dd = S.double
+    r1 = r2 = 0.0
+    for a in range(S.dim_H):
+        for b in range(S.dim_H):
+            br = dd.D.bracket(dd.embed_K(S.H_in_K[a]), dd.embed_Kstar(S.Hdual[b]))
+            for i in range(S.dim_M):
+                r1 = max(r1, abs(dd.pair(br, dd.embed_K(S.M_in_K[i]))))
+                r2 = max(r2, abs(dd.pair(br, dd.embed_Kstar(S.Mdual[i]))))
+    return r1, r2
+
+
+class TestBlockedResidualsMatchLoops:
+    """The residuals computed as block products against their loop form."""
+
+    def test_cocycle_residual(self):
+        from plrmat.catalog import get_entry, list_entries
+
+        rng = np.random.default_rng(4)
+        for name in list_entries():
+            B = get_entry(name).setup().bialgebra
+            assert B.cocycle_residual() == pytest.approx(ref_cocycle_residual(B), abs=1e-14)
+        for name in ("sl2_dj", "sl3_dj_levi"):
+            B = get_entry(name).setup().bialgebra
+            # an antisymmetric cobracket that is no cocycle, admitted unchecked
+            cb = rng.normal(size=B.cobracket.shape)
+            bad = object.__new__(Bialgebra)
+            object.__setattr__(bad, "K", B.K)
+            object.__setattr__(bad, "cobracket", cb - np.swapaxes(cb, 1, 2))
+            want = ref_cocycle_residual(bad)
+            assert want > 1.0
+            assert abs(bad.cocycle_residual() - want) <= 1e-12 * want
+
+    def test_closure_pairing_residuals(self):
+        import dataclasses
+
+        from plrmat.catalog import get_entry
+
+        S = get_entry("sl3_dj_levi").setup()
+        assert S.closure_pairing_residuals() == pytest.approx(
+            ref_closure_pairing_residuals(S), abs=1e-14
+        )
+        # H rows that are no subalgebra, with their sub-double rows to match
+        rng = np.random.default_rng(8)
+        p, n = S.dim_H, S.n
+        h, hd = rng.normal(size=(p, n)), rng.normal(size=(p, n))
+        rows = np.zeros((2 * p, 2 * n))
+        rows[:p, :n], rows[p:, n:] = h, hd
+        bad = dataclasses.replace(S, H_in_K=h, Hdual=hd, sub_embed=rows)
+        got, want = bad.closure_pairing_residuals(), ref_closure_pairing_residuals(bad)
+        assert min(want) > 1e-3
+        np.testing.assert_allclose(got, want, rtol=1e-12)

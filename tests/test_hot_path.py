@@ -1,11 +1,12 @@
 """The per-point hot path against the solve-per-vector formulas it replaced.
 
-ReductionSetup's component maps, constraint_matrix and rho are products with
-matrices the setup holds.  The references below are the original
-formulation: every component is a vstack of the two bases and a linear
-solve, one basis vector at a time.  They are compared on every catalog entry
-at its certified sample points, and on a setup whose K, H and M bases are
-all skewed, so no map reduces to a selection of coordinates.
+ReductionSetup's component maps, constraint_matrix, rho and the N_i family
+(n_vectors, rho_via_n and the inverse-operator and characterization
+residuals) are products with matrices the setup holds.  The references below
+are the original formulation: every component is a vstack of the two bases
+and a linear solve, one basis vector at a time.  They are compared on every
+catalog entry at its certified sample points, and on a setup whose K, H and
+M bases are all skewed, so no map reduces to a selection of coordinates.
 """
 
 import numpy as np
@@ -15,7 +16,15 @@ from plrmat import catalog
 from plrmat.bialgebra_double import validate_setup
 from plrmat.catalog import _dj_r, export_entry, get_entry, list_entries, sl3_algebra
 from plrmat.lie_core import LieAlgebra, Subspace
-from plrmat.reduction import constraint_matrix, rho, sample_hstar_points
+from plrmat.reduction import (
+    characterization_identity_residual,
+    constraint_inverse_operator_residual,
+    constraint_matrix,
+    n_vectors,
+    rho,
+    rho_via_n,
+    sample_hstar_points,
+)
 from plrmat.specio import parse_spec
 from plrmat.verify import (
     EQ_CONTROL,
@@ -140,6 +149,89 @@ def test_constraint_matrix_matches_reference(name, S, words):
 def test_rho_matches_reference(name, S, words):
     for w in words:
         _close(rho(S, w).coeffs, ref_rho(S, w), rtol=1e-10)
+
+
+def ref_n_vectors(S, word):
+    """N_i one dual basis vector at a time: m solves against the moved basis."""
+    d = S.double
+    m = S.dim_M
+    inv_ad = np.linalg.inv(word.ad)
+    e_mat = np.zeros((m, m))
+    for j in range(m):
+        moved = inv_ad @ d.embed_K(S.M_in_K[j])
+        e_mat[:, j] = ref_Mstar_component(S, d.comp_Kstar(moved))
+    out = []
+    for i in range(m):
+        target = inv_ad @ d.embed_Kstar(S.Mdual[i])
+        beta = ref_Mstar_component(S, d.comp_Kstar(target))
+        out.append(np.linalg.solve(e_mat, beta) @ S.M_in_K)
+    return out
+
+
+def ref_rho_via_n(S, word):
+    dim_g = S.G.dim
+    a = np.zeros((dim_g, dim_g))
+    for i, n_i in enumerate(ref_n_vectors(S, word)):
+        a -= np.outer(S.K_to_G(n_i), S.K_to_G(S.M_in_K[i]))
+    return a
+
+
+def ref_inverse_operator_residual(S, word):
+    c_a, _, m_parts = ref_constraint_matrix(S, word)
+    ns = ref_n_vectors(S, word)
+    worst = 0.0
+    for k in range(S.dim_M):
+        pair_vec = np.array([S.Mdual[k] @ m_parts[j] for j in range(S.dim_M)])
+        image = np.linalg.solve(c_a, pair_vec) @ m_parts
+        worst = max(worst, float(np.max(np.abs(image + ns[k]))))
+    return worst
+
+
+def ref_characterization_residuals(S, word, us, vs):
+    """One residual per (u, v) pair, every pairing taken in the double."""
+    d = S.double
+    inv_ad = np.linalg.inv(word.ad)
+    ns = ref_n_vectors(S, word)
+
+    def moved(x_k):
+        return inv_ad @ d.embed_K(x_k)
+
+    def m_part(w_vec):
+        return d.embed_K(ref_M_component(S, d.comp_K(w_vec)) @ S.M_in_K)
+
+    out = []
+    for u, v in zip(us, vs):
+        mu, mv = moved(u), moved(v)
+        lhs = d.pair(m_part(mu), mv)
+        rhs = sum(
+            d.pair(m_part(mu), moved(S.M_in_K[i])) * d.pair(m_part(mv), moved(ns[i]))
+            for i in range(S.dim_M)
+        )
+        out.append(abs(lhs - rhs))
+    return out
+
+
+N_CASES = [c for c in CASES if c[0] in ("sl3_dj_levi", "skewed_levi")]
+
+
+@pytest.mark.parametrize("name,S,words", N_CASES, ids=[c[0] for c in N_CASES])
+def test_n_family_matches_reference(name, S, words):
+    rng = np.random.default_rng(19)
+    for w in words:
+        ns, want = n_vectors(S, w), ref_n_vectors(S, w)
+        assert len(ns) == len(want) == S.dim_M
+        for got, ref in zip(ns, want):
+            _close(got, ref, rtol=1e-12)
+        _close(rho_via_n(S, w).coeffs, ref_rho_via_n(S, w), rtol=1e-12)
+        got = constraint_inverse_operator_residual(S, w)
+        assert abs(got - ref_inverse_operator_residual(S, w)) <= 1e-12
+        us = rng.uniform(-1, 1, (6, S.dim_M)) @ S.M_in_K
+        vs = rng.uniform(-1, 1, (6, S.dim_M)) @ S.M_in_K
+        want = ref_characterization_residuals(S, w, us, vs)
+        assert abs(characterization_identity_residual(S, w, us, vs) - max(want)) <= 1e-12
+        for k in range(len(us)):
+            got = characterization_identity_residual(S, w, us[k], vs[k])
+            assert abs(got - want[k]) <= 1e-12
 
 
 class TestMemoisedRfun:
