@@ -31,6 +31,7 @@ from .lie_core import (
 )
 from .reduction import (
     CMatrix,
+    RhoJet,
     check_second_class,
     constraint_matrix,
     dirac_bracket,
@@ -38,6 +39,7 @@ from .reduction import (
     n_vectors,
     reduced_r,
     rho,
+    rho_jet,
     rho_via_n,
     sample_hstar_points,
 )

@@ -47,7 +47,7 @@ from .errors import (
     ReductivityError,
     SubalgebraError,
 )
-from .lie_core import LieAlgebra, Subspace, Tensor2
+from .lie_core import LieAlgebra, Subspace, Tensor2, Tensor3, cybe_lhs
 
 CLOSURE_TOL = 1e-10
 PAIRING_TOL = 1e-14
@@ -357,6 +357,24 @@ class ReductionSetup:
         (H, H*).
         """
         return self.sub_double.pairing @ self.sub_embed @ self.double.pairing
+
+    @cached_property
+    def hstar_ads(self) -> np.ndarray:
+        """(p, 2n, 2n): ad on D(K, K*) of each H* basis vector H^a (row a of Hdual).
+
+        These generate the translations of a point of the dual of H along the
+        H* basis: along exp(t·H^a)·λ its Ad moves with velocity
+        hstar_ads[a] @ Ad, along λ·exp(t·H^a) with Ad @ hstar_ads[a].
+        """
+        n = self.n
+        emb = np.zeros((self.dim_H, 2 * n))
+        emb[:, n:] = self.Hdual
+        return np.einsum("ai,ijk->akj", emb, self.double.D.c)
+
+    @cached_property
+    def anomaly(self) -> Tensor3:
+        """cybe_lhs(G, R): the constant anomaly of R, right side of the dynamical equation."""
+        return cybe_lhs(self.G, self.R)
 
     def K_to_G(self, v) -> np.ndarray:
         """Ambient coordinates of a K-coordinate vector."""

@@ -6,7 +6,7 @@ through which everything the formulas consume factors.  The exponential is
 taken only where a word is built from its factors (ad_of_word) and in a
 StepCache; a translation is one product with a cached step matrix, and a
 translate keeps no factor list.  The ambient factor of a product point in
-the verification suites is a GroupWord over G, translated the same way.
+the verification suites is a GroupWord over G too.
 
 Functions on K* are pullbacks of Ad-matrix entries (or combinations of
 them), which separate points well enough for bracket testing.  Derivatives
@@ -45,7 +45,7 @@ class GroupWord:
 
     double is the algebra Ad acts on: the double D(K, K*) for a point of K*,
     or the ambient Lie algebra G for the ambient factor of a product point,
-    which is only translated and read.  factors holds the coordinate vectors
+    which the suites only read.  factors holds the coordinate vectors
     of the word, left to right, for a word built from factors (ad_of_word,
     identity_word, and the sampled points built on them); it is None for
     translates, for which only the matrix is meaningful.

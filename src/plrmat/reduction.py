@@ -68,6 +68,7 @@ class CMatrix:
     antisym_residual: float
     form_agreement: float
     m_parts: np.ndarray  # rows: (Ad_λ M^i)_M in K coordinates
+    kstar_parts: np.ndarray  # rows: (Ad_λ M^i)_{K*} in dual K coordinates
 
     @property
     def m(self) -> int:
@@ -86,17 +87,18 @@ class CMatrix:
         return "ok"
 
 
-def _moved_basis(S: ReductionSetup, word: GroupWord):
-    """Ad_λ M^i for every i, split into components.
+def _moved_basis(S: ReductionSetup, ad: np.ndarray):
+    """A·M^i for every i, split into components, for A = Ad_λ or a stack of matrices.
 
-    Returns (m_parts, kstar_parts, mstar_coords), one row per i: the
-    M-component over the K basis, the K*-component over the dual basis, and
-    the M*-coordinates of the latter.
+    Returns (m_parts, kstar_parts, mstar_coords), one row per i (after any
+    leading stack axes): the M-component over the K basis, the K*-component
+    over the dual basis, and the M*-coordinates of the latter.  All three are
+    linear in A, so a stack of velocities of Ad_λ gives their velocities.
     """
     n = S.n
-    moved = word.ad[:, :n] @ S.M_in_K.T  # column i: Ad_λ M^i in the double
-    m_parts = (S.Mdual @ moved[:n]).T @ S.M_in_K
-    kstar_parts = moved[n:].T
+    moved = ad[..., :, :n] @ S.M_in_K.T  # column i: A·M^i in the double
+    m_parts = np.swapaxes(S.Mdual @ moved[..., :n, :], -1, -2) @ S.M_in_K
+    kstar_parts = np.swapaxes(moved[..., n:, :], -1, -2)
     mstar_coords = kstar_parts @ S.M_in_K.T
     return m_parts, kstar_parts, mstar_coords
 
@@ -109,7 +111,7 @@ def constraint_matrix(S: ReductionSetup, word: GroupWord) -> CMatrix:
     agree to FORM_AGREE_TOL.
     """
     m = S.dim_M
-    m_parts, kstar_parts, mstar_coords = _moved_basis(S, word)
+    m_parts, kstar_parts, mstar_coords = _moved_basis(S, word.ad)
     # << (Ad M^j)_{M*}, (Ad M^i)_M >>: canonical pairing is the coordinate
     # dot product between dual and primal K coordinates
     c_a = m_parts @ (mstar_coords @ S.Mdual).T
@@ -138,6 +140,7 @@ def constraint_matrix(S: ReductionSetup, word: GroupWord) -> CMatrix:
         antisym_residual=anti,
         form_agreement=agree,
         m_parts=m_parts,
+        kstar_parts=kstar_parts,
     )
 
 
@@ -152,6 +155,17 @@ def _require_second_class(C: CMatrix, cond_threshold: float) -> None:
         raise CDegenerateError(f"constraint matrix degenerate: {diag}")
 
 
+def _solved_m_parts(S: ReductionSetup, word: GroupWord, cond_threshold: float):
+    """(C, a, X) at a second-class λ: a holds the rows (Ad_λ M^i)_M in G
+    coordinates and X = C⁻¹a, by one solve; a and X are None when M = 0."""
+    C = constraint_matrix(S, word)
+    _require_second_class(C, cond_threshold)
+    if C.m == 0:
+        return C, None, None
+    a_g = S.K_to_G(C.m_parts)
+    return C, a_g, np.linalg.solve(C.entries, a_g)
+
+
 def rho(
     S: ReductionSetup,
     word: GroupWord,
@@ -162,14 +176,62 @@ def rho(
     rho = Σ_ij (C^{-1})_ij (Ad_λ M^i)_M ⊗ (Ad_λ M^j)_M, computed with a
     linear solve against C rather than an explicit inverse.
     """
-    C = constraint_matrix(S, word)
-    _require_second_class(C, cond_threshold)
-    if C.m == 0:
+    _, a_g, x = _solved_m_parts(S, word, cond_threshold)
+    if x is None:
         return Tensor2.zero(S.G.dim)
-    a_g = S.K_to_G(C.m_parts)  # rows: (Ad M^i)_M in G coords
-    w = np.linalg.solve(C.entries, a_g)
-    coeffs = a_g.T @ w
-    return Tensor2(coeffs, antisymmetric=True, tol=1e-9)
+    return Tensor2(a_g.T @ x, antisymmetric=True, tol=1e-9)
+
+
+@dataclass(frozen=True, eq=False)
+class RhoJet:
+    """rho at a point of the dual of H, with its first derivatives.
+
+    left[a] and right[a] are the derivatives of rho along λ ↦ exp(t·H^a)·λ
+    and λ ↦ λ·exp(t·H^a) at t = 0, for the H* basis H^a (the rows of Hdual),
+    each a (dim G, dim G) array; a derivative along Σ_a y_a H^a is the same
+    combination of them.
+    """
+
+    value: Tensor2
+    left: np.ndarray
+    right: np.ndarray
+
+    @staticmethod
+    def zero(dim_h: int, dim_g: int) -> "RhoJet":
+        d = np.zeros((dim_h, dim_g, dim_g))
+        return RhoJet(Tensor2.zero(dim_g), d, d)
+
+
+def rho_jet(
+    S: ReductionSetup,
+    word: GroupWord,
+    cond_threshold: float = COND_THRESHOLD,
+) -> RhoJet:
+    """rho(λ) with its exact left and right derivatives along the H* basis.
+
+    Along a translation generated by ξ, Ad_λ moves with velocity ad_ξ·Ad_λ
+    (left) or Ad_λ·ad_ξ (right).  The moved M-parts a are linear in Ad_λ and
+    C is bilinear in it, so with X = C⁻¹a, and aᵀC⁻¹ = −Xᵀ because C is
+    antisymmetric,
+
+        ρ' = a'ᵀX − Xᵀa' + XᵀC'X,
+
+    where a' and C' are a and C taken on the velocity: the solve of the value
+    and a few products per direction.  C' is read through the form
+    << (A M^i)_M, A M^j >>, which equals the other form of C for every
+    matrix A, since M pairs to zero with H*.  The value is rho's, bit for bit.
+    """
+    C, a_g, x = _solved_m_parts(S, word, cond_threshold)
+    if x is None:
+        return RhoJet.zero(S.dim_H, S.G.dim)
+    ads = S.hstar_ads
+    velocity = np.concatenate([ads @ word.ad, word.ad @ ads])  # left, then right
+    d_m, d_kstar, _ = _moved_basis(S, velocity)
+    d_c = d_m @ C.kstar_parts.T + C.m_parts @ np.swapaxes(d_kstar, -1, -2)
+    t = np.swapaxes(S.K_to_G(d_m), -1, -2) @ x  # a'ᵀX
+    d_rho = t - np.swapaxes(t, -1, -2) + x.T @ d_c @ x
+    p = S.dim_H
+    return RhoJet(Tensor2(a_g.T @ x, antisymmetric=True, tol=1e-9), d_rho[:p], d_rho[p:])
 
 
 def reduced_r(

@@ -11,49 +11,45 @@ r: Ȟ* → G⊗G, the certified identities are
   * infinitesimal equivariance: the derivative of r along the dressing flow
     of X in H equals [X⊗1 + 1⊗X, r(λ)],
   * the Jacobi identity of the bracket ansatz on G × Ȟ* (and its two-sided
-    variant on Ȟ* × G × Ȟ*), probed through nested finite differences,
+    variant on Ȟ* × G × Ȟ*), evaluated exactly on entries of Ad,
   * the momentum-map identity Ad(Λ(λ̃, g, λ̂)) = Ad(λ̃) Ad(λ̂)^{-1}.
 
-Derivatives of r are central finite differences along group translations;
-steps that leave the second-class region are halved (at most ten times).
-Every suite reports per-point residuals and the worst case against a stated
-tolerance, and a deliberately sign-corrupted r-matrix is pushed through the
-main residual as a control that the tests can fail.
+Derivatives of r are exact: an rfun returns the rho jet of
+reduction.rho_jet, the value of r with its left and right derivatives along
+the H* basis, memoised per word.  The Jacobiators need only those first
+derivatives and closed-form derivatives of the test functions, so none of
+the cdybe, equivariance and jacobi equations is differenced and their
+reports carry fd_step 0.0; the dirac suite still takes central differences
+at the configured step.  Every suite reports per-point residuals and the
+worst case against a stated tolerance, and a deliberately sign-corrupted
+r-matrix is pushed through the main residual as a control that the tests
+can fail.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 from scipy.linalg import expm
 
 from .bialgebra_double import ReductionSetup
-from .dual_group import (
-    AdEntry,
-    GroupWord,
-    StepCache,
-    ad_of_word,
-    dressing_vector,
-    gradients,
-    left_derivative,
-    right_derivative,
-)
-from .errors import CDegenerateError, ConsistencyError, InputShapeError
+from .dual_group import AdEntry, GroupWord, StepCache, ad_of_word, dressing_vector
+from .errors import ConsistencyError, InputShapeError
 from .lie_core import LieAlgebra, Tensor2, Tensor3, cybe_lhs, invariance_residual3
 from .reduction import (
+    RhoJet,
     characterization_identity_residual,
     constraint_inverse_operator_residual,
     constraint_pb_check,
     dirac_bracket,
     native_hstar_bracket,
+    rho_jet,
     rho_via_n,
     sample_hstar_points,
 )
-
-MAX_HALVINGS = 10
 
 EQ_MCYBE = "mCYBE"
 EQ_PLCDYBE = "PL_CDYBE"
@@ -72,8 +68,8 @@ DEFAULT_TOLERANCES = {
     EQ_PLCDYBE: 1e-6,
     EQ_TRIANGULARITY: 1e-6,
     EQ_EQUIVARIANCE: 1e-6,
-    EQ_Q_JACOBI: 1e-4,
-    EQ_P_JACOBI: 1e-4,
+    EQ_Q_JACOBI: 1e-9,
+    EQ_P_JACOBI: 1e-9,
     EQ_DIRAC: 1e-6,
     EQ_CHARACTERIZATION: 1e-9,
     EQ_CONSTRAINT_PB: 1e-7,
@@ -119,68 +115,44 @@ def describe_word(word: GroupWord) -> list:
     return [list(map(float, f)) for f in word.factors]
 
 
-def _fd_tensor(rfun, word: GroupWord, xi: np.ndarray, h: float, side: str):
-    """Central difference of rfun along a group translation, halving on demand."""
-    derivative = left_derivative if side == "left" else right_derivative
-    step = h
-    for _ in range(MAX_HALVINGS + 1):
-        try:
-            return derivative(word, xi, lambda w: rfun(w).coeffs, step)
-        except CDegenerateError:
-            step /= 2.0
-    raise CDegenerateError(
-        f"finite-difference step kept leaving the second-class region (start {h:.1e})"
-    )
-
-
-def plcdybe_lhs(S: ReductionSetup, rfun, word: GroupWord, h: float) -> Tensor3:
+def plcdybe_lhs(S: ReductionSetup, rfun, word: GroupWord) -> Tensor3:
     """Left side of the dynamical Yang-Baxter equation for the pair H ⊆ G.
 
     The cyclic images of [ (R+r)_12, (R+r)_23 ] sum to the full three-slot
-    bracket combination of R + r(λ), and the derivative terms place the dual
-    basis vector H^a of H in one slot against the left derivative of r along
-    H_a in the other two, cyclically.
+    bracket combination of R + r(λ), and the derivative terms place the
+    basis vector H_a of H in one slot against the left derivative of r along
+    the dual basis vector H^a in the other two, cyclically.
     """
-    g = S.G
-    r_here = rfun(word)
-    total = cybe_lhs(g, Tensor2(S.R.coeffs + r_here.coeffs)).coeffs.copy()
-    for a in range(S.dim_H):
-        xi = S.Hdual[a]
-        deriv = _fd_tensor(rfun, word, xi, h, side="left")
-        ka = S.K_to_G(S.H_in_K[a])
-        total += np.einsum("x,yz->xyz", ka, deriv)
-        total += np.einsum("y,zx->xyz", ka, deriv)
-        total += np.einsum("z,xy->xyz", ka, deriv)
+    jet = rfun(word)
+    total = cybe_lhs(S.G, Tensor2(S.R.coeffs + jet.value.coeffs)).coeffs.copy()
+    ka = S.K_to_G(S.H_in_K)  # row a: H_a in G coordinates
+    total += np.einsum("ax,ayz->xyz", ka, jet.left)
+    total += np.einsum("ay,azx->xyz", ka, jet.left)
+    total += np.einsum("az,axy->xyz", ka, jet.left)
     return Tensor3(total)
 
 
-def plcdybe_residual(S: ReductionSetup, rfun, word: GroupWord, h: float = 1e-5) -> Tensor3:
+def plcdybe_residual(S: ReductionSetup, rfun, word: GroupWord) -> Tensor3:
     """Full tensor residual of the dynamical Yang-Baxter equation at λ.
 
     In the triangular normalization the right side is the anomaly of the
     constant R, so the residual is the left side minus cybe_lhs(R).
     """
-    lhs = plcdybe_lhs(S, rfun, word, h)
-    return Tensor3(lhs.coeffs - cybe_lhs(S.G, S.R).coeffs)
+    return Tensor3(plcdybe_lhs(S, rfun, word).coeffs - S.anomaly.coeffs)
 
 
-def triangularity_check(S: ReductionSetup, rfun, word: GroupWord, h: float = 1e-5) -> float:
+def triangularity_check(S: ReductionSetup, rfun, word: GroupWord) -> float:
     """Max-norm distance between the dynamical left side and the anomaly of R."""
-    return plcdybe_residual(S, rfun, word, h).norm()
+    return plcdybe_residual(S, rfun, word).norm()
 
 
-def equivariance_residual(
-    S: ReductionSetup,
-    rfun,
-    word: GroupWord,
-    x_h,
-    h: float = 1e-5,
-) -> Tensor2:
+def equivariance_residual(S: ReductionSetup, rfun, word: GroupWord, x_h) -> Tensor2:
     """dress_X r - [X⊗1 + 1⊗X, r] at λ, for X in H given by H-basis coordinates.
 
     The dressing derivative moves λ along λ·exp(t·Y) with Y the K*-part of
     Ad_λ^{-1} X; for λ in the dual of H the vector Y lies in H*, which is
-    verified before stepping.
+    verified, and the derivative of r along it is Σ_a y_a·(right derivative
+    along H^a) for the H* coordinates y of Y.
     """
     x_h = np.asarray(x_h, dtype=float)
     if x_h.shape != (S.dim_H,):
@@ -191,10 +163,10 @@ def equivariance_residual(
     leak = float(np.max(np.abs(y - y_h @ S.Hdual), initial=0.0))
     if leak > 1e-9 * (1.0 + float(np.max(np.abs(y), initial=0.0))):
         raise ConsistencyError(f"dressing vector leaves H*: leak {leak:.3e}")
-    y_proj = y_h @ S.Hdual
-    flow = _fd_tensor(rfun, word, y_proj, h, side="right")
+    jet = rfun(word)
+    flow = np.tensordot(y_h, jet.right, axes=1)
     adx = S.G.ad_matrix(S.K_to_G(x_k))
-    r_here = rfun(word).coeffs
+    r_here = jet.value.coeffs
     comm = adx @ r_here + r_here @ adx.T
     return Tensor2(flow - comm)
 
@@ -211,41 +183,46 @@ def momentum_map(w_tilde: GroupWord, w_hat: GroupWord) -> GroupWord:
     return ad_of_word(w_tilde.double, factors)
 
 
-def reduced_r_function(S: ReductionSetup, base_rfun=None, cond_threshold: float = 1e8):
-    """rfun for r* = r + rho as a callable on dual-group words.
+def reduced_r_function(S: ReductionSetup, cond_threshold: float = 1e8):
+    """rfun for r* = rho as a callable on dual-group words, returning RhoJets.
 
-    Values are memoised per word object: a word's Ad matrix is read-only, so
-    the tensor cannot go stale, and the Jacobi brackets ask for r* at the
-    same dual point once per ambient translation.  The memo holds its words
-    weakly and lives as long as the returned function.
+    Jets are memoised per word object: a word's Ad matrix is read-only, so a
+    jet cannot go stale, and the suites ask for r* at the same dual point
+    once per equation and per Jacobiator.  The memo holds its words weakly
+    and lives as long as the returned function.
     """
-    from .reduction import reduced_r
-
     memo = weakref.WeakKeyDictionary()
 
-    def f(word: GroupWord) -> Tensor2:
-        t = memo.get(word)
-        if t is None:
-            t = memo[word] = reduced_r(S, base_rfun, word, cond_threshold)
-        return t
+    def f(word: GroupWord) -> RhoJet:
+        jet = memo.get(word)
+        if jet is None:
+            jet = memo[word] = rho_jet(S, word, cond_threshold)
+        return jet
 
     return f
 
 
 def zero_r_function(S: ReductionSetup):
-    z = Tensor2.zero(S.G.dim)
-    return lambda word: z
+    jet = RhoJet.zero(S.dim_H, S.G.dim)
+    return lambda word: jet
 
 
 def sign_flipped_rfun(rfun, a: int, b: int):
-    """The same r-matrix with the (a, b) coefficient pair negated: the control."""
+    """The same r-matrix with the (a, b) coefficient pair negated: the control.
 
-    def f(word: GroupWord) -> Tensor2:
-        t = rfun(word)
-        c = np.array(t.coeffs)
-        c[a, b] = -c[a, b]
-        c[b, a] = -c[b, a]
-        return Tensor2(c)
+    The value and both derivatives are flipped together, so the corrupted
+    jet is the jet of the corrupted r.
+    """
+
+    def flip(t: np.ndarray) -> np.ndarray:
+        t = np.array(t)
+        t[..., a, b] = -t[..., a, b]
+        t[..., b, a] = -t[..., b, a]
+        return t
+
+    def f(word: GroupWord) -> RhoJet:
+        jet = rfun(word)
+        return RhoJet(Tensor2(flip(jet.value.coeffs)), flip(jet.left), flip(jet.right))
 
     return f
 
@@ -260,14 +237,21 @@ def largest_entry(t: Tensor2) -> tuple:
 # ---------------------------------------------------------------------------
 #
 # Every factor of a product point is a GroupWord: the ambient factor a word
-# over G, each dual factor a point of the dual of H as a word over D(K, K*)
-# (a sampled point or a translate of one).  The dual functions read entries
-# of Ad on the double of (H, H*) through the restriction
-# sub_restrict·Ad·sub_embedᵀ, so no second word over the sub-double is
-# carried or re-exponentiated.  A slot gradient is one call of
-# dual_group.gradients, with a StepCache over that slot's directions (the
-# basis of G, or the H* basis in D(K, K*)) and a closure that puts the
-# translated factor back into the point.
+# over G, each dual factor a point of the dual of H as a word over D(K, K*).
+# A test function is l·Ad·r on one factor; on a dual factor l and r are rows
+# of sub_restrict and sub_embed, so it reads Ad on the double of (H, H*).
+#
+# Derivatives are closed forms.  A factor's directions are the basis of G or
+# the H* basis, with ad matrices ad_i (G.c, or the setup's hstar_ads); along
+# exp(t·e_i)·w and w·exp(t·e_i) the matrix Ad moves to ad_i·Ad and Ad·ad_i.
+# The slot gradient of a function lists its left derivatives along the
+# factor's directions, then its right ones, and a point's gradient
+# concatenates its factors in order.  Each bracket is one bilinear form
+# J_uᵀ·B·J_v in these gradients, and B depends on the point only through
+# its dual factors: Ad_λ in the dual block, and r(λ) with its derivatives
+# from the rho jet.  So the gradient of an inner bracket follows by the
+# product rule from second derivatives of the functions and the derivative
+# of B, and a Jacobiator is exact: no translate is ever evaluated.
 
 
 def ambient_word(G: LieAlgebra, factors) -> GroupWord:
@@ -290,6 +274,10 @@ class QPoint:
     setup: ReductionSetup
     g: GroupWord
     dual: GroupWord
+    # factors in gradient order, and for each dual factor the sign of its
+    # blocks and the side of the ambient gradient it pairs with
+    factors: ClassVar[tuple] = ("g", "dual")
+    couplings: ClassVar[tuple] = (("dual", 1.0, "right"),)
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,136 +288,152 @@ class PPoint:
     tilde: GroupWord
     g: GroupWord
     hat: GroupWord
+    factors: ClassVar[tuple] = ("tilde", "g", "hat")
+    couplings: ClassVar[tuple] = (("hat", 1.0, "right"), ("tilde", -1.0, "left"))
 
 
+@dataclass(frozen=True, eq=False)
 class QFunction:
-    """Scalar function on a product-space point, with dependence hints.
+    """The function l·Ad·r of one factor of a product point.
 
-    ``depends`` lists which factors the function actually reads ("g",
-    "dual" for Q points; "g", "hat", "tilde" for P points), letting the
-    bracket evaluators skip gradients that vanish identically.
+    slot names the factor: "g" or "dual" on a QPoint, "tilde", "g" or "hat"
+    on a PPoint.
     """
 
-    def __init__(self, fn: Callable, depends):
-        self.fn = fn
-        self.depends = frozenset(depends)
+    slot: str
+    left: np.ndarray
+    right: np.ndarray
 
     def __call__(self, pt) -> float:
-        return float(self.fn(pt))
+        return float(self.left @ getattr(pt, self.slot).ad @ self.right)
+
+    def jet(self, word: GroupWord, ads: np.ndarray) -> tuple:
+        """Slot gradient (2k,) and Hessian (2k, 2k) on a factor with k directions.
+
+        hess[i, j] is the derivative along direction i of gradient entry j:
+        l·ad_j·ad_i·Ad·r (left, left), l·ad_i·Ad·ad_j·r (left, right),
+        l·ad_j·Ad·ad_i·r (right, left) and l·Ad·ad_i·ad_j·r (right, right).
+        """
+        l, r, ad = self.left, self.right, word.ad
+        la, ar = l @ ads, ads @ r  # rows l·ad_i and ad_i·r
+        l_ad, ad_r = l @ ad, ad @ r
+        grad = np.concatenate([la @ ad_r, ar @ l_ad])
+        lr = (la @ ad) @ ar.T
+        hess = np.block([[(ads @ ad_r) @ la.T, lr], [lr.T, (l_ad @ ads) @ ar.T]])
+        return grad, hess
 
 
-def _sub_entry(S: ReductionSetup, word: GroupWord, a: int, b: int) -> float:
+def g_entry(S: ReductionSetup, a: int, b: int) -> QFunction:
+    e = np.eye(S.G.dim)
+    return QFunction("g", e[a], e[b])
+
+
+def _sub_entry(S: ReductionSetup, slot: str, a: int, b: int) -> QFunction:
     """Entry (a, b) of Ad on the double of (H, H*), read off a word over D(K, K*)."""
-    return S.sub_restrict[a] @ word.ad @ S.sub_embed[b]
+    return QFunction(slot, S.sub_restrict[a], S.sub_embed[b])
 
 
-def g_entry(a: int, b: int) -> QFunction:
-    return QFunction(lambda pt: pt.g.ad[a, b], depends=("g",))
+def dual_entry(S: ReductionSetup, a: int, b: int) -> QFunction:
+    return _sub_entry(S, "dual", a, b)
 
 
-def dual_entry(a: int, b: int) -> QFunction:
-    return QFunction(lambda pt: _sub_entry(pt.setup, pt.dual, a, b), depends=("dual",))
+def hat_entry(S: ReductionSetup, a: int, b: int) -> QFunction:
+    return _sub_entry(S, "hat", a, b)
 
 
-def hat_entry(a: int, b: int) -> QFunction:
-    return QFunction(lambda pt: _sub_entry(pt.setup, pt.hat, a, b), depends=("hat",))
+def tilde_entry(S: ReductionSetup, a: int, b: int) -> QFunction:
+    return _sub_entry(S, "tilde", a, b)
 
 
-def tilde_entry(a: int, b: int) -> QFunction:
-    return QFunction(lambda pt: _sub_entry(pt.setup, pt.tilde, a, b), depends=("tilde",))
+class _BracketForm:
+    """The bracket of a product point as a bilinear form in slot gradients.
 
-
-def step_caches(S: ReductionSetup, h: float) -> tuple:
-    """StepCaches at step h over the basis of G and over the H* basis in D(K, K*)."""
-    return StepCache(S.G, h, np.eye(S.G.dim)), StepCache(S.double, h, S.Hdual)
-
-
-def _slot_gradients(u: QFunction, slot: str, word: GroupWord, cache: StepCache, put):
-    """Left and right gradients of u along one factor of a product point.
-
-    put(w) is the point with that factor replaced by w; the gradients vanish
-    identically when u does not read the factor.
+    B holds the blocks of the bracket ansatz.  The ambient gradients meet
+    -R on the left side and R on the right.  For each dual factor λ, with
+    its sign s and ambient side:
+      - its dual Poisson bracket, s·<< grad u, Ad_λ grad' v >> on D(K, K*),
+        is the block (left, right) of λ;
+      - its left gradient pairs with that ambient side through the H basis;
+      - s·r(λ) adds to that side's ambient block.
+    dB[k] is the derivative of B along gradient direction k: it is nonzero
+    only along the dual factors, through Ad_λ and the rho jet.
     """
-    if slot not in u.depends:
-        k = len(cache.plus)
-        return np.zeros(k), np.zeros(k)
-    return gradients(word, lambda w: u(put(w)), cache.h, cache)
+
+    def __init__(self, S: ReductionSetup, rfun, pt):
+        n, p, dim_g = S.n, S.dim_H, S.G.dim
+        g_ads = np.swapaxes(S.G.c, 1, 2)  # g_ads[i] = ad_{e_i} on G
+        self.factors, self.offsets, size = {}, {}, 0
+        for name in pt.factors:
+            ads = g_ads if name == "g" else S.hstar_ads
+            self.factors[name] = (getattr(pt, name), ads)
+            self.offsets[name] = size
+            size += 2 * len(ads)
+        g0 = self.offsets["g"]
+        sides = {"left": slice(g0, g0 + dim_g), "right": slice(g0 + dim_g, g0 + 2 * dim_g)}
+        B = np.zeros((size, size))
+        dB = np.zeros((size, size, size))
+        B[sides["left"], sides["left"]] = -S.R.coeffs
+        B[sides["right"], sides["right"]] = S.R.coeffs
+        h_g = S.K_to_G(S.H_in_K)  # row a: H_a in G coordinates
+        hk = S.H_in_K
+        for name, sign, side in pt.couplings:
+            word, ads = self.factors[name]
+            o = self.offsets[name]
+            lam_l, lam_r, amb = slice(o, o + p), slice(o + p, o + 2 * p), sides[side]
+            jet = rfun(word)
+            B[lam_l, lam_r] = sign * (hk @ word.ad[n:, :n] @ hk.T)
+            B[amb, lam_l] = h_g.T
+            B[lam_l, amb] = -h_g
+            B[amb, amb] += sign * jet.value.coeffs
+            velocity = np.concatenate([ads @ word.ad, word.ad @ ads])
+            along = slice(o, o + 2 * p)
+            dB[along, lam_l, lam_r] = sign * (hk @ velocity[:, n:, :n] @ hk.T)
+            dB[along, amb, amb] = sign * np.concatenate([jet.left, jet.right])
+        self.size, self.B, self.dB = size, B, dB
+
+    def jet(self, f: QFunction) -> tuple:
+        """Gradient J and Hessian (hess[k, m] = ∂_k J[m]) of f over the point."""
+        word, ads = self.factors[f.slot]
+        g, h = f.jet(word, ads)
+        at = slice(self.offsets[f.slot], self.offsets[f.slot] + len(g))
+        grad, hess = np.zeros(self.size), np.zeros((self.size, self.size))
+        grad[at], hess[at, at] = g, h
+        return grad, hess
+
+    def bracket(self, u: QFunction, v: QFunction) -> float:
+        return float(self.jet(u)[0] @ self.B @ self.jet(v)[0])
+
+    def jacobiator(self, f1: QFunction, f2: QFunction, f3: QFunction) -> float:
+        """|{f1, {f2, f3}} + {f2, {f3, f1}} + {f3, {f1, f2}}| at the point."""
+        jets = [self.jet(f) for f in (f1, f2, f3)]
+        B, dB = self.B, self.dB
+        total = 0.0
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            (gi, _), (gj, hj), (gk, hk) = jets[i], jets[j], jets[k]
+            # gradient of the inner bracket gjᵀ·B·gk, by the product rule
+            grad_jk = hj @ (B @ gk) + (dB @ gk) @ gj + hk @ (B.T @ gj)
+            total += gi @ B @ grad_jk
+        return abs(float(total))
 
 
-def _dual_block(S: ReductionSetup, lam: GroupWord, gu, gpv) -> float:
-    """<< grad u, Ad_λ grad' v >> on D(K, K*), for gradients in H coordinates."""
-    d = S.double
-    return d.pair(d.embed_K(gu @ S.H_in_K), lam.ad @ d.embed_K(gpv @ S.H_in_K))
+def q_bracket(S: ReductionSetup, rfun, pt: QPoint, u: QFunction, v: QFunction) -> float:
+    """The bracket ansatz on G × Ȟ* evaluated on two test functions.
 
-
-def _embed_h_to_g(S: ReductionSetup, vh) -> np.ndarray:
-    return S.K_to_G(vh @ S.H_in_K)
-
-
-def q_bracket(
-    S: ReductionSetup,
-    rfun,
-    pt: QPoint,
-    u: QFunction,
-    v: QFunction,
-    h: float = 1e-3,
-    caches: Optional[tuple] = None,
-) -> float:
-    """The bracket ansatz on G × Ȟ* evaluated on two scalar functions.
-
-    Assembled blockwise from partial gradients: the dual-side Poisson bracket,
+    Assembled blockwise from slot gradients: the dual-side Poisson bracket,
     the mixed pairing of right ambient gradients with dual gradients, and the
     double contraction of ambient gradients against R + r(λ) and R.
     """
-    g_steps, h_steps = caches or step_caches(S, h)
-    at_g = lambda w: QPoint(pt.setup, w, pt.dual)
-    at_dual = lambda w: QPoint(pt.setup, pt.g, w)
-    gu, gpu = _slot_gradients(u, "g", pt.g, g_steps, at_g)
-    gv, gpv = _slot_gradients(v, "g", pt.g, g_steps, at_g)
-    du, dpu = _slot_gradients(u, "dual", pt.dual, h_steps, at_dual)
-    dv, dpv = _slot_gradients(v, "dual", pt.dual, h_steps, at_dual)
-
-    val = _dual_block(S, pt.dual, du, dpv)
-    val += gpu @ _embed_h_to_g(S, dv) - gpv @ _embed_h_to_g(S, du)
-    r_here = rfun(pt.dual).coeffs
-    val += gpu @ (S.R.coeffs + r_here) @ gpv
-    val -= gu @ S.R.coeffs @ gv
-    return float(val)
+    return _BracketForm(S, rfun, pt).bracket(u, v)
 
 
 def q_jacobi_residual(
-    S: ReductionSetup,
-    rfun,
-    pt: QPoint,
-    f1: QFunction,
-    f2: QFunction,
-    f3: QFunction,
-    h: float = 1e-3,
-    caches: Optional[tuple] = None,
+    S: ReductionSetup, rfun, pt: QPoint, f1: QFunction, f2: QFunction, f3: QFunction
 ) -> float:
-    """Cyclic Jacobiator of the G × Ȟ* bracket through nested differencing."""
-    caches = caches or step_caches(S, h)
-
-    def inner(a: QFunction, b: QFunction) -> QFunction:
-        return QFunction(
-            lambda q: q_bracket(S, rfun, q, a, b, h, caches), depends=("g", "dual")
-        )
-
-    total = q_bracket(S, rfun, pt, f1, inner(f2, f3), h, caches)
-    total += q_bracket(S, rfun, pt, f2, inner(f3, f1), h, caches)
-    total += q_bracket(S, rfun, pt, f3, inner(f1, f2), h, caches)
-    return abs(total)
+    """Cyclic Jacobiator of the G × Ȟ* bracket, exact from first-order jets."""
+    return _BracketForm(S, rfun, pt).jacobiator(f1, f2, f3)
 
 
-def p_bracket(
-    S: ReductionSetup,
-    rfun,
-    pt: PPoint,
-    u: QFunction,
-    v: QFunction,
-    h: float = 1e-3,
-    caches: Optional[tuple] = None,
-) -> float:
+def p_bracket(S: ReductionSetup, rfun, pt: PPoint, u: QFunction, v: QFunction) -> float:
     """The two-sided bracket ansatz on Ȟ* × G × Ȟ*.
 
     The hat copy carries the dual bracket with a plus sign and pairs with
@@ -437,49 +441,14 @@ def p_bracket(
     minus sign and pairs with left ambient gradients against R + r(λ̃); the
     two dual copies commute with each other.
     """
-    g_steps, h_steps = caches or step_caches(S, h)
-    at_g = lambda w: PPoint(pt.setup, pt.tilde, w, pt.hat)
-    at_hat = lambda w: PPoint(pt.setup, pt.tilde, pt.g, w)
-    at_tilde = lambda w: PPoint(pt.setup, w, pt.g, pt.hat)
-    gu, gpu = _slot_gradients(u, "g", pt.g, g_steps, at_g)
-    gv, gpv = _slot_gradients(v, "g", pt.g, g_steps, at_g)
-    hu, hpu = _slot_gradients(u, "hat", pt.hat, h_steps, at_hat)
-    hv, hpv = _slot_gradients(v, "hat", pt.hat, h_steps, at_hat)
-    tu, tpu = _slot_gradients(u, "tilde", pt.tilde, h_steps, at_tilde)
-    tv, tpv = _slot_gradients(v, "tilde", pt.tilde, h_steps, at_tilde)
-
-    val = _dual_block(S, pt.hat, hu, hpv) - _dual_block(S, pt.tilde, tu, tpv)
-    val += gpu @ _embed_h_to_g(S, hv) - gpv @ _embed_h_to_g(S, hu)
-    val += gu @ _embed_h_to_g(S, tv) - gv @ _embed_h_to_g(S, tu)
-    r_hat = rfun(pt.hat).coeffs
-    r_tilde = rfun(pt.tilde).coeffs
-    val += gpu @ (S.R.coeffs + r_hat) @ gpv
-    val -= gu @ (S.R.coeffs + r_tilde) @ gv
-    return float(val)
+    return _BracketForm(S, rfun, pt).bracket(u, v)
 
 
 def p_jacobi_residual(
-    S: ReductionSetup,
-    rfun,
-    pt: PPoint,
-    f1: QFunction,
-    f2: QFunction,
-    f3: QFunction,
-    h: float = 1e-3,
-    caches: Optional[tuple] = None,
+    S: ReductionSetup, rfun, pt: PPoint, f1: QFunction, f2: QFunction, f3: QFunction
 ) -> float:
-    caches = caches or step_caches(S, h)
-
-    def inner(a: QFunction, b: QFunction) -> QFunction:
-        return QFunction(
-            lambda q: p_bracket(S, rfun, q, a, b, h, caches),
-            depends=("g", "hat", "tilde"),
-        )
-
-    total = p_bracket(S, rfun, pt, f1, inner(f2, f3), h, caches)
-    total += p_bracket(S, rfun, pt, f2, inner(f3, f1), h, caches)
-    total += p_bracket(S, rfun, pt, f3, inner(f1, f2), h, caches)
-    return abs(total)
+    """Cyclic Jacobiator of the Ȟ* × G × Ȟ* bracket, exact from first-order jets."""
+    return _BracketForm(S, rfun, pt).jacobiator(f1, f2, f3)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +479,6 @@ def run_suite(
     seed: int = 0,
     h: float = 1e-5,
     jacobi_points: int = 5,
-    jacobi_step: float = 1e-3,
     cond_threshold: float = 1e8,
     box_radius: float = 1.0,
     ambient_box: float = 0.3,
@@ -520,7 +488,9 @@ def run_suite(
 
     Returns (reports, words): one ResidualReport per equation, and the
     second-class samples of the dual of H the suites ran on, both
-    deterministic for a fixed seed.
+    deterministic for a fixed seed.  h is the central-difference step of the
+    dirac suite, the only one that differences; the other equations report
+    fd_step 0.0.
     """
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
@@ -529,7 +499,7 @@ def run_suite(
     for s in suites:
         if s not in SUITE_EQUATIONS:
             raise InputShapeError(f"unknown suite {s!r}")
-    rfun = reduced_r_function(S, None, cond_threshold)
+    rfun = reduced_r_function(S, cond_threshold)
     words = sample_hstar_points(S, num_points, seed, box_radius, cond_threshold)
     # one stream per section, so a suite's draws do not depend on which other
     # suites run alongside it
@@ -539,27 +509,26 @@ def run_suite(
     for s in suites:
         rng = np.random.Generator(np.random.PCG64(seed + section_seed[s]))
         if s == "cdybe":
-            anomaly = cybe_lhs(S.G, S.R)
             reports.append(
                 _report(
                     EQ_MCYBE,
                     [[]],
-                    [invariance_residual3(S.G, anomaly)],
+                    [invariance_residual3(S.G, S.anomaly)],
                     0.0,
                     tol[EQ_MCYBE],
                 )
             )
-            res = [plcdybe_residual(S, rfun, w, h).norm() for w in words]
-            reports.append(_report(EQ_PLCDYBE, words, res, h, tol[EQ_PLCDYBE]))
-            # triangularity_check(S, rfun, w, h) is this same norm; it is
+            res = [plcdybe_residual(S, rfun, w).norm() for w in words]
+            reports.append(_report(EQ_PLCDYBE, words, res, 0.0, tol[EQ_PLCDYBE]))
+            # triangularity_check(S, rfun, w) is this same norm; it is
             # reported under its own key and tolerance, not recomputed
-            reports.append(_report(EQ_TRIANGULARITY, words, res, h, tol[EQ_TRIANGULARITY]))
+            reports.append(_report(EQ_TRIANGULARITY, words, res, 0.0, tol[EQ_TRIANGULARITY]))
             if S.dim_M > 0:
-                a, b = largest_entry(rfun(words[0]))
+                a, b = largest_entry(rfun(words[0]).value)
                 bad = sign_flipped_rfun(rfun, int(a), int(b))
-                res = [plcdybe_residual(S, bad, w, h).norm() for w in words]
+                res = [plcdybe_residual(S, bad, w).norm() for w in words]
                 reports.append(
-                    _report(EQ_CONTROL, words, res, h, tol[EQ_CONTROL], direction="lower")
+                    _report(EQ_CONTROL, words, res, 0.0, tol[EQ_CONTROL], direction="lower")
                 )
         elif s == "equivariance":
             res = []
@@ -568,9 +537,9 @@ def run_suite(
                 for a in range(S.dim_H):
                     x = np.zeros(S.dim_H)
                     x[a] = 1.0
-                    worst = max(worst, equivariance_residual(S, rfun, w, x, h).norm())
+                    worst = max(worst, equivariance_residual(S, rfun, w, x).norm())
                 res.append(worst)
-            reports.append(_report(EQ_EQUIVARIANCE, words, res, h, tol[EQ_EQUIVARIANCE]))
+            reports.append(_report(EQ_EQUIVARIANCE, words, res, 0.0, tol[EQ_EQUIVARIANCE]))
         elif s == "dirac":
             cache = StepCache(S.sub_double, h)
             dim2 = S.sub_double.dim
@@ -592,7 +561,7 @@ def run_suite(
             reports.append(_report(EQ_CONSTRAINT_PB, words, res_c, h, tol[EQ_CONSTRAINT_PB]))
             res = []
             for w in words:
-                direct = rfun(w).coeffs
+                direct = rfun(w).value.coeffs
                 via = rho_via_n(S, w, cond_threshold).coeffs
                 r1 = float(np.max(np.abs(direct - via), initial=0.0))
                 r1 = max(r1, constraint_inverse_operator_residual(S, w, cond_threshold))
@@ -608,38 +577,27 @@ def run_suite(
                 res.append(characterization_identity_residual(S, w, u, v, cond_threshold))
             reports.append(_report(EQ_CHARACTERIZATION, words, res, h, tol[EQ_CHARACTERIZATION]))
         elif s == "jacobi":
-            caches = step_caches(S, jacobi_step)
             pts = [words[k % len(words)] for k in range(jacobi_points)]
             dim_g = S.G.dim
             dim2 = S.sub_double.dim
             res_q, res_p = [], []
             for k, w in enumerate(pts):
-                # nested-difference truncation grows with exp of the ambient
-                # word size, so generic points are drawn from a modest box
                 g = ambient_word(S.G, [rng.uniform(-ambient_box, ambient_box, dim_g)])
                 # three ambient entries give the triple sensitive to the
                 # derivative of r; the mixed triple covers the dual blocks
                 phis = [
-                    g_entry(int(rng.integers(0, dim_g)), int(rng.integers(0, dim_g)))
+                    g_entry(S, int(rng.integers(0, dim_g)), int(rng.integers(0, dim_g)))
                     for _ in range(3)
                 ]
-                fd = dual_entry(int(rng.integers(0, dim2)), int(rng.integers(0, dim2)))
+                fd = dual_entry(S, int(rng.integers(0, dim2)), int(rng.integers(0, dim2)))
                 qpt = QPoint(S, g, w)
-                worst = q_jacobi_residual(S, rfun, qpt, *phis, jacobi_step, caches)
-                worst = max(
-                    worst,
-                    q_jacobi_residual(S, rfun, qpt, phis[0], phis[1], fd, jacobi_step, caches),
-                )
-                res_q.append(worst)
+                worst = q_jacobi_residual(S, rfun, qpt, *phis)
+                res_q.append(max(worst, q_jacobi_residual(S, rfun, qpt, phis[0], phis[1], fd)))
                 ppt = PPoint(S, pts[(k + 1) % len(pts)], g, w)
-                f3p = hat_entry(int(rng.integers(0, dim2)), int(rng.integers(0, dim2)))
-                f2p = tilde_entry(int(rng.integers(0, dim2)), int(rng.integers(0, dim2)))
-                worst = p_jacobi_residual(S, rfun, ppt, *phis, jacobi_step, caches)
-                worst = max(
-                    worst,
-                    p_jacobi_residual(S, rfun, ppt, phis[0], f2p, f3p, jacobi_step, caches),
-                )
-                res_p.append(worst)
-            reports.append(_report(EQ_Q_JACOBI, pts, res_q, jacobi_step, tol[EQ_Q_JACOBI]))
-            reports.append(_report(EQ_P_JACOBI, pts, res_p, jacobi_step, tol[EQ_P_JACOBI]))
+                f3p = hat_entry(S, int(rng.integers(0, dim2)), int(rng.integers(0, dim2)))
+                f2p = tilde_entry(S, int(rng.integers(0, dim2)), int(rng.integers(0, dim2)))
+                worst = p_jacobi_residual(S, rfun, ppt, *phis)
+                res_p.append(max(worst, p_jacobi_residual(S, rfun, ppt, phis[0], f2p, f3p)))
+            reports.append(_report(EQ_Q_JACOBI, pts, res_q, 0.0, tol[EQ_Q_JACOBI]))
+            reports.append(_report(EQ_P_JACOBI, pts, res_p, 0.0, tol[EQ_P_JACOBI]))
     return reports, words

@@ -9,12 +9,15 @@ catalog entry at its certified sample points, and on a setup whose K, H and
 M bases are all skewed, so no map reduces to a selection of coordinates.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from plrmat import catalog
 from plrmat.bialgebra_double import validate_setup
 from plrmat.catalog import _dj_r, export_entry, get_entry, list_entries, sl3_algebra
+from plrmat.dual_group import StepCache, gradients, left_derivative, right_derivative
 from plrmat.lie_core import LieAlgebra, Subspace
 from plrmat.reduction import (
     characterization_identity_residual,
@@ -22,6 +25,7 @@ from plrmat.reduction import (
     constraint_matrix,
     n_vectors,
     rho,
+    rho_jet,
     rho_via_n,
     sample_hstar_points,
 )
@@ -30,11 +34,20 @@ from plrmat.verify import (
     EQ_CONTROL,
     EQ_PLCDYBE,
     EQ_TRIANGULARITY,
+    PPoint,
+    QPoint,
+    ambient_word,
+    dual_entry,
+    g_entry,
+    hat_entry,
     largest_entry,
+    p_jacobi_residual,
     plcdybe_residual,
+    q_jacobi_residual,
     reduced_r_function,
     run_suite,
     sign_flipped_rfun,
+    tilde_entry,
     triangularity_check,
 )
 
@@ -245,7 +258,7 @@ class TestMemoisedRfun:
         for w in self.words:
             first = rfun(w)
             assert rfun(w) is first
-            np.testing.assert_array_equal(first.coeffs, rho(self.S, w).coeffs)
+            np.testing.assert_array_equal(first.value.coeffs, rho(self.S, w).coeffs)
 
     def test_distinct_word_objects_are_evaluated_apart(self):
         rfun = reduced_r_function(self.S)
@@ -253,18 +266,26 @@ class TestMemoisedRfun:
         twin = w.right_mul(np.eye(self.S.double.dim))
         assert twin is not w
         assert rfun(twin) is not rfun(w)
-        np.testing.assert_array_equal(rfun(twin).coeffs, rfun(w).coeffs)
+        np.testing.assert_array_equal(rfun(twin).value.coeffs, rfun(w).value.coeffs)
+        np.testing.assert_array_equal(rfun(twin).left, rfun(w).left)
 
     def test_control_still_fails_and_leaves_memo_intact(self):
         S = self.S
         rfun = reduced_r_function(S)
         w = self.words[0]
-        clean = np.array(rfun(w).coeffs)
-        a, b = largest_entry(rfun(w))
+        clean = rfun(w)
+        kept = [np.array(t) for t in (clean.value.coeffs, clean.left, clean.right)]
+        a, b = largest_entry(clean.value)
         bad = sign_flipped_rfun(rfun, int(a), int(b))
-        assert plcdybe_residual(S, bad, w, 1e-5).norm() >= 1e-2
-        np.testing.assert_array_equal(rfun(w).coeffs, clean)
-        assert plcdybe_residual(S, rfun, w, 1e-5).norm() <= 1e-6
+        # the value and both derivatives are flipped together
+        for got, want in zip((bad(w).value.coeffs, bad(w).left, bad(w).right), kept):
+            np.testing.assert_array_equal(got[..., a, b], -want[..., a, b])
+            np.testing.assert_array_equal(got[..., b, a], -want[..., b, a])
+        assert plcdybe_residual(S, bad, w).norm() >= 1e-2
+        assert rfun(w) is clean
+        for got, want in zip((clean.value.coeffs, clean.left, clean.right), kept):
+            np.testing.assert_array_equal(got, want)
+        assert plcdybe_residual(S, rfun, w).norm() <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["sl2_dj", "sl3_dj_cartan"])
@@ -281,11 +302,24 @@ def test_cdybe_suite_control_and_triangularity(name):
     assert reports[EQ_PLCDYBE].passed
     # TRIANGULARITY is reported from the PL_CDYBE residuals; it must equal
     # what the public check computes on its own
-    rfun = reduced_r_function(S, None, e.cond_threshold)
+    rfun = reduced_r_function(S, e.cond_threshold)
     words = sample_hstar_points(S, 3, e.seed, 1.0, e.cond_threshold)
-    want = [triangularity_check(S, rfun, w, 1e-5) for w in words]
+    want = [triangularity_check(S, rfun, w) for w in words]
     assert [r for _, r in reports[EQ_TRIANGULARITY].per_point] == want
     assert reports[EQ_TRIANGULARITY].per_point == reports[EQ_PLCDYBE].per_point
+
+
+def test_skewed_setup_passes_every_suite():
+    """Under skewed bases the differential equations sit at roundoff.
+
+    With finite differences of rho, PL_CDYBE and TRIANGULARITY failed here at
+    6.2e-5 against 1e-6 through truncation.
+    """
+    reports, _ = run_suite(skewed_levi_setup(), "all", num_points=4, seed=2)
+    for r in reports:
+        assert r.passed, (r.equation_id, r.max_residual)
+        if r.direction == "upper":
+            assert r.max_residual <= 1e-10, (r.equation_id, r.max_residual)
 
 
 def _einsum_jacobi(c):
@@ -340,3 +374,185 @@ def test_export_follows_the_entry_table_not_its_dimension(monkeypatch):
     G = parse_spec(export_entry(heis.name))["G"]
     np.testing.assert_array_equal(G.c, heis.algebra().c)
     np.testing.assert_array_equal(G.bracket([1.0, 0, 0], [0, 1.0, 0]), [0, 0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# exact derivatives against the finite differences they replaced
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name,S,words", CASES, ids=IDS)
+def test_rho_jet_matches_central_difference(name, S, words):
+    """The jet's derivatives are the limit of central differences of rho.
+
+    Where the truncation shows, halving the step divides the gap by four;
+    where it does not (abelian2), both sides vanish.
+    """
+    for w in words[:2]:
+        jet = rho_jet(S, w)
+        for a, xi in enumerate(S.Hdual):
+            for derivative, exact in ((left_derivative, jet.left[a]), (right_derivative, jet.right[a])):
+                gaps = [
+                    float(np.max(np.abs(derivative(w, xi, lambda v: rho(S, v).coeffs, h) - exact)))
+                    for h in (1e-3, 5e-4)
+                ]
+                if gaps[0] <= 1e-10:
+                    assert gaps[1] <= 1e-10
+                else:
+                    assert 3.5 <= gaps[0] / gaps[1] <= 4.5, gaps
+
+
+def _fd_steps(S, h):
+    """StepCaches at step h over the basis of G and over the H* basis in D(K, K*)."""
+    return StepCache(S.G, h, np.eye(S.G.dim)), StepCache(S.double, h, S.Hdual)
+
+
+def _fd_gradients(u, pt, slot, steps):
+    """Left and right gradients of u along one factor by central differences."""
+    cache = steps[0] if slot == "g" else steps[1]
+    put = lambda w: dataclasses.replace(pt, **{slot: w})  # noqa: E731
+    return gradients(getattr(pt, slot), lambda w: u(put(w)), cache.h, cache)
+
+
+def ref_fd_bracket(S, pt, u, v, steps, cond_threshold):
+    """The bracket ansatz with every slot gradient a central difference.
+
+    This is the formulation the exact jets replaced, block by block; u and v
+    are any scalar functions of a QPoint or PPoint, and steps come from
+    _fd_steps.
+    """
+    n = S.n
+    R = S.R.coeffs
+
+    def r(w):
+        return rho(S, w, cond_threshold).coeffs
+
+    def to_g(vh):
+        return S.K_to_G(vh @ S.H_in_K)
+
+    def dual_block(lam, gu, gpv):
+        return (gu @ S.H_in_K) @ lam.ad[n:, :n] @ (gpv @ S.H_in_K)
+
+    gu, gpu = _fd_gradients(u, pt, "g", steps)
+    gv, gpv = _fd_gradients(v, pt, "g", steps)
+    if isinstance(pt, QPoint):
+        du, _ = _fd_gradients(u, pt, "dual", steps)
+        dv, dpv = _fd_gradients(v, pt, "dual", steps)
+        val = dual_block(pt.dual, du, dpv) + gpu @ to_g(dv) - gpv @ to_g(du)
+        return float(val + gpu @ (R + r(pt.dual)) @ gpv - gu @ R @ gv)
+    hu, _ = _fd_gradients(u, pt, "hat", steps)
+    hv, hpv = _fd_gradients(v, pt, "hat", steps)
+    tu, _ = _fd_gradients(u, pt, "tilde", steps)
+    tv, tpv = _fd_gradients(v, pt, "tilde", steps)
+    val = dual_block(pt.hat, hu, hpv) - dual_block(pt.tilde, tu, tpv)
+    val += gpu @ to_g(hv) - gpv @ to_g(hu) + gu @ to_g(tv) - gv @ to_g(tu)
+    return float(val + gpu @ (R + r(pt.hat)) @ gpv - gu @ (R + r(pt.tilde)) @ gv)
+
+
+def ref_nested_jacobiator(S, pt, f1, f2, f3, h, cond_threshold):
+    """Cyclic Jacobiator with the inner bracket differenced again: O(h²)."""
+    steps = _fd_steps(S, h)
+
+    def inner(a, b):
+        return lambda q: ref_fd_bracket(S, q, a, b, steps, cond_threshold)
+
+    return abs(
+        ref_fd_bracket(S, pt, f1, inner(f2, f3), steps, cond_threshold)
+        + ref_fd_bracket(S, pt, f2, inner(f3, f1), steps, cond_threshold)
+        + ref_fd_bracket(S, pt, f3, inner(f1, f2), steps, cond_threshold)
+    )
+
+
+REDUCING = [n for n in list_entries() if get_entry(n).setup().dim_M > 0]
+
+
+def _jacobi_points(name):
+    """The setup, its rfun, and a QPoint and PPoint at its first sample points."""
+    e = get_entry(name)
+    S = e.setup()
+    words = sample_hstar_points(S, e.num_points, e.seed, 1.0, e.cond_threshold)
+    rng = np.random.default_rng(e.seed)
+    g = ambient_word(S.G, [rng.uniform(-0.3, 0.3, S.G.dim)])
+    rfun = reduced_r_function(S, e.cond_threshold)
+    return e, S, words, rfun, QPoint(S, g, words[0]), PPoint(S, words[1], g, words[0])
+
+
+@pytest.mark.parametrize("name", REDUCING)
+def test_exact_jacobiators_match_nested_differences(name):
+    """|exact − nested FD| falls about fourfold per halving of h from 2e-3."""
+    e, S, _, rfun, qpt, ppt = _jacobi_points(name)
+    phis = [g_entry(S, 1, 2), g_entry(S, 0, 1), g_entry(S, 2, 0)]
+    for pt, exact in ((qpt, q_jacobi_residual), (ppt, p_jacobi_residual)):
+        want = exact(S, rfun, pt, *phis)
+        assert want <= 1e-12
+        gaps = [
+            abs(ref_nested_jacobiator(S, pt, *phis, h, e.cond_threshold) - want)
+            for h in (2e-3, 1e-3, 5e-4)
+        ]
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 3.5 <= coarse / fine <= 4.5, gaps
+
+
+@pytest.mark.parametrize("name", REDUCING)
+def test_sign_flipped_jet_breaks_jacobiators(name):
+    """The corrupted r of PL_CDYBE_CONTROL fails both exact Jacobiators."""
+    _, S, words, rfun, qpt, ppt = _jacobi_points(name)
+    a, b = largest_entry(rfun(words[0]).value)
+    bad = sign_flipped_rfun(rfun, int(a), int(b))
+    dim_g = S.G.dim
+    triples = [
+        (g_entry(S, i, j), g_entry(S, j, k), g_entry(S, k, i))
+        for i in range(dim_g) for j in range(dim_g) for k in range(dim_g)
+    ]
+    worst_q = max(q_jacobi_residual(S, bad, qpt, *t) for t in triples)
+    worst_p = max(p_jacobi_residual(S, bad, ppt, *t) for t in triples)
+    assert worst_q > 1e-2 and worst_p > 1e-2
+    assert max(q_jacobi_residual(S, rfun, qpt, *t) for t in triples) <= 1e-12
+
+
+@pytest.mark.parametrize("slot", ["g", "dual"])
+def test_function_hessian_matches_differenced_gradient(slot):
+    """Row k of QFunction.jet's Hessian is the derivative of its gradient
+    along direction k, left directions first, then right ones."""
+    _, S, _, _, qpt, _ = _jacobi_points("sl3_dj_levi")
+    h = 1e-4
+    if slot == "g":
+        f, ads, cache = g_entry(S, 3, 5), np.swapaxes(S.G.c, 1, 2), StepCache(S.G, h, np.eye(S.G.dim))
+    else:
+        f, ads, cache = dual_entry(S, 7, 3), S.hstar_ads, StepCache(S.double, h, S.Hdual)
+    word = getattr(qpt, slot)
+    grad, hess = f.jet(word, ads)
+    assert float(np.max(np.abs(hess))) > 1e-2
+    k = len(ads)
+    for side, move in enumerate(("left_mul", "right_mul")):
+        for i in range(k):
+            plus = f.jet(getattr(word, move)(cache.plus[i]), ads)[0]
+            minus = f.jet(getattr(word, move)(cache.minus[i]), ads)[0]
+            np.testing.assert_allclose(hess[side * k + i], (plus - minus) / (2 * h), atol=1e-7)
+
+
+def test_dual_blocks_keep_the_jacobi_identity():
+    """Triples with two entries on the ambient factor, or two on one dual
+    factor, reach the couplings and the Poisson block of each dual factor
+    and the derivative of Ad_λ there; the suite's own triples reach them
+    only where its mixed triple is nonzero.  On the double of a non-abelian
+    (H, H*) the Jacobiators stay at roundoff."""
+    _, S, _, rfun, qpt, ppt = _jacobi_points("sl3_dj_levi")
+    dim2 = S.sub_double.dim
+    entries = [(a, b) for a in range(dim2) for b in range(dim2)]
+    phi, psi = g_entry(S, 1, 2), g_entry(S, 3, 5)
+    worst = 0.0
+    for i, e1 in enumerate(entries):
+        worst = max(
+            worst,
+            q_jacobi_residual(S, rfun, qpt, phi, psi, dual_entry(S, *e1)),
+            p_jacobi_residual(S, rfun, ppt, phi, psi, hat_entry(S, *e1)),
+            p_jacobi_residual(S, rfun, ppt, phi, psi, tilde_entry(S, *e1)),
+        )
+        for e2 in entries[i + 1:]:
+            worst = max(
+                worst,
+                q_jacobi_residual(S, rfun, qpt, phi, dual_entry(S, *e1), dual_entry(S, *e2)),
+                p_jacobi_residual(S, rfun, ppt, phi, hat_entry(S, *e1), hat_entry(S, *e2)),
+            )
+    assert worst <= 1e-12

@@ -341,6 +341,7 @@ class TestTwoStepComposition:
         """
         from plrmat.catalog import sl3_algebra
         from plrmat.dual_group import GroupWord
+        from plrmat.reduction import RhoJet, rho_jet
         from plrmat.verify import plcdybe_residual, reduced_r_function
 
         g = sl3_algebra()
@@ -356,16 +357,26 @@ class TestTwoStepComposition:
             g, r0, Subspace(8, eye[[0, 1, 2, 5]]), cartan, Subspace(8, eye[[2, 5]])
         )
 
-        # the finite differences evaluate translates, which carry no factor
-        # list, so the point is carried over by its Ad matrix: step_a has the
-        # double of `one`, and the double of step_b is the sub-double of
-        # step_a, on which Ad restricts through sub_restrict and sub_embed
+        # the point is carried over by its Ad matrix: step_a has the double of
+        # `one`, and the double of step_b is the sub-double of step_a, on
+        # which Ad restricts through sub_restrict and sub_embed.  A direction
+        # of `one`'s H* basis is a combination of step_a's H* basis, and its
+        # H*-coordinates there are its K*-coordinates for step_b, so the
+        # derivatives of the two jets recombine along it
+        to_a = one.Hdual @ step_a.H_in_K.T
+        to_b = to_a @ step_b.H_in_K.T
+
         def two_step_rfun(word):
             wa = GroupWord(step_a.double, None, word.ad)
             wb = GroupWord(
                 step_b.double, None, step_a.sub_restrict @ word.ad @ step_a.sub_embed.T
             )
-            return Tensor2(rho(step_a, wa).coeffs + rho(step_b, wb).coeffs)
+            ja, jb = rho_jet(step_a, wa), rho_jet(step_b, wb)
+            return RhoJet(
+                Tensor2(ja.value.coeffs + jb.value.coeffs),
+                np.tensordot(to_a, ja.left, 1) + np.tensordot(to_b, jb.left, 1),
+                np.tensordot(to_a, ja.right, 1) + np.tensordot(to_b, jb.right, 1),
+            )
 
         rng = np.random.default_rng(8)
         worst_gap = 0.0
@@ -375,10 +386,10 @@ class TestTwoStepComposition:
                 x[1] += 0.5
             w = hstar_word(one, x)
             direct = rho(one, w).coeffs
-            composed = two_step_rfun(w).coeffs
+            composed = two_step_rfun(w).value.coeffs
             worst_gap = max(worst_gap, float(np.max(np.abs(direct - composed))))
-            assert plcdybe_residual(one, reduced_r_function(one), w, 1e-5).norm() <= 1e-6
-            assert plcdybe_residual(one, two_step_rfun, w, 1e-5).norm() <= 1e-6
+            assert plcdybe_residual(one, reduced_r_function(one), w).norm() <= 1e-12
+            assert plcdybe_residual(one, two_step_rfun, w).norm() <= 1e-12
         print(f"one-step vs two-step max gap (not asserted): {worst_gap:.3e}")
 
 

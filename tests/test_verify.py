@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 from plrmat.catalog import get_entry, list_entries
-from plrmat.dual_group import StepCache, identity_word
+from plrmat.dual_group import StepCache, identity_word, left_derivative
 from plrmat.errors import InputShapeError
 from plrmat.lie_core import Tensor2
-from plrmat.reduction import hstar_word, sample_hstar_points, small_word
+from plrmat.reduction import RhoJet, hstar_word, rho, sample_hstar_points, small_word
 from plrmat.verify import (
     PPoint,
     QFunction,
@@ -39,7 +39,6 @@ from plrmat.verify import (
     reduced_r_function,
     run_suite,
     sign_flipped_rfun,
-    step_caches,
     tilde_entry,
     triangularity_check,
     zero_r_function,
@@ -63,44 +62,52 @@ class TestPlcdybe:
     def test_constant_zero_r_with_full_h_is_exact(self):
         # the equation collapses to the constant Yang-Baxter identity
         s = trivial_setup()
-        res = plcdybe_residual(s, zero_r_function(s), identity_word(s.double), 1e-5)
+        res = plcdybe_residual(s, zero_r_function(s), identity_word(s.double))
         assert res.norm() == 0.0
 
     def test_abelian_everything_vanishes(self):
         s = abelian_trivial_setup()
-        res = plcdybe_residual(s, zero_r_function(s), identity_word(s.double), 1e-5)
+        res = plcdybe_residual(s, zero_r_function(s), identity_word(s.double))
         assert res.norm() == 0.0
 
     def test_classical_reduced_r_solves_equation(self):
         s = classical_setup()
         rfun = reduced_r_function(s)
         for x in (0.5, 1.0, 2.0):
-            res = plcdybe_residual(s, rfun, hstar_word(s, [x]), 1e-5)
-            assert res.norm() <= 1e-6
+            res = plcdybe_residual(s, rfun, hstar_word(s, [x]))
+            assert res.norm() <= 1e-12
 
     def test_dj_reduced_r_solves_equation_at_samples(self):
         s = dj_setup()
-        rfun = reduced_r_function(s, None, 2.5)
+        rfun = reduced_r_function(s, 2.5)
         for w in sample_hstar_points(s, 10, seed=6, cond_threshold=2.5):
-            assert plcdybe_residual(s, rfun, w, 1e-5).norm() <= 1e-6
-            assert triangularity_check(s, rfun, w, 1e-5) <= 1e-6
+            assert plcdybe_residual(s, rfun, w).norm() <= 1e-12
+            assert triangularity_check(s, rfun, w) <= 1e-12
 
     def test_quadratic_step_convergence(self):
-        # at a point with visible truncation the residual scales like h²
+        # with the exact derivative of rho replaced by a central difference of
+        # step h, the residual is that difference's truncation and scales like
+        # h²; the exact jet is its limit
         s = classical_setup()
-        rfun = reduced_r_function(s)
         w = hstar_word(s, [0.3])
-        r1 = plcdybe_residual(s, rfun, w, 1e-2).norm()
-        r2 = plcdybe_residual(s, rfun, w, 5e-3).norm()
+        value = rho(s, w)
+
+        def fd_rfun(h):
+            d = left_derivative(w, s.Hdual[0], lambda v: rho(s, v).coeffs, h)
+            return lambda word: RhoJet(value, d[None], d[None])
+
+        r1 = plcdybe_residual(s, fd_rfun(1e-2), w).norm()
+        r2 = plcdybe_residual(s, fd_rfun(5e-3), w).norm()
         assert 2.5 <= r1 / r2 <= 6.0
+        assert plcdybe_residual(s, reduced_r_function(s), w).norm() <= 1e-12
 
     def test_corrupted_r_detected(self):
         s = dj_setup()
-        rfun = reduced_r_function(s, None, 2.5)
+        rfun = reduced_r_function(s, 2.5)
         words = sample_hstar_points(s, 5, seed=6, cond_threshold=2.5)
-        a, b = largest_entry(rfun(words[0]))
+        a, b = largest_entry(rfun(words[0]).value)
         bad = sign_flipped_rfun(rfun, int(a), int(b))
-        worst = max(plcdybe_residual(s, bad, w, 1e-5).norm() for w in words)
+        worst = max(plcdybe_residual(s, bad, w).norm() for w in words)
         assert worst > 1e-2
 
 
@@ -109,21 +116,21 @@ class TestEquivariance:
         s = dj_setup()
         w = hstar_word(s, [0.7])
         rfun = reduced_r_function(s)
-        res = equivariance_residual(s, rfun, w, [0.0], 1e-5)
+        res = equivariance_residual(s, rfun, w, [0.0])
         assert res.norm() <= 1e-12
 
     def test_constant_invariant_r_abelian(self):
         s = abelian_trivial_setup()
         res = equivariance_residual(
-            s, zero_r_function(s), identity_word(s.double), [0.0, 0.0], 1e-5
+            s, zero_r_function(s), identity_word(s.double), [0.0, 0.0]
         )
         assert res.norm() == 0.0
 
     def test_dj_reduced_r_equivariant(self):
         s = dj_setup()
-        rfun = reduced_r_function(s, None, 2.5)
+        rfun = reduced_r_function(s, 2.5)
         for w in sample_hstar_points(s, 5, seed=6, cond_threshold=2.5):
-            assert equivariance_residual(s, rfun, w, [1.0], 1e-5).norm() <= 1e-6
+            assert equivariance_residual(s, rfun, w, [1.0]).norm() <= 1e-12
 
 
 class TestMomentumMap:
@@ -154,9 +161,7 @@ class TestMomentumMap:
 class TestProductBrackets:
     def setup_method(self):
         self.s = dj_setup()
-        self.rfun = reduced_r_function(self.s, None, 2.5)
-        self.h = 1e-3
-        self.caches = step_caches(self.s, self.h)
+        self.rfun = reduced_r_function(self.s, 2.5)
         rng = np.random.default_rng(1)
         self.g = ambient_word(self.s.G, [rng.uniform(-0.3, 0.3, 3)])
         self.lam = hstar_word(self.s, [0.8])
@@ -164,58 +169,60 @@ class TestProductBrackets:
         self.qpt = QPoint(self.s, self.g, self.lam)
         self.ppt = PPoint(self.s, self.lam2, self.g, self.lam)
 
+    @staticmethod
+    def _zero(slot, dim):
+        """The constant function 0, as l·Ad·r with l = r = 0."""
+        return QFunction(slot, np.zeros(dim), np.zeros(dim))
+
     def test_constant_function_brackets_vanish(self):
-        const = QFunction(lambda pt: 2.0, depends=())
-        assert q_bracket(self.s, self.rfun, self.qpt, const, g_entry(1, 2), self.h, self.caches) == 0.0
-        assert p_bracket(self.s, self.rfun, self.ppt, const, g_entry(1, 2), self.h, self.caches) == 0.0
+        const = self._zero("g", 3)
+        assert q_bracket(self.s, self.rfun, self.qpt, const, g_entry(self.s, 1, 2)) == 0.0
+        assert p_bracket(self.s, self.rfun, self.ppt, const, g_entry(self.s, 1, 2)) == 0.0
 
     def test_ambient_block_vanishes_without_r(self):
         # zero R and zero r kill the double-gradient contraction block
         s = abelian_trivial_setup()
-        caches = step_caches(s, self.h)
         g = ambient_word(s.G, [np.array([0.4, -0.2])])
         lam = hstar_word(s, np.zeros(2))
         val = q_bracket(
-            s, zero_r_function(s), QPoint(s, g, lam), g_entry(0, 0), g_entry(1, 1), self.h, caches
+            s, zero_r_function(s), QPoint(s, g, lam), g_entry(s, 0, 0), g_entry(s, 1, 1)
         )
         assert val == 0.0
 
     def test_antisymmetry(self):
-        fs = [g_entry(1, 2), g_entry(0, 1), dual_entry(0, 1)]
+        fs = [g_entry(self.s, 1, 2), g_entry(self.s, 0, 1), dual_entry(self.s, 0, 1)]
         for i in range(3):
             for j in range(3):
-                a = q_bracket(self.s, self.rfun, self.qpt, fs[i], fs[j], self.h, self.caches)
-                b = q_bracket(self.s, self.rfun, self.qpt, fs[j], fs[i], self.h, self.caches)
-                assert abs(a + b) <= 1e-7
+                a = q_bracket(self.s, self.rfun, self.qpt, fs[i], fs[j])
+                b = q_bracket(self.s, self.rfun, self.qpt, fs[j], fs[i])
+                assert abs(a + b) <= 1e-12
 
     def test_hat_tilde_block_vanishes(self):
         val = p_bracket(
-            self.s, self.rfun, self.ppt, hat_entry(0, 1), tilde_entry(1, 0), self.h, self.caches
+            self.s, self.rfun, self.ppt, hat_entry(self.s, 0, 1), tilde_entry(self.s, 1, 0)
         )
         assert val == 0.0
 
     def test_q_jacobi_small_for_reduced_r(self):
-        phis = [g_entry(1, 2), g_entry(0, 1), g_entry(2, 0)]
-        res = q_jacobi_residual(self.s, self.rfun, self.qpt, *phis, self.h, self.caches)
-        assert res <= 1e-4
+        phis = [g_entry(self.s, 1, 2), g_entry(self.s, 0, 1), g_entry(self.s, 2, 0)]
+        res = q_jacobi_residual(self.s, self.rfun, self.qpt, *phis)
+        assert res <= 1e-12
 
     def test_p_jacobi_small_for_reduced_r(self):
-        phis = [g_entry(1, 2), g_entry(0, 1), g_entry(2, 0)]
-        res = p_jacobi_residual(self.s, self.rfun, self.ppt, *phis, self.h, self.caches)
-        assert res <= 1e-4
+        phis = [g_entry(self.s, 1, 2), g_entry(self.s, 0, 1), g_entry(self.s, 2, 0)]
+        res = p_jacobi_residual(self.s, self.rfun, self.ppt, *phis)
+        assert res <= 1e-12
 
     def test_jacobi_of_constants_vanishes(self):
-        const = QFunction(lambda pt: 1.5, depends=())
-        res = q_jacobi_residual(
-            self.s, self.rfun, self.qpt, const, const, const, self.h, self.caches
-        )
+        const = self._zero("g", 3)
+        res = q_jacobi_residual(self.s, self.rfun, self.qpt, const, const, const)
         assert res == 0.0
 
     def test_corrupted_r_breaks_q_jacobi(self):
-        a, b = largest_entry(self.rfun(self.lam))
+        a, b = largest_entry(self.rfun(self.lam).value)
         bad = sign_flipped_rfun(self.rfun, int(a), int(b))
-        phis = [g_entry(1, 2), g_entry(0, 1), g_entry(2, 0)]
-        res = q_jacobi_residual(self.s, bad, self.qpt, *phis, self.h, self.caches)
+        phis = [g_entry(self.s, 1, 2), g_entry(self.s, 0, 1), g_entry(self.s, 2, 0)]
+        res = q_jacobi_residual(self.s, bad, self.qpt, *phis)
         assert res > 1e-2
 
 
@@ -260,7 +267,7 @@ class TestRestrictedDualEntries:
     @staticmethod
     def _read(S, pt, entry):
         dim2 = S.sub_double.dim
-        return np.array([[entry(a, b)(pt) for b in range(dim2)] for a in range(dim2)])
+        return np.array([[entry(S, a, b)(pt) for b in range(dim2)] for a in range(dim2)])
 
     def _entries(self, S, w):
         """What dual_entry, hat_entry and tilde_entry read at the dual point w."""
@@ -281,7 +288,7 @@ class TestRestrictedDualEntries:
 
     @pytest.mark.parametrize("S,words,tol", RESTRICTION_CASES)
     def test_entries_match_after_one_cached_step(self, S, words, tol):
-        _, big = step_caches(S, self.h)
+        big = StepCache(S.double, self.h, S.Hdual)
         small = StepCache(S.sub_double, self.h)
         for w in words:
             sw = small_word(S, w)
@@ -296,7 +303,8 @@ class TestRestrictedDualEntries:
     def test_translates_carry_no_factors(self):
         _, S, words = CATALOG_SAMPLES[list_entries().index("sl3_dj_levi")]
         g = ambient_word(S.G, [np.full(S.G.dim, 0.1)])
-        g_steps, h_steps = step_caches(S, self.h)
+        g_steps = StepCache(S.G, self.h, np.eye(S.G.dim))
+        h_steps = StepCache(S.double, self.h, S.Hdual)
         for word, cache in ((words[0], h_steps), (g, g_steps)):
             assert word.factors is not None and len(word.factors) == 1
             for step in cache.plus + cache.minus:
