@@ -7,7 +7,9 @@ three-slot bracket operations entering the classical Yang-Baxter equation
 
     [R12, R13] + [R12, R23] + [R13, R23]
 
-for antisymmetric R, and the invariance test for 3-tensors.
+for antisymmetric R, and the invariance test for 3-tensors.  Each of these
+contractions is a few matrix products over reshaped views of c and of the
+tensors, O(dim⁴) work that holds no array larger than dim³.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -246,11 +248,34 @@ def _tensor2_coeffs(t) -> np.ndarray:
     return t.coeffs if isinstance(t, Tensor2) else np.asarray(t, dtype=float)
 
 
+def _bracket_into_first_slot(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """U[a, (x, z)] = Σ_b c[a, b, x] t[b, z]: e_a bracketed into slot 1 of t.
+
+    One product [(a, x), b] @ t[b, z]; each mixed bracket term is one more
+    product of U with the other tensor.
+    """
+    n = c.shape[0]
+    return (c.transpose(0, 2, 1).reshape(n * n, n) @ t).reshape(n, n * n)
+
+
+def _slot_pair_term(s: np.ndarray, u: np.ndarray, slot_pair: str) -> np.ndarray:
+    """The term of slot_pair from U of t, or of tᵀ for ``13_23``."""
+    n = s.shape[0]
+    if slot_pair == "12_13":  # Σ_a s[a, y] U_t[a, x, z]
+        return (s.T @ u).reshape(n, n, n).transpose(1, 0, 2)
+    if slot_pair == "12_23":  # Σ_b s[x, b] U_t[b, y, z]
+        return (s @ u).reshape(n, n, n)
+    # Σ_b s[x, b] U_tᵀ[b, z, y]: slot 2 of t is the bracketed one
+    return (s @ u).reshape(n, n, n).transpose(0, 2, 1)
+
+
 def mixed_bracket_terms(A: LieAlgebra, s, t, slot_pair: str) -> Tensor3:
     """Bracket of s and t embedded in the indicated slots of g⊗g⊗g.
 
     ``12_13`` gives [s_12, t_13], ``12_23`` gives [s_12, t_23] and ``13_23``
     gives [s_13, t_23]; the bracket acts in the slot the two embeddings share.
+    Each term is two matrix products over reshaped views, O(dim⁴) work on
+    dim³ arrays.
     """
     s = _tensor2_coeffs(s)
     t = _tensor2_coeffs(t)
@@ -258,43 +283,45 @@ def mixed_bracket_terms(A: LieAlgebra, s, t, slot_pair: str) -> Tensor3:
         raise InputShapeError(
             f"tensors must be {A.dim}x{A.dim}, got {s.shape} and {t.shape}"
         )
-    c = A.c
-    if slot_pair == "12_13":
-        out = np.einsum("ay,cz,acx->xyz", s, t, c)
-    elif slot_pair == "12_23":
-        out = np.einsum("xb,cz,bcy->xyz", s, t, c)
-    elif slot_pair == "13_23":
-        out = np.einsum("xb,yd,bdz->xyz", s, t, c)
-    else:
+    if slot_pair not in SLOT_PAIRS:
         raise InputShapeError(f"slot_pair must be one of {SLOT_PAIRS}, got {slot_pair!r}")
-    return Tensor3(out)
+    u = _bracket_into_first_slot(A.c, t.T if slot_pair == "13_23" else t)
+    return Tensor3(_slot_pair_term(s, u, slot_pair))
 
 
 def cybe_lhs(A: LieAlgebra, R) -> Tensor3:
     """[R12, R13] + [R12, R23] + [R13, R23] as a 3-tensor over the basis of A.
 
     For an antisymmetric R this is the modified-Yang-Baxter anomaly; whether
-    it is ad-invariant is checked separately with is_invariant3.
+    it is ad-invariant is checked separately with is_invariant3.  The terms
+    are those of mixed_bracket_terms; the first two share the product U_R.
     """
-    total = np.zeros((A.dim, A.dim, A.dim))
-    for pair in SLOT_PAIRS:
-        total = total + mixed_bracket_terms(A, R, R, pair).coeffs
+    r = _tensor2_coeffs(R)
+    if r.shape != (A.dim, A.dim):
+        raise InputShapeError(f"tensor must be {A.dim}x{A.dim}, got {r.shape}")
+    u = _bracket_into_first_slot(A.c, r)
+    total = _slot_pair_term(r, u, "12_13") + _slot_pair_term(r, u, "12_23")
+    total += _slot_pair_term(r, _bracket_into_first_slot(A.c, r.T), "13_23")
     return Tensor3(total)
 
 
 def invariance_residual3(A: LieAlgebra, T) -> float:
-    """Max-norm of (ad_x⊗1⊗1 + 1⊗ad_x⊗1 + 1⊗1⊗ad_x)T over all basis x."""
+    """Max-norm of (ad_x⊗1⊗1 + 1⊗ad_x⊗1 + 1⊗1⊗ad_x)T over all basis x.
+
+    One basis vector at a time, so only dim³ arrays are held: ad_{e_i} acts
+    on each slot as one matrix product against a reshaping of T made once.
+    """
     t = T.coeffs if isinstance(T, Tensor3) else np.asarray(T, dtype=float)
+    n = A.dim
+    slot1 = t.reshape(n, n * n)  # [a, (y, z)]
+    slot2 = t.transpose(1, 0, 2).reshape(n, n * n)  # [a, (x, z)]
+    slot3 = t.reshape(n * n, n)  # [(x, y), a]
     worst = 0.0
-    for i in range(A.dim):
-        x = np.zeros(A.dim)
-        x[i] = 1.0
-        m = A.ad_matrix(x)
-        acted = (
-            np.einsum("xa,ayz->xyz", m, t)
-            + np.einsum("ya,xaz->xyz", m, t)
-            + np.einsum("za,xya->xyz", m, t)
-        )
+    for i in range(n):
+        ad_i = A.c[i]  # [a, x] = c[i, a, x], the transpose of ad_{e_i}
+        acted = (ad_i.T @ slot1).reshape(n, n, n)
+        acted += (ad_i.T @ slot2).reshape(n, n, n).transpose(1, 0, 2)
+        acted += (slot3 @ ad_i).reshape(n, n, n)
         worst = max(worst, float(np.max(np.abs(acted))))
     return worst
 

@@ -18,7 +18,13 @@ from plrmat import catalog
 from plrmat.bialgebra_double import validate_setup
 from plrmat.catalog import _dj_r, export_entry, get_entry, list_entries, sl3_algebra
 from plrmat.dual_group import StepCache, gradients, left_derivative, right_derivative
-from plrmat.lie_core import LieAlgebra, Subspace
+from plrmat.lie_core import (
+    LieAlgebra,
+    Subspace,
+    cybe_lhs,
+    invariance_residual3,
+    mixed_bracket_terms,
+)
 from plrmat.reduction import (
     characterization_identity_residual,
     constraint_inverse_operator_residual,
@@ -42,6 +48,7 @@ from plrmat.verify import (
     hat_entry,
     largest_entry,
     p_jacobi_residual,
+    plcdybe_lhs,
     plcdybe_residual,
     q_jacobi_residual,
     reduced_r_function,
@@ -300,13 +307,15 @@ def test_cdybe_suite_control_and_triangularity(name):
     control = reports[EQ_CONTROL]
     assert control.passed and control.max_residual >= control.tolerance
     assert reports[EQ_PLCDYBE].passed
-    # TRIANGULARITY is reported from the PL_CDYBE residuals; it must equal
-    # what the public check computes on its own
+    # TRIANGULARITY shares the left side of each point with PL_CDYBE; it
+    # must equal what the public check computes on its own, against the
+    # first sample point
     rfun = reduced_r_function(S, e.cond_threshold)
     words = sample_hstar_points(S, 3, e.seed, 1.0, e.cond_threshold)
-    want = [triangularity_check(S, rfun, w) for w in words]
+    want = [triangularity_check(S, rfun, w, ref=words[0]) for w in words]
     assert [r for _, r in reports[EQ_TRIANGULARITY].per_point] == want
-    assert reports[EQ_TRIANGULARITY].per_point == reports[EQ_PLCDYBE].per_point
+    assert reports[EQ_TRIANGULARITY].passed
+    assert reports[EQ_TRIANGULARITY].max_residual <= 1e-12
 
 
 def test_skewed_setup_passes_every_suite():
@@ -346,6 +355,53 @@ def test_blocked_jacobi_residual_matches_einsum():
     want = _einsum_jacobi(A.c)
     assert want > 1.0
     assert abs(A.jacobi_residual() - want) <= 1e-12 * want
+
+
+def ref_mixed_bracket_terms(c, s, t, slot_pair):
+    """The three-operand einsums the reshaped products replaced."""
+    spec = {"12_13": "ay,cz,acx->xyz", "12_23": "xb,cz,bcy->xyz", "13_23": "xb,yd,bdz->xyz"}
+    return np.einsum(spec[slot_pair], s, t, c)
+
+
+def ref_invariance_residual3(c, t):
+    """ad_{e_i} on each slot by an einsum, one basis vector i at a time."""
+    worst = 0.0
+    for i in range(c.shape[0]):
+        m = c[i].T  # ad_{e_i}
+        acted = (
+            np.einsum("xa,ayz->xyz", m, t)
+            + np.einsum("ya,xaz->xyz", m, t)
+            + np.einsum("za,xya->xyz", m, t)
+        )
+        worst = max(worst, float(np.max(np.abs(acted))))
+    return worst
+
+
+def _tensor_cases():
+    """Every catalog G and double, with distinct non-antisymmetric tensors."""
+    rng = np.random.default_rng(8)
+    for name in list_entries():
+        S = get_entry(name).setup()
+        for A in (S.G, S.double.D):
+            d = A.dim
+            yield A, rng.normal(size=(d, d)), rng.normal(size=(d, d)), rng.normal(size=(d, d, d))
+
+
+def test_mixed_bracket_terms_match_einsum():
+    for A, s, t, _ in _tensor_cases():
+        for pair in ("12_13", "12_23", "13_23"):
+            want = ref_mixed_bracket_terms(A.c, s, t, pair)
+            _close(mixed_bracket_terms(A, s, t, pair).coeffs, want, rtol=1e-13)
+        want = sum(ref_mixed_bracket_terms(A.c, s, s, p) for p in ("12_13", "12_23", "13_23"))
+        _close(cybe_lhs(A, s).coeffs, want, rtol=1e-13)
+
+
+def test_invariance_residual3_matches_einsum():
+    for A, _, _, t in _tensor_cases():
+        want = ref_invariance_residual3(A.c, t)
+        if A.c.any():  # abelian2 and its double annihilate everything
+            assert want > 1.0
+        assert abs(invariance_residual3(A, t) - want) <= 1e-13 * (1.0 + want)
 
 
 def test_every_export_reparses_to_its_algebra():
@@ -508,6 +564,21 @@ def test_sign_flipped_jet_breaks_jacobiators(name):
     worst_p = max(p_jacobi_residual(S, bad, ppt, *t) for t in triples)
     assert worst_q > 1e-2 and worst_p > 1e-2
     assert max(q_jacobi_residual(S, rfun, qpt, *t) for t in triples) <= 1e-12
+
+
+@pytest.mark.parametrize("name", REDUCING)
+def test_sign_flipped_jet_breaks_triangularity(name):
+    """The corrupted r of PL_CDYBE_CONTROL fails TRIANGULARITY.  Where the
+    invariance part cannot see it (on sl2 it stays 0), the λ-dependence of
+    the corrupted left side does."""
+    _, S, words, rfun, _, _ = _jacobi_points(name)
+    a, b = largest_entry(rfun(words[0]).value)
+    bad = sign_flipped_rfun(rfun, int(a), int(b))
+    assert max(triangularity_check(S, bad, w, ref=words[0]) for w in words) > 1e-2
+    assert max(triangularity_check(S, rfun, w, ref=words[0]) for w in words) <= 1e-12
+    # without a reference only the invariance part is left
+    for w in words:
+        assert triangularity_check(S, bad, w) == invariance_residual3(S.G, plcdybe_lhs(S, bad, w))
 
 
 @pytest.mark.parametrize("slot", ["g", "dual"])

@@ -1,13 +1,16 @@
 """Tests for the structure-constant algebra and tensor layer.
 
 The Yang-Baxter contraction is checked against a brute-force oracle that
-loops over every component triple and applies the bracket slot by slot,
-independent of the einsum path used by the library.
+loops over every pair of coefficients and applies the bracket slot by slot,
+independent of the reshaped matrix products used by the library.  Each slot
+pair is checked on its own, with two distinct tensors that are not
+antisymmetric, so a transposed slot or swapped operand cannot cancel.
 """
 
 import numpy as np
 import pytest
 
+from plrmat.catalog import sl3_algebra
 from plrmat.errors import InputShapeError, StructureConstantError, SubspaceError
 from plrmat.lie_core import (
     LieAlgebra,
@@ -37,33 +40,47 @@ def r_dj_sl2():
     return Tensor2(r, antisymmetric=True)
 
 
-def brute_force_cybe(c, R):
-    """Oracle: assemble [R12,R13]+[R12,R23]+[R13,R23] by explicit loops.
+def brute_force_pair(c, s, t, slot_pair):
+    """Oracle: [s_ij, t_kl] in g⊗g⊗g by an explicit loop over coefficients.
 
-    Each term embeds R twice into g⊗g⊗g and brackets in the shared slot
-    using the structure constants directly.
+    s[a, b] and t[p, q] are embedded in their slots and bracketed in the slot
+    the two embeddings share, using the structure constants directly.
     """
     n = c.shape[0]
     out = np.zeros((n, n, n))
     for a in range(n):
         for b in range(n):
-            if R[a, b] == 0.0:
+            if s[a, b] == 0.0:
                 continue
             for p in range(n):
                 for q in range(n):
-                    if R[p, q] == 0.0:
+                    if t[p, q] == 0.0:
                         continue
-                    w = R[a, b] * R[p, q]
-                    # [R12, R13]: bracket slot-1 entries a and p, keep (b, q)
-                    for k in range(n):
-                        out[k, b, q] += w * c[a, p, k]
-                    # [R12, R23]: bracket slot-2 entries b and p, keep (a, q)
-                    for k in range(n):
-                        out[a, k, q] += w * c[b, p, k]
-                    # [R13, R23]: bracket slot-3 entries b and q, keep (a, p)
-                    for k in range(n):
-                        out[a, p, k] += w * c[b, q, k]
+                    w = s[a, b] * t[p, q]
+                    if slot_pair == "12_13":
+                        # bracket slot-1 entries a and p, keep (b, q)
+                        out[:, b, q] += w * c[a, p]
+                    elif slot_pair == "12_23":
+                        # bracket slot-2 entries b and p, keep (a, q)
+                        out[a, :, q] += w * c[b, p]
+                    else:
+                        # bracket slot-3 entries b and q, keep (a, p)
+                        out[a, p, :] += w * c[b, q]
     return out
+
+
+def brute_force_cybe(c, R):
+    """Oracle: [R12,R13]+[R12,R23]+[R13,R23] from the per-pair loops."""
+    return sum(brute_force_pair(c, R, R, pair) for pair in ("12_13", "12_23", "13_23"))
+
+
+def sl3_in_dense_basis(seed):
+    """sl3 in the basis f_i = Σ_j P[i, j] e_j for a dense random P."""
+    c = sl3_algebra().c
+    rng = np.random.default_rng(seed)
+    P = np.eye(8) + 0.4 * rng.uniform(-1, 1, (8, 8))
+    c = np.einsum("ia,jb,abm,mk->ijk", P, P, c, np.linalg.inv(P))
+    return LieAlgebra((c - np.swapaxes(c, 0, 1)) / 2)
 
 
 class TestLieAlgebra:
@@ -217,6 +234,26 @@ class TestCybe:
         for pair in ("12_13", "12_23", "13_23"):
             assert mixed_bracket_terms(A, z, R, pair).norm() == 0.0
             assert mixed_bracket_terms(A, R, z, pair).norm() == 0.0
+
+    @pytest.mark.parametrize("basis", ["table", "dense"])
+    def test_each_slot_pair_against_brute_force(self, basis):
+        A = sl3_algebra() if basis == "table" else sl3_in_dense_basis(11)
+        rng = np.random.default_rng(12)
+        s, t = rng.uniform(-1, 1, (8, 8)), rng.uniform(-1, 1, (8, 8))
+        for pair in ("12_13", "12_23", "13_23"):
+            want = brute_force_pair(A.c, s, t, pair)
+            assert float(np.max(np.abs(want))) > 0.1
+            got = mixed_bracket_terms(A, s, t, pair).coeffs
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+            # the operands do not commute, so a swapped s and t would show
+            swapped = brute_force_pair(A.c, t, s, pair)
+            assert float(np.max(np.abs(swapped - want))) > 0.1
+        # cybe_lhs shares the first product between two terms; it still
+        # equals the sum of the pairs for a non-antisymmetric tensor
+        want = brute_force_cybe(A.c, s)
+        np.testing.assert_allclose(
+            cybe_lhs(A, s).coeffs, want, rtol=0, atol=1e-12 * np.max(np.abs(want))
+        )
 
     def test_bad_slot_pair(self):
         with pytest.raises(InputShapeError):
