@@ -99,9 +99,8 @@ class CatalogEntry:
         self.m_rows = m_rows
         self.seed = seed
         self.num_points = num_points
-        # nested finite differencing needs samples well clear of the
-        # degeneracy locus; entries document the conditioning bound that
-        # certifies their suites
+        # the conditioning bound each entry was first certified under; it
+        # fixes the sampled points, so the reports stay comparable
         self.cond_threshold = cond_threshold
 
     def algebra(self) -> LieAlgebra:

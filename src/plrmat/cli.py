@@ -112,8 +112,6 @@ def _apply_overrides(parsed, args):
         parsed["sampling"]["num_points"] = args.samples
     if getattr(args, "seed", None) is not None:
         parsed["sampling"]["seed"] = args.seed
-    if getattr(args, "fd_step", None) is not None:
-        parsed["tolerances"]["fd_step"] = args.fd_step
     if getattr(args, "tol", None) is not None:
         parsed["tolerances"]["residual"] = args.tol
     if getattr(args, "cond_threshold", None) is not None:
@@ -168,7 +166,6 @@ def cmd_verify(args) -> int:
         args.suite,
         num_points=sampling["num_points"],
         seed=sampling["seed"],
-        h=tol["fd_step"],
         cond_threshold=tol["cond_threshold"],
         box_radius=sampling["box_radius"],
         tolerances=overrides,
@@ -223,8 +220,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="write the report here (default: stdout)")
         p.add_argument("--samples", type=int, default=None, help="number of sample points")
         p.add_argument("--seed", type=int, default=None, help="sampling seed")
-        p.add_argument("--fd-step", dest="fd_step", type=float, default=None,
-                       help="finite-difference step")
         p.add_argument("--tol", type=float, default=None,
                        help="residual tolerance for the differential identities")
         p.add_argument("--cond-threshold", dest="cond_threshold", type=float, default=None,

@@ -31,8 +31,10 @@ ambient dual group as constant along the exp(M*) directions) is
     {F1,F2}* = {f1,f2} - Σ_ij {f1, ξ_i} (C^{-1})_ij {ξ_j, f2},
 
 with the constraint gradients known in closed form: grad' ξ_i = M^i and
-grad ξ_i = (Ad_λ M^i)_M.  It must reproduce the Poisson bracket computed
-natively in the double of (H, H*).
+grad ξ_i = (Ad_λ M^i)_M.  The gradients of F1 and F2 are exact too, read off
+the closed-form jets of l·Ad·r functions.  The Dirac bracket must reproduce
+the Poisson bracket computed natively in the double of (H, H*), read on a
+point of the dual of H as sub_restrict·Ad_λ·sub_embedᵀ.
 """
 
 from __future__ import annotations
@@ -43,11 +45,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bialgebra_double import ReductionSetup
-from .dual_group import GroupWord, StepCache, ad_of_word, gradients
+from .dual_group import GroupWord, ad_of_word
 from .errors import (
     CDegenerateError,
     ConsistencyError,
-    FactorNotInDualError,
     InputShapeError,
     SamplingExhaustedError,
 )
@@ -249,13 +250,14 @@ def reduced_r(
 
 
 def _n_matrix(S: ReductionSetup, word: GroupWord, cond_threshold: float):
-    """(N, Ad_λ^{-1}): the rows of N are the N_i of n_vectors, in K coordinates."""
+    """(N, Ad_λ^{-1}, C): the rows of N are the N_i of n_vectors, in K
+    coordinates, and C is the constraint matrix the second-class test read."""
     C = constraint_matrix(S, word)
     _require_second_class(C, cond_threshold)
     n, m = S.n, S.dim_M
     inv_ad = np.linalg.inv(word.ad)
     if m == 0:
-        return np.zeros((0, n)), inv_ad
+        return np.zeros((0, n)), inv_ad, C
     # column j: M*-coordinates of (Ad^{-1} M^j)_{M*}
     e_mat = S.M_in_K @ inv_ad[n:, :n] @ S.M_in_K.T
     # solvability guard only: second-class membership was already enforced
@@ -280,7 +282,7 @@ def _n_matrix(S: ReductionSetup, word: GroupWord, cond_threshold: float):
     if bad.size:
         i = bad[0]
         raise ConsistencyError(f"defining relation for N_{i} has residual {resid[i]:.3e}")
-    return N, inv_ad
+    return N, inv_ad, C
 
 
 def n_vectors(
@@ -324,13 +326,11 @@ def constraint_inverse_operator_residual(
     """Residual of the identity sending M_k to -N_k through C^{-1}.
 
     The operator Σ_ij (C^{-1})_ij (Ad M^i)_M <M_k, (Ad M^j)_M> must equal
-    -N_k for every k.
+    -N_k for every k; with M = 0 there is no k, and every λ is second class.
     """
-    C = constraint_matrix(S, word)
-    _require_second_class(C, cond_threshold)
     if S.dim_M == 0:
         return 0.0
-    N, _ = _n_matrix(S, word, cond_threshold)
+    N, _, C = _n_matrix(S, word, cond_threshold)
     # column k: Σ_j (C^{-1})_ij <M_k, (Ad M^j)_M>
     coeffs = np.linalg.solve(C.entries, C.m_parts @ S.Mdual.T)
     return float(np.max(np.abs(coeffs.T @ C.m_parts + N)))
@@ -352,7 +352,7 @@ def characterization_identity_residual(
     returned, with the N_i and Ad_λ^{-1} computed once for all of them.
     """
     n = S.n
-    N, inv_ad = _n_matrix(S, word, cond_threshold)
+    N, inv_ad, _ = _n_matrix(S, word, cond_threshold)
     move = inv_ad[:, :n].T  # K row -> its image under Ad_λ^{-1}, in the double
     to_m = S.Mdual.T @ S.M_in_K  # K row -> its M-part
     pu = np.atleast_2d(np.asarray(u, dtype=float)) @ move
@@ -365,27 +365,6 @@ def characterization_identity_residual(
     return float(np.max(np.abs(lhs - np.sum(t1 * t2, axis=1)), initial=0.0))
 
 
-def hstar_coords_of_word(S: ReductionSetup, word: GroupWord, tol: float = 1e-10):
-    """Express the factors of a word over the H* basis; error if any leaks out."""
-    if word.factors is None:
-        raise InputShapeError("word carries no factor list")
-    out = []
-    for f in word.factors:
-        h_coords = S.Hstar_component(f)
-        resid = np.max(np.abs(f - h_coords @ S.Hdual), initial=0.0)
-        if resid > tol * (1.0 + np.max(np.abs(f), initial=0.0)):
-            raise FactorNotInDualError(
-                f"word factor leaves H*: M*-component of size {resid:.3e}"
-            )
-        out.append(h_coords)
-    return out
-
-
-def small_word(S: ReductionSetup, word: GroupWord) -> GroupWord:
-    """The same dual-group point realized on the double of (H, H*)."""
-    return ad_of_word(S.sub_double, hstar_coords_of_word(S, word))
-
-
 def hstar_word(S: ReductionSetup, coords) -> GroupWord:
     """Single-factor word exp(Σ x_a H^a) from H* coordinates."""
     coords = np.asarray(coords, dtype=float)
@@ -394,84 +373,75 @@ def hstar_word(S: ReductionSetup, coords) -> GroupWord:
     return ad_of_word(S.double, [coords @ S.Hdual])
 
 
-def _extended_gradients(S: ReductionSetup, word: GroupWord, F, h: float, cache=None):
-    """Gradients of the extension of F (a function on the dual of H) at word.
+def _pair_gradients(S: ReductionSetup, word: GroupWord, pairs) -> tuple:
+    """(grad F1, grad' F2) at word over the H* basis, one row per pair (F1, F2).
 
-    The extension is constant along the exp(M*) directions, so its gradients
-    coincide with the native gradients of F on the double of (H, H*); they are
-    returned embedded as K-coordinate vectors.
+    A function on the dual of H is an l·Ad·r function read off the
+    sub-double; its jet along the H* basis lists the left derivatives, grad,
+    and then the right ones, grad'.  Both lie in H.
     """
-    sw = small_word(S, word)
-    g_small, gp_small = gradients(sw, F, h, cache)
-    return g_small @ S.H_in_K, gp_small @ S.H_in_K
+    p = S.dim_H
+    g1 = np.array([f1.jet(word, S.hstar_ads)[0][:p] for f1, _ in pairs])
+    g2p = np.array([f2.jet(word, S.hstar_ads)[0][p:] for _, f2 in pairs])
+    return g1, g2p
 
 
 def dirac_bracket(
     S: ReductionSetup,
     word: GroupWord,
-    F1,
-    F2,
-    h: float = 1e-5,
+    pairs,
     cond_threshold: float = COND_THRESHOLD,
-    cache: Optional[StepCache] = None,
-) -> float:
-    """The Dirac bracket {F1, F2}* at λ for functions on the dual of H.
+) -> np.ndarray:
+    """The Dirac bracket {F1, F2}* at λ for each pair (F1, F2) of functions.
 
-    F1, F2 take a word over the double of (H, H*); they are extended to the
-    ambient dual group as constant along exp(M*) and bracketed there, with the
-    full second-class correction term assembled from the closed-form
-    constraint gradients.  The result must match the native bracket of
-    (H, H*) to 1e-6 at second-class points.
+    The functions are l·Ad·r functions on the dual of H (anything with the
+    jet method of verify.QFunction), extended to the ambient dual group as
+    constant along exp(M*) and bracketed there, with the full second-class
+    correction term assembled from the closed-form constraint gradients.
+    Their gradients are exact, and one solve against C serves every pair.
+    The result must match native_hstar_bracket to roundoff at second-class
+    points.
     """
     C = constraint_matrix(S, word)
     _require_second_class(C, cond_threshold)
-    d = S.double
     n = S.n
-    g1, _ = _extended_gradients(S, word, F1, h, cache)
-    _, g2p = _extended_gradients(S, word, F2, h, cache)
-    moved_g2 = word.ad @ d.embed_K(g2p)
-    plain = d.pair(d.embed_K(g1), moved_g2)
+    g1, g2p = (g @ S.H_in_K for g in _pair_gradients(S, word, pairs))
+    # column k: K*-part of Ad_λ grad' f2 for pair k; a K vector pairs with
+    # the K*-part of its partner
+    moved_g2 = word.ad[n:, :n] @ g2p.T
+    plain = np.sum(g1.T * moved_g2, axis=0)
     if C.m == 0:
         return plain
-    # a K vector pairs with the K*-part of its partner
     # {f1, ξ_i} = << grad f1, Ad_λ M^i >>  (grad' ξ_i = M^i)
-    b1 = S.M_in_K @ (g1 @ word.ad[n:, :n])
+    b1 = g1 @ word.ad[n:, :n] @ S.M_in_K.T
     # {ξ_j, f2} = << (Ad_λ M^j)_M, Ad_λ grad' f2 >>
-    b2 = C.m_parts @ moved_g2[n:]
-    correction = b1 @ np.linalg.solve(C.entries, b2)
-    return plain - correction
+    b2 = C.m_parts @ moved_g2
+    return plain - np.sum(b1.T * np.linalg.solve(C.entries, b2), axis=0)
 
 
-def native_hstar_bracket(
-    S: ReductionSetup,
-    word: GroupWord,
-    F1,
-    F2,
-    h: float = 1e-5,
-    cache: Optional[StepCache] = None,
-) -> float:
-    """{F1, F2} computed directly in the double of (H, H*): the oracle side."""
-    from .dual_group import pb_dual
+def native_hstar_bracket(S: ReductionSetup, word: GroupWord, pairs) -> np.ndarray:
+    """{F1, F2} computed in the double of (H, H*) for each pair: the oracle side.
 
-    return pb_dual(small_word(S, word), F1, F2, h, cache)
+    The dual-group bracket << grad f1, Ad (grad' f2) >> with Ad the
+    restriction sub_restrict·Ad_λ·sub_embedᵀ, paired on the sub-double.
+    """
+    d = S.sub_double
+    g1, g2p = _pair_gradients(S, word, pairs)
+    embed = np.eye(d.dim)[: S.dim_H]  # rows: the H basis of the sub-double
+    sub_ad = S.sub_restrict @ word.ad @ S.sub_embed.T
+    moved_g2 = g2p @ embed @ sub_ad.T
+    return np.sum((g1 @ embed @ d.pairing) * moved_g2, axis=1)
 
 
-def constraint_pb_check(
-    S: ReductionSetup,
-    word: GroupWord,
-    f,
-    m_index: int,
-    h: float = 1e-5,
-    cache: Optional[StepCache] = None,
-) -> float:
+def constraint_pb_check(S: ReductionSetup, word: GroupWord, f, m_index: int) -> float:
     """{f, ξ_i}(λ) for an extended function f; vanishes on the dual of H.
 
     The constraint gradient is used in closed form (grad' ξ_i = M^i), so the
     value is << grad f, Ad_λ M^i >> with grad f in H.
     """
-    d = S.double
-    g1, _ = _extended_gradients(S, word, f, h, cache)
-    return d.pair(d.embed_K(g1), word.ad @ d.embed_K(S.M_in_K[m_index]))
+    n = S.n
+    g1 = f.jet(word, S.hstar_ads)[0][: S.dim_H] @ S.H_in_K
+    return float(g1 @ word.ad[n:, :n] @ S.M_in_K[m_index])
 
 
 def sample_hstar_points(

@@ -17,10 +17,10 @@ r: Ȟ* → G⊗G, the certified identities are
 Derivatives of r are exact: an rfun returns the rho jet of
 reduction.rho_jet, the value of r with its left and right derivatives along
 the H* basis, memoised per word.  The Jacobiators need only those first
-derivatives and closed-form derivatives of the test functions, so none of
-the cdybe, equivariance and jacobi equations is differenced and their
-reports carry fd_step 0.0; the dirac suite still takes central differences
-at the configured step.  Every suite reports per-point residuals and the
+derivatives and closed-form derivatives of the test functions, and the
+Dirac brackets read the gradients of their test functions off the same
+closed-form jets, so no equation is differenced and every report carries
+fd_step 0.0.  Every suite reports per-point residuals and the
 worst case against a stated tolerance, and a deliberately sign-corrupted
 r-matrix is pushed through the main residual as a control that the tests
 can fail.
@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .bialgebra_double import ReductionSetup
-from .dual_group import AdEntry, GroupWord, StepCache, ad_of_word, dressing_vector
+from .dual_group import GroupWord, ad_of_word, dressing_vector
 from .errors import ConsistencyError, InputShapeError
 from .lie_core import LieAlgebra, Tensor2, Tensor3, cybe_lhs, invariance_residual3
 from .reduction import (
@@ -474,7 +474,7 @@ def p_jacobi_residual(
 # ---------------------------------------------------------------------------
 
 
-def _report(eq, points, residuals, h, tol, direction="upper") -> ResidualReport:
+def _report(eq, points, residuals, tol, direction="upper") -> ResidualReport:
     per = tuple((describe_word(w) if isinstance(w, GroupWord) else w, float(r))
                 for w, r in zip(points, residuals))
     max_r = float(max(residuals)) if residuals else 0.0
@@ -484,7 +484,7 @@ def _report(eq, points, residuals, h, tol, direction="upper") -> ResidualReport:
         sample_points=desc,
         per_point=per,
         max_residual=max_r,
-        fd_step=h,
+        fd_step=0.0,
         tolerance=tol,
         direction=direction,
     )
@@ -495,7 +495,6 @@ def run_suite(
     suite: str = "all",
     num_points: int = 10,
     seed: int = 0,
-    h: float = 1e-5,
     jacobi_points: int = 5,
     cond_threshold: float = 1e8,
     box_radius: float = 1.0,
@@ -506,9 +505,8 @@ def run_suite(
 
     Returns (reports, words): one ResidualReport per equation, and the
     second-class samples of the dual of H the suites ran on, both
-    deterministic for a fixed seed.  h is the central-difference step of the
-    dirac suite, the only one that differences; the other equations report
-    fd_step 0.0.
+    deterministic for a fixed seed.  Every derivative is exact, so every
+    equation reports fd_step 0.0.
     """
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
@@ -532,7 +530,6 @@ def run_suite(
                     EQ_MCYBE,
                     [[]],
                     [invariance_residual3(S.G, S.anomaly)],
-                    0.0,
                     tol[EQ_MCYBE],
                 )
             )
@@ -540,15 +537,15 @@ def run_suite(
             # point is the triangularity reference, as in triangularity_check
             lhs = [plcdybe_lhs(S, rfun, w) for w in words]
             res = [Tensor3(t.coeffs - S.anomaly.coeffs).norm() for t in lhs]
-            reports.append(_report(EQ_PLCDYBE, words, res, 0.0, tol[EQ_PLCDYBE]))
+            reports.append(_report(EQ_PLCDYBE, words, res, tol[EQ_PLCDYBE]))
             res = [_triangularity(S.G, t, lhs[0]) for t in lhs]
-            reports.append(_report(EQ_TRIANGULARITY, words, res, 0.0, tol[EQ_TRIANGULARITY]))
+            reports.append(_report(EQ_TRIANGULARITY, words, res, tol[EQ_TRIANGULARITY]))
             if S.dim_M > 0:
                 a, b = largest_entry(rfun(words[0]).value)
                 bad = sign_flipped_rfun(rfun, int(a), int(b))
                 res = [plcdybe_residual(S, bad, w).norm() for w in words]
                 reports.append(
-                    _report(EQ_CONTROL, words, res, 0.0, tol[EQ_CONTROL], direction="lower")
+                    _report(EQ_CONTROL, words, res, tol[EQ_CONTROL], direction="lower")
                 )
         elif s == "equivariance":
             res = []
@@ -559,26 +556,24 @@ def run_suite(
                     x[a] = 1.0
                     worst = max(worst, equivariance_residual(S, rfun, w, x).norm())
                 res.append(worst)
-            reports.append(_report(EQ_EQUIVARIANCE, words, res, 0.0, tol[EQ_EQUIVARIANCE]))
+            reports.append(_report(EQ_EQUIVARIANCE, words, res, tol[EQ_EQUIVARIANCE]))
         elif s == "dirac":
-            cache = StepCache(S.sub_double, h)
             dim2 = S.sub_double.dim
+
+            def draw():
+                return dual_entry(S, int(rng.integers(0, dim2)), int(rng.integers(0, dim2)))
+
             res_d, res_c = [], []
             for w in words:
-                worst_d = worst_c = 0.0
-                for _ in range(10):
-                    f1 = AdEntry(int(rng.integers(0, dim2)), int(rng.integers(0, dim2)))
-                    f2 = AdEntry(int(rng.integers(0, dim2)), int(rng.integers(0, dim2)))
-                    got = dirac_bracket(S, w, f1, f2, h, cond_threshold, cache)
-                    want = native_hstar_bracket(S, w, f1, f2, h, cache)
-                    worst_d = max(worst_d, abs(got - want))
-                for i in range(S.dim_M):
-                    f = AdEntry(int(rng.integers(0, dim2)), int(rng.integers(0, dim2)))
-                    worst_c = max(worst_c, abs(constraint_pb_check(S, w, f, i, h, cache)))
-                res_d.append(worst_d)
-                res_c.append(worst_c)
-            reports.append(_report(EQ_DIRAC, words, res_d, h, tol[EQ_DIRAC]))
-            reports.append(_report(EQ_CONSTRAINT_PB, words, res_c, h, tol[EQ_CONSTRAINT_PB]))
+                pairs = [(draw(), draw()) for _ in range(10)]
+                got = dirac_bracket(S, w, pairs, cond_threshold)
+                res_d.append(float(np.max(np.abs(got - native_hstar_bracket(S, w, pairs)))))
+                res_c.append(max(
+                    (abs(constraint_pb_check(S, w, draw(), i)) for i in range(S.dim_M)),
+                    default=0.0,
+                ))
+            reports.append(_report(EQ_DIRAC, words, res_d, tol[EQ_DIRAC]))
+            reports.append(_report(EQ_CONSTRAINT_PB, words, res_c, tol[EQ_CONSTRAINT_PB]))
             res = []
             for w in words:
                 direct = rfun(w).value.coeffs
@@ -586,7 +581,7 @@ def run_suite(
                 r1 = float(np.max(np.abs(direct - via), initial=0.0))
                 r1 = max(r1, constraint_inverse_operator_residual(S, w, cond_threshold))
                 res.append(r1)
-            reports.append(_report(EQ_RHO_CONSISTENCY, words, res, h, tol[EQ_RHO_CONSISTENCY]))
+            reports.append(_report(EQ_RHO_CONSISTENCY, words, res, tol[EQ_RHO_CONSISTENCY]))
             res = []
             for w in words:
                 # 20 (u, v) pairs per point, checked in one call
@@ -595,7 +590,7 @@ def run_suite(
                     u[k] = rng.uniform(-1, 1, S.dim_M) @ S.M_in_K
                     v[k] = rng.uniform(-1, 1, S.dim_M) @ S.M_in_K
                 res.append(characterization_identity_residual(S, w, u, v, cond_threshold))
-            reports.append(_report(EQ_CHARACTERIZATION, words, res, h, tol[EQ_CHARACTERIZATION]))
+            reports.append(_report(EQ_CHARACTERIZATION, words, res, tol[EQ_CHARACTERIZATION]))
         elif s == "jacobi":
             pts = [words[k % len(words)] for k in range(jacobi_points)]
             dim_g = S.G.dim
@@ -618,6 +613,6 @@ def run_suite(
                 f2p = tilde_entry(S, int(rng.integers(0, dim2)), int(rng.integers(0, dim2)))
                 worst = p_jacobi_residual(S, rfun, ppt, *phis)
                 res_p.append(max(worst, p_jacobi_residual(S, rfun, ppt, phis[0], f2p, f3p)))
-            reports.append(_report(EQ_Q_JACOBI, pts, res_q, 0.0, tol[EQ_Q_JACOBI]))
-            reports.append(_report(EQ_P_JACOBI, pts, res_p, 0.0, tol[EQ_P_JACOBI]))
+            reports.append(_report(EQ_Q_JACOBI, pts, res_q, tol[EQ_Q_JACOBI]))
+            reports.append(_report(EQ_P_JACOBI, pts, res_p, tol[EQ_P_JACOBI]))
     return reports, words

@@ -114,6 +114,12 @@ class TestReduceAndVerify:
             assert suite["max_residual"] <= 1e-12
             assert suite["fd_step"] == 0.0
 
+    def test_no_equation_takes_a_finite_difference(self, capsys):
+        code, out, _ = run(["verify", "--input", "sl3_dj_levi", "--suite", "all"], capsys)
+        assert code == 0
+        for suite in json.loads(out)["suites"]:
+            assert suite["fd_step"] == 0.0
+
     def test_sampling_exhaustion_exit_4(self, tmp_path, capsys):
         # abelian ambient with a nonempty complement: C vanishes identically
         doc = {

@@ -21,10 +21,9 @@ import numpy as np
 import pytest
 
 from plrmat.bialgebra_double import validate_setup
-from plrmat.dual_group import AdEntry, StepCache, ad_of_word, identity_word
+from plrmat.dual_group import identity_word
 from plrmat.errors import (
     CDegenerateError,
-    FactorNotInDualError,
     SamplingExhaustedError,
 )
 from plrmat.lie_core import LieAlgebra, Subspace, Tensor2
@@ -42,8 +41,8 @@ from plrmat.reduction import (
     rho,
     rho_via_n,
     sample_hstar_points,
-    small_word,
 )
+from plrmat.verify import QFunction, dual_entry
 
 from test_lie_core import r_dj_sl2, sl2
 
@@ -231,53 +230,61 @@ class TestNVectors:
                     assert characterization_identity_residual(s, w, u, v) <= 1e-9
 
 
+def levi_setup():
+    """The catalog's sl3 Levi setup: its sub-double is not abelian, so the
+    brackets of dual entries are nonzero."""
+    from plrmat.catalog import get_entry
+
+    return get_entry("sl3_dj_levi").setup()
+
+
 class TestDiracBracket:
     def test_constant_function_gives_zero(self):
         s = dj_setup()
         w = hstar_word(s, [0.9])
-        val = dirac_bracket(s, w, lambda _: 1.0, AdEntry(0, 0))
-        assert abs(val) <= 1e-12
+        const = QFunction("dual", np.zeros(2 * s.n), s.sub_embed[0])
+        val = dirac_bracket(s, w, [(const, dual_entry(s, 0, 0))])
+        assert abs(val[0]) <= 1e-12
+
+    @staticmethod
+    def _check_matches_native(s):
+        rng = np.random.default_rng(3)
+        dim2 = s.sub_double.dim
+        for w in sample_hstar_points(s, 4, seed=5):
+            idx = rng.integers(0, dim2, (20, 4))
+            pairs = [(dual_entry(s, a, b), dual_entry(s, c, d)) for a, b, c, d in idx]
+            got = dirac_bracket(s, w, pairs)
+            want = native_hstar_bracket(s, w, pairs)
+            assert got.shape == (20,)
+            assert float(np.max(np.abs(got - want))) <= 1e-12
 
     def test_matches_native_bracket_dj(self):
-        s = dj_setup()
-        rng = np.random.default_rng(3)
-        cache = StepCache(s.sub_double, 1e-5)
-        for w in sample_hstar_points(s, 4, seed=5):
-            for _ in range(5):
-                f1 = AdEntry(rng.integers(0, 2), rng.integers(0, 2))
-                f2 = AdEntry(rng.integers(0, 2), rng.integers(0, 2))
-                got = dirac_bracket(s, w, f1, f2, cache=cache)
-                want = native_hstar_bracket(s, w, f1, f2, cache=cache)
-                assert abs(got - want) <= 1e-6
+        self._check_matches_native(dj_setup())
+
+    def test_matches_native_bracket_levi(self):
+        self._check_matches_native(levi_setup())
 
     def test_constraint_pb_vanishes(self):
         s = dj_setup()
         rng = np.random.default_rng(4)
         for w in sample_hstar_points(s, 4, seed=9):
             for i in range(s.dim_M):
-                f = AdEntry(rng.integers(0, 2), rng.integers(0, 2))
-                assert abs(constraint_pb_check(s, w, f, i)) <= 1e-7
+                f = dual_entry(s, rng.integers(0, 2), rng.integers(0, 2))
+                assert abs(constraint_pb_check(s, w, f, i)) <= 1e-12
 
     def test_constraint_pb_identity_point_exact(self):
         s = dj_setup()
         w = identity_word(s.double)
-        assert abs(constraint_pb_check(s, w, AdEntry(0, 0), 0)) <= 1e-14
+        assert abs(constraint_pb_check(s, w, dual_entry(s, 0, 0), 0)) <= 1e-14
 
     def test_identity_point_trivial_reduction_vanishes(self):
         # with an empty complement the identity is second class and both
         # bracket routes vanish there by isotropy
         s = trivial_setup()
         w = identity_word(s.double)
-        f1, f2 = AdEntry(1, 4), AdEntry(2, 5)
-        assert abs(dirac_bracket(s, w, f1, f2)) <= 1e-12
-        assert abs(native_hstar_bracket(s, w, f1, f2)) <= 1e-12
-
-    def test_small_word_requires_hstar_factors(self):
-        s = dj_setup()
-        stray = np.array([0.0, 0.5, 0.0])  # e* direction is in M*
-        w = ad_of_word(s.double, [stray])
-        with pytest.raises(FactorNotInDualError):
-            small_word(s, w)
+        pairs = [(dual_entry(s, 1, 4), dual_entry(s, 2, 5))]
+        assert abs(dirac_bracket(s, w, pairs)[0]) <= 1e-12
+        assert abs(native_hstar_bracket(s, w, pairs)[0]) <= 1e-12
 
 
 class TestBasisIndependence:

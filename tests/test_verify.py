@@ -15,10 +15,17 @@ import numpy as np
 import pytest
 
 from plrmat.catalog import get_entry, list_entries
-from plrmat.dual_group import StepCache, identity_word, left_derivative
+from plrmat.dual_group import (
+    AdEntry,
+    StepCache,
+    ad_of_word,
+    identity_word,
+    left_derivative,
+    pb_dual,
+)
 from plrmat.errors import InputShapeError
 from plrmat.lie_core import Tensor2
-from plrmat.reduction import RhoJet, hstar_word, rho, sample_hstar_points, small_word
+from plrmat.reduction import RhoJet, hstar_word, native_hstar_bracket, rho, sample_hstar_points
 from plrmat.verify import (
     PPoint,
     QFunction,
@@ -251,6 +258,11 @@ def _restriction_cases():
 RESTRICTION_CASES = list(_restriction_cases())
 
 
+def sub_double_word(S, w):
+    """The point w of the dual of H built on the double of (H, H*) itself."""
+    return ad_of_word(S.sub_double, [S.Hstar_component(f) for f in w.factors])
+
+
 class TestRestrictedDualEntries:
     """The dual factor of a product point is a word over D(K, K*).
 
@@ -282,7 +294,7 @@ class TestRestrictedDualEntries:
     @pytest.mark.parametrize("S,words,tol", RESTRICTION_CASES)
     def test_entries_match_sub_double_word(self, S, words, tol):
         for w in words:
-            want = small_word(S, w).ad
+            want = sub_double_word(S, w).ad
             for got in self._entries(S, w):
                 assert float(np.max(np.abs(got - want))) <= tol
 
@@ -291,7 +303,7 @@ class TestRestrictedDualEntries:
         big = StepCache(S.double, self.h, S.Hdual)
         small = StepCache(S.sub_double, self.h)
         for w in words:
-            sw = small_word(S, w)
+            sw = sub_double_word(S, w)
             for a in range(S.dim_H):
                 for bstep, sstep in ((big.plus[a], small.plus[a]), (big.minus[a], small.minus[a])):
                     for side in ("left_mul", "right_mul"):
@@ -299,6 +311,25 @@ class TestRestrictedDualEntries:
                         want = getattr(sw, side)(sstep).ad
                         for got in self._entries(S, moved):
                             assert float(np.max(np.abs(got - want))) <= tol
+
+    @pytest.mark.parametrize(
+        "S,words,tol", [c for c in RESTRICTION_CASES if c.id in ("sl3_dj_levi", "skewed_levi")]
+    )
+    def test_native_bracket_matches_finite_differences(self, S, words, tol):
+        # the exact bracket against central differences on the sub-double
+        # word, the calculus it replaced; agreement is O(h²)
+        rng = np.random.default_rng(8)
+        dim2 = S.sub_double.dim
+        biggest = 0.0
+        for w in words:
+            idx = rng.integers(0, dim2, (10, 4))
+            pairs = [(dual_entry(S, a, b), dual_entry(S, c, d)) for a, b, c, d in idx]
+            got = native_hstar_bracket(S, w, pairs)
+            sw = sub_double_word(S, w)
+            want = np.array([pb_dual(sw, AdEntry(a, b), AdEntry(c, d), 1e-5) for a, b, c, d in idx])
+            assert float(np.max(np.abs(got - want))) <= 1e-8
+            biggest = max(biggest, float(np.max(np.abs(want))))
+        assert biggest > 1e-2  # the brackets compared are not all zero
 
     def test_translates_carry_no_factors(self):
         _, S, words = CATALOG_SAMPLES[list_entries().index("sl3_dj_levi")]
