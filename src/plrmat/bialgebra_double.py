@@ -32,6 +32,7 @@ split rank-one algebra, and numerically everywhere).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -370,6 +371,12 @@ class ReductionSetup:
         emb = np.zeros((self.dim_H, 2 * n))
         emb[:, n:] = self.Hdual
         return np.einsum("ai,ijk->akj", emb, self.double.D.c)
+
+    @cached_property
+    def _cmatrices(self) -> weakref.WeakKeyDictionary:
+        """reduction.constraint_matrix's memo for this setup: word -> its CMatrix,
+        each entry held while its word lives."""
+        return weakref.WeakKeyDictionary()
 
     @cached_property
     def anomaly(self) -> Tensor3:

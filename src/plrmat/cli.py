@@ -24,6 +24,7 @@ from .reduction import (
     sample_hstar_points,
 )
 from .specio import (
+    _check_sampling,
     build_setup,
     dumps_canonical,
     input_digest,
@@ -110,6 +111,7 @@ def cmd_validate(args) -> int:
 def _apply_overrides(parsed, args):
     if getattr(args, "samples", None) is not None:
         parsed["sampling"]["num_points"] = args.samples
+        _check_sampling(parsed["sampling"])
     if getattr(args, "seed", None) is not None:
         parsed["sampling"]["seed"] = args.seed
     if getattr(args, "tol", None) is not None:

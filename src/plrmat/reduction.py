@@ -18,8 +18,9 @@ is defined.  Evaluation is a few dense products per point: the moved basis
 Ad_λ M^i is one product of the K columns of Ad_λ with M_in_Kᵀ, its
 components are products with the splitting maps the ReductionSetup holds
 (Mdual for the M-part, M_in_K for the M*-part), both forms of C are one
-product each, and rho is one solve against C.  The CMatrix keeps the moved
-M-parts, so rho and the Dirac correction reuse them.
+product each, and rho is one solve against C.  The CMatrix of a point is
+built once per (setup, word) and memoised weakly; every consumer reads the
+point's solve, N_i, Ad velocity and rho jet from it, each made on first use.
 
 rho is antisymmetric and supported on M⊗M, and can equivalently be written
 as -Σ_i N_i(λ) ⊗ M^i = Σ_i M^i ⊗ N_i(λ) through the unique vectors N_i(λ)
@@ -31,15 +32,16 @@ ambient dual group as constant along the exp(M*) directions) is
     {F1,F2}* = {f1,f2} - Σ_ij {f1, ξ_i} (C^{-1})_ij {ξ_j, f2},
 
 with the constraint gradients known in closed form: grad' ξ_i = M^i and
-grad ξ_i = (Ad_λ M^i)_M.  The gradients of F1 and F2 are exact too, read off
-the closed-form jets of l·Ad·r functions.  The Dirac bracket must reproduce
+grad ξ_i = (Ad_λ M^i)_M.  The gradients of F1 and F2 are exact too: for an
+l·Ad·r function each is l·V·r for a velocity V of Ad_λ.  It must reproduce
 the Poisson bracket computed natively in the double of (H, H*), read on a
 point of the dual of H as sub_restrict·Ad_λ·sub_embedᵀ.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,10 +63,15 @@ MAX_SAMPLE_ATTEMPTS = 100
 
 @dataclass(frozen=True, eq=False)
 class CMatrix:
-    """Constraint-bracket matrix at a point, with its conditioning data."""
+    """Constraint-bracket matrix at a point, with its conditioning data.
 
+    Its solve, N_i, Ad velocity and rho jet are computed on first use; it
+    holds the word's Ad matrix but never the word, which keys its memo.
+    """
+
+    setup: ReductionSetup = field(repr=False)
+    ad: np.ndarray = field(repr=False)  # Ad_λ on the double
     entries: np.ndarray
-    word: GroupWord
     cond: float
     antisym_residual: float
     form_agreement: float
@@ -87,35 +94,91 @@ class CMatrix:
             return f"condition number {self.cond:.3e} exceeds threshold {cond_threshold:.1e}"
         return "ok"
 
+    @cached_property
+    def solved(self) -> tuple:
+        """(rho, X) with X = C⁻¹a by one solve, for the rows a = (Ad_λ M^i)_M over G."""
+        if self.m == 0:
+            return Tensor2.zero(self.setup.G.dim), None
+        a = self.setup.K_to_G(self.m_parts)
+        x = np.linalg.solve(self.entries, a)
+        return Tensor2(a.T @ x, antisymmetric=True, tol=1e-9), x
+
+    @cached_property
+    def velocity(self) -> np.ndarray:
+        """(2p, 2n, 2n): Ad_λ's velocity along the left, then right, H* translations."""
+        ads = self.setup.hstar_ads
+        return np.concatenate([ads @ self.ad, self.ad @ ads])
+
+    @cached_property
+    def jet(self) -> RhoJet:
+        """rho with its exact derivatives along the H* basis (see rho_jet)."""
+        S = self.setup
+        if self.m == 0:
+            return RhoJet.zero(S.dim_H, S.G.dim)
+        value, x = self.solved
+        d_m, d_kstar = _moved_basis(S, self.velocity)
+        d_c = d_m @ self.kstar_parts.T + self.m_parts @ np.swapaxes(d_kstar, -1, -2)
+        t = np.swapaxes(S.K_to_G(d_m), -1, -2) @ x  # a'ᵀX
+        d_rho = t - np.swapaxes(t, -1, -2) + x.T @ d_c @ x
+        p = S.dim_H
+        return RhoJet(value, d_rho[:p], d_rho[p:])
+
+    @cached_property
+    def n_matrix(self) -> tuple:
+        """(N, Ad_λ^{-1}): the rows of N are the N_i of n_vectors, in K coordinates."""
+        S = self.setup
+        n, m = S.n, S.dim_M
+        inv_ad = np.linalg.inv(self.ad)
+        if m == 0:
+            return np.zeros((0, n)), inv_ad
+        # column j: M*-coordinates of (Ad^{-1} M^j)_{M*}
+        e_mat = S.M_in_K @ inv_ad[n:, :n] @ S.M_in_K.T
+        # solvability guard only: every reader enforces second-class membership
+        # through C, so this fires solely on numerically singular systems
+        s = np.linalg.svd(e_mat, compute_uv=False)
+        if s[-1] <= 0.0 or s[0] / s[-1] > 1e8:
+            raise CDegenerateError(
+                f"moved complement basis is numerically singular "
+                f"(condition {s[0] / max(s[-1], 1e-300):.3e})"
+            )
+        # column i: Ad^{-1} M_i in the double, and its M*-coordinates
+        targets = inv_ad[:, n:] @ S.Mdual.T
+        N = np.linalg.solve(e_mat, S.M_in_K @ targets[n:]).T @ S.M_in_K
+        # full residual of the defining relation in double coordinates; the
+        # solve fixes the M* component, so this certifies that Ad^{-1} M_i
+        # has no H* leak (which is what makes the relation an equality)
+        rhs = S.Mdual.T @ (S.M_in_K @ (inv_ad[n:, :n] @ N.T))
+        resid = np.maximum(
+            np.max(np.abs(targets[:n]), axis=0), np.max(np.abs(targets[n:] - rhs), axis=0)
+        )
+        bad = np.flatnonzero(resid > 1e-10 * (1.0 + np.max(np.abs(targets), axis=0)))
+        if bad.size:
+            i = bad[0]
+            raise ConsistencyError(f"defining relation for N_{i} has residual {resid[i]:.3e}")
+        return N, inv_ad
+
 
 def _moved_basis(S: ReductionSetup, ad: np.ndarray):
     """A·M^i for every i, split into components, for A = Ad_λ or a stack of matrices.
 
-    Returns (m_parts, kstar_parts, mstar_coords), one row per i (after any
-    leading stack axes): the M-component over the K basis, the K*-component
-    over the dual basis, and the M*-coordinates of the latter.  All three are
-    linear in A, so a stack of velocities of Ad_λ gives their velocities.
+    Returns (m_parts, kstar_parts), one row per i (after any leading stack
+    axes): the M-component over the K basis and the K*-component over the
+    dual basis.  Both are linear in A, so a stack of velocities of Ad_λ gives
+    their velocities.
     """
     n = S.n
     moved = ad[..., :, :n] @ S.M_in_K.T  # column i: A·M^i in the double
     m_parts = np.swapaxes(S.Mdual @ moved[..., :n, :], -1, -2) @ S.M_in_K
-    kstar_parts = np.swapaxes(moved[..., n:, :], -1, -2)
-    mstar_coords = kstar_parts @ S.M_in_K.T
-    return m_parts, kstar_parts, mstar_coords
+    return m_parts, np.swapaxes(moved[..., n:, :], -1, -2)
 
 
-def constraint_matrix(S: ReductionSetup, word: GroupWord) -> CMatrix:
-    """Evaluate the constraint-bracket matrix C at the given word.
-
-    Degeneracy is recorded, not raised; use check_second_class or rho to act
-    on it.  The two equivalent pairing forms of C are both computed and must
-    agree to FORM_AGREE_TOL.
-    """
+def _build_constraint_matrix(S: ReductionSetup, ad: np.ndarray) -> CMatrix:
+    """Evaluate C at the point with adjoint matrix ad: the one build per point."""
     m = S.dim_M
-    m_parts, kstar_parts, mstar_coords = _moved_basis(S, word.ad)
+    m_parts, kstar_parts = _moved_basis(S, ad)
     # << (Ad M^j)_{M*}, (Ad M^i)_M >>: canonical pairing is the coordinate
     # dot product between dual and primal K coordinates
-    c_a = m_parts @ (mstar_coords @ S.Mdual).T
+    c_a = m_parts @ (kstar_parts @ S.M_in_K.T @ S.Mdual).T
     # << (Ad M^i)_M, Ad M^j >> picks out the full K*-part of Ad M^j
     c_b = m_parts @ kstar_parts.T
     scale = 1.0 + float(np.max(np.abs(c_a), initial=0.0))
@@ -135,8 +198,9 @@ def constraint_matrix(S: ReductionSetup, word: GroupWord) -> CMatrix:
         cond = float(max(s[0], 1.0) / s[-1]) if s[-1] > 0.0 else float("inf")
     anti = float(np.max(np.abs(c_a + c_a.T), initial=0.0))
     return CMatrix(
+        setup=S,
+        ad=ad,
         entries=c_a,
-        word=word,
         cond=cond,
         antisym_residual=anti,
         form_agreement=agree,
@@ -145,26 +209,33 @@ def constraint_matrix(S: ReductionSetup, word: GroupWord) -> CMatrix:
     )
 
 
+def constraint_matrix(S: ReductionSetup, word: GroupWord) -> CMatrix:
+    """The constraint-bracket matrix C at the given word, with its per-point data.
+
+    One CMatrix per (setup, word), built on the first request and held in the
+    setup's memo while the word lives.  Degeneracy is recorded, not raised;
+    use check_second_class or rho to act on it.  The two equivalent pairing
+    forms of C are both computed and must agree to FORM_AGREE_TOL.
+    """
+    memo = S._cmatrices
+    C = memo.get(word)
+    if C is None:
+        C = memo[word] = _build_constraint_matrix(S, word.ad)
+    return C
+
+
 def check_second_class(C: CMatrix, cond_threshold: float = COND_THRESHOLD) -> bool:
     """Membership test for the open set where the constraints are second class."""
     return C.diagnosis(cond_threshold) == "ok"
 
 
-def _require_second_class(C: CMatrix, cond_threshold: float) -> None:
+def _second_class_matrix(S: ReductionSetup, word: GroupWord, cond_threshold: float) -> CMatrix:
+    """constraint_matrix at word; CDegenerateError unless second class under cond_threshold."""
+    C = constraint_matrix(S, word)
     diag = C.diagnosis(cond_threshold)
     if diag != "ok":
         raise CDegenerateError(f"constraint matrix degenerate: {diag}")
-
-
-def _solved_m_parts(S: ReductionSetup, word: GroupWord, cond_threshold: float):
-    """(C, a, X) at a second-class λ: a holds the rows (Ad_λ M^i)_M in G
-    coordinates and X = C⁻¹a, by one solve; a and X are None when M = 0."""
-    C = constraint_matrix(S, word)
-    _require_second_class(C, cond_threshold)
-    if C.m == 0:
-        return C, None, None
-    a_g = S.K_to_G(C.m_parts)
-    return C, a_g, np.linalg.solve(C.entries, a_g)
+    return C
 
 
 def rho(
@@ -177,10 +248,7 @@ def rho(
     rho = Σ_ij (C^{-1})_ij (Ad_λ M^i)_M ⊗ (Ad_λ M^j)_M, computed with a
     linear solve against C rather than an explicit inverse.
     """
-    _, a_g, x = _solved_m_parts(S, word, cond_threshold)
-    if x is None:
-        return Tensor2.zero(S.G.dim)
-    return Tensor2(a_g.T @ x, antisymmetric=True, tol=1e-9)
+    return _second_class_matrix(S, word, cond_threshold).solved[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,17 +290,7 @@ def rho_jet(
     << (A M^i)_M, A M^j >>, which equals the other form of C for every
     matrix A, since M pairs to zero with H*.  The value is rho's, bit for bit.
     """
-    C, a_g, x = _solved_m_parts(S, word, cond_threshold)
-    if x is None:
-        return RhoJet.zero(S.dim_H, S.G.dim)
-    ads = S.hstar_ads
-    velocity = np.concatenate([ads @ word.ad, word.ad @ ads])  # left, then right
-    d_m, d_kstar, _ = _moved_basis(S, velocity)
-    d_c = d_m @ C.kstar_parts.T + C.m_parts @ np.swapaxes(d_kstar, -1, -2)
-    t = np.swapaxes(S.K_to_G(d_m), -1, -2) @ x  # a'ᵀX
-    d_rho = t - np.swapaxes(t, -1, -2) + x.T @ d_c @ x
-    p = S.dim_H
-    return RhoJet(Tensor2(a_g.T @ x, antisymmetric=True, tol=1e-9), d_rho[:p], d_rho[p:])
+    return _second_class_matrix(S, word, cond_threshold).jet
 
 
 def reduced_r(
@@ -249,42 +307,6 @@ def reduced_r(
     return Tensor2(base.coeffs + p.coeffs, antisymmetric=True, tol=1e-9)
 
 
-def _n_matrix(S: ReductionSetup, word: GroupWord, cond_threshold: float):
-    """(N, Ad_λ^{-1}, C): the rows of N are the N_i of n_vectors, in K
-    coordinates, and C is the constraint matrix the second-class test read."""
-    C = constraint_matrix(S, word)
-    _require_second_class(C, cond_threshold)
-    n, m = S.n, S.dim_M
-    inv_ad = np.linalg.inv(word.ad)
-    if m == 0:
-        return np.zeros((0, n)), inv_ad, C
-    # column j: M*-coordinates of (Ad^{-1} M^j)_{M*}
-    e_mat = S.M_in_K @ inv_ad[n:, :n] @ S.M_in_K.T
-    # solvability guard only: second-class membership was already enforced
-    # through C, so this fires solely on numerically singular systems
-    s = np.linalg.svd(e_mat, compute_uv=False)
-    if s[-1] <= 0.0 or s[0] / s[-1] > 1e8:
-        raise CDegenerateError(
-            f"moved complement basis is numerically singular "
-            f"(condition {s[0] / max(s[-1], 1e-300):.3e})"
-        )
-    # column i: Ad^{-1} M_i in the double, and its M*-coordinates
-    targets = inv_ad[:, n:] @ S.Mdual.T
-    N = np.linalg.solve(e_mat, S.M_in_K @ targets[n:]).T @ S.M_in_K
-    # full residual of the defining relation in double coordinates; the
-    # solve fixes the M* component, so this certifies that Ad^{-1} M_i
-    # has no H* leak (which is what makes the relation an equality)
-    rhs = S.Mdual.T @ (S.M_in_K @ (inv_ad[n:, :n] @ N.T))
-    resid = np.maximum(
-        np.max(np.abs(targets[:n]), axis=0), np.max(np.abs(targets[n:] - rhs), axis=0)
-    )
-    bad = np.flatnonzero(resid > 1e-10 * (1.0 + np.max(np.abs(targets), axis=0)))
-    if bad.size:
-        i = bad[0]
-        raise ConsistencyError(f"defining relation for N_{i} has residual {resid[i]:.3e}")
-    return N, inv_ad, C
-
-
 def n_vectors(
     S: ReductionSetup,
     word: GroupWord,
@@ -296,7 +318,7 @@ def n_vectors(
     N_i come from one solve against the moved complement basis; the defining
     relation is verified to 1e-10 for each of them after the solve.
     """
-    return list(_n_matrix(S, word, cond_threshold)[0])
+    return list(_second_class_matrix(S, word, cond_threshold).n_matrix[0])
 
 
 def rho_via_n(
@@ -307,9 +329,10 @@ def rho_via_n(
     """rho recomputed from the N_i in both product orders.
 
     Both -Σ N_i ⊗ M^i and +Σ M^i ⊗ N_i are assembled; they must agree with
-    each other to 1e-9 (and with rho, which callers assert separately).
+    each other to 1e-9 (and with rho, which callers assert separately).  The
+    N_i come from Ad_λ^{-1}, never from the solve against C that gives rho.
     """
-    n_g = S.K_to_G(_n_matrix(S, word, cond_threshold)[0])
+    n_g = S.K_to_G(_second_class_matrix(S, word, cond_threshold).n_matrix[0])
     m_g = S.K_to_G(S.M_in_K)
     a = -(n_g.T @ m_g)
     b = m_g.T @ n_g
@@ -330,10 +353,10 @@ def constraint_inverse_operator_residual(
     """
     if S.dim_M == 0:
         return 0.0
-    N, _, C = _n_matrix(S, word, cond_threshold)
+    C = _second_class_matrix(S, word, cond_threshold)
     # column k: Σ_j (C^{-1})_ij <M_k, (Ad M^j)_M>
     coeffs = np.linalg.solve(C.entries, C.m_parts @ S.Mdual.T)
-    return float(np.max(np.abs(coeffs.T @ C.m_parts + N)))
+    return float(np.max(np.abs(coeffs.T @ C.m_parts + C.n_matrix[0])))
 
 
 def characterization_identity_residual(
@@ -349,10 +372,10 @@ def characterization_identity_residual(
                                         << (λ^{-1}vλ)_M, λ^{-1}N_iλ >>
     for u, v in M (K coordinates).  u and v may also be stacks of such
     vectors, one (u, v) pair per row: the largest residual over the pairs is
-    returned, with the N_i and Ad_λ^{-1} computed once for all of them.
+    returned, with the N_i and Ad_λ^{-1} read once for all of them.
     """
     n = S.n
-    N, inv_ad, _ = _n_matrix(S, word, cond_threshold)
+    N, inv_ad = _second_class_matrix(S, word, cond_threshold).n_matrix
     move = inv_ad[:, :n].T  # K row -> its image under Ad_λ^{-1}, in the double
     to_m = S.Mdual.T @ S.M_in_K  # K row -> its M-part
     pu = np.atleast_2d(np.asarray(u, dtype=float)) @ move
@@ -373,17 +396,17 @@ def hstar_word(S: ReductionSetup, coords) -> GroupWord:
     return ad_of_word(S.double, [coords @ S.Hdual])
 
 
-def _pair_gradients(S: ReductionSetup, word: GroupWord, pairs) -> tuple:
-    """(grad F1, grad' F2) at word over the H* basis, one row per pair (F1, F2).
+def _pair_gradients(C: CMatrix, pairs) -> tuple:
+    """(grad F1, grad' F2) over the H* basis, one row per pair of l·Ad·r functions.
 
-    A function on the dual of H is an l·Ad·r function read off the
-    sub-double; its jet along the H* basis lists the left derivatives, grad,
-    and then the right ones, grad'.  Both lie in H.
+    Every entry is l·V·r for a velocity V of Ad_λ, so one contraction of the
+    stacked left and right rows serves all pairs.  Both gradients lie in H.
     """
-    p = S.dim_H
-    g1 = np.array([f1.jet(word, S.hstar_ads)[0][:p] for f1, _ in pairs])
-    g2p = np.array([f2.jet(word, S.hstar_ads)[0][p:] for _, f2 in pairs])
-    return g1, g2p
+    p = C.setup.dim_H
+    left = np.array([f.left for pair in pairs for f in pair])
+    right = np.array([f.right for pair in pairs for f in pair])
+    g = np.sum((left @ C.velocity) * right, axis=-1).T
+    return g[0::2, :p], g[1::2, p:]
 
 
 def dirac_bracket(
@@ -395,25 +418,24 @@ def dirac_bracket(
     """The Dirac bracket {F1, F2}* at λ for each pair (F1, F2) of functions.
 
     The functions are l·Ad·r functions on the dual of H (anything with the
-    jet method of verify.QFunction), extended to the ambient dual group as
-    constant along exp(M*) and bracketed there, with the full second-class
-    correction term assembled from the closed-form constraint gradients.
-    Their gradients are exact, and one solve against C serves every pair.
-    The result must match native_hstar_bracket to roundoff at second-class
-    points.
+    left and right rows of verify.QFunction), extended to the ambient dual
+    group as constant along exp(M*) and bracketed there, with the full
+    second-class correction term assembled from the closed-form constraint
+    gradients.  Their gradients are exact, and one solve against C serves
+    every pair.  The result must match native_hstar_bracket to roundoff at
+    second-class points.
     """
-    C = constraint_matrix(S, word)
-    _require_second_class(C, cond_threshold)
+    C = _second_class_matrix(S, word, cond_threshold)
     n = S.n
-    g1, g2p = (g @ S.H_in_K for g in _pair_gradients(S, word, pairs))
+    g1, g2p = (g @ S.H_in_K for g in _pair_gradients(C, pairs))
     # column k: K*-part of Ad_λ grad' f2 for pair k; a K vector pairs with
     # the K*-part of its partner
-    moved_g2 = word.ad[n:, :n] @ g2p.T
+    moved_g2 = C.ad[n:, :n] @ g2p.T
     plain = np.sum(g1.T * moved_g2, axis=0)
     if C.m == 0:
         return plain
     # {f1, ξ_i} = << grad f1, Ad_λ M^i >>  (grad' ξ_i = M^i)
-    b1 = g1 @ word.ad[n:, :n] @ S.M_in_K.T
+    b1 = g1 @ C.ad[n:, :n] @ S.M_in_K.T
     # {ξ_j, f2} = << (Ad_λ M^j)_M, Ad_λ grad' f2 >>
     b2 = C.m_parts @ moved_g2
     return plain - np.sum(b1.T * np.linalg.solve(C.entries, b2), axis=0)
@@ -426,7 +448,7 @@ def native_hstar_bracket(S: ReductionSetup, word: GroupWord, pairs) -> np.ndarra
     restriction sub_restrict·Ad_λ·sub_embedᵀ, paired on the sub-double.
     """
     d = S.sub_double
-    g1, g2p = _pair_gradients(S, word, pairs)
+    g1, g2p = _pair_gradients(constraint_matrix(S, word), pairs)
     embed = np.eye(d.dim)[: S.dim_H]  # rows: the H basis of the sub-double
     sub_ad = S.sub_restrict @ word.ad @ S.sub_embed.T
     moved_g2 = g2p @ embed @ sub_ad.T
@@ -440,7 +462,7 @@ def constraint_pb_check(S: ReductionSetup, word: GroupWord, f, m_index: int) -> 
     value is << grad f, Ad_λ M^i >> with grad f in H.
     """
     n = S.n
-    g1 = f.jet(word, S.hstar_ads)[0][: S.dim_H] @ S.H_in_K
+    g1 = _pair_gradients(constraint_matrix(S, word), [(f, f)])[0][0] @ S.H_in_K
     return float(g1 @ word.ad[n:, :n] @ S.M_in_K[m_index])
 
 

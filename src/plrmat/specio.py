@@ -63,6 +63,18 @@ def _require(data, key, kind, condition):
     return value
 
 
+def _check_sampling(sampling: dict) -> None:
+    """Integer seed, at least one point, and a finite positive box radius."""
+    for key in ("seed", "num_points"):
+        if not isinstance(sampling[key], int):
+            _fail("sampling", f"{key} must be an integer")
+    if sampling["num_points"] < 1:
+        _fail("sampling", f"num_points must be at least 1, got {sampling['num_points']}")
+    radius = sampling["box_radius"]
+    if not isinstance(radius, (int, float)) or not 0 < radius < math.inf:
+        _fail("sampling", f"box_radius must be a finite positive number, got {radius!r}")
+
+
 def parse_spec(data: dict) -> dict:
     """Parse and structurally validate an input document.
 
@@ -154,9 +166,7 @@ def parse_spec(data: dict) -> dict:
     tolerances.update(data.get("tolerances", {}))
     sampling = dict(DEFAULT_SAMPLING)
     sampling.update(data.get("sampling", {}))
-    for key in ("seed", "num_points"):
-        if not isinstance(sampling[key], int):
-            _fail("sampling", f"{key} must be an integer")
+    _check_sampling(sampling)
 
     return {
         "G": G,

@@ -16,10 +16,10 @@ r: Ȟ* → G⊗G, the certified identities are
 
 Derivatives of r are exact: an rfun returns the rho jet of
 reduction.rho_jet, the value of r with its left and right derivatives along
-the H* basis, memoised per word.  The Jacobiators need only those first
-derivatives and closed-form derivatives of the test functions, and the
-Dirac brackets read the gradients of their test functions off the same
-closed-form jets, so no equation is differenced and every report carries
+the H* basis, cached on the point's CMatrix.  The Jacobiators need only those
+first derivatives and closed-form derivatives of the test functions, and the
+Dirac brackets read the gradients of their test functions off the point's
+Ad velocity, so no equation is differenced and every report carries
 fd_step 0.0.  Every suite reports per-point residuals and the
 worst case against a stated tolerance, and a deliberately sign-corrupted
 r-matrix is pushed through the main residual as a control that the tests
@@ -28,8 +28,8 @@ can fail.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
+from functools import partial
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -40,9 +40,11 @@ from .dual_group import GroupWord, ad_of_word, dressing_vector
 from .errors import ConsistencyError, InputShapeError
 from .lie_core import LieAlgebra, Tensor2, Tensor3, cybe_lhs, invariance_residual3
 from .reduction import (
+    COND_THRESHOLD,
     RhoJet,
     characterization_identity_residual,
     constraint_inverse_operator_residual,
+    constraint_matrix,
     constraint_pb_check,
     dirac_bracket,
     native_hstar_bracket,
@@ -201,23 +203,14 @@ def momentum_map(w_tilde: GroupWord, w_hat: GroupWord) -> GroupWord:
     return ad_of_word(w_tilde.double, factors)
 
 
-def reduced_r_function(S: ReductionSetup, cond_threshold: float = 1e8):
+def reduced_r_function(S: ReductionSetup, cond_threshold: float = COND_THRESHOLD):
     """rfun for r* = rho as a callable on dual-group words, returning RhoJets.
 
-    Jets are memoised per word object: a word's Ad matrix is read-only, so a
-    jet cannot go stale, and the suites ask for r* at the same dual point
-    once per equation and per Jacobiator.  The memo holds its words weakly
-    and lives as long as the returned function.
+    Each call is rho_jet at the word, which checks the threshold and reads
+    the jet cached on the point's CMatrix: the suites ask for r* at a point
+    once per equation and per Jacobiator, and it is computed once.
     """
-    memo = weakref.WeakKeyDictionary()
-
-    def f(word: GroupWord) -> RhoJet:
-        jet = memo.get(word)
-        if jet is None:
-            jet = memo[word] = rho_jet(S, word, cond_threshold)
-        return jet
-
-    return f
+    return partial(rho_jet, S, cond_threshold=cond_threshold)
 
 
 def zero_r_function(S: ReductionSetup):
@@ -395,7 +388,7 @@ class _BracketForm:
         h_g = S.K_to_G(S.H_in_K)  # row a: H_a in G coordinates
         hk = S.H_in_K
         for name, sign, side in pt.couplings:
-            word, ads = self.factors[name]
+            word = self.factors[name][0]
             o = self.offsets[name]
             lam_l, lam_r, amb = slice(o, o + p), slice(o + p, o + 2 * p), sides[side]
             jet = rfun(word)
@@ -403,7 +396,7 @@ class _BracketForm:
             B[amb, lam_l] = h_g.T
             B[lam_l, amb] = -h_g
             B[amb, amb] += sign * jet.value.coeffs
-            velocity = np.concatenate([ads @ word.ad, word.ad @ ads])
+            velocity = constraint_matrix(S, word).velocity
             along = slice(o, o + 2 * p)
             dB[along, lam_l, lam_r] = sign * (hk @ velocity[:, n:, :n] @ hk.T)
             dB[along, amb, amb] = sign * np.concatenate([jet.left, jet.right])
@@ -496,7 +489,7 @@ def run_suite(
     num_points: int = 10,
     seed: int = 0,
     jacobi_points: int = 5,
-    cond_threshold: float = 1e8,
+    cond_threshold: float = COND_THRESHOLD,
     box_radius: float = 1.0,
     ambient_box: float = 0.3,
     tolerances: Optional[dict] = None,

@@ -120,6 +120,16 @@ class TestReduceAndVerify:
         for suite in json.loads(out)["suites"]:
             assert suite["fd_step"] == 0.0
 
+    @pytest.mark.parametrize("verb", ["verify", "reduce"])
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_exits_2(self, verb, samples, capsys):
+        code, out, err = run([verb, "--input", "sl2_dj", "--samples", samples], capsys)
+        assert code == 2
+        assert out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "SpecFileError"
+        assert diag["condition"] == "sampling"
+
     def test_sampling_exhaustion_exit_4(self, tmp_path, capsys):
         # abelian ambient with a nonempty complement: C vanishes identically
         doc = {

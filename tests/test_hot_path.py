@@ -10,14 +10,17 @@ M bases are all skewed, so no map reduces to a selection of coordinates.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
-from plrmat import catalog
+from plrmat import catalog, cli, reduction
 from plrmat.bialgebra_double import validate_setup
 from plrmat.catalog import _dj_r, export_entry, get_entry, list_entries, sl3_algebra
 from plrmat.dual_group import StepCache, gradients, left_derivative, right_derivative
+from plrmat.errors import CDegenerateError
 from plrmat.lie_core import (
     LieAlgebra,
     Subspace,
@@ -26,9 +29,12 @@ from plrmat.lie_core import (
     mixed_bracket_terms,
 )
 from plrmat.reduction import (
+    _pair_gradients,
     characterization_identity_residual,
     constraint_inverse_operator_residual,
     constraint_matrix,
+    constraint_pb_check,
+    dirac_bracket,
     n_vectors,
     rho,
     rho_jet,
@@ -41,6 +47,7 @@ from plrmat.verify import (
     EQ_PLCDYBE,
     EQ_TRIANGULARITY,
     PPoint,
+    QFunction,
     QPoint,
     ambient_word,
     dual_entry,
@@ -627,3 +634,126 @@ def test_dual_blocks_keep_the_jacobi_identity():
                 p_jacobi_residual(S, rfun, ppt, phi, hat_entry(S, *e1), hat_entry(S, *e2)),
             )
     assert worst <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one CMatrix per point, read by every consumer
+# ---------------------------------------------------------------------------
+
+
+class TestPointMemo:
+    def setup_method(self):
+        self.e = get_entry("sl3_dj_levi")
+        self.S = self.e.setup()
+        self.words = sample_hstar_points(self.S, 3, self.e.seed, 1.0, self.e.cond_threshold)
+
+    def test_one_matrix_per_word(self):
+        for w in self.words:
+            assert constraint_matrix(self.S, w) is constraint_matrix(self.S, w)
+            assert rho_jet(self.S, w) is rho_jet(self.S, w)
+
+    def test_second_setup_gets_its_own_matrix(self):
+        S, S2, w = self.S, self.e.setup(), self.words[0]
+        assert S2 is not S
+        first = constraint_matrix(S, w)
+        other = constraint_matrix(S2, w)
+        assert other is not first
+        assert other.setup is S2
+        assert constraint_matrix(S, w).setup is S
+        assert constraint_matrix(S2, w).setup is S2
+        np.testing.assert_array_equal(other.entries, first.entries)
+
+    def test_memo_keeps_neither_word_nor_matrix_alive(self):
+        S = self.S
+        w = sample_hstar_points(S, 1, 99, 1.0, self.e.cond_threshold)[0]
+        C = constraint_matrix(S, w)
+        # every cached property of the point is filled in
+        rho_jet(S, w)
+        rho_via_n(S, w)
+        characterization_identity_residual(S, w, S.M_in_K[0], S.M_in_K[1])
+        assert {"solved", "velocity", "jet", "n_matrix"} <= set(vars(C))
+        word_ref, matrix_ref = weakref.ref(w), weakref.ref(C)
+        del w, C
+        gc.collect()
+        assert word_ref() is None
+        assert matrix_ref() is None
+
+    def test_threshold_is_checked_on_every_request(self):
+        S, w = self.S, self.words[0]
+        C = constraint_matrix(S, w)
+        rho(S, w, self.e.cond_threshold)
+        assert C.cond > 1.0
+        for f in (rho, rho_jet, n_vectors, rho_via_n, constraint_inverse_operator_residual):
+            with pytest.raises(CDegenerateError):
+                f(S, w, cond_threshold=1.0)
+        with pytest.raises(CDegenerateError):
+            dirac_bracket(S, w, [(dual_entry(S, 0, 1), dual_entry(S, 1, 0))], cond_threshold=1.0)
+        assert constraint_matrix(S, w) is C
+        np.testing.assert_array_equal(rho(S, w, C.cond).coeffs, C.solved[0].coeffs)
+
+
+def _counting(monkeypatch, owner, name, calls):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_run_suite_builds_each_draw_once(monkeypatch):
+    """Every consumer of every suite reads the point's one CMatrix, and
+    Ad_λ is inverted once per point."""
+    e = get_entry("sl3_dj_levi")
+    S = e.setup()
+    builds, draws, inverses = [], [], []
+    _counting(monkeypatch, reduction, "_build_constraint_matrix", builds)
+    _counting(monkeypatch, reduction, "hstar_word", draws)
+    _counting(monkeypatch, np.linalg, "inv", inverses)
+    reports, words = run_suite(
+        S, "all", num_points=e.num_points, seed=e.seed, cond_threshold=e.cond_threshold
+    )
+    assert all(r.passed for r in reports)
+    assert len(draws) >= len(words) == e.num_points
+    assert len(builds) == len(draws)
+    assert len(inverses) == len(words)
+
+
+def test_reduce_builds_each_draw_once(monkeypatch, tmp_path):
+    builds, draws = [], []
+    _counting(monkeypatch, reduction, "_build_constraint_matrix", builds)
+    _counting(monkeypatch, reduction, "hstar_word", draws)
+    assert cli.main(["reduce", "--input", "sl3_dj_levi", "--output", str(tmp_path / "r.json")]) == 0
+    assert len(draws) >= get_entry("sl3_dj_levi").num_points
+    assert len(builds) == len(draws)
+
+
+@pytest.mark.parametrize("name", ["sl3_dj_levi", "skewed_levi"])
+def test_gradient_contraction_is_the_jet(name):
+    """The Dirac suite's gradients, one contraction with the point's Ad
+    velocity, are the halves of QFunction.jet's gradient."""
+    _, S, words = next(c for c in CASES if c[0] == name)
+    rng = np.random.default_rng(17)
+    dim2, p, n = S.sub_double.dim, S.dim_H, S.n
+    funcs = [dual_entry(S, a, b) for a in range(dim2) for b in range(dim2)]
+    funcs += [
+        QFunction("dual", rng.uniform(-1, 1, dim2) @ S.sub_restrict,
+                  rng.uniform(-1, 1, dim2) @ S.sub_embed)
+        for _ in range(10)
+    ]
+    pairs = list(zip(funcs, reversed(funcs)))
+    for w in words:
+        g1, g2p = _pair_gradients(constraint_matrix(S, w), pairs)
+        jets = [(f1.jet(w, S.hstar_ads)[0], f2.jet(w, S.hstar_ads)[0]) for f1, f2 in pairs]
+        want1 = np.array([j1[:p] for j1, _ in jets])
+        want2 = np.array([j2[p:] for _, j2 in jets])
+        assert float(np.max(np.abs(want1))) > 1e-1
+        assert float(np.max(np.abs(want2))) > 1e-1
+        assert float(np.max(np.abs(g1 - want1))) <= 1e-14
+        assert float(np.max(np.abs(g2p - want2))) <= 1e-14
+        moved_m = w.ad[n:, :n] @ S.M_in_K.T
+        for f in funcs[::7]:
+            want = f.jet(w, S.hstar_ads)[0][:p] @ S.H_in_K @ moved_m
+            got = [constraint_pb_check(S, w, f, i) for i in range(S.dim_M)]
+            assert float(np.max(np.abs(np.array(got) - want))) <= 1e-14

@@ -88,6 +88,19 @@ class TestParse:
 
     def test_bad_sampling_types(self):
         assert first_condition(sl2_doc(sampling={"seed": "six"})) == "sampling"
+        for bad in (
+            {"num_points": 0},
+            {"num_points": -3},
+            {"num_points": 2.0},
+            {"box_radius": "x"},
+            {"box_radius": 0.0},
+            {"box_radius": -1.0},
+            {"box_radius": float("inf")},
+            {"box_radius": float("nan")},
+        ):
+            assert first_condition(sl2_doc(sampling=bad)) == "sampling", bad
+        parsed = parse_spec(sl2_doc(sampling={"num_points": 1, "box_radius": 2}))
+        assert parsed["sampling"]["num_points"] == 1
 
 
 class TestSerialization:
