@@ -20,7 +20,8 @@ components are products with the splitting maps the ReductionSetup holds
 (Mdual for the M-part, M_in_K for the M*-part), both forms of C are one
 product each, and rho is one solve against C.  The CMatrix of a point is
 built once per (setup, word) and memoised weakly; every consumer reads the
-point's solve, N_i, Ad velocity and rho jet from it, each made on first use.
+point's solve, Ad_λ^{-1}, N_i, Ad velocity and rho jet from it, each made
+on first use.
 
 rho is antisymmetric and supported on M⊗M, and can equivalently be written
 as -Σ_i N_i(λ) ⊗ M^i = Σ_i M^i ⊗ N_i(λ) through the unique vectors N_i(λ)
@@ -65,8 +66,8 @@ MAX_SAMPLE_ATTEMPTS = 100
 class CMatrix:
     """Constraint-bracket matrix at a point, with its conditioning data.
 
-    Its solve, N_i, Ad velocity and rho jet are computed on first use; it
-    holds the word's Ad matrix but never the word, which keys its memo.
+    Its solve, Ad_λ^{-1}, N_i, Ad velocity and rho jet are computed on first
+    use; it holds the word's Ad matrix but never the word, which keys its memo.
     """
 
     setup: ReductionSetup = field(repr=False)
@@ -124,13 +125,18 @@ class CMatrix:
         return RhoJet(value, d_rho[:p], d_rho[p:])
 
     @cached_property
-    def n_matrix(self) -> tuple:
-        """(N, Ad_λ^{-1}): the rows of N are the N_i of n_vectors, in K coordinates."""
+    def ad_inverse(self) -> np.ndarray:
+        """Ad_λ^{-1} on the double, inverted once per point."""
+        return np.linalg.inv(self.ad)
+
+    @cached_property
+    def n_matrix(self) -> np.ndarray:
+        """The rows are the N_i of n_vectors, in K coordinates."""
         S = self.setup
         n, m = S.n, S.dim_M
-        inv_ad = np.linalg.inv(self.ad)
         if m == 0:
-            return np.zeros((0, n)), inv_ad
+            return np.zeros((0, n))
+        inv_ad = self.ad_inverse
         # column j: M*-coordinates of (Ad^{-1} M^j)_{M*}
         e_mat = S.M_in_K @ inv_ad[n:, :n] @ S.M_in_K.T
         # solvability guard only: every reader enforces second-class membership
@@ -155,7 +161,7 @@ class CMatrix:
         if bad.size:
             i = bad[0]
             raise ConsistencyError(f"defining relation for N_{i} has residual {resid[i]:.3e}")
-        return N, inv_ad
+        return N
 
 
 def _moved_basis(S: ReductionSetup, ad: np.ndarray):
@@ -318,7 +324,7 @@ def n_vectors(
     N_i come from one solve against the moved complement basis; the defining
     relation is verified to 1e-10 for each of them after the solve.
     """
-    return list(_second_class_matrix(S, word, cond_threshold).n_matrix[0])
+    return list(_second_class_matrix(S, word, cond_threshold).n_matrix)
 
 
 def rho_via_n(
@@ -332,7 +338,7 @@ def rho_via_n(
     each other to 1e-9 (and with rho, which callers assert separately).  The
     N_i come from Ad_λ^{-1}, never from the solve against C that gives rho.
     """
-    n_g = S.K_to_G(_second_class_matrix(S, word, cond_threshold).n_matrix[0])
+    n_g = S.K_to_G(_second_class_matrix(S, word, cond_threshold).n_matrix)
     m_g = S.K_to_G(S.M_in_K)
     a = -(n_g.T @ m_g)
     b = m_g.T @ n_g
@@ -356,7 +362,7 @@ def constraint_inverse_operator_residual(
     C = _second_class_matrix(S, word, cond_threshold)
     # column k: Σ_j (C^{-1})_ij <M_k, (Ad M^j)_M>
     coeffs = np.linalg.solve(C.entries, C.m_parts @ S.Mdual.T)
-    return float(np.max(np.abs(coeffs.T @ C.m_parts + C.n_matrix[0])))
+    return float(np.max(np.abs(coeffs.T @ C.m_parts + C.n_matrix)))
 
 
 def characterization_identity_residual(
@@ -375,7 +381,8 @@ def characterization_identity_residual(
     returned, with the N_i and Ad_λ^{-1} read once for all of them.
     """
     n = S.n
-    N, inv_ad = _second_class_matrix(S, word, cond_threshold).n_matrix
+    C = _second_class_matrix(S, word, cond_threshold)
+    N, inv_ad = C.n_matrix, C.ad_inverse
     move = inv_ad[:, :n].T  # K row -> its image under Ad_λ^{-1}, in the double
     to_m = S.Mdual.T @ S.M_in_K  # K row -> its M-part
     pu = np.atleast_2d(np.asarray(u, dtype=float)) @ move

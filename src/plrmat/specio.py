@@ -18,9 +18,11 @@ The input schema is a JSON document with sparse structure-constant triplets
       "sampling": {"seed": 0, "num_points": 10, "box_radius": 1.0}
     }
 
-The tolerance key fd_step is accepted and ignored: no suite takes a finite
-difference.  It is kept, with its default, so that existing inputs parse
-and the report's parameters block is unchanged.
+The tolerance key jacobi is the tol of validate_setup: it bounds the
+closure checks of K, H, M and their duals and the Jacobi identity of the
+double D(K, K*).  The tolerance key fd_step is accepted and ignored: no
+suite takes a finite difference.  It is kept, with its default, so that
+existing inputs parse and the report's parameters block is unchanged.
 
 Reports are emitted with sorted keys and floats printed to 17 significant
 digits, which makes a rerun with identical inputs byte-identical.

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .bialgebra_double import ReductionSetup
-from .dual_group import GroupWord, ad_of_word, dressing_vector
+from .dual_group import GroupWord, ad_of_word
 from .errors import ConsistencyError, InputShapeError
 from .lie_core import LieAlgebra, Tensor2, Tensor3, cybe_lhs, invariance_residual3
 from .reduction import (
@@ -178,7 +178,8 @@ def equivariance_residual(S: ReductionSetup, rfun, word: GroupWord, x_h) -> Tens
     if x_h.shape != (S.dim_H,):
         raise InputShapeError(f"X must have {S.dim_H} H coordinates")
     x_k = x_h @ S.H_in_K
-    y = dressing_vector(word, x_k)
+    # dual_group.dressing_vector, read off the point's cached Ad_λ^{-1}
+    y = constraint_matrix(S, word).ad_inverse[S.n:, :S.n] @ x_k
     y_h = S.Hstar_component(y)
     leak = float(np.max(np.abs(y - y_h @ S.Hdual), initial=0.0))
     if leak > 1e-9 * (1.0 + float(np.max(np.abs(y), initial=0.0))):

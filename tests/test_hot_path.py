@@ -11,15 +11,22 @@ M bases are all skewed, so no map reduces to a selection of coordinates.
 
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from plrmat import catalog, cli, reduction
-from plrmat.bialgebra_double import validate_setup
+from plrmat.bialgebra_double import DoubleAlgebra, validate_setup
 from plrmat.catalog import _dj_r, export_entry, get_entry, list_entries, sl3_algebra
-from plrmat.dual_group import StepCache, gradients, left_derivative, right_derivative
+from plrmat.dual_group import (
+    StepCache,
+    dressing_vector,
+    gradients,
+    left_derivative,
+    right_derivative,
+)
 from plrmat.errors import CDegenerateError
 from plrmat.lie_core import (
     LieAlgebra,
@@ -364,6 +371,79 @@ def test_blocked_jacobi_residual_matches_einsum():
     assert abs(A.jacobi_residual() - want) <= 1e-12 * want
 
 
+def _orbit_cases():
+    """Tables for the one-product-per-orbit Jacobiator, with a scale for each.
+
+    A dense change of basis of sl3_dj_levi's double is a Lie algebra, so its
+    residual is roundoff and is compared at the size of the summed products
+    (the Jacobiator of |c|).  The other tables are no Lie algebras and are
+    compared at their own residual: one antisymmetric only to 1e-13, and the
+    double with one diagonal entry corrupted at the first and at the last
+    index.  A loop that skips the first or the last i, or drops j = i, then
+    misses part of the Jacobiator and fails the comparison.
+    """
+    rng = np.random.default_rng(11)
+    c = get_entry("sl3_dj_levi").setup().double.D.c
+    d = c.shape[0]
+    q = rng.normal(size=(d, d))
+    dense = np.einsum("ia,jb,abm,mk->ijk", q, q, c, np.linalg.inv(q), optimize=True)
+    yield "dense basis", dense, _einsum_jacobi(np.abs(dense))
+    t = rng.normal(size=(9, 9, 9))
+    e = 1e-13 * rng.normal(size=(9, 9, 9))
+    t = t - np.swapaxes(t, 0, 1) + e + np.swapaxes(e, 0, 1)
+    yield "antisymmetric to 1e-13", t, _einsum_jacobi(t)
+    for idx in ((0, 0, 0), (d - 1, d - 1, d - 1)):
+        bad = c.copy()
+        bad[idx] += 1.0
+        yield f"corrupted at {idx}", bad, _einsum_jacobi(bad)
+
+
+def test_orbit_jacobi_residual_matches_einsum():
+    eps = np.finfo(float).eps
+    for label, c, scale in _orbit_cases():
+        A = LieAlgebra(c, antisym_tol=np.inf, jacobi_tol=np.inf)
+        got, want = A.jacobi_residual(), _einsum_jacobi(c)
+        assert want > 0.0, label
+        assert abs(got - want) <= 4 * eps * scale, (label, got, want)
+
+
+def test_jacobi_residual_holds_no_dim4_array():
+    rng = np.random.default_rng(5)
+    d = 48
+    c = rng.normal(size=(d, d, d))
+    A = LieAlgebra(c - np.swapaxes(c, 0, 1), jacobi_tol=np.inf)
+    tracemalloc.start()
+    try:
+        A.jacobi_residual()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two reused dim³ buffers; one dim⁴ array would be 48 times this bound
+    assert peak < 3 * d**3 * 8
+
+
+def ref_double_invariance(c, p):
+    """The einsum pair that the two products with the pairing replaced."""
+    t = np.einsum("zak,kb->zab", c, p) + np.einsum("ak,zbk->zab", p, c)
+    return float(np.max(np.abs(t)))
+
+
+def test_double_invariance_matches_einsum():
+    rng = np.random.default_rng(12)
+    for name in list_entries():
+        S = get_entry(name).setup()
+        for D in (S.double, S.sub_double):
+            # exact: each entry of the 0/1 canonical pairing picks one constant
+            assert D.invariance_residual() == ref_double_invariance(D.D.c, D.pairing)
+        # a non-symmetric pairing tells p from pᵀ
+        p = rng.normal(size=(S.double.dim, S.double.dim))
+        skew = DoubleAlgebra(D=S.double.D, pairing=p, n=S.double.n)
+        want = ref_double_invariance(S.double.D.c, p)
+        if S.double.D.c.any():
+            assert want > 1.0
+        assert abs(skew.invariance_residual() - want) <= 1e-13 * (1.0 + want)
+
+
 def ref_mixed_bracket_terms(c, s, t, slot_pair):
     """The three-operand einsums the reshaped products replaced."""
     spec = {"12_13": "ay,cz,acx->xyz", "12_23": "xb,cz,bcy->xyz", "13_23": "xb,yd,bdz->xyz"}
@@ -671,7 +751,7 @@ class TestPointMemo:
         rho_jet(S, w)
         rho_via_n(S, w)
         characterization_identity_residual(S, w, S.M_in_K[0], S.M_in_K[1])
-        assert {"solved", "velocity", "jet", "n_matrix"} <= set(vars(C))
+        assert {"solved", "velocity", "jet", "ad_inverse", "n_matrix"} <= set(vars(C))
         word_ref, matrix_ref = weakref.ref(w), weakref.ref(C)
         del w, C
         gc.collect()
@@ -718,6 +798,26 @@ def test_run_suite_builds_each_draw_once(monkeypatch):
     assert len(draws) >= len(words) == e.num_points
     assert len(builds) == len(draws)
     assert len(inverses) == len(words)
+
+
+def test_equivariance_suite_reads_the_cached_inverse(monkeypatch):
+    """The dressing vectors come from the point's Ad_λ⁻¹: the only solves
+    left are rho's, one per point."""
+    e = get_entry("sl3_dj_levi")
+    S = e.setup()
+    solves, inverses = [], []
+    _counting(monkeypatch, np.linalg, "solve", solves)
+    _counting(monkeypatch, np.linalg, "inv", inverses)
+    reports, words = run_suite(
+        S, "equivariance", num_points=e.num_points, seed=e.seed, cond_threshold=e.cond_threshold
+    )
+    assert all(r.passed for r in reports)
+    assert len(solves) == len(inverses) == len(words) == e.num_points
+    monkeypatch.undo()
+    for w in words:
+        block = constraint_matrix(S, w).ad_inverse[S.n:, :S.n]
+        for x in S.H_in_K:
+            _close(block @ x, dressing_vector(w, x), rtol=1e-13)
 
 
 def test_reduce_builds_each_draw_once(monkeypatch, tmp_path):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from plrmat.errors import SpecFileError
+from plrmat.errors import DoubleJacobiError, SpecFileError
+from plrmat.lie_core import LieAlgebra
 from plrmat.specio import build_setup, dumps_canonical, input_digest, parse_spec
 
 
@@ -101,6 +102,20 @@ class TestParse:
             assert first_condition(sl2_doc(sampling=bad)) == "sampling", bad
         parsed = parse_spec(sl2_doc(sampling={"num_points": 1, "box_radius": 2}))
         assert parsed["sampling"]["num_points"] == 1
+
+
+def test_spec_jacobi_tolerance_bounds_the_double(monkeypatch):
+    """tolerances.jacobi reaches the Jacobi check of the double D(K, K*)."""
+    # every check of sl2 is exact; only the double (dim 6) reports 5e-11
+    original = LieAlgebra.jacobi_residual
+
+    def residual(self):
+        return 5e-11 if self.dim == 6 else original(self)
+
+    monkeypatch.setattr(LieAlgebra, "jacobi_residual", residual)
+    assert build_setup(parse_spec(sl2_doc())).double.dim == 6
+    with pytest.raises(DoubleJacobiError):
+        build_setup(parse_spec(sl2_doc(tolerances={"jacobi": 1e-11})))
 
 
 class TestSerialization:
