@@ -108,7 +108,7 @@ class CatalogEntry:
         return LieAlgebra(c, self.labels)
 
     def r_matrix(self) -> Tensor2:
-        return _dj_r(self.algebra().dim, self.r_pairs)
+        return _dj_r(len(self.labels), self.r_pairs)
 
     def setup(self) -> ReductionSetup:
         g = self.algebra()
@@ -232,7 +232,6 @@ def load_entry(name: str) -> ReductionSetup:
 def export_entry(name: str) -> dict:
     """The entry in the structured input-file schema (round-trips through the CLI)."""
     e = get_entry(name)
-    g = e.algebra()
     sc = [[int(i), int(j), int(k), float(v)] for i, j, k, v in e.table]
     r_entries = [[int(a), int(b), 0.5] for a, b in e.r_pairs]
     return {
@@ -241,7 +240,7 @@ def export_entry(name: str) -> dict:
         "name": e.name,
         "notes": e.notes,
         "algebra": {
-            "dim": g.dim,
+            "dim": len(e.labels),
             "structure_constants": sc,
             "basis_labels": list(e.labels),
         },

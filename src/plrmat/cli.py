@@ -25,6 +25,7 @@ from .reduction import (
 )
 from .specio import (
     _check_sampling,
+    _check_tolerances,
     build_setup,
     dumps_canonical,
     input_digest,
@@ -111,13 +112,14 @@ def cmd_validate(args) -> int:
 def _apply_overrides(parsed, args):
     if getattr(args, "samples", None) is not None:
         parsed["sampling"]["num_points"] = args.samples
-        _check_sampling(parsed["sampling"])
     if getattr(args, "seed", None) is not None:
         parsed["sampling"]["seed"] = args.seed
     if getattr(args, "tol", None) is not None:
         parsed["tolerances"]["residual"] = args.tol
     if getattr(args, "cond_threshold", None) is not None:
         parsed["tolerances"]["cond_threshold"] = args.cond_threshold
+    _check_sampling(parsed["sampling"])
+    _check_tolerances(parsed["tolerances"])
 
 
 def cmd_reduce(args) -> int:

@@ -18,11 +18,12 @@ The input schema is a JSON document with sparse structure-constant triplets
       "sampling": {"seed": 0, "num_points": 10, "box_radius": 1.0}
     }
 
-The tolerance key jacobi is the tol of validate_setup: it bounds the
-closure checks of K, H, M and their duals and the Jacobi identity of the
-double D(K, K*).  The tolerance key fd_step is accepted and ignored: no
-suite takes a finite difference.  It is kept, with its default, so that
-existing inputs parse and the report's parameters block is unchanged.
+The tolerance key jacobi bounds the Jacobi identity of G and, as the tol of
+validate_setup, the closure checks of K, H, M and their duals, the Jacobi
+identity of K* and the cocycle check, which certify D(K, K*).  jacobi,
+residual and cond_threshold must be finite positive numbers.  The key
+fd_step is accepted and ignored: no suite takes a finite difference.  It
+is kept so that existing inputs parse and the reports are unchanged.
 
 Reports are emitted with sorted keys and floats printed to 17 significant
 digits, which makes a rerun with identical inputs byte-identical.
@@ -65,6 +66,25 @@ def _require(data, key, kind, condition):
     return value
 
 
+def _with_defaults(data: dict, key: str, defaults: dict) -> dict:
+    """The object data[key] over its defaults."""
+    block = data.get(key, {})
+    if not isinstance(block, dict):
+        _fail(key, f"must be an object, got {type(block).__name__}")
+    return {**defaults, **block}
+
+
+def _check_positive(block: dict, keys, condition: str) -> None:
+    for key in keys:
+        value = block[key]
+        if not isinstance(value, (int, float)) or not 0 < value < math.inf:
+            _fail(condition, f"{key} must be a finite positive number, got {value!r}")
+
+
+def _check_tolerances(tolerances: dict) -> None:
+    _check_positive(tolerances, ("jacobi", "residual", "cond_threshold"), "tolerances")
+
+
 def _check_sampling(sampling: dict) -> None:
     """Integer seed, at least one point, and a finite positive box radius."""
     for key in ("seed", "num_points"):
@@ -72,9 +92,7 @@ def _check_sampling(sampling: dict) -> None:
             _fail("sampling", f"{key} must be an integer")
     if sampling["num_points"] < 1:
         _fail("sampling", f"num_points must be at least 1, got {sampling['num_points']}")
-    radius = sampling["box_radius"]
-    if not isinstance(radius, (int, float)) or not 0 < radius < math.inf:
-        _fail("sampling", f"box_radius must be a finite positive number, got {radius!r}")
+    _check_positive(sampling, ("box_radius",), "sampling")
 
 
 def parse_spec(data: dict) -> dict:
@@ -82,8 +100,8 @@ def parse_spec(data: dict) -> dict:
 
     Returns a dict with keys G, R, K, H, M (library objects), tolerances and
     sampling (plain dicts).  The first violated condition is reported through
-    SpecFileError; deeper validation (Jacobi, closures) happens in
-    build_setup.
+    SpecFileError, the Jacobi identity of G included; deeper validation
+    (closures, the bialgebra) happens in build_setup.
     """
     if not isinstance(data, dict):
         _fail("document", "top-level value must be an object")
@@ -117,8 +135,10 @@ def parse_spec(data: dict) -> dict:
         c[i, j, k] += float(v)
         c[j, i, k] -= float(v)
     labels = tuple(algebra.get("basis_labels", ()))
+    tolerances = _with_defaults(data, "tolerances", DEFAULT_TOLERANCES)
+    _check_tolerances(tolerances)
     try:
-        G = LieAlgebra(c, basis_labels=labels)
+        G = LieAlgebra(c, basis_labels=labels, jacobi_tol=tolerances["jacobi"])
     except Exception as exc:
         _fail("algebra", str(exc))
 
@@ -164,10 +184,7 @@ def parse_spec(data: dict) -> dict:
     except Exception as exc:
         _fail("subspaces", str(exc))
 
-    tolerances = dict(DEFAULT_TOLERANCES)
-    tolerances.update(data.get("tolerances", {}))
-    sampling = dict(DEFAULT_SAMPLING)
-    sampling.update(data.get("sampling", {}))
+    sampling = _with_defaults(data, "sampling", DEFAULT_SAMPLING)
     _check_sampling(sampling)
 
     return {

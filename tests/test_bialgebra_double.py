@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from plrmat.bialgebra_double import (
+    INVARIANCE_TOL,
     Bialgebra,
+    DoubleAlgebra,
     build_double,
     derive_cobracket,
     suggest_complement,
@@ -17,7 +19,6 @@ from plrmat.bialgebra_double import (
 )
 from plrmat.errors import (
     DecompositionError,
-    DoubleJacobiError,
     InputShapeError,
     NotSubBialgebraError,
     ReductivityError,
@@ -30,6 +31,31 @@ from test_lie_core import r_dj_sl2, sl2
 
 def full_subspace(dim):
     return Subspace(dim, np.eye(dim))
+
+
+def sl_n_standard(n):
+    """sl_n over H_a = E_aa - E_(a+1)(a+1) and the matrix units E_ij, i != j,
+    with R = ½ Σ_(i<j) E_ij ∧ E_ji."""
+    mats = []
+    for a in range(n - 1):
+        m = np.zeros((n, n))
+        m[a, a], m[a + 1, a + 1] = 1.0, -1.0
+        mats.append(m)
+    units = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for i, j in units:
+        m = np.zeros((n, n))
+        m[i, j] = 1.0
+        mats.append(m)
+    dim = len(mats)
+    flat = np.array([m.ravel() for m in mats])
+    br = np.array([(x @ y - y @ x).ravel() for x in mats for y in mats])
+    c = np.linalg.lstsq(flat.T, br.T, rcond=None)[0].T.reshape(dim, dim, dim)
+    r = np.zeros((dim, dim))
+    for i, j in units:
+        if i < j:
+            a, b = n - 1 + units.index((i, j)), n - 1 + units.index((j, i))
+            r[a, b], r[b, a] = 0.5, -0.5
+    return LieAlgebra(np.round(c)), Tensor2(r, antisymmetric=True)
 
 
 def brute_force_cobracket(G, R, x):
@@ -154,17 +180,44 @@ class TestBuildDouble:
         assert d.invariance_residual() <= 1e-10
         assert d.pairing_isotropy_residual() <= 1e-14
 
-    def test_inconsistent_input_raises_double_jacobi_error(self):
-        # bypass the bialgebra validation to feed an inconsistent pair
-        K = sl2()
-        Kstar = sl2()  # wrong: not the dual bracket of any cobracket of sl2
-        bad = object.__new__(Bialgebra)
+    def inconsistent_pair(self):
+        """sl2 as its own dual, with the cobracket that duality reads off it."""
+        K = Kstar = sl2()  # not the dual bracket of any cobracket of sl2
+        return K, Kstar, -np.transpose(Kstar.c, (2, 0, 1))
+
+    def test_inconsistent_pair_fails_the_cocycle_check(self):
+        K, Kstar, cb = self.inconsistent_pair()
+        with pytest.raises(NotSubBialgebraError, match="residual 7.000e"):
+            Bialgebra(K=K, Kstar=Kstar, cobracket=cb)
+
+    def test_inconsistent_pair_assembles_a_non_lie_double(self):
+        """What the cocycle check keeps out: build_double computes no Jacobiator."""
+        K, Kstar, cb = self.inconsistent_pair()
+        bad = object.__new__(Bialgebra)  # bypass the bialgebra validation
         object.__setattr__(bad, "K", K)
         object.__setattr__(bad, "Kstar", Kstar)
-        object.__setattr__(bad, "cobracket", -np.transpose(Kstar.c, (2, 0, 1)))
-        object.__setattr__(bad, "cocycle_tol", 1e-10)
-        with pytest.raises(DoubleJacobiError):
-            build_double(bad)
+        object.__setattr__(bad, "cobracket", cb)
+        assert build_double(bad).D.jacobi_residual() > 1e-10
+
+    def test_block_corruptions_break_invariance(self):
+        """One bracket entry changed in each off-diagonal block of the sl4 double
+        is caught by invariance, the one check build_double makes."""
+        d = build_double(derive_cobracket(*sl_n_standard(4), full_subspace(15)))
+        assert d.invariance_residual() <= INVARIANCE_TOL
+        n = d.n
+        k, s = range(n), range(n, 2 * n)
+        blocks = {"[K,K] -> K*": (k, k, s), "[K*,K*] -> K": (s, s, k),
+                  "[K,K*] -> K": (k, s, k), "[K,K*] -> K*": (k, s, s)}
+        rng = np.random.default_rng(2)
+        for label, (xs, ys, zs) in blocks.items():
+            i, j, m = rng.choice(xs), rng.choice(ys), rng.choice(zs)
+            if i == j:
+                j = (j + 1 - xs.start) % n + xs.start
+            c = d.D.c.copy()
+            c[i, j, m] += 1e-3
+            c[j, i, m] -= 1e-3
+            bad = DoubleAlgebra(LieAlgebra(c, jacobi_tol=np.inf), d.pairing, n)
+            assert bad.invariance_residual() > INVARIANCE_TOL, label
 
 
 class TestValidateSetup:
@@ -294,6 +347,25 @@ class TestValidateSetup:
         own = build_double(derive_cobracket(s.G, s.R, s.H_embed))
         np.testing.assert_allclose(own.D.c, s.sub_double.D.c, atol=1e-12)
         np.testing.assert_allclose(own.pairing, s.sub_double.pairing, atol=1e-14)
+
+    def test_one_jacobiator_is_evaluated_that_of_kstar(self, monkeypatch):
+        """K, the double and the sub-double are certified without a Jacobiator."""
+        from plrmat.catalog import get_entry
+
+        e = get_entry("sl3_dj_levi")
+        g = e.algebra()
+        args = [Subspace(g.dim, np.array(rows, dtype=float).reshape(-1, g.dim))
+                for rows in (e.k_rows, e.h_rows, e.m_rows)]
+        seen = []
+        original = LieAlgebra.jacobi_residual
+
+        def counted(self):
+            seen.append(self)
+            return original(self)
+
+        monkeypatch.setattr(LieAlgebra, "jacobi_residual", counted)
+        S = validate_setup(g, e.r_matrix(), *args)
+        assert len(seen) == 1 and seen[0] is S.bialgebra.Kstar
 
     def test_component_splitting(self):
         s = validate_setup(

@@ -130,6 +130,36 @@ class TestReduceAndVerify:
         assert diag["error"] == "SpecFileError"
         assert diag["condition"] == "sampling"
 
+    @pytest.mark.parametrize("verb", ["verify", "reduce"])
+    @pytest.mark.parametrize("flag,value", [("--tol", "-1"), ("--tol", "nan"),
+                                            ("--cond-threshold", "0"),
+                                            ("--cond-threshold", "inf")])
+    def test_bad_tolerance_override_exits_2(self, verb, flag, value, capsys):
+        code, out, err = run([verb, "--input", "sl2_dj", flag, value], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["condition"] == "tolerances"
+
+    @pytest.mark.parametrize("block,value", [
+        ("tolerances", {"jacobi": "x"}),
+        ("tolerances", [1]),
+        ("tolerances", {"cond_threshold": "big"}),
+        ("tolerances", {"residual": None}),
+        ("tolerances", {"jacobi": -1}),
+        ("sampling", [1]),
+    ])
+    @pytest.mark.parametrize("verb", ["validate", "verify"])
+    def test_malformed_block_exits_2(self, verb, block, value, tmp_path, capsys):
+        doc = minimal_sl2((1, 0, 0), [(0, 1, 0), (0, 0, 1)])
+        doc[block] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run([verb, "--input", str(path)], capsys)
+        assert code == 2
+        diag = json.loads(err)
+        assert diag["error"] == "SpecFileError"
+        assert diag["condition"] == block
+
     def test_sampling_exhaustion_exit_4(self, tmp_path, capsys):
         # abelian ambient with a nonempty complement: C vanishes identically
         doc = {

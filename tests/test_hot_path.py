@@ -117,6 +117,19 @@ def ref_rho(S, word):
     return a_g.T @ np.linalg.solve(c_a, a_g)
 
 
+def ref_sub_double_c(S):
+    """The sub-double's structure constants by least squares of each bracket of
+    the rows of H + H* against those rows, one bracket at a time."""
+    rows = S.sub_embed
+    q = rows.shape[0]
+    c = np.zeros((q, q, q))
+    for a in range(q):
+        for b in range(q):
+            br = S.double.D.bracket(rows[a], rows[b])
+            c[a, b] = np.linalg.lstsq(rows.T, br, rcond=None)[0]
+    return c
+
+
 def skewed_levi_setup():
     """sl3 with the gl2-type H, every basis a random recombination."""
     rng = np.random.default_rng(5)
@@ -161,6 +174,11 @@ def test_component_maps_match_solves(name, S, words):
         _close(S.M_component(v), ref_M_component(S, v))
         _close(S.Mstar_component(v), ref_Mstar_component(S, v))
         _close(S.Hstar_component(v), ref_Hstar_component(S, v))
+
+
+@pytest.mark.parametrize("name,S,words", CASES, ids=IDS)
+def test_sub_double_matches_least_squares(name, S, words):
+    np.testing.assert_allclose(S.sub_double.D.c, ref_sub_double_c(S), rtol=0, atol=1e-12)
 
 
 def test_skewed_setup_is_not_coordinate_rows():

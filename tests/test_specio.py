@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from plrmat.errors import DoubleJacobiError, SpecFileError
+from plrmat.errors import NotSubBialgebraError, SpecFileError
 from plrmat.lie_core import LieAlgebra
 from plrmat.specio import build_setup, dumps_canonical, input_digest, parse_spec
 
@@ -102,20 +102,41 @@ class TestParse:
             assert first_condition(sl2_doc(sampling=bad)) == "sampling", bad
         parsed = parse_spec(sl2_doc(sampling={"num_points": 1, "box_radius": 2}))
         assert parsed["sampling"]["num_points"] == 1
+        assert first_condition(sl2_doc(sampling=[1])) == "sampling"
+
+    def test_bad_tolerances(self):
+        for bad in (
+            [1],
+            "1e-10",
+            {"jacobi": "x"},
+            {"jacobi": -1},
+            {"jacobi": 0},
+            {"residual": None},
+            {"residual": float("nan")},
+            {"cond_threshold": "big"},
+            {"cond_threshold": float("inf")},
+        ):
+            assert first_condition(sl2_doc(tolerances=bad)) == "tolerances", bad
+        parsed = parse_spec(sl2_doc(tolerances={"jacobi": 1e-12, "residual": 1}))
+        assert parsed["tolerances"]["jacobi"] == 1e-12
+        assert parsed["tolerances"]["cond_threshold"] == 1e8
 
 
-def test_spec_jacobi_tolerance_bounds_the_double(monkeypatch):
-    """tolerances.jacobi reaches the Jacobi check of the double D(K, K*)."""
-    # every check of sl2 is exact; only the double (dim 6) reports 5e-11
-    original = LieAlgebra.jacobi_residual
-
-    def residual(self):
-        return 5e-11 if self.dim == 6 else original(self)
-
-    monkeypatch.setattr(LieAlgebra, "jacobi_residual", residual)
+def test_spec_jacobi_tolerance_bounds_g_and_kstar(monkeypatch):
+    """tolerances.jacobi bounds the Jacobi checks of G and K* and the cocycle check,
+    which together certify the double D(K, K*)."""
+    S = build_setup(parse_spec(sl2_doc(tolerances={"jacobi": 1e-12})))
+    assert S.G.jacobi_tol == S.bialgebra.Kstar.jacobi_tol == 1e-12
+    assert S.bialgebra.cocycle_tol == 1e-12
+    # every Jacobiator of sl2 is exact; report 5e-11 for each one computed
+    parsed = parse_spec(sl2_doc())
+    monkeypatch.setattr(LieAlgebra, "jacobi_residual", lambda self: 5e-11)
     assert build_setup(parse_spec(sl2_doc())).double.dim == 6
-    with pytest.raises(DoubleJacobiError):
-        build_setup(parse_spec(sl2_doc(tolerances={"jacobi": 1e-11})))
+    assert first_condition(sl2_doc(tolerances={"jacobi": 1e-11})) == "algebra"
+    # G parsed before the patch: K* is the one Jacobiator build_setup computes
+    parsed["tolerances"]["jacobi"] = 1e-11
+    with pytest.raises(NotSubBialgebraError, match="dual bracket"):
+        build_setup(parsed)
 
 
 class TestSerialization:
