@@ -8,6 +8,7 @@ the output byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -101,7 +102,7 @@ def cmd_validate(args) -> int:
         "dim_K": setup.n,
         "dim_H": setup.dim_H,
         "dim_M": setup.dim_M,
-        "jacobi_residual": setup.G.jacobi_residual(),
+        "jacobi_residual": setup.G.checked_jacobi,
         "double_invariance_residual": setup.double.invariance_residual(),
         "closure_pairing_residuals": list(setup.closure_pairing_residuals()),
     }
@@ -205,7 +206,9 @@ def cmd_catalog(args) -> int:
     return EXIT_PARSE
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="plrmat",
         description=(
@@ -255,8 +258,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         return args.func(args)
     except SpecFileError as exc:

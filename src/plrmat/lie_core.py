@@ -22,7 +22,7 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,15 +47,18 @@ class LieAlgebra:
 
     c[i,j,k] is the coefficient of e_k in [e_i, e_j]. Antisymmetry in (i,j)
     and the Jacobi identity are checked at construction; the measured
-    residuals are available afterwards through the *_residual methods.
+    residuals are available afterwards through the *_residual methods, and
+    the Jacobi residual measured at construction as checked_jacobi.
     jacobi_tol=inf waives the Jacobi check and skips computing the dim⁵
-    Jacobiator, for tables whose Jacobi identity is certified elsewhere.
+    Jacobiator, for tables whose Jacobi identity is certified elsewhere;
+    checked_jacobi is then None.
     """
 
     c: np.ndarray
     basis_labels: tuple = ()
     antisym_tol: float = ANTISYM_TOL
     jacobi_tol: float = JACOBI_TOL
+    checked_jacobi: float | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -78,6 +81,7 @@ class LieAlgebra:
             )
         if self.jacobi_tol < np.inf:  # an infinite bound cannot fail
             r = self.jacobi_residual()
+            object.__setattr__(self, "checked_jacobi", r)
             if r > self.jacobi_tol:
                 raise StructureConstantError(
                     f"Jacobi identity fails: residual {r:.3e} > {self.jacobi_tol:.1e}"

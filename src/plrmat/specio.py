@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from json.encoder import encode_basestring_ascii  # json.dumps of a str
 
 import numpy as np
 
@@ -57,11 +58,16 @@ def _fail(condition: str, detail: str):
     raise SpecFileError(condition, detail)
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool: true is not the number 1 in a spec."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(data, key, kind, condition):
     if key not in data:
         _fail(condition, f"missing required field {key!r}")
     value = data[key]
-    if kind is not None and not isinstance(value, kind):
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
         _fail(condition, f"field {key!r} must be {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -77,7 +83,7 @@ def _with_defaults(data: dict, key: str, defaults: dict) -> dict:
 def _check_positive(block: dict, keys, condition: str) -> None:
     for key in keys:
         value = block[key]
-        if not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        if not (_is_int(value) or isinstance(value, float)) or not 0 < value < math.inf:
             _fail(condition, f"{key} must be a finite positive number, got {value!r}")
 
 
@@ -88,7 +94,7 @@ def _check_tolerances(tolerances: dict) -> None:
 def _check_sampling(sampling: dict) -> None:
     """Integer seed, at least one point, and a finite positive box radius."""
     for key in ("seed", "num_points"):
-        if not isinstance(sampling[key], int):
+        if not _is_int(sampling[key]):
             _fail("sampling", f"{key} must be an integer")
     if sampling["num_points"] < 1:
         _fail("sampling", f"num_points must be at least 1, got {sampling['num_points']}")
@@ -123,7 +129,7 @@ def parse_spec(data: dict) -> dict:
         if not isinstance(row, (list, tuple)) or len(row) != 4:
             _fail("algebra.structure_constants", f"entry {idx} must be [i, j, k, value]")
         i, j, k, v = row
-        if not all(isinstance(x, int) for x in (i, j, k)):
+        if not all(_is_int(x) for x in (i, j, k)):
             _fail("algebra.structure_constants", f"entry {idx}: indices must be integers")
         if not all(0 <= x < dim for x in (i, j, k)):
             _fail("algebra.structure_constants", f"entry {idx}: index out of range 0..{dim - 1}")
@@ -149,7 +155,7 @@ def parse_spec(data: dict) -> dict:
         if not isinstance(row, (list, tuple)) or len(row) != 3:
             _fail("r_matrix", f"entry {idx} must be [a, b, value]")
         a, b, v = row
-        if not (isinstance(a, int) and isinstance(b, int)):
+        if not (_is_int(a) and _is_int(b)):
             _fail("r_matrix", f"entry {idx}: indices must be integers")
         if not (0 <= a < dim and 0 <= b < dim):
             _fail("r_matrix", f"entry {idx}: index out of range 0..{dim - 1}")
@@ -232,37 +238,82 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     """JSON text with sorted keys and 17-significant-digit floats.
 
     Whitespace and ordering are fixed, so equal inputs produce byte-equal
-    output; non-finite floats are emitted as quoted strings.
+    output; non-finite floats are emitted as quoted strings.  A list that
+    appears in several places is written out in full at each of them.
     """
-    pad = "  " * indent
-    pad_in = "  " * (indent + 1)
+    return _dumps(obj, indent, {})
+
+
+def _dumps(obj, indent: int, memo: dict) -> str:
+    kind = type(obj)
+    if kind is float:
+        return _format_float(obj)
+    if kind is list or kind is tuple:
+        return _dumps_list(obj, indent, memo)
+    if kind is dict:
+        return _dumps_dict(obj, indent, memo)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return str(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    # None, numpy scalars and arrays, and subclasses of the types above
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return encode_basestring_ascii(obj)
     if isinstance(obj, np.ndarray):
-        return dumps_canonical(obj.tolist(), indent)
+        return _dumps(obj.tolist(), indent, memo)
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [dumps_canonical(v, indent + 1) for v in obj]
-        return "[\n" + ",\n".join(pad_in + it for it in items) + "\n" + pad + "]"
+        return _dumps_list(obj, indent, memo)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise SpecFileError("report", f"non-string key {key!r}")
-            items.append(pad_in + json.dumps(key) + ": " + dumps_canonical(obj[key], indent + 1))
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return _dumps_dict(obj, indent, memo)
     raise SpecFileError("report", f"cannot serialize {type(obj).__name__}")
+
+
+def _dumps_list(obj, indent: int, memo: dict) -> str:
+    """A list or tuple, each distinct one formatted once per top-level call.
+
+    memo maps (id(obj), indent) to (obj, text).  Holding obj keeps its id
+    from passing to a later temporary, such as a list from ndarray.tolist(),
+    while the call runs.
+    """
+    if not obj:
+        return "[]"
+    key = (id(obj), indent)
+    seen = memo.get(key)
+    if seen is not None:
+        return seen[1]
+    pad_in = "  " * (indent + 1)
+    sep = ",\n" + pad_in
+    # finite Python floats print alike under "%.17g" and format(x, ".17g");
+    # a sum that is not finite (a NaN, an inf or an overflow) sends the list
+    # down the per-item path, which is right for every list
+    if set(map(type, obj)) == {float} and math.isfinite(sum(obj)):
+        body = sep.join(["%.17g"] * len(obj)) % tuple(obj)
+    else:
+        body = sep.join([_dumps(v, indent + 1, memo) for v in obj])
+    text = "[\n" + pad_in + body + "\n" + "  " * indent + "]"
+    memo[key] = (obj, text)
+    return text
+
+
+def _dumps_dict(obj, indent: int, memo: dict) -> str:
+    if not obj:
+        return "{}"
+    pad_in = "  " * (indent + 1)
+    items = []
+    for key in sorted(obj):
+        if not isinstance(key, str):
+            raise SpecFileError("report", f"non-string key {key!r}")
+        items.append(pad_in + encode_basestring_ascii(key) + ": "
+                     + _dumps(obj[key], indent + 1, memo))
+    return "{\n" + ",\n".join(items) + "\n" + "  " * indent + "}"
 
 
 def input_digest(raw: bytes) -> str:

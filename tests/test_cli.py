@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from plrmat.catalog import export_entry
 from plrmat.cli import main
-from plrmat.specio import dumps_canonical
+from plrmat.lie_core import LieAlgebra
+from plrmat.specio import dumps_canonical, parse_spec
 
 
 def run(argv, capsys):
@@ -72,6 +74,22 @@ class TestValidate:
         code, _, err = run(["validate", "--input", str(path)], capsys)
         assert code == 3
         assert json.loads(err)["error"] == "ReductivityError"
+
+    def test_jacobi_residual_is_the_one_parse_computed(self, capsys, monkeypatch):
+        calls = []
+        jacobi_residual = LieAlgebra.jacobi_residual
+
+        def counting(self):
+            calls.append(self.dim)
+            return jacobi_residual(self)
+
+        monkeypatch.setattr(LieAlgebra, "jacobi_residual", counting)
+        code, out, _ = run(["validate", "--input", "sl3_dj_levi"], capsys)
+        assert code == 0
+        # G while parsing, K* in validate_setup; the report reads G's
+        assert len(calls) == 2
+        G = parse_spec(export_entry("sl3_dj_levi"))["G"]
+        assert json.loads(out)["jacobi_residual"] == jacobi_residual(G)
 
     def test_unknown_input_exits_2(self, capsys):
         code, _, err = run(["validate", "--input", "no_such_entry"], capsys)
@@ -147,6 +165,10 @@ class TestReduceAndVerify:
         ("tolerances", {"residual": None}),
         ("tolerances", {"jacobi": -1}),
         ("sampling", [1]),
+        ("tolerances", {"jacobi": True}),
+        ("sampling", {"box_radius": True}),
+        ("sampling", {"seed": False}),
+        ("sampling", {"num_points": True}),
     ])
     @pytest.mark.parametrize("verb", ["validate", "verify"])
     def test_malformed_block_exits_2(self, verb, block, value, tmp_path, capsys):

@@ -67,6 +67,16 @@ class TestParse:
         bad = dict(base, algebra=dict(base["algebra"],
                                       structure_constants=[[0, 1, 1, 2.0], [0, 1, 1, 3.0]]))
         assert first_condition(bad) == "algebra.structure_constants"
+        # numpy reads a bool index as a mask, not as 0 or 1
+        bad = dict(base, algebra=dict(base["algebra"],
+                                      structure_constants=[[False, True, 1, 2.0]]))
+        assert first_condition(bad) == "algebra.structure_constants"
+
+    @pytest.mark.parametrize("dim", [0, -1, 3.0, True, "3"])
+    def test_dimension_is_a_positive_integer(self, dim):
+        base = sl2_doc()
+        bad = dict(base, algebra=dict(base["algebra"], dim=dim))
+        assert first_condition(bad) == "algebra.dim"
 
     def test_jacobi_violation_reported_as_algebra(self):
         base = sl2_doc()
@@ -78,6 +88,7 @@ class TestParse:
     def test_r_matrix_orientation(self):
         assert first_condition(sl2_doc(r_matrix=[[2, 1, 0.5]])) == "r_matrix"
         assert first_condition(sl2_doc(r_matrix=[[1, 1, 0.5]])) == "r_matrix"
+        assert first_condition(sl2_doc(r_matrix=[[True, 2, 0.5]])) == "r_matrix"
 
     def test_row_length_checked(self):
         assert first_condition(sl2_doc(subalgebra_H=[[1, 0]])) == "subalgebra_H"
@@ -98,6 +109,10 @@ class TestParse:
             {"box_radius": -1.0},
             {"box_radius": float("inf")},
             {"box_radius": float("nan")},
+            {"box_radius": True},
+            {"seed": True},
+            {"num_points": True},
+            {"num_points": False},
         ):
             assert first_condition(sl2_doc(sampling=bad)) == "sampling", bad
         parsed = parse_spec(sl2_doc(sampling={"num_points": 1, "box_radius": 2}))
@@ -115,6 +130,9 @@ class TestParse:
             {"residual": float("nan")},
             {"cond_threshold": "big"},
             {"cond_threshold": float("inf")},
+            {"jacobi": True},
+            {"residual": True},
+            {"cond_threshold": True},
         ):
             assert first_condition(sl2_doc(tolerances=bad)) == "tolerances", bad
         parsed = parse_spec(sl2_doc(tolerances={"jacobi": 1e-12, "residual": 1}))
