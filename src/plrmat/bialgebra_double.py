@@ -124,17 +124,21 @@ class Bialgebra:
     def cocycle_residual(self) -> float:
         """Max-norm of delta([x,y]) - ad_x.delta(y) + ad_y.delta(x) over basis pairs.
 
-        Evaluated one first index i at a time, over all j at once, so only
-        dim³ arrays are held.
+        The cocycle defect of (e_i, e_j) is antisymmetric in (i, j), as the
+        structure constants are: swapping i and j negates the bracket and
+        exchanges the two ad terms.  So only the pairs j > i are evaluated,
+        one first index i at a time over all its j at once, and only dim³
+        arrays are held.
         """
         c, cb = self.K.c, self.cobracket
         n = self.K.dim
         ads = np.swapaxes(c, 1, 2)  # ads[i] is the matrix of ad_{e_i}
         cb_rows = cb.reshape(n, n * n)
         worst = 0.0
-        for i in range(n):
-            lhs = (c[i] @ cb_rows).reshape(n, n, n)  # delta([e_i, e_j]) for every j
-            rhs = (ads[i] @ cb + cb @ c[i]) - (ads @ cb[i] + cb[i] @ c)
+        for i in range(n - 1):
+            j = slice(i + 1, None)
+            lhs = (c[i, j] @ cb_rows).reshape(-1, n, n)  # delta([e_i, e_j]) for every j > i
+            rhs = (ads[i] @ cb[j] + cb[j] @ c[i]) - (ads[j] @ cb[i] + cb[i] @ c[j])
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         return worst
 

@@ -139,8 +139,9 @@ def cmd_reduce(args) -> int:
     points = _describe_points(setup, words)
     dump = []
     for k, w in enumerate(words):
-        # with no base r, r* = r + rho is rho itself
-        coeffs = rho(setup, w, tol["cond_threshold"]).coeffs.tolist()
+        # with no base r, r* = r + rho is rho itself: one frozen array under
+        # both keys, which the serialiser formats once
+        coeffs = rho(setup, w, tol["cond_threshold"]).coeffs
         dump.append({"index": k, "rho": coeffs, "r_star": coeffs})
     doc = report_document(
         input_digest(raw),

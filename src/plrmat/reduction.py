@@ -23,6 +23,13 @@ built once per (setup, word) and memoised weakly; every consumer reads the
 point's solve, Ad_λ^{-1}, N_i, Ad velocity and rho jet from it, each made
 on first use.
 
+sample_hstar_points evaluates a block of draws as one stacked pass: one
+expm over the stack of their ad matrices, every product, the SVD and the
+maxima of C over the stack, and one solve for rho over the accepted
+points, filled into each point's CMatrix.  A single word (hstar_word,
+constraint_matrix on a word not yet seen) is the stack of one, through the
+same kernels, so a point's Ad, C and rho do not depend on how it was made.
+
 rho is antisymmetric and supported on M⊗M, and can equivalently be written
 as -Σ_i N_i(λ) ⊗ M^i = Σ_i M^i ⊗ N_i(λ) through the unique vectors N_i(λ)
 in M with  Ad_λ^{-1} M_i = (Ad_λ^{-1} N_i(λ))_{M*}.
@@ -46,9 +53,10 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import expm
 
 from .bialgebra_double import ReductionSetup
-from .dual_group import GroupWord, ad_of_word
+from .dual_group import GroupWord
 from .errors import (
     CDegenerateError,
     ConsistencyError,
@@ -97,12 +105,14 @@ class CMatrix:
 
     @cached_property
     def solved(self) -> tuple:
-        """(rho, X) with X = C⁻¹a by one solve, for the rows a = (Ad_λ M^i)_M over G."""
+        """(rho, X) with X = C⁻¹a by one solve, for the rows a = (Ad_λ M^i)_M over G.
+
+        Sampled points have it filled by sample_hstar_points; any other
+        point solves as a stack of one.
+        """
         if self.m == 0:
             return Tensor2.zero(self.setup.G.dim), None
-        a = self.setup.K_to_G(self.m_parts)
-        x = np.linalg.solve(self.entries, a)
-        return Tensor2(a.T @ x, antisymmetric=True, tol=1e-9), x
+        return _solve_points(self.setup, [self])[0]
 
     @cached_property
     def velocity(self) -> np.ndarray:
@@ -178,55 +188,65 @@ def _moved_basis(S: ReductionSetup, ad: np.ndarray):
     return m_parts, np.swapaxes(moved[..., n:, :], -1, -2)
 
 
-def _build_constraint_matrix(S: ReductionSetup, ad: np.ndarray) -> CMatrix:
-    """Evaluate C at the point with adjoint matrix ad: the one build per point."""
+def _build_constraint_matrices(S: ReductionSetup, ads: np.ndarray):
+    """Evaluate C at each point of a (B, 2n, 2n) stack of adjoint matrices.
+
+    Every product, the SVD and the maxima run once over the whole stack;
+    each slice goes through the same kernels as a stack of one, so a
+    point's C does not depend on the draws it was evaluated with.  Yields
+    one CMatrix per slice, in order, raising ConsistencyError when the slice
+    reached disagrees between the two pairing forms.
+    """
     m = S.dim_M
-    m_parts, kstar_parts = _moved_basis(S, ad)
+    m_parts, kstar_parts = _moved_basis(S, ads)
     # << (Ad M^j)_{M*}, (Ad M^i)_M >>: canonical pairing is the coordinate
     # dot product between dual and primal K coordinates
-    c_a = m_parts @ (kstar_parts @ S.M_in_K.T @ S.Mdual).T
+    c_a = m_parts @ np.swapaxes(kstar_parts @ S.M_in_K.T @ S.Mdual, -1, -2)
     # << (Ad M^i)_M, Ad M^j >> picks out the full K*-part of Ad M^j
-    c_b = m_parts @ kstar_parts.T
-    scale = 1.0 + float(np.max(np.abs(c_a), initial=0.0))
-    agree = float(np.max(np.abs(c_a - c_b), initial=0.0))
-    if agree > FORM_AGREE_TOL * scale:
-        raise ConsistencyError(
-            f"the two pairing forms of C disagree by {agree:.3e}"
-        )
+    c_b = m_parts @ np.swapaxes(kstar_parts, -1, -2)
+    scale = 1.0 + np.max(np.abs(c_a), axis=(1, 2), initial=0.0)
+    agree = np.max(np.abs(c_a - c_b), axis=(1, 2), initial=0.0)
+    anti = np.max(np.abs(c_a + np.swapaxes(c_a, -1, -2)), axis=(1, 2), initial=0.0)
     if m == 0:
-        cond = 0.0
+        cond = np.zeros(len(ads))
     else:
         # conditioning against the canonical unit scale of the pairing, not
         # just sigma_max: the second-class test must diverge as C -> 0, which
         # is how sampling automatically avoids the degenerate neighbourhood
         # of the identity (where sigma_max/sigma_min can stay bounded)
         s = np.linalg.svd(c_a, compute_uv=False)
-        cond = float(max(s[0], 1.0) / s[-1]) if s[-1] > 0.0 else float("inf")
-    anti = float(np.max(np.abs(c_a + c_a.T), initial=0.0))
-    return CMatrix(
-        setup=S,
-        ad=ad,
-        entries=c_a,
-        cond=cond,
-        antisym_residual=anti,
-        form_agreement=agree,
-        m_parts=m_parts,
-        kstar_parts=kstar_parts,
-    )
+        with np.errstate(divide="ignore"):
+            cond = np.where(s[:, -1] > 0.0, np.maximum(s[:, 0], 1.0) / s[:, -1], np.inf)
+    for b in range(len(ads)):
+        if agree[b] > FORM_AGREE_TOL * scale[b]:
+            raise ConsistencyError(
+                f"the two pairing forms of C disagree by {agree[b]:.3e}"
+            )
+        yield CMatrix(
+            setup=S,
+            ad=ads[b],
+            entries=c_a[b],
+            cond=float(cond[b]),
+            antisym_residual=float(anti[b]),
+            form_agreement=float(agree[b]),
+            m_parts=m_parts[b],
+            kstar_parts=kstar_parts[b],
+        )
 
 
 def constraint_matrix(S: ReductionSetup, word: GroupWord) -> CMatrix:
     """The constraint-bracket matrix C at the given word, with its per-point data.
 
-    One CMatrix per (setup, word), built on the first request and held in the
-    setup's memo while the word lives.  Degeneracy is recorded, not raised;
+    One CMatrix per (setup, word), built on the first request (for sampled
+    points, by sample_hstar_points with the rest of its block) and held in
+    the setup's memo while the word lives.  Degeneracy is recorded, not raised;
     use check_second_class or rho to act on it.  The two equivalent pairing
     forms of C are both computed and must agree to FORM_AGREE_TOL.
     """
     memo = S._cmatrices
     C = memo.get(word)
     if C is None:
-        C = memo[word] = _build_constraint_matrix(S, word.ad)
+        C = memo[word] = next(_build_constraint_matrices(S, word.ad[None]))
     return C
 
 
@@ -395,12 +415,32 @@ def characterization_identity_residual(
     return float(np.max(np.abs(lhs - np.sum(t1 * t2, axis=1)), initial=0.0))
 
 
+def _hstar_words(S: ReductionSetup, coords: np.ndarray) -> tuple:
+    """(words, ads): the single-factor word exp(Σ_a x_a H^a) for each row x
+    of coords, and the read-only (B, 2n, 2n) stack of their Ad matrices.
+
+    ad_x is summed one H* basis direction at a time, elementwise, and one
+    expm call exponentiates the stack slice by slice, so a row's Ad does not
+    depend on the rows drawn with it.  Each word's Ad is its slice of the
+    stack.
+    """
+    hstar_ads = S.hstar_ads
+    gen = np.zeros((len(coords),) + hstar_ads.shape[1:])
+    for a in range(S.dim_H):
+        gen += coords[:, a, None, None] * hstar_ads[a]
+    ads = expm(gen)
+    ads.setflags(write=False)
+    words = [GroupWord(S.double, (x @ S.Hdual,), ad) for x, ad in zip(coords, ads)]
+    return words, ads
+
+
 def hstar_word(S: ReductionSetup, coords) -> GroupWord:
-    """Single-factor word exp(Σ x_a H^a) from H* coordinates."""
+    """Single-factor word exp(Σ x_a H^a) from H* coordinates: the one-row
+    case of the stacked kernel the sampler uses."""
     coords = np.asarray(coords, dtype=float)
     if coords.shape != (S.dim_H,):
         raise InputShapeError(f"expected {S.dim_H} H* coordinates")
-    return ad_of_word(S.double, [coords @ S.Hdual])
+    return _hstar_words(S, coords[None])[0][0]
 
 
 def _pair_gradients(C: CMatrix, pairs) -> tuple:
@@ -485,19 +525,52 @@ def sample_hstar_points(
 
     Each point is a single-factor word with H* coordinates uniform in
     [-box_radius, box_radius]; draws failing the second-class test are
-    rejected and retried up to max_attempts times per requested point.
+    rejected, and after max_attempts consecutive rejections sampling stops
+    with SamplingExhaustedError.
+
+    The draws still missing are taken as one block: one uniform call of
+    shape (missing, dim H) gives the same coordinates, row by row, as one
+    call per attempt, since the generator fills its output in order.  The
+    block's words, Ad matrices and constraint matrices are built in one
+    stacked pass and scanned in draw order; a further block is drawn only
+    while points are missing.  Each candidate's CMatrix goes into the
+    setup's memo, where constraint_matrix reads it for the test.  rho at
+    the accepted points is then one stacked solve, filled into each
+    point's CMatrix.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    out = []
-    for k in range(num_points):
-        for attempt in range(max_attempts):
-            coords = rng.uniform(-box_radius, box_radius, S.dim_H)
-            word = hstar_word(S, coords)
-            if check_second_class(constraint_matrix(S, word), cond_threshold):
+    memo = S._cmatrices
+    out, accepted, misses = [], [], 0
+    while len(out) < num_points:
+        coords = rng.uniform(-box_radius, box_radius, (num_points - len(out), S.dim_H))
+        words, ads = _hstar_words(S, coords)
+        cmats = _build_constraint_matrices(S, ads)
+        for word in words:
+            if misses >= max_attempts:
+                raise SamplingExhaustedError(
+                    f"no second-class point found for sample {len(out)} "
+                    f"after {max_attempts} attempts"
+                )
+            memo[word] = next(cmats)
+            C = constraint_matrix(S, word)
+            if check_second_class(C, cond_threshold):
                 out.append(word)
-                break
-        else:
-            raise SamplingExhaustedError(
-                f"no second-class point found for sample {k} after {max_attempts} attempts"
-            )
+                accepted.append(C)
+                misses = 0
+            else:
+                misses += 1
+    if accepted and S.dim_M:
+        for C, solved in zip(accepted, _solve_points(S, accepted)):
+            C.__dict__["solved"] = solved
     return out
+
+
+def _solve_points(S: ReductionSetup, cmats: list) -> list:
+    """CMatrix.solved of every point in cmats, by one solve over their stack.
+
+    Every C must be invertible: a singular slice fails the whole stack.
+    """
+    a = S.K_to_G(np.array([C.m_parts for C in cmats]))
+    x = np.linalg.solve(np.array([C.entries for C in cmats]), a)
+    values = np.swapaxes(a, -1, -2) @ x
+    return [(Tensor2(v, antisymmetric=True, tol=1e-9), xc) for v, xc in zip(values, x)]

@@ -31,6 +31,7 @@ digits, which makes a rerun with identical inputs byte-identical.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -61,6 +62,13 @@ def _fail(condition: str, detail: str):
 def _is_int(value) -> bool:
     """An int that is not a bool: true is not the number 1 in a spec."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value, condition: str, where: str) -> float:
+    """A spec value as a float: an int or a float, never a bool or a string."""
+    if not (_is_int(value) or isinstance(value, float)):
+        _fail(condition, f"{where}: value must be a number, got {value!r}")
+    return float(value)
 
 
 def _require(data, key, kind, condition):
@@ -138,8 +146,9 @@ def parse_spec(data: dict) -> dict:
         if (i, j, k) in seen:
             _fail("algebra.structure_constants", f"entry {idx}: duplicate index triple {(i, j, k)}")
         seen.add((i, j, k))
-        c[i, j, k] += float(v)
-        c[j, i, k] -= float(v)
+        v = _number(v, "algebra.structure_constants", f"entry {idx}")
+        c[i, j, k] += v
+        c[j, i, k] -= v
     labels = tuple(algebra.get("basis_labels", ()))
     tolerances = _with_defaults(data, "tolerances", DEFAULT_TOLERANCES)
     _check_tolerances(tolerances)
@@ -164,8 +173,9 @@ def parse_spec(data: dict) -> dict:
         if (a, b) in seen_r:
             _fail("r_matrix", f"entry {idx}: duplicate index pair {(a, b)}")
         seen_r.add((a, b))
-        r[a, b] += float(v)
-        r[b, a] -= float(v)
+        v = _number(v, "r_matrix", f"entry {idx}")
+        r[a, b] += v
+        r[b, a] -= v
     R = Tensor2(r, antisymmetric=True)
 
     def read_rows(key, allow_empty=False):
@@ -178,7 +188,7 @@ def parse_spec(data: dict) -> dict:
         for idx, row in enumerate(rows):
             if not isinstance(row, (list, tuple)) or len(row) != dim:
                 _fail(key, f"row {idx} must be a vector of length {dim}")
-            mat.append([float(x) for x in row])
+            mat.append([_number(x, key, f"row {idx}") for x in row])
         return np.array(mat)
 
     try:
@@ -238,8 +248,9 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     """JSON text with sorted keys and 17-significant-digit floats.
 
     Whitespace and ordering are fixed, so equal inputs produce byte-equal
-    output; non-finite floats are emitted as quoted strings.  A list that
-    appears in several places is written out in full at each of them.
+    output; non-finite floats are emitted as quoted strings.  A numpy array
+    is written as its tolist() would be.  A list or array that appears in
+    several places is written out in full at each of them.
     """
     return _dumps(obj, indent, {})
 
@@ -268,7 +279,7 @@ def _dumps(obj, indent: int, memo: dict) -> str:
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if isinstance(obj, np.ndarray):
-        return _dumps(obj.tolist(), indent, memo)
+        return _dumps_array(obj, indent, memo)
     if isinstance(obj, (list, tuple)):
         return _dumps_list(obj, indent, memo)
     if isinstance(obj, dict):
@@ -301,6 +312,32 @@ def _dumps_list(obj, indent: int, memo: dict) -> str:
     text = "[\n" + pad_in + body + "\n" + "  " * indent + "]"
     memo[key] = (obj, text)
     return text
+
+
+def _dumps_array(obj: np.ndarray, indent: int, memo: dict) -> str:
+    """An array as the text of obj.tolist(), each distinct one formatted once.
+
+    A finite, non-empty float64 array fills the template of its shape in one
+    "%.17g" format operation; any other array goes through its list.  memo
+    holds obj under (id(obj), indent) as _dumps_list does.
+    """
+    if obj.dtype != np.float64 or obj.size == 0 or not np.isfinite(obj).all():
+        return _dumps(obj.tolist(), indent, memo)
+    key = (id(obj), indent)
+    seen = memo.get(key)
+    if seen is None:
+        seen = memo[key] = (obj, _array_template(obj.shape, indent) % tuple(obj.ravel().tolist()))
+    return seen[1]
+
+
+@functools.lru_cache(maxsize=None)
+def _array_template(shape: tuple, indent: int) -> str:
+    """The layout _dumps_list gives a nested list of this shape, "%.17g" per entry."""
+    if not shape:
+        return "%.17g"
+    pad_in = "  " * (indent + 1)
+    item = _array_template(shape[1:], indent + 1)
+    return "[\n" + pad_in + (",\n" + pad_in).join([item] * shape[0]) + "\n" + "  " * indent + "]"
 
 
 def _dumps_dict(obj, indent: int, memo: dict) -> str:

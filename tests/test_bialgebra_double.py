@@ -511,6 +511,25 @@ class TestBlockedResidualsMatchLoops:
             assert want > 1.0
             assert abs(bad.cocycle_residual() - want) <= 1e-12 * want
 
+    def test_cocycle_residual_over_pairs_j_above_i(self):
+        """The pairs j > i give the maximum over all pairs: every catalog
+        entry, generated sl4, and a cobracket corrupted at 1e-6 without
+        antisymmetrising it, whose defect is still antisymmetric in (i, j)."""
+        from plrmat.catalog import get_entry, list_entries
+
+        rng = np.random.default_rng(11)
+        algebras = [get_entry(name).setup().bialgebra for name in list_entries()]
+        algebras.append(derive_cobracket(*sl_n_standard(4), full_subspace(15)))
+        for B in algebras:
+            assert B.cocycle_residual() == pytest.approx(ref_cocycle_residual(B), abs=1e-14)
+            bad = object.__new__(Bialgebra)
+            object.__setattr__(bad, "K", B.K)
+            object.__setattr__(bad, "cobracket", B.cobracket + 1e-6 * rng.normal(size=B.cobracket.shape))
+            want = ref_cocycle_residual(bad)
+            # on an abelian K every cobracket is a cocycle
+            assert want > 1e-7 or not np.any(B.K.c)
+            assert abs(bad.cocycle_residual() - want) <= 1e-12 * want
+
     def test_closure_pairing_residuals(self):
         import dataclasses
 

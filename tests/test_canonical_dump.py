@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from plrmat import catalog, cli
+from plrmat import catalog, cli, specio
 from plrmat.errors import SpecFileError
 from plrmat.specio import dumps_canonical
 
@@ -171,3 +171,62 @@ def test_unsortable_keys_raise_as_before():
     for fn in (dumps_canonical, reference_dumps):
         with pytest.raises(TypeError):
             fn({1: 0.5, "a": 0.5})
+
+
+# ---------------------------------------------------------------------------
+# a float64 array is formatted from a template of its shape, not its list
+# ---------------------------------------------------------------------------
+
+
+def assert_array_as_list(arr, indent=0):
+    """The array's text is its list's, by dumps_canonical and by the reference."""
+    text = dumps_canonical(arr, indent)
+    assert text == dumps_canonical(arr.tolist(), indent)
+    assert text == reference_dumps(arr, indent)
+
+
+@pytest.mark.parametrize("shape", [(1,), (5,), (1, 1), (3, 4), (2, 3, 4), (1, 2, 1)])
+def test_float_arrays_of_every_rank(shape):
+    arr = np.random.default_rng(4).normal(size=shape) * 10.0 ** np.arange(shape[-1])
+    specio._array_template.cache_clear()
+    for indent in (0, 1, 3):
+        assert_array_as_list(arr, indent)
+    # the array's own text came from the template of its shape
+    assert specio._array_template.cache_info().currsize >= 3
+
+
+def test_array_of_signed_zero_and_subnormals():
+    arr = np.array([[-0.0, 0.0, 5e-324], [-5e-324, 1 / 3, 1.7976931348623157e308]])
+    assert_array_as_list(arr)
+    assert_array_as_list(arr[0])
+
+
+@pytest.mark.parametrize("special", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_arrays_fall_back_to_the_list(special):
+    arr = np.array([[0.5, special], [1 / 3, 2.0]])
+    assert_array_as_list(arr)
+    assert_array_as_list(arr, indent=2)
+    assert '"' in dumps_canonical(arr)
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 2)])
+def test_empty_arrays_fall_back_to_the_list(shape):
+    assert_array_as_list(np.zeros(shape))
+    assert_array_as_list(np.zeros(shape), indent=1)
+
+
+def test_read_only_array_at_two_indents():
+    arr = np.arange(6.0).reshape(2, 3) / 7
+    arr.setflags(write=False)
+    doc = {"a": arr, "b": {"c": arr}, "d": [arr, arr]}
+    assert_same_text(doc)
+    # written out in full at each place, with the indent of each place
+    assert dumps_canonical(doc).count("0.14285714285714285") == 4
+
+
+def test_two_equal_shaped_arrays_in_one_dict():
+    rng = np.random.default_rng(1)
+    doc = {"x": rng.normal(size=(3, 3)), "y": rng.normal(size=(3, 3))}
+    assert_same_text(doc)
+    # temporaries made while serialising must not take the memo's place either
+    assert_same_text({f"m{k}": rng.normal(size=(2, 2)) for k in range(8)})

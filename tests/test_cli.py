@@ -66,6 +66,17 @@ class TestValidate:
         assert code == 2
         assert json.loads(err)["condition"] == "r_matrix"
 
+    def test_non_numeric_structure_constant_exits_2(self, tmp_path, capsys):
+        doc = minimal_sl2((1, 0, 0), [(0, 1, 0), (0, 0, 1)])
+        doc["algebra"]["structure_constants"][0][3] = "x"
+        path = tmp_path / "nonnumeric.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(["validate", "--input", str(path)], capsys)
+        assert code == 2
+        diag = json.loads(err)
+        assert diag["error"] == "SpecFileError"
+        assert diag["condition"] == "algebra.structure_constants"
+
     def test_validation_failure_exits_3(self, tmp_path, capsys):
         # span{e} is not a reductive residual subalgebra choice
         doc = minimal_sl2((0, 1, 0), [(1, 0, 0), (0, 0, 1)])

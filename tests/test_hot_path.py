@@ -800,27 +800,33 @@ def _counting(monkeypatch, owner, name, calls):
     monkeypatch.setattr(owner, name, counted)
 
 
+def _rows(calls) -> int:
+    """Rows passed through a stacked builder: the length of each call's stack."""
+    return sum(len(args[1]) for args in calls)
+
+
 def test_run_suite_builds_each_draw_once(monkeypatch):
-    """Every consumer of every suite reads the point's one CMatrix, and
+    """Every drawn candidate's C is built once, as one row of a stacked
+    build; every consumer of every suite reads the point's one CMatrix, and
     Ad_λ is inverted once per point."""
     e = get_entry("sl3_dj_levi")
     S = e.setup()
     builds, draws, inverses = [], [], []
-    _counting(monkeypatch, reduction, "_build_constraint_matrix", builds)
-    _counting(monkeypatch, reduction, "hstar_word", draws)
+    _counting(monkeypatch, reduction, "_build_constraint_matrices", builds)
+    _counting(monkeypatch, reduction, "_hstar_words", draws)
     _counting(monkeypatch, np.linalg, "inv", inverses)
     reports, words = run_suite(
         S, "all", num_points=e.num_points, seed=e.seed, cond_threshold=e.cond_threshold
     )
     assert all(r.passed for r in reports)
-    assert len(draws) >= len(words) == e.num_points
-    assert len(builds) == len(draws)
+    assert _rows(draws) >= len(words) == e.num_points
+    assert _rows(builds) == _rows(draws)
     assert len(inverses) == len(words)
 
 
 def test_equivariance_suite_reads_the_cached_inverse(monkeypatch):
-    """The dressing vectors come from the point's Ad_λ⁻¹: the only solves
-    left are rho's, one per point."""
+    """The dressing vectors come from the point's Ad_λ⁻¹: the only solve
+    left is rho's, one stacked solve over the sampled points."""
     e = get_entry("sl3_dj_levi")
     S = e.setup()
     solves, inverses = [], []
@@ -830,7 +836,8 @@ def test_equivariance_suite_reads_the_cached_inverse(monkeypatch):
         S, "equivariance", num_points=e.num_points, seed=e.seed, cond_threshold=e.cond_threshold
     )
     assert all(r.passed for r in reports)
-    assert len(solves) == len(inverses) == len(words) == e.num_points
+    assert len(solves) == 1
+    assert len(solves[0][0]) == len(inverses) == len(words) == e.num_points
     monkeypatch.undo()
     for w in words:
         block = constraint_matrix(S, w).ad_inverse[S.n:, :S.n]
@@ -839,12 +846,15 @@ def test_equivariance_suite_reads_the_cached_inverse(monkeypatch):
 
 
 def test_reduce_builds_each_draw_once(monkeypatch, tmp_path):
-    builds, draws = [], []
-    _counting(monkeypatch, reduction, "_build_constraint_matrix", builds)
-    _counting(monkeypatch, reduction, "hstar_word", draws)
+    """reduce builds each draw's C once and solves for rho once in all."""
+    builds, draws, solves = [], [], []
+    _counting(monkeypatch, reduction, "_build_constraint_matrices", builds)
+    _counting(monkeypatch, reduction, "_hstar_words", draws)
+    _counting(monkeypatch, np.linalg, "solve", solves)
     assert cli.main(["reduce", "--input", "sl3_dj_levi", "--output", str(tmp_path / "r.json")]) == 0
-    assert len(draws) >= get_entry("sl3_dj_levi").num_points
-    assert len(builds) == len(draws)
+    assert _rows(draws) >= get_entry("sl3_dj_levi").num_points
+    assert _rows(builds) == _rows(draws)
+    assert len(solves) == 1
 
 
 @pytest.mark.parametrize("name", ["sl3_dj_levi", "skewed_levi"])

@@ -90,6 +90,24 @@ class TestParse:
         assert first_condition(sl2_doc(r_matrix=[[1, 1, 0.5]])) == "r_matrix"
         assert first_condition(sl2_doc(r_matrix=[[True, 2, 0.5]])) == "r_matrix"
 
+    @pytest.mark.parametrize("value", ["x", "0.5", True, None, [1.0]])
+    def test_values_must_be_numbers(self, value):
+        """Structure constants, r-matrix values and basis-row entries are ints
+        or floats: a string or a bool is not read as the number it spells."""
+        base = sl2_doc()
+        bad = dict(base, algebra=dict(base["algebra"],
+                                      structure_constants=[[0, 1, 1, value]]))
+        assert first_condition(bad) == "algebra.structure_constants"
+        assert first_condition(sl2_doc(r_matrix=[[1, 2, value]])) == "r_matrix"
+        for key in ("subalgebra_K", "subalgebra_H", "complement_M"):
+            rows = [list(r) for r in sl2_doc()[key]]
+            rows[-1][-1] = value
+            assert first_condition(sl2_doc(**{key: rows})) == key
+
+    def test_integer_values_are_numbers(self):
+        parsed = parse_spec(sl2_doc(r_matrix=[[1, 2, 1]]))
+        assert parsed["R"].coeffs[1, 2] == 1.0
+
     def test_row_length_checked(self):
         assert first_condition(sl2_doc(subalgebra_H=[[1, 0]])) == "subalgebra_H"
 

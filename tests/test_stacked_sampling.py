@@ -1,0 +1,161 @@
+"""The stacked sampler against the loop it replaced.
+
+sample_hstar_points draws the missing points as one block and evaluates the
+block's words, Ad matrices, constraint matrices and rho in stacked passes.
+sequential_sample below is the original loop: one uniform call, one
+hstar_word and one constraint_matrix per attempt, and one solve per point.
+Both must see the same candidates, with the same factors, the same Ad and C
+bytes and the same conditioning, reject the same draws, give the same rho
+bytes, and run out of attempts at the same sample with the same message.
+"""
+
+import numpy as np
+import pytest
+
+from plrmat import reduction
+from plrmat.bialgebra_double import validate_setup
+from plrmat.catalog import get_entry, list_entries
+from plrmat.dual_group import ad_of_word
+from plrmat.errors import SamplingExhaustedError
+from plrmat.lie_core import Subspace
+from plrmat.reduction import (
+    COND_THRESHOLD,
+    MAX_SAMPLE_ATTEMPTS,
+    check_second_class,
+    constraint_matrix,
+    hstar_word,
+    sample_hstar_points,
+)
+
+from test_bialgebra_double import sl_n_standard
+from test_hot_path import skewed_levi_setup
+
+
+def sequential_sample(S, num_points, seed, box_radius=1.0, cond_threshold=COND_THRESHOLD,
+                      max_attempts=MAX_SAMPLE_ATTEMPTS):
+    """The sampler one attempt at a time: (points, [(coords, word, C, accepted)])."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    out, seen = [], []
+    for k in range(num_points):
+        for _ in range(max_attempts):
+            coords = rng.uniform(-box_radius, box_radius, S.dim_H)
+            word = hstar_word(S, coords)
+            C = constraint_matrix(S, word)
+            ok = check_second_class(C, cond_threshold)
+            seen.append((coords, word, C, ok))
+            if ok:
+                out.append(word)
+                break
+        else:
+            raise SamplingExhaustedError(
+                f"no second-class point found for sample {k} after {max_attempts} attempts"
+            )
+    return out, seen
+
+
+def stacked_sample(monkeypatch, S, *args):
+    """sample_hstar_points, with the (word, C) of every candidate it tests."""
+    seen = []
+    original = reduction.constraint_matrix
+
+    def recording(setup, word):
+        C = original(setup, word)
+        seen.append((word, C))
+        return C
+
+    monkeypatch.setattr(reduction, "constraint_matrix", recording)
+    try:
+        return sample_hstar_points(S, *args), seen
+    finally:
+        monkeypatch.undo()
+
+
+def sl4_setup():
+    G, R = sl_n_standard(4)
+    e15 = np.eye(15)
+    return validate_setup(G, R, Subspace(15, e15), Subspace(15, e15[:3]), Subspace(15, e15[3:]))
+
+
+def sampling_cases():
+    for name in list_entries():
+        e = get_entry(name)
+        yield name, e.setup(), (e.num_points, e.seed, 1.0, e.cond_threshold)
+    yield "sl4", sl4_setup(), (6, 5, 1.0, 30.0)
+    yield "skewed_levi", skewed_levi_setup(), (6, 2, 1.0, 10.0)
+
+
+CASES = list(sampling_cases())
+
+
+@pytest.mark.parametrize("name,S,args", CASES, ids=[c[0] for c in CASES])
+def test_stacked_sampler_matches_the_loop(monkeypatch, name, S, args):
+    words, seen = stacked_sample(monkeypatch, S, *args)
+    ref_words, ref_seen = sequential_sample(S, *args)
+    assert len(words) == len(ref_words) == args[0]
+    assert len(seen) == len(ref_seen)
+    for (word, C), (coords, ref_word, ref_C, ok) in zip(seen, ref_seen):
+        assert check_second_class(C, args[3]) == ok
+        np.testing.assert_array_equal(word.factors[0], coords @ S.Hdual)
+        assert word.ad.tobytes() == ref_word.ad.tobytes()
+        assert C.entries.tobytes() == ref_C.entries.tobytes()
+        assert C.cond == ref_C.cond
+        assert C.form_agreement == ref_C.form_agreement
+        assert C.antisym_residual == ref_C.antisym_residual
+        # the exponential of ad_x for x = Σ_a coords_a H^a
+        want = ad_of_word(S.double, [coords @ S.Hdual]).ad
+        np.testing.assert_allclose(word.ad, want, rtol=0, atol=1e-13)
+    assert [w for w, C in seen if check_second_class(C, args[3])] == words
+    # the stacked solve gives each point the rho of its own solve
+    for w, ref_w in zip(words, ref_words):
+        got, ref = constraint_matrix(S, w), constraint_matrix(S, ref_w)
+        assert "solved" in vars(got) or S.dim_M == 0
+        assert got.solved[0].coeffs.tobytes() == ref.solved[0].coeffs.tobytes()
+
+
+def test_the_cases_reject_draws():
+    """The comparison above covers rejected draws, and blocks after the first."""
+    rejected = 0
+    for _, S, args in CASES:
+        _, seen = sequential_sample(S, *args)
+        rejected += sum(not ok for *_, ok in seen)
+    assert rejected >= 20
+
+
+def test_exhaustion_at_the_same_sample():
+    outcomes = []
+    for name in ("sl2_dj", "sl3_dj_cartan", "sl3_dj_levi"):
+        e = get_entry(name)
+        S = e.setup()
+        for max_attempts in (0, 1, 2, 3, 5):
+            for threshold in (1.5, e.cond_threshold):
+                args = (10, e.seed, 1.0, threshold, max_attempts)
+                try:
+                    ref = [w.factors[0] for w in sequential_sample(S, *args)[0]]
+                except SamplingExhaustedError as exc:
+                    ref = str(exc)
+                try:
+                    got = [w.factors[0] for w in sample_hstar_points(S, *args)]
+                except SamplingExhaustedError as exc:
+                    got = str(exc)
+                if isinstance(ref, str):
+                    assert got == ref
+                else:
+                    np.testing.assert_array_equal(got, ref)
+                outcomes.append(ref)
+    messages = [o for o in outcomes if isinstance(o, str)]
+    # runs that finish, runs that stop at the first sample, and runs that
+    # stop after accepting some points
+    assert len(messages) < len(outcomes)
+    assert any("sample 0 " in m for m in messages)
+    assert any("sample 0 " not in m for m in messages)
+
+
+def test_hstar_word_is_the_one_row_stack():
+    S = get_entry("sl3_dj_levi").setup()
+    coords = np.random.default_rng(2).uniform(-1, 1, (5, S.dim_H))
+    words, ads = reduction._hstar_words(S, coords)
+    assert not ads.flags.writeable
+    for x, w, ad in zip(coords, words, ads):
+        one = hstar_word(S, x)
+        assert one.ad.tobytes() == w.ad.tobytes() == ad.tobytes()
+        np.testing.assert_array_equal(one.factors[0], w.factors[0])
