@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bialgebra_double import ReductionSetup, validate_setup
+from .bialgebra_double import ReductionSetup
 from .errors import UnknownEntryError
-from .lie_core import LieAlgebra, Subspace, Tensor2
+from .specio import build_setup, parse_spec
 
 # [e_i, e_j] = sum_k value * e_k, listed for i < j only
 SL2_LABELS = ("h", "e", "f")
@@ -66,25 +66,13 @@ def structure_constants_from_table(dim: int, table) -> np.ndarray:
     return c
 
 
-def sl3_algebra() -> LieAlgebra:
-    return LieAlgebra(structure_constants_from_table(8, SL3_TABLE), SL3_LABELS)
-
-
-def _dj_r(dim: int, pairs) -> Tensor2:
-    """(1/2) Σ (e_a ⊗ f_a - f_a ⊗ e_a) over the raising/lowering index pairs."""
-    r = np.zeros((dim, dim))
-    for e, f in pairs:
-        r[e, f] += 0.5
-        r[f, e] -= 0.5
-    return Tensor2(r, antisymmetric=True)
-
-
 class CatalogEntry:
     """Named setup ingredients plus the sampling defaults that certify it.
 
     ``table`` lists the structure constants as (i, j, k, value) for i < j
-    over the basis named by ``labels``; the algebra and the exported input
-    file are both built from it.
+    over the basis named by ``labels``.  document() writes the entry as an
+    input file, and setup() reads that file through the same parser and
+    validation as any other input.
     """
 
     def __init__(self, name, notes, table, labels, r_pairs, k_rows, h_rows, m_rows,
@@ -103,22 +91,36 @@ class CatalogEntry:
         # fixes the sampled points, so the reports stay comparable
         self.cond_threshold = cond_threshold
 
-    def algebra(self) -> LieAlgebra:
-        c = structure_constants_from_table(len(self.labels), self.table)
-        return LieAlgebra(c, self.labels)
-
-    def r_matrix(self) -> Tensor2:
-        return _dj_r(len(self.labels), self.r_pairs)
+    def document(self) -> dict:
+        """The entry in the structured input-file schema (round-trips through the CLI)."""
+        return {
+            "schema_version": "1",
+            "scalars": "real",
+            "name": self.name,
+            "notes": self.notes,
+            "algebra": {
+                "dim": len(self.labels),
+                "structure_constants": [[int(i), int(j), int(k), float(v)]
+                                        for i, j, k, v in self.table],
+                "basis_labels": list(self.labels),
+            },
+            # (1/2) Σ (e_a ⊗ f_a - f_a ⊗ e_a) over the raising/lowering pairs
+            "r_matrix": [[int(a), int(b), 0.5] for a, b in self.r_pairs],
+            "subalgebra_K": self.k_rows,
+            "subalgebra_H": self.h_rows,
+            "complement_M": [list(map(float, row)) for row in self.m_rows],
+            "tolerances": {
+                "jacobi": 1e-10,
+                "residual": 1e-6,
+                "cond_threshold": self.cond_threshold,
+                "fd_step": 1e-5,
+            },
+            "sampling": {"seed": self.seed, "num_points": self.num_points, "box_radius": 1.0},
+        }
 
     def setup(self) -> ReductionSetup:
-        g = self.algebra()
-        return validate_setup(
-            g,
-            self.r_matrix(),
-            Subspace(g.dim, np.array(self.k_rows, dtype=float).reshape(-1, g.dim)),
-            Subspace(g.dim, np.array(self.h_rows, dtype=float).reshape(-1, g.dim)),
-            Subspace(g.dim, np.array(self.m_rows, dtype=float).reshape(-1, g.dim)),
-        )
+        """The validated setup, through the parser that reads input files."""
+        return build_setup(parse_spec(self.document()))
 
 
 def _rows(dim, indices):
@@ -231,28 +233,4 @@ def load_entry(name: str) -> ReductionSetup:
 
 def export_entry(name: str) -> dict:
     """The entry in the structured input-file schema (round-trips through the CLI)."""
-    e = get_entry(name)
-    sc = [[int(i), int(j), int(k), float(v)] for i, j, k, v in e.table]
-    r_entries = [[int(a), int(b), 0.5] for a, b in e.r_pairs]
-    return {
-        "schema_version": "1",
-        "scalars": "real",
-        "name": e.name,
-        "notes": e.notes,
-        "algebra": {
-            "dim": len(e.labels),
-            "structure_constants": sc,
-            "basis_labels": list(e.labels),
-        },
-        "r_matrix": r_entries,
-        "subalgebra_K": e.k_rows,
-        "subalgebra_H": e.h_rows,
-        "complement_M": [list(map(float, row)) for row in e.m_rows],
-        "tolerances": {
-            "jacobi": 1e-10,
-            "residual": 1e-6,
-            "cond_threshold": e.cond_threshold,
-            "fd_step": 1e-5,
-        },
-        "sampling": {"seed": e.seed, "num_points": e.num_points, "box_radius": 1.0},
-    }
+    return get_entry(name).document()

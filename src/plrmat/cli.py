@@ -30,10 +30,11 @@ from .specio import (
     build_setup,
     dumps_canonical,
     input_digest,
+    parse_spec,
     parse_spec_text,
     report_document,
 )
-from .verify import describe_word, run_suite
+from .verify import SUITES, describe_word, run_suite
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -60,8 +61,6 @@ def _load_input(path_or_name: str):
         raw = p.read_bytes()
         return raw, parse_spec_text(raw.decode("utf-8"))
     if path_or_name in cat.list_entries():
-        from .specio import parse_spec
-
         doc = cat.export_entry(path_or_name)
         raw = dumps_canonical(doc).encode("utf-8")
         return raw, parse_spec(doc)
@@ -234,7 +233,7 @@ def make_parser() -> argparse.ArgumentParser:
                        help="second-class conditioning bound")
         if with_suite:
             p.add_argument("--suite", default="all",
-                           choices=["cdybe", "equivariance", "dirac", "jacobi", "all"],
+                           choices=[*SUITES, "all"],
                            help="which residual suites to run")
 
     p = sub.add_parser("validate", help="parse and structurally validate an input")

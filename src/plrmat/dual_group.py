@@ -9,13 +9,15 @@ translate keeps no factor list.  The ambient factor of a product point in
 the verification suites is a GroupWord over G too.
 
 Functions on K* are pullbacks of Ad-matrix entries (or combinations of
-them), which separate points well enough for bracket testing.  Derivatives
-are central finite differences:
+them), which separate points well enough for bracket testing.  The
+derivatives here are central finite differences of
 
     (L_X f)(w) = d/dt f(exp(tX) w)|_0,   (R_X f)(w) = d/dt f(w exp(tX))|_0,
 
-and the gradients over the dual pairing assemble from them basiswise.  The
-Poisson bracket on the dual group is
+and the gradients over the dual pairing assemble from them basiswise.  This
+calculus is the reference that the tests compare the exact jets of
+reduction and verify against; no suite calls it.  The Poisson bracket on
+the dual group is
 
     {f1, f2}(k) = << grad f1, Ad_k (grad' f2) >>
 

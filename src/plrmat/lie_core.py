@@ -228,20 +228,12 @@ class Tensor3:
     """Element of g⊗g⊗g as a dense 3-index coefficient array."""
 
     coeffs: np.ndarray
-    alternating: bool = False
-    tol: float = JACOBI_TOL
 
     def __post_init__(self):
         a = np.asarray(self.coeffs, dtype=float)
         if a.ndim != 3 or len(set(a.shape)) != 1:
             raise InputShapeError(f"Tensor3 coefficients must be cubic, got shape {a.shape}")
         object.__setattr__(self, "coeffs", _freeze(a))
-        if self.alternating:
-            r = self.alternation_residual()
-            if r > self.tol:
-                raise InputShapeError(
-                    f"tensor flagged alternating has residual {r:.3e} > {self.tol:.1e}"
-                )
 
     @property
     def dim(self) -> int:

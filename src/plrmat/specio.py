@@ -100,10 +100,12 @@ def _check_tolerances(tolerances: dict) -> None:
 
 
 def _check_sampling(sampling: dict) -> None:
-    """Integer seed, at least one point, and a finite positive box radius."""
+    """Non-negative integer seed, at least one point, a finite positive box radius."""
     for key in ("seed", "num_points"):
         if not _is_int(sampling[key]):
             _fail("sampling", f"{key} must be an integer")
+    if sampling["seed"] < 0:
+        _fail("sampling", f"seed must be non-negative, got {sampling['seed']}")
     if sampling["num_points"] < 1:
         _fail("sampling", f"num_points must be at least 1, got {sampling['num_points']}")
     _check_positive(sampling, ("box_radius",), "sampling")
@@ -288,18 +290,9 @@ def _dumps(obj, indent: int, memo: dict) -> str:
 
 
 def _dumps_list(obj, indent: int, memo: dict) -> str:
-    """A list or tuple, each distinct one formatted once per top-level call.
-
-    memo maps (id(obj), indent) to (obj, text).  Holding obj keeps its id
-    from passing to a later temporary, such as a list from ndarray.tolist(),
-    while the call runs.
-    """
+    """A list or tuple; memo passes on to the arrays nested in it."""
     if not obj:
         return "[]"
-    key = (id(obj), indent)
-    seen = memo.get(key)
-    if seen is not None:
-        return seen[1]
     pad_in = "  " * (indent + 1)
     sep = ",\n" + pad_in
     # finite Python floats print alike under "%.17g" and format(x, ".17g");
@@ -309,9 +302,7 @@ def _dumps_list(obj, indent: int, memo: dict) -> str:
         body = sep.join(["%.17g"] * len(obj)) % tuple(obj)
     else:
         body = sep.join([_dumps(v, indent + 1, memo) for v in obj])
-    text = "[\n" + pad_in + body + "\n" + "  " * indent + "]"
-    memo[key] = (obj, text)
-    return text
+    return "[\n" + pad_in + body + "\n" + "  " * indent + "]"
 
 
 def _dumps_array(obj: np.ndarray, indent: int, memo: dict) -> str:
@@ -319,7 +310,9 @@ def _dumps_array(obj: np.ndarray, indent: int, memo: dict) -> str:
 
     A finite, non-empty float64 array fills the template of its shape in one
     "%.17g" format operation; any other array goes through its list.  memo
-    holds obj under (id(obj), indent) as _dumps_list does.
+    maps (id(obj), indent) to (obj, text), so an array that appears twice in
+    a report, as reduce's rho and r_star do, is formatted once.  Holding obj
+    keeps its id from passing to another array while the call runs.
     """
     if obj.dtype != np.float64 or obj.size == 0 or not np.isfinite(obj).all():
         return _dumps(obj.tolist(), indent, memo)

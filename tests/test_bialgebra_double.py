@@ -17,6 +17,7 @@ from plrmat.bialgebra_double import (
     suggest_complement,
     validate_setup,
 )
+from plrmat.catalog import export_entry
 from plrmat.errors import (
     DecompositionError,
     InputShapeError,
@@ -25,8 +26,9 @@ from plrmat.errors import (
     SubalgebraError,
 )
 from plrmat.lie_core import LieAlgebra, Subspace, Tensor2
+from plrmat.specio import parse_spec
 
-from test_lie_core import r_dj_sl2, sl2
+from test_lie_core import r_dj_sl2, sl2, sl3_dj
 
 
 def full_subspace(dim):
@@ -350,12 +352,7 @@ class TestValidateSetup:
 
     def test_one_jacobiator_is_evaluated_that_of_kstar(self, monkeypatch):
         """K, the double and the sub-double are certified without a Jacobiator."""
-        from plrmat.catalog import get_entry
-
-        e = get_entry("sl3_dj_levi")
-        g = e.algebra()
-        args = [Subspace(g.dim, np.array(rows, dtype=float).reshape(-1, g.dim))
-                for rows in (e.k_rows, e.h_rows, e.m_rows)]
+        parsed = parse_spec(export_entry("sl3_dj_levi"))
         seen = []
         original = LieAlgebra.jacobi_residual
 
@@ -364,7 +361,7 @@ class TestValidateSetup:
             return original(self)
 
         monkeypatch.setattr(LieAlgebra, "jacobi_residual", counted)
-        S = validate_setup(g, e.r_matrix(), *args)
+        S = validate_setup(*(parsed[k] for k in ("G", "R", "K", "H", "M")))
         assert len(seen) == 1 and seen[0] is S.bialgebra.Kstar
 
     def test_component_splitting(self):
@@ -419,17 +416,16 @@ class TestDistinctDiagnostics:
     def test_long_root_subalgebra_fails_ideal_condition(self):
         # the rank-one subalgebra through the highest root of sl3 misses the
         # Cartan directions needed for ann(H) to be an ideal of the dual
-        from plrmat.catalog import _dj_r, sl3_algebra
         from plrmat.errors import IdealError
 
-        g = sl3_algebra()
+        g, R = sl3_dj()
         e8 = np.eye(8)
         h_rows = np.array([e8[0] + e8[1], e8[4], e8[7]])
         m_rows = np.array([e8[0] - e8[1], e8[2], e8[3], e8[5], e8[6]])
         with pytest.raises(IdealError):
             validate_setup(
                 g,
-                _dj_r(8, ((2, 5), (3, 6), (4, 7))),
+                R,
                 Subspace(8, e8),
                 Subspace(8, h_rows),
                 Subspace(8, m_rows),
@@ -449,16 +445,12 @@ class TestSuggestComplement:
             suggest_complement(A, full_subspace(3), Subspace(3, np.array([[1.0, 0, 0]])))
 
     def test_suggested_complement_validates_for_rank_two_levi(self):
-        from plrmat.catalog import _dj_r, sl3_algebra
-
-        g = sl3_algebra()
+        g, R = sl3_dj()
         e8 = np.eye(8)
         levi = Subspace(8, e8[[0, 1, 2, 5]])
         m = suggest_complement(g, Subspace(8, e8), levi)
         assert m.dim == 4
-        s = validate_setup(
-            g, _dj_r(8, ((2, 5), (3, 6), (4, 7))), Subspace(8, e8), levi, m
-        )
+        s = validate_setup(g, R, Subspace(8, e8), levi, m)
         assert s.dim_M == 4
 
 

@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 
 from plrmat.catalog import (
+    SL2_LABELS,
+    SL2_TABLE,
+    CatalogEntry,
     export_entry,
     get_entry,
     list_entries,
     load_entry,
-    sl3_algebra,
 )
-from plrmat.errors import UnknownEntryError
+from plrmat.errors import SpecFileError, UnknownEntryError
 from plrmat.lie_core import Tensor3, cybe_lhs, is_invariant3
-from plrmat.specio import build_setup, parse_spec
+from plrmat.specio import parse_spec
 
 
 class TestEntries:
@@ -51,7 +53,7 @@ class TestEntries:
         assert np.all(s.bialgebra.Kstar.c == 0.0)
 
     def test_sl3_structure_constants_exact(self):
-        g = sl3_algebra()
+        g = parse_spec(export_entry("sl3_dj_levi"))["G"]
         assert g.jacobi_residual() == 0.0
         assert g.antisymmetry_residual() == 0.0
         h1, h2, e1, e2, e3, f1, f2, f3 = np.eye(8)
@@ -63,7 +65,7 @@ class TestEntries:
         s = load_entry("sl3_dj_cartan")
         anomaly = cybe_lhs(s.G, s.R)
         assert anomaly.norm() > 0.01
-        assert Tensor3(anomaly.coeffs, alternating=True).alternation_residual() <= 1e-12
+        assert Tensor3(anomaly.coeffs).alternation_residual() <= 1e-12
         assert is_invariant3(s.G, anomaly, tol=1e-10)
 
     def test_levi_setup_dimensions(self):
@@ -72,19 +74,28 @@ class TestEntries:
         # the small double of the gl2-type subalgebra is nonabelian
         assert np.max(np.abs(s.sub_double.D.c)) > 1.0
 
+    def test_unregistered_entry_goes_through_the_parser(self):
+        # [e, h] = -2e written with i > j: the parser rejects the orientation
+        # that the table convention forbids
+        table = ((1, 0, 1, -2.0), *SL2_TABLE[1:])
+        entry = CatalogEntry(
+            name="sl2_flipped", notes="", table=table, labels=SL2_LABELS, r_pairs=(),
+            k_rows=np.eye(3).tolist(), h_rows=[[1.0, 0.0, 0.0]],
+            m_rows=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], seed=6, num_points=10,
+        )
+        with pytest.raises(SpecFileError) as info:
+            entry.setup()
+        assert info.value.condition == "algebra.structure_constants"
+
 
 class TestExport:
     def test_round_trip_dimensions(self):
         for name in list_entries():
-            doc = export_entry(name)
-            parsed = parse_spec(doc)
-            s = build_setup(parsed)
-            direct = load_entry(name)
-            assert s.G.dim == direct.G.dim
-            assert s.dim_H == direct.dim_H
-            assert s.dim_M == direct.dim_M
-            np.testing.assert_allclose(s.G.c, direct.G.c, atol=0)
-            np.testing.assert_allclose(s.R.coeffs, direct.R.coeffs, atol=0)
+            e = get_entry(name)
+            s = load_entry(name)
+            assert s.G.dim == len(e.labels)
+            assert s.dim_H == len(e.h_rows)
+            assert s.dim_M == len(e.m_rows)
 
     def test_export_carries_certified_parameters(self):
         for name in list_entries():

@@ -1,13 +1,18 @@
 """End-to-end CLI tests: exit codes, diagnostics, report determinism."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import plrmat
 from plrmat.catalog import export_entry
-from plrmat.cli import main
+from plrmat.cli import main, make_parser
 from plrmat.lie_core import LieAlgebra
 from plrmat.specio import dumps_canonical, parse_spec
+from plrmat.verify import SUITES
 
 
 def run(argv, capsys):
@@ -159,6 +164,21 @@ class TestReduceAndVerify:
         assert diag["error"] == "SpecFileError"
         assert diag["condition"] == "sampling"
 
+    def test_suite_choices_are_the_library_suites(self):
+        sub = next(a for a in make_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+        assert tuple(suite.choices) == (*SUITES, "all")
+
+    @pytest.mark.parametrize("verb", ["verify", "reduce"])
+    @pytest.mark.parametrize("seed", ["-1", "-3"])
+    def test_negative_seed_exits_2(self, verb, seed, capsys):
+        # PCG64 would reject it later, as an internal error with exit 1
+        code, out, err = run([verb, "--input", "sl2_dj", "--seed", seed], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["condition"] == "sampling"
+
     @pytest.mark.parametrize("verb", ["verify", "reduce"])
     @pytest.mark.parametrize("flag,value", [("--tol", "-1"), ("--tol", "nan"),
                                             ("--cond-threshold", "0"),
@@ -179,6 +199,7 @@ class TestReduceAndVerify:
         ("tolerances", {"jacobi": True}),
         ("sampling", {"box_radius": True}),
         ("sampling", {"seed": False}),
+        ("sampling", {"seed": -5}),
         ("sampling", {"num_points": True}),
     ])
     @pytest.mark.parametrize("verb", ["validate", "verify"])
@@ -303,3 +324,14 @@ class TestCanonicalDump:
     def test_nonfinite_floats_quoted(self):
         text = dumps_canonical({"x": float("inf"), "y": float("nan")})
         assert '"inf"' in text and '"nan"' in text
+
+
+class TestPublicSurface:
+    def test_readme_lists_exactly_the_package_exports(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        block = readme.split("from plrmat import (", 1)[1].split(")", 1)[0]
+        listed = re.findall(r"\w+", re.sub(r"#.*", "", block))
+        exported = [n for n in vars(plrmat) if not n.startswith("_")
+                    and not isinstance(getattr(plrmat, n), type(plrmat))]
+        assert len(listed) == len(set(listed))
+        assert set(listed) == set(exported)

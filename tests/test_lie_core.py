@@ -10,7 +10,7 @@ antisymmetric, so a transposed slot or swapped operand cannot cancel.
 import numpy as np
 import pytest
 
-from plrmat.catalog import sl3_algebra
+from plrmat.catalog import export_entry
 from plrmat.errors import InputShapeError, StructureConstantError, SubspaceError
 from plrmat.lie_core import (
     LieAlgebra,
@@ -22,6 +22,7 @@ from plrmat.lie_core import (
     is_invariant3,
     mixed_bracket_terms,
 )
+from plrmat.specio import parse_spec
 
 
 def sl2():
@@ -38,6 +39,12 @@ def r_dj_sl2():
     r = np.zeros((3, 3))
     r[1, 2], r[2, 1] = 0.5, -0.5
     return Tensor2(r, antisymmetric=True)
+
+
+def sl3_dj():
+    """Split sl3 in the catalog's basis and its standard antisymmetrized R."""
+    parsed = parse_spec(export_entry("sl3_dj_levi"))
+    return parsed["G"], parsed["R"]
 
 
 def brute_force_pair(c, s, t, slot_pair):
@@ -76,7 +83,7 @@ def brute_force_cybe(c, R):
 
 def sl3_in_dense_basis(seed):
     """sl3 in the basis f_i = Σ_j P[i, j] e_j for a dense random P."""
-    c = sl3_algebra().c
+    c = sl3_dj()[0].c
     rng = np.random.default_rng(seed)
     P = np.eye(8) + 0.4 * rng.uniform(-1, 1, (8, 8))
     c = np.einsum("ia,jb,abm,mk->ijk", P, P, c, np.linalg.inv(P))
@@ -171,12 +178,6 @@ class TestTensors:
         with pytest.raises(InputShapeError):
             Tensor2(np.array([[0.0, 1.0], [1.0, 0.0]]), antisymmetric=True)
 
-    def test_alternating_flag_enforced(self):
-        t = np.zeros((2, 2, 2))
-        t[0, 0, 1] = 1.0
-        with pytest.raises(InputShapeError):
-            Tensor3(t, alternating=True)
-
 
 class TestCybe:
     def test_zero_r_gives_zero(self):
@@ -199,7 +200,7 @@ class TestCybe:
         np.testing.assert_allclose(got.coeffs, want, atol=1e-14)
         assert got.norm() > 0.1
         # anomaly of the DJ solution is alternating and invariant
-        assert Tensor3(got.coeffs, alternating=True).alternation_residual() <= 1e-12
+        assert Tensor3(got.coeffs).alternation_residual() <= 1e-12
         assert is_invariant3(A, got, tol=1e-10)
 
     def test_random_r_against_brute_force(self):
@@ -237,7 +238,7 @@ class TestCybe:
 
     @pytest.mark.parametrize("basis", ["table", "dense"])
     def test_each_slot_pair_against_brute_force(self, basis):
-        A = sl3_algebra() if basis == "table" else sl3_in_dense_basis(11)
+        A = sl3_dj()[0] if basis == "table" else sl3_in_dense_basis(11)
         rng = np.random.default_rng(12)
         s, t = rng.uniform(-1, 1, (8, 8)), rng.uniform(-1, 1, (8, 8))
         for pair in ("12_13", "12_23", "13_23"):

@@ -44,7 +44,7 @@ from plrmat.reduction import (
 )
 from plrmat.verify import QFunction, dual_entry
 
-from test_lie_core import r_dj_sl2, sl2
+from test_lie_core import r_dj_sl2, sl2, sl3_dj
 
 
 def classical_setup():
@@ -317,13 +317,11 @@ class TestBasisIndependence:
         point: inside the upper-triangular subalgebra of sl3 the constraint
         brackets of M = {e2, e3} vanish identically, so sampling must exhaust
         honestly rather than return degenerate points."""
-        from plrmat.catalog import _dj_r, sl3_algebra
-
-        g = sl3_algebra()
+        g, R = sl3_dj()
         e8 = np.eye(8)
         s = validate_setup(
             g,
-            _dj_r(8, ((2, 5), (3, 6), (4, 7))),
+            R,
             Subspace(8, e8[[0, 1, 2, 3, 4]]),
             Subspace(8, e8[[0, 1, 2]]),
             Subspace(8, e8[[3, 4]]),
@@ -346,12 +344,11 @@ class TestTwoStepComposition:
         intermediate dual inside the two ambient doubles is coordinate
         convention, not a contract).
         """
-        from plrmat.catalog import sl3_algebra
         from plrmat.dual_group import GroupWord
         from plrmat.reduction import RhoJet, rho_jet
         from plrmat.verify import plcdybe_residual, reduced_r_function
 
-        g = sl3_algebra()
+        g = sl3_dj()[0]
         eye = np.eye(8)
         r0 = Tensor2.zero(8)
         full = Subspace(8, eye)

@@ -129,6 +129,7 @@ class TestParse:
             {"box_radius": float("nan")},
             {"box_radius": True},
             {"seed": True},
+            {"seed": -5},
             {"num_points": True},
             {"num_points": False},
         ):

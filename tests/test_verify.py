@@ -37,11 +37,10 @@ from plrmat.verify import (
     g_entry,
     hat_entry,
     largest_entry,
+    bracket,
     momentum_map,
-    p_bracket,
     p_jacobi_residual,
     plcdybe_residual,
-    q_bracket,
     q_jacobi_residual,
     reduced_r_function,
     run_suite,
@@ -183,29 +182,32 @@ class TestProductBrackets:
 
     def test_constant_function_brackets_vanish(self):
         const = self._zero("g", 3)
-        assert q_bracket(self.s, self.rfun, self.qpt, const, g_entry(self.s, 1, 2)) == 0.0
-        assert p_bracket(self.s, self.rfun, self.ppt, const, g_entry(self.s, 1, 2)) == 0.0
+        assert bracket(self.s, self.rfun, self.qpt, const, g_entry(self.s, 1, 2)) == 0.0
+        assert bracket(self.s, self.rfun, self.ppt, const, g_entry(self.s, 1, 2)) == 0.0
 
     def test_ambient_block_vanishes_without_r(self):
         # zero R and zero r kill the double-gradient contraction block
         s = abelian_trivial_setup()
         g = ambient_word(s.G, [np.array([0.4, -0.2])])
         lam = hstar_word(s, np.zeros(2))
-        val = q_bracket(
+        val = bracket(
             s, zero_r_function(s), QPoint(s, g, lam), g_entry(s, 0, 0), g_entry(s, 1, 1)
         )
         assert val == 0.0
 
     def test_antisymmetry(self):
         fs = [g_entry(self.s, 1, 2), g_entry(self.s, 0, 1), dual_entry(self.s, 0, 1)]
-        for i in range(3):
-            for j in range(3):
-                a = q_bracket(self.s, self.rfun, self.qpt, fs[i], fs[j])
-                b = q_bracket(self.s, self.rfun, self.qpt, fs[j], fs[i])
-                assert abs(a + b) <= 1e-12
+        ps = [g_entry(self.s, 1, 2), hat_entry(self.s, 0, 1), tilde_entry(self.s, 1, 0),
+              hat_entry(self.s, 1, 1)]
+        for pt, funcs in ((self.qpt, fs), (self.ppt, ps)):
+            for u in funcs:
+                for v in funcs:
+                    a = bracket(self.s, self.rfun, pt, u, v)
+                    b = bracket(self.s, self.rfun, pt, v, u)
+                    assert abs(a + b) <= 1e-12
 
     def test_hat_tilde_block_vanishes(self):
-        val = p_bracket(
+        val = bracket(
             self.s, self.rfun, self.ppt, hat_entry(self.s, 0, 1), tilde_entry(self.s, 1, 0)
         )
         assert val == 0.0
@@ -347,15 +349,15 @@ class TestRestrictedDualEntries:
 
 class TestResidualReport:
     def test_pass_semantics(self):
-        r = ResidualReport("X", ((),), (((), 1e-7),), 1e-7, 1e-5, 1e-6)
+        r = ResidualReport("X", (((), 1e-7),), 1e-7, 1e-5, 1e-6)
         assert r.passed
-        r = ResidualReport("X", ((),), (((), 1e-5),), 1e-5, 1e-5, 1e-6)
+        r = ResidualReport("X", (((), 1e-5),), 1e-5, 1e-5, 1e-6)
         assert not r.passed
 
     def test_lower_direction_for_control(self):
-        r = ResidualReport("X", ((),), (((), 0.5),), 0.5, 1e-5, 1e-2, direction="lower")
+        r = ResidualReport("X", (((), 0.5),), 0.5, 1e-5, 1e-2, direction="lower")
         assert r.passed
-        r = ResidualReport("X", ((),), (((), 1e-3),), 1e-3, 1e-5, 1e-2, direction="lower")
+        r = ResidualReport("X", (((), 1e-3),), 1e-3, 1e-5, 1e-2, direction="lower")
         assert not r.passed
 
 
