@@ -6,7 +6,6 @@ from .bialgebra_double import (
     ReductionSetup,
     build_double,
     derive_cobracket,
-    suggest_complement,
     validate_setup,
 )
 from .dual_group import GroupWord, ad_of_word, dressing_vector, pb_dual
@@ -17,8 +16,6 @@ from .reduction import (
     check_second_class,
     constraint_matrix,
     dirac_bracket,
-    n_vectors,
-    reduced_r,
     rho,
     rho_jet,
     rho_via_n,
@@ -26,7 +23,6 @@ from .reduction import (
 from .verify import (
     ResidualReport,
     equivariance_residual,
-    momentum_map,
     p_jacobi_residual,
     plcdybe_residual,
     q_jacobi_residual,

@@ -288,31 +288,6 @@ def build_double(B: Bialgebra) -> DoubleAlgebra:
     return double
 
 
-def suggest_complement(G: LieAlgebra, K_embed: Subspace, H_embed: Subspace) -> Subspace:
-    """Orthogonal complement of H in K under the trace form of ad.
-
-    Only valid when the trace form restricted to K is nondegenerate (the
-    semisimple examples); raises DecompositionError otherwise.
-    """
-    P = K_embed.basis
-    n = K_embed.dim
-    ads = np.swapaxes(np.tensordot(P, G.c, axes=1), 1, 2)  # ads[i]: ad of P[i] on G
-    form = np.einsum("iab,jba->ij", ads, ads)  # trace(ad_i ad_j)
-    if n and np.linalg.cond(form) > 1e8:
-        raise DecompositionError("trace form on K is degenerate; supply M explicitly")
-    h_coords, resid = _expand(P, H_embed.basis)
-    if np.max(resid, initial=0.0) > 1e-10:
-        raise DecompositionError("H basis not contained in the span of K")
-    if h_coords.shape[0] == 0:
-        return Subspace(G.dim, P)
-    # null space of the map v -> form(h_a, v)
-    a = h_coords @ form
-    _, s, vt = np.linalg.svd(a)
-    rank = int(np.sum(s > 1e-10 * s[0]))
-    m_rows = vt[rank:] @ P
-    return Subspace(G.dim, m_rows)
-
-
 @dataclass(frozen=True, eq=False)
 class ReductionSetup:
     """Validated bundle consumed by the reduction pipeline.

@@ -261,10 +261,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SpecFileError as exc:
-        sys.stderr.write(_diagnostic(exc) + "\n")
-        return EXIT_PARSE
-    except UnknownEntryError as exc:
+    except (SpecFileError, UnknownEntryError) as exc:
         sys.stderr.write(_diagnostic(exc) + "\n")
         return EXIT_PARSE
     except SamplingExhaustedError as exc:

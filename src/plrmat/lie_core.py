@@ -32,8 +32,6 @@ ANTISYM_TOL = 1e-12
 JACOBI_TOL = 1e-10
 RANK_TOL = 1e-10
 
-SLOT_PAIRS = ("12_13", "12_23", "13_23")
-
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(np.asarray(a, dtype=float))
@@ -92,8 +90,8 @@ class LieAlgebra:
         return self.c.shape[0]
 
     @staticmethod
-    def abelian(dim: int, labels: tuple = ()) -> "LieAlgebra":
-        return LieAlgebra(np.zeros((dim, dim, dim)), basis_labels=labels)
+    def abelian(dim: int) -> "LieAlgebra":
+        return LieAlgebra(np.zeros((dim, dim, dim)))
 
     def antisymmetry_residual(self) -> float:
         if self.c.size == 0:
@@ -153,7 +151,6 @@ class Subspace:
 
     ambient_dim: int
     basis: np.ndarray  # shape (k, ambient_dim)
-    rank_tol: float = RANK_TOL
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=float)
@@ -164,7 +161,7 @@ class Subspace:
         object.__setattr__(self, "basis", _freeze(b))
         if b.shape[0] > 0:
             s = np.linalg.svd(b, compute_uv=False)
-            if b.shape[0] > b.shape[1] or s[-1] <= self.rank_tol * s[0]:
+            if b.shape[0] > b.shape[1] or s[-1] <= RANK_TOL * s[0]:
                 raise SubspaceError(
                     f"basis vectors not linearly independent "
                     f"(smallest/largest singular value {s[-1]:.3e}/{s[0]:.3e})"
@@ -219,8 +216,8 @@ class Tensor2:
         return float(np.max(np.abs(self.coeffs)))
 
     @staticmethod
-    def zero(dim: int, antisymmetric: bool = True) -> "Tensor2":
-        return Tensor2(np.zeros((dim, dim)), antisymmetric=antisymmetric)
+    def zero(dim: int) -> "Tensor2":
+        return Tensor2(np.zeros((dim, dim)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,10 +254,6 @@ class Tensor3:
         return float(np.max(np.abs(self.coeffs)))
 
 
-def _tensor2_coeffs(t) -> np.ndarray:
-    return t.coeffs if isinstance(t, Tensor2) else np.asarray(t, dtype=float)
-
-
 def _bracket_into_first_slot(c: np.ndarray, t: np.ndarray) -> np.ndarray:
     """U[a, (x, z)] = Σ_b c[a, b, x] t[b, z]: e_a bracketed into slot 1 of t.
 
@@ -271,50 +264,23 @@ def _bracket_into_first_slot(c: np.ndarray, t: np.ndarray) -> np.ndarray:
     return (c.transpose(0, 2, 1).reshape(n * n, n) @ t).reshape(n, n * n)
 
 
-def _slot_pair_term(s: np.ndarray, u: np.ndarray, slot_pair: str) -> np.ndarray:
-    """The term of slot_pair from U of t, or of tᵀ for ``13_23``."""
-    n = s.shape[0]
-    if slot_pair == "12_13":  # Σ_a s[a, y] U_t[a, x, z]
-        return (s.T @ u).reshape(n, n, n).transpose(1, 0, 2)
-    if slot_pair == "12_23":  # Σ_b s[x, b] U_t[b, y, z]
-        return (s @ u).reshape(n, n, n)
-    # Σ_b s[x, b] U_tᵀ[b, z, y]: slot 2 of t is the bracketed one
-    return (s @ u).reshape(n, n, n).transpose(0, 2, 1)
-
-
-def mixed_bracket_terms(A: LieAlgebra, s, t, slot_pair: str) -> Tensor3:
-    """Bracket of s and t embedded in the indicated slots of g⊗g⊗g.
-
-    ``12_13`` gives [s_12, t_13], ``12_23`` gives [s_12, t_23] and ``13_23``
-    gives [s_13, t_23]; the bracket acts in the slot the two embeddings share.
-    Each term is two matrix products over reshaped views, O(dim⁴) work on
-    dim³ arrays.
-    """
-    s = _tensor2_coeffs(s)
-    t = _tensor2_coeffs(t)
-    if s.shape != (A.dim, A.dim) or t.shape != (A.dim, A.dim):
-        raise InputShapeError(
-            f"tensors must be {A.dim}x{A.dim}, got {s.shape} and {t.shape}"
-        )
-    if slot_pair not in SLOT_PAIRS:
-        raise InputShapeError(f"slot_pair must be one of {SLOT_PAIRS}, got {slot_pair!r}")
-    u = _bracket_into_first_slot(A.c, t.T if slot_pair == "13_23" else t)
-    return Tensor3(_slot_pair_term(s, u, slot_pair))
-
-
 def cybe_lhs(A: LieAlgebra, R) -> Tensor3:
     """[R12, R13] + [R12, R23] + [R13, R23] as a 3-tensor over the basis of A.
 
-    For an antisymmetric R this is the modified-Yang-Baxter anomaly; whether
-    it is ad-invariant is checked separately with is_invariant3.  The terms
-    are those of mixed_bracket_terms; the first two share the product U_R.
+    For an antisymmetric R this is the modified-Yang-Baxter anomaly; its
+    ad-invariance is measured separately by invariance_residual3.  Each
+    mixed bracket term is two matrix products over reshaped views, O(dim⁴)
+    work on dim³ arrays, and the first two share the product U_R.
     """
-    r = _tensor2_coeffs(R)
-    if r.shape != (A.dim, A.dim):
-        raise InputShapeError(f"tensor must be {A.dim}x{A.dim}, got {r.shape}")
+    r = R.coeffs if isinstance(R, Tensor2) else np.asarray(R, dtype=float)
+    n = A.dim
+    if r.shape != (n, n):
+        raise InputShapeError(f"tensor must be {n}x{n}, got {r.shape}")
     u = _bracket_into_first_slot(A.c, r)
-    total = _slot_pair_term(r, u, "12_13") + _slot_pair_term(r, u, "12_23")
-    total += _slot_pair_term(r, _bracket_into_first_slot(A.c, r.T), "13_23")
+    # [R12, R13]: Σ_a r[a, y] U_R[a, x, z];  [R12, R23]: Σ_b r[x, b] U_R[b, y, z]
+    total = (r.T @ u).reshape(n, n, n).transpose(1, 0, 2) + (r @ u).reshape(n, n, n)
+    # [R13, R23]: Σ_b r[x, b] U_Rᵀ[b, z, y], slot 2 of R the bracketed one
+    total += (r @ _bracket_into_first_slot(A.c, r.T)).reshape(n, n, n).transpose(0, 2, 1)
     return Tensor3(total)
 
 
@@ -337,10 +303,3 @@ def invariance_residual3(A: LieAlgebra, T) -> float:
         acted += (slot3 @ ad_i).reshape(n, n, n)
         worst = max(worst, float(np.max(np.abs(acted))))
     return worst
-
-
-def is_invariant3(A: LieAlgebra, T, tol: float = JACOBI_TOL) -> bool:
-    """Whether T is annihilated by the diagonal adjoint action, up to tol."""
-    t = T.coeffs if isinstance(T, Tensor3) else np.asarray(T, dtype=float)
-    scale = 1.0 + float(np.max(np.abs(t))) if t.size else 1.0
-    return invariance_residual3(A, T) <= tol * scale

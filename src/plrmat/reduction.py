@@ -50,7 +50,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import expm
@@ -141,7 +140,12 @@ class CMatrix:
 
     @cached_property
     def n_matrix(self) -> np.ndarray:
-        """The rows are the N_i of n_vectors, in K coordinates."""
+        """The unique N_i in M with Ad_λ^{-1} M_i = (Ad_λ^{-1} N_i)_{M*}, as rows.
+
+        One row per dual basis element M_i, in K coordinates.  All N_i come
+        from one solve against the moved complement basis; the defining
+        relation is verified to 1e-10 for each of them after the solve.
+        """
         S = self.setup
         n, m = S.n, S.dim_M
         if m == 0:
@@ -317,34 +321,6 @@ def rho_jet(
     matrix A, since M pairs to zero with H*.  The value is rho's, bit for bit.
     """
     return _second_class_matrix(S, word, cond_threshold).jet
-
-
-def reduced_r(
-    S: ReductionSetup,
-    rfun: Optional[Callable[[GroupWord], Tensor2]],
-    word: GroupWord,
-    cond_threshold: float = COND_THRESHOLD,
-) -> Tensor2:
-    """r*(λ) = r(λ) + rho(λ); with r = None this is the pure rho family."""
-    p = rho(S, word, cond_threshold)
-    if rfun is None:
-        return p
-    base = rfun(word)
-    return Tensor2(base.coeffs + p.coeffs, antisymmetric=True, tol=1e-9)
-
-
-def n_vectors(
-    S: ReductionSetup,
-    word: GroupWord,
-    cond_threshold: float = COND_THRESHOLD,
-) -> list:
-    """The unique N_i in M with Ad_λ^{-1} M_i = (Ad_λ^{-1} N_i)_{M*}.
-
-    Returned as K-coordinate vectors, one per dual basis element M_i.  All
-    N_i come from one solve against the moved complement basis; the defining
-    relation is verified to 1e-10 for each of them after the solve.
-    """
-    return list(_second_class_matrix(S, word, cond_threshold).n_matrix)
 
 
 def rho_via_n(
@@ -568,9 +544,15 @@ def sample_hstar_points(
 def _solve_points(S: ReductionSetup, cmats: list) -> list:
     """CMatrix.solved of every point in cmats, by one solve over their stack.
 
-    Every C must be invertible: a singular slice fails the whole stack.
+    Every C must be invertible: a singular slice fails the whole stack.  Each
+    rho must be antisymmetric to 1e-9, checked once over the stack.
     """
     a = S.K_to_G(np.array([C.m_parts for C in cmats]))
     x = np.linalg.solve(np.array([C.entries for C in cmats]), a)
     values = np.swapaxes(a, -1, -2) @ x
-    return [(Tensor2(v, antisymmetric=True, tol=1e-9), xc) for v, xc in zip(values, x)]
+    anti = np.max(np.abs(values + np.swapaxes(values, -1, -2)), axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(anti > 1e-9)
+    if bad.size:
+        k = bad[0]
+        raise InputShapeError(f"rho at point {k} has antisymmetry residual {anti[k]:.3e} > 1e-9")
+    return [(Tensor2(v), xc) for v, xc in zip(values, x)]

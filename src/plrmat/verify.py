@@ -13,9 +13,6 @@ r: Ȟ* → G⊗G, the certified identities are
   * the Jacobi identity of the bracket ansatz on G × Ȟ* (and its two-sided
     variant on Ȟ* × G × Ȟ*), evaluated exactly on entries of Ad.
 
-The momentum map Λ(λ̃, g, λ̂) = λ̃ λ̂^{-1} of the two-sided space
-(momentum_map) is a library function only: no suite checks it.
-
 Derivatives of r are exact: an rfun returns the rho jet of
 reduction.rho_jet, the value of r with its left and right derivatives along
 the H* basis, cached on the point's CMatrix.  The Jacobiators need only those
@@ -38,7 +35,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .bialgebra_double import ReductionSetup
-from .dual_group import GroupWord, ad_of_word
+from .dual_group import GroupWord
 from .errors import ConsistencyError, InputShapeError
 from .lie_core import LieAlgebra, Tensor2, Tensor3, cybe_lhs, invariance_residual3
 from .reduction import (
@@ -83,6 +80,11 @@ DEFAULT_TOLERANCES = {
 
 # in the order "all" runs them
 SUITES = ("cdybe", "equivariance", "dirac", "jacobi")
+
+# the jacobi suite's points, cycled from the samples, and the half-width of
+# the box its ambient points exp(x) are drawn from
+JACOBI_POINTS = 5
+AMBIENT_BOX = 0.3
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,18 +191,6 @@ def equivariance_residual(S: ReductionSetup, rfun, word: GroupWord, x_h) -> Tens
     return Tensor2(flow - comm)
 
 
-def momentum_map(w_tilde: GroupWord, w_hat: GroupWord) -> GroupWord:
-    """The dual-group element λ̃ λ̂^{-1}, with Ad(result) = Ad(λ̃) Ad(λ̂)^{-1}."""
-    if w_tilde.double is not w_hat.double and not np.array_equal(
-        w_tilde.double.D.c, w_hat.double.D.c
-    ):
-        raise InputShapeError("momentum map needs words over the same double")
-    if w_tilde.factors is None or w_hat.factors is None:
-        return GroupWord(w_tilde.double, None, w_tilde.ad @ np.linalg.inv(w_hat.ad))
-    factors = w_tilde.factors + tuple(-f for f in reversed(w_hat.factors))
-    return ad_of_word(w_tilde.double, factors)
-
-
 def reduced_r_function(S: ReductionSetup, cond_threshold: float = COND_THRESHOLD):
     """rfun for r* = rho as a callable on dual-group words, returning RhoJets.
 
@@ -209,11 +199,6 @@ def reduced_r_function(S: ReductionSetup, cond_threshold: float = COND_THRESHOLD
     once per equation and per Jacobiator, and it is computed once.
     """
     return partial(rho_jet, S, cond_threshold=cond_threshold)
-
-
-def zero_r_function(S: ReductionSetup):
-    jet = RhoJet.zero(S.dim_H, S.G.dim)
-    return lambda word: jet
 
 
 def sign_flipped_rfun(rfun, a: int, b: int):
@@ -477,12 +462,10 @@ def run_suite(
     suite: str = "all",
     num_points: int = 10,
     seed: int = 0,
-    jacobi_points: int = 5,
     cond_threshold: float = COND_THRESHOLD,
     box_radius: float = 1.0,
-    ambient_box: float = 0.3,
     tolerances: Optional[dict] = None,
-) -> list:
+) -> tuple[list, list]:
     """Run the requested residual suites on the reduced r* = rho of the setup.
 
     Returns (reports, words): one ResidualReport per equation, and the
@@ -573,12 +556,12 @@ def run_suite(
                 res.append(characterization_identity_residual(S, w, u, v, cond_threshold))
             reports.append(_report(EQ_CHARACTERIZATION, words, res, tol[EQ_CHARACTERIZATION]))
         elif s == "jacobi":
-            pts = [words[k % len(words)] for k in range(jacobi_points)]
+            pts = [words[k % len(words)] for k in range(JACOBI_POINTS)]
             dim_g = S.G.dim
             dim2 = S.sub_double.dim
             res_q, res_p = [], []
             for k, w in enumerate(pts):
-                g = ambient_word(S.G, [rng.uniform(-ambient_box, ambient_box, dim_g)])
+                g = ambient_word(S.G, [rng.uniform(-AMBIENT_BOX, AMBIENT_BOX, dim_g)])
                 # three ambient entries give the triple sensitive to the
                 # derivative of r; the mixed triple covers the dual blocks
                 phis = [

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, diagnostics, report determinism."""
 
 import argparse
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -121,6 +122,8 @@ class TestReduceAndVerify:
         doc = json.loads(out)
         assert len(doc["reduction"]) == 3
         assert len(doc["reduction"][0]["rho"]) == 3
+        # no input carries a base r-matrix, so r* is rho itself
+        assert all(p["r_star"] == p["rho"] for p in doc["reduction"])
         assert doc["summary"]["pass"] is True
 
     def test_verify_all_passes_on_catalog_entry(self, capsys):
@@ -335,3 +338,17 @@ class TestPublicSurface:
                     and not isinstance(getattr(plrmat, n), type(plrmat))]
         assert len(listed) == len(set(listed))
         assert set(listed) == set(exported)
+
+    def test_every_name_the_benchmark_tracer_patches_resolves(self):
+        # perfbench/tracing.py patches these by module and attribute name; a
+        # deleted or renamed one must fail here, not only in a traced round
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        assert tracing.SPANS and tracing.COUNTERS
+        for _, module, attr in tracing.SPANS + tracing.COUNTERS:
+            owner = importlib.import_module(module)
+            for part in attr.split("."):
+                owner = getattr(owner, part, None)
+            assert callable(owner), f"{module}.{attr}"

@@ -1,7 +1,7 @@
 """The per-point hot path against the solve-per-vector formulas it replaced.
 
 ReductionSetup's component maps, constraint_matrix, rho and the N_i family
-(n_vectors, rho_via_n and the inverse-operator and characterization
+(CMatrix.n_matrix, rho_via_n and the inverse-operator and characterization
 residuals) are products with matrices the setup holds.  The references below
 are the original formulation: every component is a vstack of the two bases
 and a linear solve, one basis vector at a time.  They are compared on every
@@ -33,13 +33,7 @@ from plrmat.dual_group import (
     right_derivative,
 )
 from plrmat.errors import CDegenerateError
-from plrmat.lie_core import (
-    LieAlgebra,
-    Subspace,
-    cybe_lhs,
-    invariance_residual3,
-    mixed_bracket_terms,
-)
+from plrmat.lie_core import LieAlgebra, Subspace, cybe_lhs, invariance_residual3
 from plrmat.reduction import (
     _pair_gradients,
     characterization_identity_residual,
@@ -47,7 +41,6 @@ from plrmat.reduction import (
     constraint_matrix,
     constraint_pb_check,
     dirac_bracket,
-    n_vectors,
     rho,
     rho_jet,
     rho_via_n,
@@ -276,7 +269,7 @@ N_CASES = [c for c in CASES if c[0] in ("sl3_dj_levi", "skewed_levi")]
 def test_n_family_matches_reference(name, S, words):
     rng = np.random.default_rng(19)
     for w in words:
-        ns, want = n_vectors(S, w), ref_n_vectors(S, w)
+        ns, want = constraint_matrix(S, w).n_matrix, ref_n_vectors(S, w)
         assert len(ns) == len(want) == S.dim_M
         for got, ref in zip(ns, want):
             _close(got, ref, rtol=1e-12)
@@ -499,10 +492,8 @@ def _tensor_cases():
 
 
 def test_mixed_bracket_terms_match_einsum():
-    for A, s, t, _ in _tensor_cases():
-        for pair in ("12_13", "12_23", "13_23"):
-            want = ref_mixed_bracket_terms(A.c, s, t, pair)
-            _close(mixed_bracket_terms(A, s, t, pair).coeffs, want, rtol=1e-13)
+    # cybe_lhs is the sum of the three mixed bracket terms of one tensor
+    for A, s, _, _ in _tensor_cases():
         want = sum(ref_mixed_bracket_terms(A.c, s, s, p) for p in ("12_13", "12_23", "13_23"))
         _close(cybe_lhs(A, s).coeffs, want, rtol=1e-13)
 
@@ -788,7 +779,7 @@ class TestPointMemo:
         C = constraint_matrix(S, w)
         rho(S, w, self.e.cond_threshold)
         assert C.cond > 1.0
-        for f in (rho, rho_jet, n_vectors, rho_via_n, constraint_inverse_operator_residual):
+        for f in (rho, rho_jet, rho_via_n, constraint_inverse_operator_residual):
             with pytest.raises(CDegenerateError):
                 f(S, w, cond_threshold=1.0)
         with pytest.raises(CDegenerateError):

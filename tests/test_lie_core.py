@@ -2,9 +2,9 @@
 
 The Yang-Baxter contraction is checked against a brute-force oracle that
 loops over every pair of coefficients and applies the bracket slot by slot,
-independent of the reshaped matrix products used by the library.  Each slot
-pair is checked on its own, with two distinct tensors that are not
-antisymmetric, so a transposed slot or swapped operand cannot cancel.
+independent of the reshaped matrix products used by the library.  It is
+also checked on tensors that are not antisymmetric, so a transposed slot
+cannot cancel.
 """
 
 import numpy as np
@@ -19,8 +19,6 @@ from plrmat.lie_core import (
     Tensor3,
     cybe_lhs,
     invariance_residual3,
-    is_invariant3,
-    mixed_bracket_terms,
 )
 from plrmat.specio import parse_spec
 
@@ -79,6 +77,12 @@ def brute_force_pair(c, s, t, slot_pair):
 def brute_force_cybe(c, R):
     """Oracle: [R12,R13]+[R12,R23]+[R13,R23] from the per-pair loops."""
     return sum(brute_force_pair(c, R, R, pair) for pair in ("12_13", "12_23", "13_23"))
+
+
+def _invariant(A, t, tol=1e-10):
+    """invariance_residual3 against tol relative to the size of t."""
+    t = t.coeffs if isinstance(t, Tensor3) else np.asarray(t, dtype=float)
+    return invariance_residual3(A, t) <= tol * (1.0 + float(np.max(np.abs(t))))
 
 
 def sl3_in_dense_basis(seed):
@@ -201,7 +205,7 @@ class TestCybe:
         assert got.norm() > 0.1
         # anomaly of the DJ solution is alternating and invariant
         assert Tensor3(got.coeffs).alternation_residual() <= 1e-12
-        assert is_invariant3(A, got, tol=1e-10)
+        assert _invariant(A, got, tol=1e-10)
 
     def test_random_r_against_brute_force(self):
         A = sl2()
@@ -221,34 +225,22 @@ class TestCybe:
             np.testing.assert_allclose(scaled, alpha**2 * base, atol=1e-12)
 
     def test_slot_pair_sum_matches_cybe(self):
+        # every slot pair contributes, so a dropped term would show
         A = sl2()
-        R = r_dj_sl2()
-        total = np.zeros((3, 3, 3))
-        for pair in ("12_13", "12_23", "13_23"):
-            total += mixed_bracket_terms(A, R, R, pair).coeffs
-        np.testing.assert_allclose(total, cybe_lhs(A, R).coeffs, atol=1e-12)
-
-    def test_mixed_terms_vanish_for_zero_factor(self):
-        A = sl2()
-        R = r_dj_sl2()
-        z = Tensor2.zero(3)
-        for pair in ("12_13", "12_23", "13_23"):
-            assert mixed_bracket_terms(A, z, R, pair).norm() == 0.0
-            assert mixed_bracket_terms(A, R, z, pair).norm() == 0.0
+        R = r_dj_sl2().coeffs
+        terms = [brute_force_pair(A.c, R, R, pair) for pair in ("12_13", "12_23", "13_23")]
+        assert min(float(np.max(np.abs(t))) for t in terms) > 0.1
+        np.testing.assert_allclose(sum(terms), cybe_lhs(A, R).coeffs, atol=1e-12)
 
     @pytest.mark.parametrize("basis", ["table", "dense"])
     def test_each_slot_pair_against_brute_force(self, basis):
         A = sl3_dj()[0] if basis == "table" else sl3_in_dense_basis(11)
         rng = np.random.default_rng(12)
-        s, t = rng.uniform(-1, 1, (8, 8)), rng.uniform(-1, 1, (8, 8))
+        s = rng.uniform(-1, 1, (8, 8))
         for pair in ("12_13", "12_23", "13_23"):
-            want = brute_force_pair(A.c, s, t, pair)
-            assert float(np.max(np.abs(want))) > 0.1
-            got = mixed_bracket_terms(A, s, t, pair).coeffs
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
-            # the operands do not commute, so a swapped s and t would show
-            swapped = brute_force_pair(A.c, t, s, pair)
-            assert float(np.max(np.abs(swapped - want))) > 0.1
+            term = brute_force_pair(A.c, s, s, pair)
+            # s is not antisymmetric, so a transposed slot in a term would show
+            assert float(np.max(np.abs(brute_force_pair(A.c, s.T, s.T, pair) - term))) > 0.1
         # cybe_lhs shares the first product between two terms; it still
         # equals the sum of the pairs for a non-antisymmetric tensor
         want = brute_force_cybe(A.c, s)
@@ -256,23 +248,19 @@ class TestCybe:
             cybe_lhs(A, s).coeffs, want, rtol=0, atol=1e-12 * np.max(np.abs(want))
         )
 
-    def test_bad_slot_pair(self):
-        with pytest.raises(InputShapeError):
-            mixed_bracket_terms(sl2(), r_dj_sl2(), r_dj_sl2(), "11_22")
-
 
 class TestInvariance:
     def test_zero_tensor_invariant(self):
-        assert is_invariant3(sl2(), np.zeros((3, 3, 3)))
+        assert _invariant(sl2(), np.zeros((3, 3, 3)))
 
     def test_abelian_everything_invariant(self):
         A = LieAlgebra.abelian(3)
         rng = np.random.default_rng(5)
-        assert is_invariant3(A, rng.uniform(-1, 1, (3, 3, 3)))
+        assert _invariant(A, rng.uniform(-1, 1, (3, 3, 3)))
 
     def test_noninvariant_detected(self):
         A = sl2()
         t = np.zeros((3, 3, 3))
         t[1, 1, 1] = 1.0  # e⊗e⊗e is not invariant
-        assert not is_invariant3(A, t, tol=1e-10)
+        assert not _invariant(A, t, tol=1e-10)
         assert invariance_residual3(A, t) > 1.0

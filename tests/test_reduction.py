@@ -34,9 +34,7 @@ from plrmat.reduction import (
     dirac_bracket,
     hstar_word,
     constraint_inverse_operator_residual,
-    n_vectors,
     native_hstar_bracket,
-    reduced_r,
     characterization_identity_residual,
     rho,
     rho_via_n,
@@ -170,34 +168,21 @@ class TestRho:
             want[1, 2], want[2, 1] = coeff, -coeff
             np.testing.assert_allclose(t.coeffs, want, atol=1e-10)
 
-    def test_reduced_r_with_and_without_base(self):
-        s = dj_setup()
-        w = hstar_word(s, [0.8])
-        assert np.allclose(reduced_r(s, None, w).coeffs, rho(s, w).coeffs)
-        base = Tensor2.zero(3)
-        assert np.allclose(reduced_r(s, lambda _: base, w).coeffs, rho(s, w).coeffs)
-        s_triv = trivial_setup()
-        w2 = identity_word(s_triv.double)
-        r0 = r_dj_sl2()
-        np.testing.assert_allclose(
-            reduced_r(s_triv, lambda _: r0, w2).coeffs, r0.coeffs, atol=1e-14
-        )
-
 
 class TestNVectors:
     def test_trivial_reduction_empty(self):
         s = trivial_setup()
-        assert n_vectors(s, identity_word(s.double)) == []
+        assert constraint_matrix(s, identity_word(s.double)).n_matrix.shape == (0, s.n)
 
     def test_degenerate_point_raises(self):
         s = abelian_odd_setup()
         with pytest.raises(CDegenerateError):
-            n_vectors(s, hstar_word(s, [0.4, 0.1]))
+            rho_via_n(s, hstar_word(s, [0.4, 0.1]))
 
     def test_classical_frozen_n_vectors(self):
         s = classical_setup()
         for x in (0.5, 1.0, 2.0):
-            ns = n_vectors(s, hstar_word(s, [x]))
+            ns = constraint_matrix(s, hstar_word(s, [x])).n_matrix
             np.testing.assert_allclose(ns[0], [0.0, 0.0, 1.0 / x], atol=1e-10)
             np.testing.assert_allclose(ns[1], [0.0, -1.0 / x, 0.0], atol=1e-10)
 

@@ -38,7 +38,6 @@ from plrmat.verify import (
     hat_entry,
     largest_entry,
     bracket,
-    momentum_map,
     p_jacobi_residual,
     plcdybe_residual,
     q_jacobi_residual,
@@ -47,7 +46,6 @@ from plrmat.verify import (
     sign_flipped_rfun,
     tilde_entry,
     triangularity_check,
-    zero_r_function,
 )
 
 from test_reduction import classical_setup, dj_setup, trivial_setup
@@ -68,12 +66,14 @@ class TestPlcdybe:
     def test_constant_zero_r_with_full_h_is_exact(self):
         # the equation collapses to the constant Yang-Baxter identity
         s = trivial_setup()
-        res = plcdybe_residual(s, zero_r_function(s), identity_word(s.double))
+        zero = RhoJet.zero(s.dim_H, s.G.dim)
+        res = plcdybe_residual(s, lambda w: zero, identity_word(s.double))
         assert res.norm() == 0.0
 
     def test_abelian_everything_vanishes(self):
         s = abelian_trivial_setup()
-        res = plcdybe_residual(s, zero_r_function(s), identity_word(s.double))
+        zero = RhoJet.zero(s.dim_H, s.G.dim)
+        res = plcdybe_residual(s, lambda w: zero, identity_word(s.double))
         assert res.norm() == 0.0
 
     def test_classical_reduced_r_solves_equation(self):
@@ -127,9 +127,8 @@ class TestEquivariance:
 
     def test_constant_invariant_r_abelian(self):
         s = abelian_trivial_setup()
-        res = equivariance_residual(
-            s, zero_r_function(s), identity_word(s.double), [0.0, 0.0]
-        )
+        zero = RhoJet.zero(s.dim_H, s.G.dim)
+        res = equivariance_residual(s, lambda w: zero, identity_word(s.double), [0.0, 0.0])
         assert res.norm() == 0.0
 
     def test_dj_reduced_r_equivariant(self):
@@ -137,31 +136,6 @@ class TestEquivariance:
         rfun = reduced_r_function(s, 2.5)
         for w in sample_hstar_points(s, 5, seed=6, cond_threshold=2.5):
             assert equivariance_residual(s, rfun, w, [1.0]).norm() <= 1e-12
-
-
-class TestMomentumMap:
-    def test_equal_arguments_give_identity(self):
-        s = dj_setup()
-        w = hstar_word(s, [0.8])
-        mm = momentum_map(w, w)
-        assert np.max(np.abs(mm.ad - np.eye(6))) <= 1e-9
-
-    def test_identity_second_argument(self):
-        s = dj_setup()
-        w = hstar_word(s, [0.8])
-        mm = momentum_map(w, identity_word(s.double))
-        np.testing.assert_allclose(mm.ad, w.ad, atol=1e-12)
-
-    def test_homomorphism_identity_random(self):
-        s = dj_setup()
-        rng = np.random.default_rng(0)
-        from plrmat.dual_group import ad_of_word
-
-        for _ in range(5):
-            w1 = ad_of_word(s.double, [rng.uniform(-1, 1, 3) for _ in range(2)])
-            w2 = ad_of_word(s.double, [rng.uniform(-1, 1, 3)])
-            mm = momentum_map(w1, w2)
-            assert np.max(np.abs(mm.ad @ w2.ad - w1.ad)) <= 1e-9
 
 
 class TestProductBrackets:
@@ -190,9 +164,8 @@ class TestProductBrackets:
         s = abelian_trivial_setup()
         g = ambient_word(s.G, [np.array([0.4, -0.2])])
         lam = hstar_word(s, np.zeros(2))
-        val = bracket(
-            s, zero_r_function(s), QPoint(s, g, lam), g_entry(s, 0, 0), g_entry(s, 1, 1)
-        )
+        zero = RhoJet.zero(s.dim_H, s.G.dim)
+        val = bracket(s, lambda w: zero, QPoint(s, g, lam), g_entry(s, 0, 0), g_entry(s, 1, 1))
         assert val == 0.0
 
     def test_antisymmetry(self):
