@@ -9,7 +9,7 @@ from .bialgebra_double import (
     validate_setup,
 )
 from .dual_group import GroupWord, ad_of_word, dressing_vector, pb_dual
-from .lie_core import LieAlgebra, Subspace, Tensor2
+from .lie_core import LieAlgebra, Subspace
 from .reduction import (
     CMatrix,
     RhoJet,

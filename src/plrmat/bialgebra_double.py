@@ -53,7 +53,7 @@ from .errors import (
     ReductivityError,
     SubalgebraError,
 )
-from .lie_core import LieAlgebra, Subspace, Tensor2, Tensor3, cybe_lhs
+from .lie_core import LieAlgebra, Subspace, _freeze, cybe_lhs
 
 CLOSURE_TOL = 1e-10
 INVARIANCE_TOL = 1e-10
@@ -145,7 +145,7 @@ class Bialgebra:
 
 def derive_cobracket(
     G: LieAlgebra,
-    R: Tensor2,
+    R,
     K_embed: Subspace,
     tol: float = CLOSURE_TOL,
 ) -> Bialgebra:
@@ -157,9 +157,10 @@ def derive_cobracket(
     NotSubBialgebraError if some delta(X) leaks outside K∧K, if K* fails the
     Jacobi identity or if delta is no cocycle.  tol bounds all four checks.
     """
-    if R.coeffs.shape != (G.dim, G.dim):
-        raise InputShapeError(f"R must be {G.dim}x{G.dim}, got {R.coeffs.shape}")
-    if R.antisymmetry_residual() > 1e-12:
+    R = np.asarray(R, dtype=float)
+    if R.shape != (G.dim, G.dim):
+        raise InputShapeError(f"R must be {G.dim}x{G.dim}, got {R.shape}")
+    if np.max(np.abs(R + R.T), initial=0.0) > 1e-12:
         raise InputShapeError("R must be antisymmetric")
     if K_embed.ambient_dim != G.dim:
         raise InputShapeError("K must live in the ambient algebra")
@@ -181,7 +182,7 @@ def derive_cobracket(
     # delta(X) = (ad_X ⊗ 1 + 1 ⊗ ad_X) R for each K basis vector, over the K basis
     pinv = np.linalg.pinv(P.T)  # maps G coordinates to K coordinates
     ads = np.swapaxes(np.tensordot(P, G.c, axes=1), 1, 2)  # ads[k]: ad of P[k] on G
-    d_g = ads @ R.coeffs + R.coeffs @ np.swapaxes(ads, 1, 2)
+    d_g = ads @ R + R @ np.swapaxes(ads, 1, 2)
     cobracket = pinv @ d_g @ pinv.T
     leak = np.max(np.abs(P.T @ cobracket @ P - d_g), axis=(1, 2), initial=0.0)
     bad = np.flatnonzero(leak > tol * (1.0 + np.max(np.abs(d_g), axis=(1, 2), initial=0.0)))
@@ -307,7 +308,7 @@ class ReductionSetup:
     """
 
     G: LieAlgebra
-    R: Tensor2
+    R: np.ndarray  # (dim G, dim G), antisymmetric
     K_embed: Subspace
     H_embed: Subspace
     M_embed: Subspace
@@ -319,6 +320,12 @@ class ReductionSetup:
     Mdual: np.ndarray
     sub_double: DoubleAlgebra
     sub_embed: np.ndarray  # (2p, 2n): rows embed the sub-double basis into D
+
+    def __post_init__(self):
+        object.__setattr__(self, "R", _freeze(self.R))
+        # read-only in place, no copy: every point reads these maps
+        for a in (self.H_in_K, self.M_in_K, self.Hdual, self.Mdual, self.sub_embed):
+            a.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -340,7 +347,9 @@ class ReductionSetup:
         H + H*, so sub_restrict @ Ad_λ @ sub_embedᵀ is Ad_λ on the double of
         (H, H*).
         """
-        return self.sub_double.pairing @ self.sub_embed @ self.double.pairing
+        restrict = self.sub_double.pairing @ self.sub_embed @ self.double.pairing
+        restrict.setflags(write=False)
+        return restrict
 
     @cached_property
     def hstar_ads(self) -> np.ndarray:
@@ -353,7 +362,9 @@ class ReductionSetup:
         n = self.n
         emb = np.zeros((self.dim_H, 2 * n))
         emb[:, n:] = self.Hdual
-        return np.einsum("ai,ijk->akj", emb, self.double.D.c)
+        ads = np.einsum("ai,ijk->akj", emb, self.double.D.c)
+        ads.setflags(write=False)
+        return ads
 
     @cached_property
     def _cmatrices(self) -> weakref.WeakKeyDictionary:
@@ -362,7 +373,7 @@ class ReductionSetup:
         return weakref.WeakKeyDictionary()
 
     @cached_property
-    def anomaly(self) -> Tensor3:
+    def anomaly(self) -> np.ndarray:
         """cybe_lhs(G, R): the constant anomaly of R, right side of the dynamical equation."""
         return cybe_lhs(self.G, self.R)
 
@@ -413,7 +424,7 @@ def _build_sub_double(double: DoubleAlgebra, H_in_K: np.ndarray, Hdual: np.ndarr
 
 def validate_setup(
     G: LieAlgebra,
-    R: Tensor2,
+    R,
     K_embed: Subspace,
     H_embed: Subspace,
     M_embed: Subspace,

@@ -106,8 +106,8 @@ class CatalogEntry:
             },
             # (1/2) Σ (e_a ⊗ f_a - f_a ⊗ e_a) over the raising/lowering pairs
             "r_matrix": [[int(a), int(b), 0.5] for a, b in self.r_pairs],
-            "subalgebra_K": self.k_rows,
-            "subalgebra_H": self.h_rows,
+            "subalgebra_K": [list(row) for row in self.k_rows],
+            "subalgebra_H": [list(row) for row in self.h_rows],
             "complement_M": [list(map(float, row)) for row in self.m_rows],
             "tolerances": {
                 "jacobi": 1e-10,

@@ -59,7 +59,11 @@ def _load_input(path_or_name: str):
     p = Path(path_or_name)
     if p.exists():
         raw = p.read_bytes()
-        return raw, parse_spec_text(raw.decode("utf-8"))
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SpecFileError("json", f"input is not UTF-8 text: {exc}") from exc
+        return raw, parse_spec_text(text)
     if path_or_name in cat.list_entries():
         doc = cat.export_entry(path_or_name)
         raw = dumps_canonical(doc).encode("utf-8")
@@ -138,10 +142,10 @@ def cmd_reduce(args) -> int:
     points = _describe_points(setup, words)
     dump = []
     for k, w in enumerate(words):
-        # with no base r, r* = r + rho is rho itself: one frozen array under
-        # both keys, which the serialiser formats once
-        coeffs = rho(setup, w, tol["cond_threshold"]).coeffs
-        dump.append({"index": k, "rho": coeffs, "r_star": coeffs})
+        # with no base r, r* = r + rho is rho itself: one read-only array
+        # under both keys, which the serialiser formats once
+        value = rho(setup, w, tol["cond_threshold"])
+        dump.append({"index": k, "rho": value, "r_star": value})
     doc = report_document(
         input_digest(raw),
         {"command": "reduce", "sampling": sampling, "tolerances": tol},

@@ -7,9 +7,11 @@ three-slot bracket operations entering the classical Yang-Baxter equation
 
     [R12, R13] + [R12, R23] + [R13, R23]
 
-for antisymmetric R, and the invariance test for 3-tensors.  Each of these
-contractions is a few matrix products over reshaped views of c and of the
-tensors, O(dim⁴) work that holds no array larger than dim³.
+for antisymmetric R, and the invariance test for 3-tensors.  An element of
+g⊗g or g⊗g⊗g is a plain float array of shape (dim, dim) or (dim, dim, dim)
+over the basis.  Each of these contractions is a few matrix products over
+reshaped views of c and of the tensors, O(dim⁴) work that holds no array
+larger than dim³.
 
 The Jacobi check is the one dim⁵ contraction: the Jacobiator has dim⁴
 entries, each a sum over dim terms.  It is cyclic in its three indices, so
@@ -17,7 +19,8 @@ only one index triple per cyclic orbit is evaluated, which computes each
 product of two structure constants once (dim⁵ multiply-adds, not 3·dim⁵),
 again holding no array larger than dim³.
 
-All values are immutable after construction and all operations are pure.
+All values are immutable after construction: every array an object holds
+is read-only.  All operations are pure.
 """
 
 from __future__ import annotations
@@ -181,79 +184,6 @@ class Subspace:
         return coords @ self.basis
 
 
-@dataclass(frozen=True, eq=False)
-class Tensor2:
-    """Element of g⊗g as a dense coefficient matrix over the algebra basis."""
-
-    coeffs: np.ndarray
-    antisymmetric: bool = False
-    tol: float = ANTISYM_TOL
-
-    def __post_init__(self):
-        a = np.asarray(self.coeffs, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InputShapeError(f"Tensor2 coefficients must be square, got shape {a.shape}")
-        object.__setattr__(self, "coeffs", _freeze(a))
-        if self.antisymmetric:
-            r = self.antisymmetry_residual()
-            if r > self.tol:
-                raise InputShapeError(
-                    f"tensor flagged antisymmetric has residual {r:.3e} > {self.tol:.1e}"
-                )
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[0]
-
-    def antisymmetry_residual(self) -> float:
-        if self.coeffs.size == 0:
-            return 0.0
-        return float(np.max(np.abs(self.coeffs + self.coeffs.T)))
-
-    def norm(self) -> float:
-        if self.coeffs.size == 0:
-            return 0.0
-        return float(np.max(np.abs(self.coeffs)))
-
-    @staticmethod
-    def zero(dim: int) -> "Tensor2":
-        return Tensor2(np.zeros((dim, dim)))
-
-
-@dataclass(frozen=True, eq=False)
-class Tensor3:
-    """Element of g⊗g⊗g as a dense 3-index coefficient array."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.coeffs, dtype=float)
-        if a.ndim != 3 or len(set(a.shape)) != 1:
-            raise InputShapeError(f"Tensor3 coefficients must be cubic, got shape {a.shape}")
-        object.__setattr__(self, "coeffs", _freeze(a))
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[0]
-
-    def alternation_residual(self) -> float:
-        """Deviation from total antisymmetry under all index transpositions."""
-        a = self.coeffs
-        if a.size == 0:
-            return 0.0
-        r = max(
-            np.max(np.abs(a + np.transpose(a, (1, 0, 2)))),
-            np.max(np.abs(a + np.transpose(a, (0, 2, 1)))),
-            np.max(np.abs(a + np.transpose(a, (2, 1, 0)))),
-        )
-        return float(r)
-
-    def norm(self) -> float:
-        if self.coeffs.size == 0:
-            return 0.0
-        return float(np.max(np.abs(self.coeffs)))
-
-
 def _bracket_into_first_slot(c: np.ndarray, t: np.ndarray) -> np.ndarray:
     """U[a, (x, z)] = Σ_b c[a, b, x] t[b, z]: e_a bracketed into slot 1 of t.
 
@@ -264,7 +194,7 @@ def _bracket_into_first_slot(c: np.ndarray, t: np.ndarray) -> np.ndarray:
     return (c.transpose(0, 2, 1).reshape(n * n, n) @ t).reshape(n, n * n)
 
 
-def cybe_lhs(A: LieAlgebra, R) -> Tensor3:
+def cybe_lhs(A: LieAlgebra, R) -> np.ndarray:
     """[R12, R13] + [R12, R23] + [R13, R23] as a 3-tensor over the basis of A.
 
     For an antisymmetric R this is the modified-Yang-Baxter anomaly; its
@@ -272,7 +202,7 @@ def cybe_lhs(A: LieAlgebra, R) -> Tensor3:
     mixed bracket term is two matrix products over reshaped views, O(dim⁴)
     work on dim³ arrays, and the first two share the product U_R.
     """
-    r = R.coeffs if isinstance(R, Tensor2) else np.asarray(R, dtype=float)
+    r = np.asarray(R, dtype=float)
     n = A.dim
     if r.shape != (n, n):
         raise InputShapeError(f"tensor must be {n}x{n}, got {r.shape}")
@@ -281,7 +211,7 @@ def cybe_lhs(A: LieAlgebra, R) -> Tensor3:
     total = (r.T @ u).reshape(n, n, n).transpose(1, 0, 2) + (r @ u).reshape(n, n, n)
     # [R13, R23]: Σ_b r[x, b] U_Rᵀ[b, z, y], slot 2 of R the bracketed one
     total += (r @ _bracket_into_first_slot(A.c, r.T)).reshape(n, n, n).transpose(0, 2, 1)
-    return Tensor3(total)
+    return _freeze(total)
 
 
 def invariance_residual3(A: LieAlgebra, T) -> float:
@@ -290,7 +220,7 @@ def invariance_residual3(A: LieAlgebra, T) -> float:
     One basis vector at a time, so only dim³ arrays are held: ad_{e_i} acts
     on each slot as one matrix product against a reshaping of T made once.
     """
-    t = T.coeffs if isinstance(T, Tensor3) else np.asarray(T, dtype=float)
+    t = np.asarray(T, dtype=float)
     n = A.dim
     slot1 = t.reshape(n, n * n)  # [a, (y, z)]
     slot2 = t.transpose(1, 0, 2).reshape(n, n * n)  # [a, (x, z)]

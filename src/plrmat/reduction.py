@@ -21,7 +21,9 @@ components are products with the splitting maps the ReductionSetup holds
 product each, and rho is one solve against C.  The CMatrix of a point is
 built once per (setup, word) and memoised weakly; every consumer reads the
 point's solve, Ad_λ^{-1}, N_i, Ad velocity and rho jet from it, each made
-on first use.
+on first use.  rho and its derivatives are plain (dim G, dim G) arrays, and
+every array a CMatrix holds or caches is read-only, so no caller can change
+what a later call returns.
 
 sample_hstar_points evaluates a block of draws as one stacked pass: one
 expm over the stack of their ad matrices, every product, the SVD and the
@@ -62,7 +64,7 @@ from .errors import (
     InputShapeError,
     SamplingExhaustedError,
 )
-from .lie_core import Tensor2
+from .lie_core import _freeze
 
 COND_THRESHOLD = 1e8
 FORM_AGREE_TOL = 1e-12
@@ -110,14 +112,17 @@ class CMatrix:
         point solves as a stack of one.
         """
         if self.m == 0:
-            return Tensor2.zero(self.setup.G.dim), None
+            dim_g = self.setup.G.dim
+            return _freeze(np.zeros((dim_g, dim_g))), None
         return _solve_points(self.setup, [self])[0]
 
     @cached_property
     def velocity(self) -> np.ndarray:
         """(2p, 2n, 2n): Ad_λ's velocity along the left, then right, H* translations."""
         ads = self.setup.hstar_ads
-        return np.concatenate([ads @ self.ad, self.ad @ ads])
+        v = np.concatenate([ads @ self.ad, self.ad @ ads])
+        v.setflags(write=False)
+        return v
 
     @cached_property
     def jet(self) -> RhoJet:
@@ -130,13 +135,16 @@ class CMatrix:
         d_c = d_m @ self.kstar_parts.T + self.m_parts @ np.swapaxes(d_kstar, -1, -2)
         t = np.swapaxes(S.K_to_G(d_m), -1, -2) @ x  # a'ᵀX
         d_rho = t - np.swapaxes(t, -1, -2) + x.T @ d_c @ x
+        d_rho.setflags(write=False)
         p = S.dim_H
         return RhoJet(value, d_rho[:p], d_rho[p:])
 
     @cached_property
     def ad_inverse(self) -> np.ndarray:
         """Ad_λ^{-1} on the double, inverted once per point."""
-        return np.linalg.inv(self.ad)
+        inv = np.linalg.inv(self.ad)
+        inv.setflags(write=False)
+        return inv
 
     @cached_property
     def n_matrix(self) -> np.ndarray:
@@ -149,7 +157,7 @@ class CMatrix:
         S = self.setup
         n, m = S.n, S.dim_M
         if m == 0:
-            return np.zeros((0, n))
+            return _freeze(np.zeros((0, n)))
         inv_ad = self.ad_inverse
         # column j: M*-coordinates of (Ad^{-1} M^j)_{M*}
         e_mat = S.M_in_K @ inv_ad[n:, :n] @ S.M_in_K.T
@@ -175,6 +183,7 @@ class CMatrix:
         if bad.size:
             i = bad[0]
             raise ConsistencyError(f"defining relation for N_{i} has residual {resid[i]:.3e}")
+        N.setflags(write=False)
         return N
 
 
@@ -221,6 +230,9 @@ def _build_constraint_matrices(S: ReductionSetup, ads: np.ndarray):
         s = np.linalg.svd(c_a, compute_uv=False)
         with np.errstate(divide="ignore"):
             cond = np.where(s[:, -1] > 0.0, np.maximum(s[:, 0], 1.0) / s[:, -1], np.inf)
+    # in place, no copy: each CMatrix holds read-only slices of the stacks
+    for a in (c_a, m_parts, kstar_parts):
+        a.setflags(write=False)
     for b in range(len(ads)):
         if agree[b] > FORM_AGREE_TOL * scale[b]:
             raise ConsistencyError(
@@ -272,8 +284,8 @@ def rho(
     S: ReductionSetup,
     word: GroupWord,
     cond_threshold: float = COND_THRESHOLD,
-) -> Tensor2:
-    """The reduced dynamical r-matrix at λ, as an antisymmetric tensor over G.
+) -> np.ndarray:
+    """The reduced dynamical r-matrix at λ, as an antisymmetric (dim G, dim G) array.
 
     rho = Σ_ij (C^{-1})_ij (Ad_λ M^i)_M ⊗ (Ad_λ M^j)_M, computed with a
     linear solve against C rather than an explicit inverse.
@@ -291,14 +303,14 @@ class RhoJet:
     combination of them.
     """
 
-    value: Tensor2
+    value: np.ndarray
     left: np.ndarray
     right: np.ndarray
 
     @staticmethod
     def zero(dim_h: int, dim_g: int) -> "RhoJet":
-        d = np.zeros((dim_h, dim_g, dim_g))
-        return RhoJet(Tensor2.zero(dim_g), d, d)
+        d = _freeze(np.zeros((dim_h, dim_g, dim_g)))
+        return RhoJet(_freeze(np.zeros((dim_g, dim_g))), d, d)
 
 
 def rho_jet(
@@ -327,7 +339,7 @@ def rho_via_n(
     S: ReductionSetup,
     word: GroupWord,
     cond_threshold: float = COND_THRESHOLD,
-) -> Tensor2:
+) -> np.ndarray:
     """rho recomputed from the N_i in both product orders.
 
     Both -Σ N_i ⊗ M^i and +Σ M^i ⊗ N_i are assembled; they must agree with
@@ -340,7 +352,10 @@ def rho_via_n(
     b = m_g.T @ n_g
     if np.max(np.abs(a - b), initial=0.0) > 1e-9 * (1.0 + np.max(np.abs(a), initial=0.0)):
         raise ConsistencyError("the two product orders for rho disagree")
-    return Tensor2(a, antisymmetric=True, tol=1e-8)
+    anti = np.max(np.abs(a + a.T), initial=0.0)
+    if anti > 1e-8:
+        raise InputShapeError(f"rho via N has antisymmetry residual {anti:.3e} > 1e-8")
+    return a
 
 
 def constraint_inverse_operator_residual(
@@ -555,4 +570,6 @@ def _solve_points(S: ReductionSetup, cmats: list) -> list:
     if bad.size:
         k = bad[0]
         raise InputShapeError(f"rho at point {k} has antisymmetry residual {anti[k]:.3e} > 1e-9")
-    return [(Tensor2(v), xc) for v, xc in zip(values, x)]
+    values.setflags(write=False)
+    x.setflags(write=False)
+    return list(zip(values, x))

@@ -41,7 +41,7 @@ import numpy as np
 
 from .bialgebra_double import ReductionSetup, validate_setup
 from .errors import SpecFileError
-from .lie_core import LieAlgebra, Subspace, Tensor2
+from .lie_core import LieAlgebra, Subspace
 
 SCHEMA_VERSION = "1"
 
@@ -65,10 +65,18 @@ def _is_int(value) -> bool:
 
 
 def _number(value, condition: str, where: str) -> float:
-    """A spec value as a float: an int or a float, never a bool or a string."""
+    """A spec value as a finite float: an int or a float, never a bool, a
+    string, NaN or an infinity (JSON text may spell NaN and Infinity), nor
+    an int past the float range."""
     if not (_is_int(value) or isinstance(value, float)):
         _fail(condition, f"{where}: value must be a number, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        _fail(condition, f"{where}: value must be a finite number, got {value!r}")
+    return x
 
 
 def _require(data, key, kind, condition):
@@ -114,8 +122,8 @@ def _check_sampling(sampling: dict) -> None:
 def parse_spec(data: dict) -> dict:
     """Parse and structurally validate an input document.
 
-    Returns a dict with keys G, R, K, H, M (library objects), tolerances and
-    sampling (plain dicts).  The first violated condition is reported through
+    Returns a dict with keys G, K, H, M (library objects), R (the completed
+    antisymmetric array), tolerances and sampling (plain dicts).  The first violated condition is reported through
     SpecFileError, the Jacobi identity of G included; deeper validation
     (closures, the bialgebra) happens in build_setup.
     """
@@ -151,11 +159,13 @@ def parse_spec(data: dict) -> dict:
         v = _number(v, "algebra.structure_constants", f"entry {idx}")
         c[i, j, k] += v
         c[j, i, k] -= v
-    labels = tuple(algebra.get("basis_labels", ()))
+    labels = algebra.get("basis_labels", [])
+    if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+        _fail("algebra.basis_labels", f"must be a list of strings, got {labels!r}")
     tolerances = _with_defaults(data, "tolerances", DEFAULT_TOLERANCES)
     _check_tolerances(tolerances)
     try:
-        G = LieAlgebra(c, basis_labels=labels, jacobi_tol=tolerances["jacobi"])
+        G = LieAlgebra(c, basis_labels=tuple(labels), jacobi_tol=tolerances["jacobi"])
     except Exception as exc:
         _fail("algebra", str(exc))
 
@@ -178,7 +188,6 @@ def parse_spec(data: dict) -> dict:
         v = _number(v, "r_matrix", f"entry {idx}")
         r[a, b] += v
         r[b, a] -= v
-    R = Tensor2(r, antisymmetric=True)
 
     def read_rows(key, allow_empty=False):
         rows = _require(data, key, list, key)
@@ -207,7 +216,7 @@ def parse_spec(data: dict) -> dict:
 
     return {
         "G": G,
-        "R": R,
+        "R": r,
         "K": K,
         "H": H,
         "M": M,

@@ -37,7 +37,7 @@ from scipy.linalg import expm
 from .bialgebra_double import ReductionSetup
 from .dual_group import GroupWord
 from .errors import ConsistencyError, InputShapeError
-from .lie_core import LieAlgebra, Tensor2, Tensor3, cybe_lhs, invariance_residual3
+from .lie_core import LieAlgebra, cybe_lhs, invariance_residual3
 from .reduction import (
     COND_THRESHOLD,
     RhoJet,
@@ -116,8 +116,9 @@ def describe_word(word: GroupWord) -> list:
     return [list(map(float, f)) for f in word.factors]
 
 
-def plcdybe_lhs(S: ReductionSetup, rfun, word: GroupWord) -> Tensor3:
-    """Left side of the dynamical Yang-Baxter equation for the pair H ⊆ G.
+def plcdybe_lhs(S: ReductionSetup, rfun, word: GroupWord) -> np.ndarray:
+    """Left side of the dynamical Yang-Baxter equation for the pair H ⊆ G, a
+    (dim G)³ array.
 
     The cyclic images of [ (R+r)_12, (R+r)_23 ] sum to the full three-slot
     bracket combination of R + r(λ), and the derivative terms place the
@@ -125,29 +126,28 @@ def plcdybe_lhs(S: ReductionSetup, rfun, word: GroupWord) -> Tensor3:
     the dual basis vector H^a in the other two, cyclically.
     """
     jet = rfun(word)
-    total = cybe_lhs(S.G, Tensor2(S.R.coeffs + jet.value.coeffs)).coeffs
+    total = cybe_lhs(S.G, S.R + jet.value)
     ka = S.K_to_G(S.H_in_K)  # row a: H_a in G coordinates
     n = S.G.dim
     # d[x, y, z] = Σ_a H_a[x] (L_{H^a} r)[y, z]; its cyclic images fill the
     # other two slots
     d = (ka.T @ jet.left.reshape(len(ka), n * n)).reshape(n, n, n)
-    total = total + d + d.transpose(2, 0, 1) + d.transpose(1, 2, 0)
-    return Tensor3(total)
+    return total + d + d.transpose(2, 0, 1) + d.transpose(1, 2, 0)
 
 
-def plcdybe_residual(S: ReductionSetup, rfun, word: GroupWord) -> Tensor3:
-    """Full tensor residual of the dynamical Yang-Baxter equation at λ.
+def plcdybe_residual(S: ReductionSetup, rfun, word: GroupWord) -> np.ndarray:
+    """Residual of the dynamical Yang-Baxter equation at λ, a (dim G)³ array.
 
     In the triangular normalization the right side is the anomaly of the
     constant R, so the residual is the left side minus cybe_lhs(R).
     """
-    return Tensor3(plcdybe_lhs(S, rfun, word).coeffs - S.anomaly.coeffs)
+    return plcdybe_lhs(S, rfun, word) - S.anomaly
 
 
-def _triangularity(G: LieAlgebra, lhs: Tensor3, ref_lhs: Optional[Tensor3]) -> float:
+def _triangularity(G: LieAlgebra, lhs: np.ndarray, ref_lhs: Optional[np.ndarray]) -> float:
     worst = invariance_residual3(G, lhs)
     if ref_lhs is not None:
-        worst = max(worst, float(np.max(np.abs(lhs.coeffs - ref_lhs.coeffs), initial=0.0)))
+        worst = max(worst, float(np.max(np.abs(lhs - ref_lhs), initial=0.0)))
     return worst
 
 
@@ -165,7 +165,7 @@ def triangularity_check(
     return _triangularity(S.G, plcdybe_lhs(S, rfun, word), ref_lhs)
 
 
-def equivariance_residual(S: ReductionSetup, rfun, word: GroupWord, x_h) -> Tensor2:
+def equivariance_residual(S: ReductionSetup, rfun, word: GroupWord, x_h) -> np.ndarray:
     """dress_X r - [X⊗1 + 1⊗X, r] at λ, for X in H given by H-basis coordinates.
 
     The dressing derivative moves λ along λ·exp(t·Y) with Y the K*-part of
@@ -186,9 +186,8 @@ def equivariance_residual(S: ReductionSetup, rfun, word: GroupWord, x_h) -> Tens
     jet = rfun(word)
     flow = np.tensordot(y_h, jet.right, axes=1)
     adx = S.G.ad_matrix(S.K_to_G(x_k))
-    r_here = jet.value.coeffs
-    comm = adx @ r_here + r_here @ adx.T
-    return Tensor2(flow - comm)
+    r_here = jet.value
+    return flow - (adx @ r_here + r_here @ adx.T)
 
 
 def reduced_r_function(S: ReductionSetup, cond_threshold: float = COND_THRESHOLD):
@@ -216,14 +215,13 @@ def sign_flipped_rfun(rfun, a: int, b: int):
 
     def f(word: GroupWord) -> RhoJet:
         jet = rfun(word)
-        return RhoJet(Tensor2(flip(jet.value.coeffs)), flip(jet.left), flip(jet.right))
+        return RhoJet(flip(jet.value), flip(jet.left), flip(jet.right))
 
     return f
 
 
-def largest_entry(t: Tensor2) -> tuple:
-    idx = int(np.argmax(np.abs(t.coeffs)))
-    return np.unravel_index(idx, t.coeffs.shape)
+def largest_entry(t: np.ndarray) -> tuple:
+    return np.unravel_index(int(np.argmax(np.abs(t))), t.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +364,8 @@ class _BracketForm:
         sides = {"left": slice(g0, g0 + dim_g), "right": slice(g0 + dim_g, g0 + 2 * dim_g)}
         B = np.zeros((size, size))
         dB = np.zeros((size, size, size))
-        B[sides["left"], sides["left"]] = -S.R.coeffs
-        B[sides["right"], sides["right"]] = S.R.coeffs
+        B[sides["left"], sides["left"]] = -S.R
+        B[sides["right"], sides["right"]] = S.R
         h_g = S.K_to_G(S.H_in_K)  # row a: H_a in G coordinates
         hk = S.H_in_K
         for name, sign, side in pt.couplings:
@@ -378,7 +376,7 @@ class _BracketForm:
             B[lam_l, lam_r] = sign * (hk @ word.ad[n:, :n] @ hk.T)
             B[amb, lam_l] = h_g.T
             B[lam_l, amb] = -h_g
-            B[amb, amb] += sign * jet.value.coeffs
+            B[amb, amb] += sign * jet.value
             velocity = constraint_matrix(S, word).velocity
             along = slice(o, o + 2 * p)
             dB[along, lam_l, lam_r] = sign * (hk @ velocity[:, n:, :n] @ hk.T)
@@ -500,14 +498,14 @@ def run_suite(
             # the left side once per point serves both equations; the first
             # point is the triangularity reference, as in triangularity_check
             lhs = [plcdybe_lhs(S, rfun, w) for w in words]
-            res = [Tensor3(t.coeffs - S.anomaly.coeffs).norm() for t in lhs]
+            res = [np.max(np.abs(t - S.anomaly), initial=0.0) for t in lhs]
             reports.append(_report(EQ_PLCDYBE, words, res, tol[EQ_PLCDYBE]))
             res = [_triangularity(S.G, t, lhs[0]) for t in lhs]
             reports.append(_report(EQ_TRIANGULARITY, words, res, tol[EQ_TRIANGULARITY]))
             if S.dim_M > 0:
                 a, b = largest_entry(rfun(words[0]).value)
                 bad = sign_flipped_rfun(rfun, int(a), int(b))
-                res = [plcdybe_residual(S, bad, w).norm() for w in words]
+                res = [np.max(np.abs(plcdybe_residual(S, bad, w)), initial=0.0) for w in words]
                 reports.append(
                     _report(EQ_CONTROL, words, res, tol[EQ_CONTROL], direction="lower")
                 )
@@ -518,7 +516,8 @@ def run_suite(
                 for a in range(S.dim_H):
                     x = np.zeros(S.dim_H)
                     x[a] = 1.0
-                    worst = max(worst, equivariance_residual(S, rfun, w, x).norm())
+                    res_x = equivariance_residual(S, rfun, w, x)
+                    worst = max(worst, np.max(np.abs(res_x), initial=0.0))
                 res.append(worst)
             reports.append(_report(EQ_EQUIVARIANCE, words, res, tol[EQ_EQUIVARIANCE]))
         elif s == "dirac":
@@ -540,9 +539,8 @@ def run_suite(
             reports.append(_report(EQ_CONSTRAINT_PB, words, res_c, tol[EQ_CONSTRAINT_PB]))
             res = []
             for w in words:
-                direct = rfun(w).value.coeffs
-                via = rho_via_n(S, w, cond_threshold).coeffs
-                r1 = float(np.max(np.abs(direct - via), initial=0.0))
+                direct = rfun(w).value
+                r1 = float(np.max(np.abs(direct - rho_via_n(S, w, cond_threshold)), initial=0.0))
                 r1 = max(r1, constraint_inverse_operator_residual(S, w, cond_threshold))
                 res.append(r1)
             reports.append(_report(EQ_RHO_CONSISTENCY, words, res, tol[EQ_RHO_CONSISTENCY]))

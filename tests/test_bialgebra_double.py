@@ -24,7 +24,7 @@ from plrmat.errors import (
     ReductivityError,
     SubalgebraError,
 )
-from plrmat.lie_core import LieAlgebra, Subspace, Tensor2
+from plrmat.lie_core import LieAlgebra, Subspace
 from plrmat.specio import parse_spec
 
 from test_lie_core import r_dj_sl2, sl2, sl3_dj
@@ -56,7 +56,7 @@ def sl_n_standard(n):
         if i < j:
             a, b = n - 1 + units.index((i, j)), n - 1 + units.index((j, i))
             r[a, b], r[b, a] = 0.5, -0.5
-    return LieAlgebra(np.round(c)), Tensor2(r, antisymmetric=True)
+    return LieAlgebra(np.round(c)), r
 
 
 def brute_force_cobracket(G, R, x):
@@ -75,9 +75,24 @@ def brute_force_cobracket(G, R, x):
 
 
 class TestDeriveCobracket:
+    def test_non_antisymmetric_r_rejected(self):
+        # R's antisymmetry is checked to 1e-12 absolute; 1e-11 off fails
+        r = r_dj_sl2()
+        r[2, 1] += 1e-11
+        with pytest.raises(InputShapeError):
+            derive_cobracket(sl2(), r, full_subspace(3))
+        with pytest.raises(InputShapeError):
+            derive_cobracket(sl2(), np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+                             full_subspace(3))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 4), (3,), (3, 3, 3)])
+    def test_wrong_shape_r_rejected(self, shape):
+        with pytest.raises(InputShapeError):
+            derive_cobracket(sl2(), np.zeros(shape), full_subspace(3))
+
     def test_zero_r_gives_abelian_dual(self):
         A = sl2()
-        b = derive_cobracket(A, Tensor2.zero(3), full_subspace(3))
+        b = derive_cobracket(A, np.zeros((3, 3)), full_subspace(3))
         assert np.all(b.cobracket == 0.0)
         assert np.all(b.Kstar.c == 0.0)
 
@@ -86,7 +101,7 @@ class TestDeriveCobracket:
         rng = np.random.default_rng(0)
         r = rng.uniform(-1, 1, (3, 3))
         r = (r - r.T) / 2
-        b = derive_cobracket(A, Tensor2(r, antisymmetric=True), full_subspace(3))
+        b = derive_cobracket(A, r, full_subspace(3))
         assert np.all(b.cobracket == 0.0)
 
     def test_sl2_dj_cobracket_values(self):
@@ -98,7 +113,7 @@ class TestDeriveCobracket:
             x = np.zeros(3)
             x[k] = 1.0
             np.testing.assert_allclose(
-                b.cobracket[k], brute_force_cobracket(A, R.coeffs, x), atol=1e-14
+                b.cobracket[k], brute_force_cobracket(A, R, x), atol=1e-14
             )
         # delta(h) = 0, delta(e) = (e⊗h - h⊗e)/2, delta(f) = (f⊗h - h⊗f)/2
         np.testing.assert_allclose(b.cobracket[0], 0.0, atol=1e-15)
@@ -146,7 +161,7 @@ class TestDeriveCobracket:
 class TestBuildDouble:
     def test_abelian_double(self):
         A = LieAlgebra.abelian(2)
-        b = derive_cobracket(A, Tensor2.zero(2), full_subspace(2))
+        b = derive_cobracket(A, np.zeros((2, 2)), full_subspace(2))
         d = build_double(b)
         assert d.dim == 4
         assert np.all(d.D.c == 0.0)
@@ -155,7 +170,7 @@ class TestBuildDouble:
     def test_semidirect_mixed_brackets_r_zero(self):
         """With R = 0 the double is K ⋉ K* via <[X,a],Y> = -<a,[X,Y]>."""
         A = sl2()
-        b = derive_cobracket(A, Tensor2.zero(3), full_subspace(3))
+        b = derive_cobracket(A, np.zeros((3, 3)), full_subspace(3))
         d = build_double(b)
         eye = np.eye(3)
         for i in range(3):
@@ -168,7 +183,7 @@ class TestBuildDouble:
                     assert abs(d.comp_Kstar(br)[k] - want) <= 1e-14
 
     def test_invariance_and_jacobi_r_zero(self):
-        b = derive_cobracket(sl2(), Tensor2.zero(3), full_subspace(3))
+        b = derive_cobracket(sl2(), np.zeros((3, 3)), full_subspace(3))
         d = build_double(b)
         assert d.invariance_residual() <= 1e-10
         assert d.D.jacobi_residual() <= 1e-10
@@ -399,15 +414,14 @@ class TestDistinctDiagnostics:
         r[3, 1], r[1, 3] = 1.0, -1.0
         from plrmat.lie_core import cybe_lhs, invariance_residual3
 
-        R = Tensor2(r, antisymmetric=True)
-        anomaly = cybe_lhs(g, R)
-        assert invariance_residual3(g, anomaly) <= 1e-12 * (1.0 + anomaly.norm())
+        anomaly = cybe_lhs(g, r)
+        assert invariance_residual3(g, anomaly) <= 1e-12 * (1.0 + np.max(np.abs(anomaly)))
         from plrmat.errors import DualSubalgebraError
 
         with pytest.raises(DualSubalgebraError):
             validate_setup(
                 g,
-                R,
+                r,
                 Subspace(4, np.eye(4)),
                 Subspace(4, np.eye(4)[[0, 3]]),
                 Subspace(4, np.eye(4)[[1, 2]]),

@@ -112,6 +112,67 @@ class TestValidate:
         code, _, err = run(["validate", "--input", "no_such_entry"], capsys)
         assert code == 2
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(export_entry("sl2_dj")).encode("utf-8") + b"\xff")
+        code, _, err = run(["validate", "--input", str(path)], capsys)
+        assert code == 2
+        diag = json.loads(err)
+        assert diag["error"] == "SpecFileError"
+        assert diag["condition"] == "json"
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["algebra.structure_constants", "r_matrix",
+                                       "subalgebra_K", "subalgebra_H", "complement_M"])
+    @pytest.mark.parametrize("verb", ["validate", "verify"])
+    def test_non_finite_number_exits_2(self, verb, field, value, tmp_path, capsys):
+        # json reads NaN and Infinity as floats; the first number of the field
+        # is replaced, and json.dumps writes it back as that token
+        doc = export_entry("sl2_dj")
+        if field == "algebra.structure_constants":
+            doc["algebra"]["structure_constants"][0][3] = float(value)
+        elif field == "r_matrix":
+            doc["r_matrix"][0][2] = float(value)
+        else:
+            doc[field][0][0] = float(value)
+        text = json.dumps(doc)
+        assert value in text
+        path = tmp_path / "nonfinite.json"
+        path.write_text(text)
+        code, out, err = run([verb, "--input", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "SpecFileError"
+        assert diag["condition"] == field
+
+    def test_int_past_float_range_exits_2(self, tmp_path, capsys):
+        doc = export_entry("sl2_dj")
+        doc["r_matrix"][0][2] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(["validate", "--input", str(path)], capsys)
+        assert code == 2
+        assert json.loads(err)["condition"] == "r_matrix"
+
+    @pytest.mark.parametrize("labels,condition", [
+        (5, "algebra.basis_labels"),
+        ("hef", "algebra.basis_labels"),
+        ([1, 2, 3], "algebra.basis_labels"),
+        (["h", "e"], "algebra"),  # a list of strings of the wrong length
+    ])
+    @pytest.mark.parametrize("verb", ["validate", "verify"])
+    def test_malformed_basis_labels_exit_2(self, verb, labels, condition, tmp_path, capsys):
+        doc = minimal_sl2((1, 0, 0), [(0, 1, 0), (0, 0, 1)])
+        doc["algebra"]["basis_labels"] = labels
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run([verb, "--input", str(path)], capsys)
+        assert code == 2
+        diag = json.loads(err)
+        assert diag["error"] == "SpecFileError"
+        assert diag["condition"] == condition
+
 
 class TestReduceAndVerify:
     def test_reduce_report_contains_dumps(self, capsys):

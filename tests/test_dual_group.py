@@ -25,13 +25,13 @@ from plrmat.dual_group import (
     right_derivative,
 )
 from plrmat.errors import FactorNotInDualError
-from plrmat.lie_core import LieAlgebra, Subspace, Tensor2
+from plrmat.lie_core import LieAlgebra, Subspace
 
 from test_lie_core import r_dj_sl2, sl2
 
 
 def double_sl2_r0():
-    return build_double(derive_cobracket(sl2(), Tensor2.zero(3), Subspace(3, np.eye(3))))
+    return build_double(derive_cobracket(sl2(), np.zeros((3, 3)), Subspace(3, np.eye(3))))
 
 
 def double_sl2_dj():
@@ -40,7 +40,7 @@ def double_sl2_dj():
 
 def double_abelian(n=2):
     A = LieAlgebra.abelian(n)
-    return build_double(derive_cobracket(A, Tensor2.zero(n), Subspace(n, np.eye(n))))
+    return build_double(derive_cobracket(A, np.zeros((n, n)), Subspace(n, np.eye(n))))
 
 
 def hstar_word(d, x):

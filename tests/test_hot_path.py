@@ -199,7 +199,7 @@ def test_constraint_matrix_matches_reference(name, S, words):
 @pytest.mark.parametrize("name,S,words", CASES, ids=IDS)
 def test_rho_matches_reference(name, S, words):
     for w in words:
-        _close(rho(S, w).coeffs, ref_rho(S, w), rtol=1e-10)
+        _close(rho(S, w), ref_rho(S, w), rtol=1e-10)
 
 
 def ref_n_vectors(S, word):
@@ -273,7 +273,7 @@ def test_n_family_matches_reference(name, S, words):
         assert len(ns) == len(want) == S.dim_M
         for got, ref in zip(ns, want):
             _close(got, ref, rtol=1e-12)
-        _close(rho_via_n(S, w).coeffs, ref_rho_via_n(S, w), rtol=1e-12)
+        _close(rho_via_n(S, w), ref_rho_via_n(S, w), rtol=1e-12)
         got = constraint_inverse_operator_residual(S, w)
         assert abs(got - ref_inverse_operator_residual(S, w)) <= 1e-12
         us = rng.uniform(-1, 1, (6, S.dim_M)) @ S.M_in_K
@@ -296,7 +296,7 @@ class TestMemoisedRfun:
         for w in self.words:
             first = rfun(w)
             assert rfun(w) is first
-            np.testing.assert_array_equal(first.value.coeffs, rho(self.S, w).coeffs)
+            np.testing.assert_array_equal(first.value, rho(self.S, w))
 
     def test_distinct_word_objects_are_evaluated_apart(self):
         rfun = reduced_r_function(self.S)
@@ -304,7 +304,7 @@ class TestMemoisedRfun:
         twin = w.right_mul(np.eye(self.S.double.dim))
         assert twin is not w
         assert rfun(twin) is not rfun(w)
-        np.testing.assert_array_equal(rfun(twin).value.coeffs, rfun(w).value.coeffs)
+        np.testing.assert_array_equal(rfun(twin).value, rfun(w).value)
         np.testing.assert_array_equal(rfun(twin).left, rfun(w).left)
 
     def test_control_still_fails_and_leaves_memo_intact(self):
@@ -312,18 +312,18 @@ class TestMemoisedRfun:
         rfun = reduced_r_function(S)
         w = self.words[0]
         clean = rfun(w)
-        kept = [np.array(t) for t in (clean.value.coeffs, clean.left, clean.right)]
+        kept = [np.array(t) for t in (clean.value, clean.left, clean.right)]
         a, b = largest_entry(clean.value)
         bad = sign_flipped_rfun(rfun, int(a), int(b))
         # the value and both derivatives are flipped together
-        for got, want in zip((bad(w).value.coeffs, bad(w).left, bad(w).right), kept):
+        for got, want in zip((bad(w).value, bad(w).left, bad(w).right), kept):
             np.testing.assert_array_equal(got[..., a, b], -want[..., a, b])
             np.testing.assert_array_equal(got[..., b, a], -want[..., b, a])
-        assert plcdybe_residual(S, bad, w).norm() >= 1e-2
+        assert np.max(np.abs(plcdybe_residual(S, bad, w))) >= 1e-2
         assert rfun(w) is clean
-        for got, want in zip((clean.value.coeffs, clean.left, clean.right), kept):
+        for got, want in zip((clean.value, clean.left, clean.right), kept):
             np.testing.assert_array_equal(got, want)
-        assert plcdybe_residual(S, rfun, w).norm() <= 1e-12
+        assert np.max(np.abs(plcdybe_residual(S, rfun, w))) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["sl2_dj", "sl3_dj_cartan"])
@@ -495,7 +495,7 @@ def test_mixed_bracket_terms_match_einsum():
     # cybe_lhs is the sum of the three mixed bracket terms of one tensor
     for A, s, _, _ in _tensor_cases():
         want = sum(ref_mixed_bracket_terms(A.c, s, s, p) for p in ("12_13", "12_23", "13_23"))
-        _close(cybe_lhs(A, s).coeffs, want, rtol=1e-13)
+        _close(cybe_lhs(A, s), want, rtol=1e-13)
 
 
 def test_invariance_residual3_matches_einsum():
@@ -552,7 +552,7 @@ def test_rho_jet_matches_central_difference(name, S, words):
         for a, xi in enumerate(S.Hdual):
             for derivative, exact in ((left_derivative, jet.left[a]), (right_derivative, jet.right[a])):
                 gaps = [
-                    float(np.max(np.abs(derivative(w, xi, lambda v: rho(S, v).coeffs, h) - exact)))
+                    float(np.max(np.abs(derivative(w, xi, lambda v: rho(S, v), h) - exact)))
                     for h in (1e-3, 5e-4)
                 ]
                 if gaps[0] <= 1e-10:
@@ -581,10 +581,10 @@ def ref_fd_bracket(S, pt, u, v, steps, cond_threshold):
     _fd_steps.
     """
     n = S.n
-    R = S.R.coeffs
+    R = S.R
 
     def r(w):
-        return rho(S, w, cond_threshold).coeffs
+        return rho(S, w, cond_threshold)
 
     def to_g(vh):
         return S.K_to_G(vh @ S.H_in_K)
@@ -785,7 +785,7 @@ class TestPointMemo:
         with pytest.raises(CDegenerateError):
             dirac_bracket(S, w, [(dual_entry(S, 0, 1), dual_entry(S, 1, 0))], cond_threshold=1.0)
         assert constraint_matrix(S, w) is C
-        np.testing.assert_array_equal(rho(S, w, C.cond).coeffs, C.solved[0].coeffs)
+        np.testing.assert_array_equal(rho(S, w, C.cond), C.solved[0])
 
 
 def _counting(monkeypatch, owner, name, calls):

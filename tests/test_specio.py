@@ -36,8 +36,8 @@ class TestParse:
     def test_valid_document_round_trips(self):
         parsed = parse_spec(sl2_doc())
         assert parsed["G"].dim == 3
-        assert parsed["R"].coeffs[1, 2] == 0.5
-        assert parsed["R"].coeffs[2, 1] == -0.5
+        assert parsed["R"][1, 2] == 0.5
+        assert parsed["R"][2, 1] == -0.5
         setup = build_setup(parsed)
         assert setup.dim_M == 2
 
@@ -106,7 +106,7 @@ class TestParse:
 
     def test_integer_values_are_numbers(self):
         parsed = parse_spec(sl2_doc(r_matrix=[[1, 2, 1]]))
-        assert parsed["R"].coeffs[1, 2] == 1.0
+        assert parsed["R"][1, 2] == 1.0
 
     def test_row_length_checked(self):
         assert first_condition(sl2_doc(subalgebra_H=[[1, 0]])) == "subalgebra_H"
