@@ -58,7 +58,10 @@ def _load_input(path_or_name: str):
     """Return (raw_bytes, parsed) from a file path or a catalog entry name."""
     p = Path(path_or_name)
     if p.exists():
-        raw = p.read_bytes()
+        try:
+            raw = p.read_bytes()
+        except OSError as exc:  # a directory, or a file without read permission
+            raise SpecFileError("input", f"cannot read {path_or_name!r}: {exc}") from exc
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:

@@ -30,10 +30,6 @@ class NotSubBialgebraError(PlrmatError):
     """The cobracket of a subalgebra leaks outside the subalgebra's wedge square."""
 
 
-class DoubleJacobiError(PlrmatError):
-    """The assembled double bracket fails the Jacobi identity."""
-
-
 class DecompositionError(PlrmatError):
     """The chosen complement does not split the subalgebra as a direct sum."""
 

@@ -17,7 +17,12 @@ The Jacobi check is the one dim⁵ contraction: the Jacobiator has dim⁴
 entries, each a sum over dim terms.  It is cyclic in its three indices, so
 only one index triple per cyclic orbit is evaluated, which computes each
 product of two structure constants once (dim⁵ multiply-adds, not 3·dim⁵),
-again holding no array larger than dim³.
+again holding no array larger than dim³.  A table in a basis of root
+vectors is mostly zeros (sl5: 272 of 13824 entries, 3080 nonzero products
+against dim⁵ ≈ 8·10⁶ multiply-adds), so when the nonzero products are few
+enough to pay for their fixed overhead they are formed one by one and summed
+by Jacobiator entry instead (see _sparse_pays); the cocycle check of
+bialgebra_double does the same.
 
 All values are immutable after construction: every array an object holds
 is read-only.  All operations are pure.
@@ -35,11 +40,110 @@ ANTISYM_TOL = 1e-12
 JACOBI_TOL = 1e-10
 RANK_TOL = 1e-10
 
+# Costs of the two certificate paths in dense multiply-adds, measured with
+# numpy 2.4 on one core: a step of a dense per-index loop costs about as much
+# as 2·10⁵ of them in call overhead, one nonzero product about 1.2·10³
+# (index bookkeeping and the sort by key), and the nonzero path a fixed
+# 5·10⁵ plus 4·10⁵ per contraction it forms.  Tiny tables (dim 3 for the
+# Jacobiator, dim 8 for the three contractions of the cocycle) stay dense.
+DENSE_STEP_COST = 2e5
+PRODUCT_COST = 1.2e3
+SPARSE_FIXED_COST = 5e5
+SPARSE_TERM_COST = 4e5
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(np.asarray(a, dtype=float))
     a.setflags(write=False)
     return a
+
+
+def _mostly_zero(t: np.ndarray) -> bool:
+    """At most dim² nonzeros: a table in a generic basis has dim³, and then
+    has too many nonzero products to count them one by one."""
+    return np.count_nonzero(t) <= t.shape[0] ** 2
+
+
+def _nonzeros(t: np.ndarray) -> tuple:
+    """(indices, values) of the nonzero entries of a 3-tensor; indices is (3, nnz)."""
+    idx = np.nonzero(t)
+    return np.array(idx), t[idx]
+
+
+def _product_count(s: tuple, a: int, t: tuple, b: int, n: int) -> int:
+    """How many pairs of nonzeros of s and t agree in index a of s and index b of t."""
+    return int(np.bincount(s[0][a], minlength=n) @ np.bincount(t[0][b], minlength=n))
+
+
+def _sparse_pays(products: int, terms: int, n: int) -> bool:
+    """Whether forming the nonzero products of `terms` contractions one by one
+    beats a dense loop of about n steps and n⁵ multiply-adds.  At most n³
+    products are formed, so this path too holds only arrays of a few times
+    dim³ entries."""
+    sparse = SPARSE_FIXED_COST + SPARSE_TERM_COST * terms + PRODUCT_COST * products
+    return products <= n**3 and sparse < DENSE_STEP_COST * n + n**5
+
+
+def _products(s: tuple, a: int, t: tuple, b: int, n: int) -> tuple:
+    """Every product of a nonzero of s with a nonzero of t whose index a of s
+    equals index b of t: (index rows of the s factors, of the t factors,
+    products).  The nonzeros of t are grouped by index b, and each nonzero of
+    s is repeated once per member of its group."""
+    (si, sv), (ti, tv) = s, t
+    order = np.argsort(ti[b], kind="stable")
+    counts = np.bincount(ti[b], minlength=n)
+    reps = counts[si[a]]
+    p = np.repeat(np.arange(sv.size), reps)
+    starts = np.cumsum(counts) - counts  # of each group in order
+    q = order[np.arange(p.size) + np.repeat(starts[si[a]] - (np.cumsum(reps) - reps), reps)]
+    return si[:, p], ti[:, q], sv[p] * tv[q]
+
+
+def _max_abs_by_key(keys: np.ndarray, values: np.ndarray) -> float:
+    """max |Σ values| over each group of equal keys; 0.0 when there are none."""
+    if keys.size == 0:
+        return 0.0
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return float(np.abs(np.add.reduceat(values[order], starts)).max())
+
+
+def _jacobi_dense(c: np.ndarray) -> float:
+    """The Jacobiator's max-norm by the per-index loop that
+    LieAlgebra.jacobi_residual describes."""
+    n = c.shape[0]
+    buf = np.empty((2, n**3))
+    worst = 0.0
+    for i in range(n):
+        r = n - i
+        jac = buf[0, : r * r * n].reshape(r, r, n)  # [j, k, l]
+        tmp = buf[1, : r * r * n].reshape(r, r, n)
+        c_tail = c[:, i:, :].reshape(n, r * n)  # [m, (z, l)] for z ≥ i, a view
+        np.matmul(c[i, i:, :], c_tail, out=jac.reshape(r, r * n))  # A(i,j,k)
+        np.matmul(c[i:, i:, :], c[:, i, :], out=tmp)  # A(j,k,i)
+        jac += tmp
+        np.matmul(c[i:, i, :], c_tail, out=tmp.reshape(r, r * n))  # A(k,i,j) as [k, j, l]
+        jac += tmp.transpose(1, 0, 2)
+        worst = max(worst, float(jac.max()), -float(jac.min()))
+    return worst
+
+
+def _jacobi_sparse(nz: tuple, n: int) -> float:
+    """The Jacobiator's max-norm from the nonzeros nz of the table.
+
+    Each product c[x,y,m]·c[m,z,l] is a term of A(x,y,z)_l, and J at an index
+    triple is the sum of A over its three rotations.  So each product is
+    keyed by the least rotation of (x, y, z) and by l, and the sums by key are
+    J on one triple per orbit.  The orbit of (i, i, i) is that triple alone,
+    whose J is 3·A: its products count three times.
+    """
+    (x, y, _), (_, z, l), prod = _products(nz, 2, nz, 0, n)
+    xy, yz = x * n + y, y * n + z
+    first, second = xy * n + z, yz * n + x
+    least = np.minimum(np.minimum(first, second), z * n * n + xy)
+    prod[first == second] *= 3.0
+    return _max_abs_by_key(least * n + l, prod)
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +156,8 @@ class LieAlgebra:
     the Jacobi residual measured at construction as checked_jacobi.
     jacobi_tol=inf waives the Jacobi check and skips computing the dim⁵
     Jacobiator, for tables whose Jacobi identity is certified elsewhere;
-    checked_jacobi is then None.
+    checked_jacobi is then None.  antisym_tol=inf likewise waives the
+    antisymmetry check.  A table with a NaN or an infinity is refused.
     """
 
     c: np.ndarray
@@ -75,11 +180,14 @@ class LieAlgebra:
             raise InputShapeError(
                 f"{len(self.basis_labels)} basis labels for dimension {n}"
             )
-        r = self.antisymmetry_residual()
-        if r > self.antisym_tol:
-            raise StructureConstantError(
-                f"structure constants not antisymmetric: residual {r:.3e} > {self.antisym_tol:.1e}"
-            )
+        if not np.isfinite(c).all():
+            raise StructureConstantError("structure constants must be finite numbers")
+        if self.antisym_tol < np.inf:  # as for jacobi_tol below
+            r = self.antisymmetry_residual()
+            if r > self.antisym_tol:
+                raise StructureConstantError(
+                    f"structure constants not antisymmetric: residual {r:.3e} > {self.antisym_tol:.1e}"
+                )
         if self.jacobi_tol < np.inf:  # an infinite bound cannot fail
             r = self.jacobi_residual()
             object.__setattr__(self, "checked_jacobi", r)
@@ -109,26 +217,19 @@ class LieAlgebra:
         antisymmetric, so every orbit has a member whose first index is its
         smallest: for each i only j ≥ i, k ≥ i are evaluated, as three matrix
         products, and each A is computed exactly once, about dim⁵
-        multiply-adds in all.  Two dim³ buffers are reused for every i.
+        multiply-adds in all.  Two dim³ buffers are reused for every i.  A
+        table with few nonzero products (_sparse_pays) forms those products
+        alone and sums them by orbit instead (_jacobi_sparse).
         """
-        if self.c.size == 0:
-            return 0.0
         c = self.c
         n = self.dim
-        buf = np.empty((2, n**3))
-        worst = 0.0
-        for i in range(n):
-            r = n - i
-            jac = buf[0, : r * r * n].reshape(r, r, n)  # [j, k, l]
-            tmp = buf[1, : r * r * n].reshape(r, r, n)
-            c_tail = c[:, i:, :].reshape(n, r * n)  # [m, (z, l)] for z ≥ i, a view
-            np.matmul(c[i, i:, :], c_tail, out=jac.reshape(r, r * n))  # A(i,j,k)
-            np.matmul(c[i:, i:, :], c[:, i, :], out=tmp)  # A(j,k,i)
-            jac += tmp
-            np.matmul(c[i:, i, :], c_tail, out=tmp.reshape(r, r * n))  # A(k,i,j) as [k, j, l]
-            jac += tmp.transpose(1, 0, 2)
-            worst = max(worst, float(jac.max()), -float(jac.min()))
-        return worst
+        if c.size == 0:
+            return 0.0
+        if _sparse_pays(0, 1, n) and _mostly_zero(c):  # else no count can pay
+            nz = _nonzeros(c)
+            if _sparse_pays(_product_count(nz, 2, nz, 0, n), 1, n):
+                return _jacobi_sparse(nz, n)
+        return _jacobi_dense(c)
 
     def _check_vector(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -161,6 +262,8 @@ class Subspace:
             raise InputShapeError(
                 f"subspace basis must have shape (k, {self.ambient_dim}), got {b.shape}"
             )
+        if not np.isfinite(b).all():
+            raise SubspaceError("basis entries must be finite numbers")
         object.__setattr__(self, "basis", _freeze(b))
         if b.shape[0] > 0:
             s = np.linalg.svd(b, compute_uv=False)

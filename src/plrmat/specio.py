@@ -33,8 +33,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
+import operator
 from json.encoder import encode_basestring_ascii  # json.dumps of a str
 
 import numpy as np
@@ -119,13 +121,112 @@ def _check_sampling(sampling: dict) -> None:
     _check_positive(sampling, ("box_radius",), "sampling")
 
 
+def _types_are(values, kinds) -> bool:
+    """Whether every value is an instance of kinds and none is a bool, tested
+    once per distinct type."""
+    return all(issubclass(t, kinds) and not issubclass(t, bool) for t in set(map(type, values)))
+
+
+def _finite_floats(values):
+    """values (a sequence or nested sequences of ints and floats) as a float
+    array if all are finite, else None."""
+    try:
+        a = np.array(values, dtype=float)
+    except OverflowError:  # an int past the float range
+        return None
+    return a if np.isfinite(a).all() else None
+
+
+def _entry_array(entries: list, width: int, dim: int):
+    """Sparse entries [index, …, value] as (index rows, values) in one numpy
+    step, or None if any entry breaks a rule of _check_triplets or
+    _check_r_entries: a list or tuple of `width` items, integer indices in
+    range with the first below the second, no index tuple twice, and a finite
+    number as value.  The per-entry check then names the first bad entry.
+    The rules are tested on whole columns by builtins, which cost little on
+    the few entries of a small algebra."""
+    if not (_types_are(entries, (list, tuple)) and set(map(len, entries)) <= {width}):
+        return None
+    if not entries:
+        return np.zeros((width - 1, 0), dtype=int), np.zeros(0)
+    *index_cols, value_col = zip(*entries)
+    indices = list(itertools.chain(*index_cols))
+    if not (_types_are(indices, int) and min(indices) >= 0 and max(indices) < dim
+            and all(map(operator.lt, index_cols[0], index_cols[1]))
+            and len(set(zip(*index_cols))) == len(entries)
+            and _types_are(value_col, (int, float))):
+        return None
+    values = _finite_floats(value_col)
+    return None if values is None else (np.array(index_cols), values)
+
+
+def _check_triplets(triplets: list, dim: int) -> None:
+    """Raise for the first structure-constant entry that breaks a rule."""
+    seen = set()
+    for idx, row in enumerate(triplets):
+        if not isinstance(row, (list, tuple)) or len(row) != 4:
+            _fail("algebra.structure_constants", f"entry {idx} must be [i, j, k, value]")
+        i, j, k, v = row
+        if not all(_is_int(x) for x in (i, j, k)):
+            _fail("algebra.structure_constants", f"entry {idx}: indices must be integers")
+        if not all(0 <= x < dim for x in (i, j, k)):
+            _fail("algebra.structure_constants", f"entry {idx}: index out of range 0..{dim - 1}")
+        if i >= j:
+            _fail("algebra.structure_constants", f"entry {idx}: requires i < j (antisymmetry is completed automatically)")
+        if (i, j, k) in seen:
+            _fail("algebra.structure_constants", f"entry {idx}: duplicate index triple {(i, j, k)}")
+        seen.add((i, j, k))
+        _number(v, "algebra.structure_constants", f"entry {idx}")
+
+
+def _check_r_entries(entries: list, dim: int) -> None:
+    """Raise for the first r-matrix entry that breaks a rule."""
+    seen = set()
+    for idx, row in enumerate(entries):
+        if not isinstance(row, (list, tuple)) or len(row) != 3:
+            _fail("r_matrix", f"entry {idx} must be [a, b, value]")
+        a, b, v = row
+        if not (_is_int(a) and _is_int(b)):
+            _fail("r_matrix", f"entry {idx}: indices must be integers")
+        if not (0 <= a < dim and 0 <= b < dim):
+            _fail("r_matrix", f"entry {idx}: index out of range 0..{dim - 1}")
+        if a >= b:
+            _fail("r_matrix", f"entry {idx}: requires a < b (antisymmetry is completed automatically)")
+        if (a, b) in seen:
+            _fail("r_matrix", f"entry {idx}: duplicate index pair {(a, b)}")
+        seen.add((a, b))
+        _number(v, "r_matrix", f"entry {idx}")
+
+
+def _row_array(rows: list, dim: int):
+    """Basis rows as a float array in one numpy step, or None if any row
+    breaks a rule of _check_rows."""
+    if not (_types_are(rows, (list, tuple)) and set(map(len, rows)) == {dim}):
+        return None
+    if not _types_are(itertools.chain.from_iterable(rows), (int, float)):
+        return None
+    return _finite_floats(rows)
+
+
+def _check_rows(rows: list, dim: int, key: str) -> None:
+    """Raise for the first basis row that is no vector of dim finite numbers."""
+    for idx, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)) or len(row) != dim:
+            _fail(key, f"row {idx} must be a vector of length {dim}")
+        for x in row:
+            _number(x, key, f"row {idx}")
+
+
 def parse_spec(data: dict) -> dict:
     """Parse and structurally validate an input document.
 
     Returns a dict with keys G, K, H, M (library objects), R (the completed
     antisymmetric array), tolerances and sampling (plain dicts).  The first violated condition is reported through
     SpecFileError, the Jacobi identity of G included; deeper validation
-    (closures, the bialgebra) happens in build_setup.
+    (closures, the bialgebra) happens in build_setup.  Structure constants,
+    r entries and basis rows are each converted in one numpy step after a
+    scan of their types; only when that refuses them does a per-entry check
+    run, to name the first bad entry.
     """
     if not isinstance(data, dict):
         _fail("document", "top-level value must be an object")
@@ -141,24 +242,13 @@ def parse_spec(data: dict) -> dict:
     if dim <= 0:
         _fail("algebra.dim", f"dimension must be positive, got {dim}")
     triplets = _require(algebra, "structure_constants", list, "algebra.structure_constants")
+    parsed = _entry_array(triplets, 4, dim)
+    if parsed is None:
+        _check_triplets(triplets, dim)  # raises for the first bad entry
+    (i, j, k), v = parsed
     c = np.zeros((dim, dim, dim))
-    seen = set()
-    for idx, row in enumerate(triplets):
-        if not isinstance(row, (list, tuple)) or len(row) != 4:
-            _fail("algebra.structure_constants", f"entry {idx} must be [i, j, k, value]")
-        i, j, k, v = row
-        if not all(_is_int(x) for x in (i, j, k)):
-            _fail("algebra.structure_constants", f"entry {idx}: indices must be integers")
-        if not all(0 <= x < dim for x in (i, j, k)):
-            _fail("algebra.structure_constants", f"entry {idx}: index out of range 0..{dim - 1}")
-        if i >= j:
-            _fail("algebra.structure_constants", f"entry {idx}: requires i < j (antisymmetry is completed automatically)")
-        if (i, j, k) in seen:
-            _fail("algebra.structure_constants", f"entry {idx}: duplicate index triple {(i, j, k)}")
-        seen.add((i, j, k))
-        v = _number(v, "algebra.structure_constants", f"entry {idx}")
-        c[i, j, k] += v
-        c[j, i, k] -= v
+    c[i, j, k] += v
+    c[j, i, k] -= v
     labels = algebra.get("basis_labels", [])
     if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
         _fail("algebra.basis_labels", f"must be a list of strings, got {labels!r}")
@@ -170,24 +260,13 @@ def parse_spec(data: dict) -> dict:
         _fail("algebra", str(exc))
 
     r_entries = _require(data, "r_matrix", list, "r_matrix")
+    parsed = _entry_array(r_entries, 3, dim)
+    if parsed is None:
+        _check_r_entries(r_entries, dim)  # raises for the first bad entry
+    (a, b), v = parsed
     r = np.zeros((dim, dim))
-    seen_r = set()
-    for idx, row in enumerate(r_entries):
-        if not isinstance(row, (list, tuple)) or len(row) != 3:
-            _fail("r_matrix", f"entry {idx} must be [a, b, value]")
-        a, b, v = row
-        if not (_is_int(a) and _is_int(b)):
-            _fail("r_matrix", f"entry {idx}: indices must be integers")
-        if not (0 <= a < dim and 0 <= b < dim):
-            _fail("r_matrix", f"entry {idx}: index out of range 0..{dim - 1}")
-        if a >= b:
-            _fail("r_matrix", f"entry {idx}: requires a < b (antisymmetry is completed automatically)")
-        if (a, b) in seen_r:
-            _fail("r_matrix", f"entry {idx}: duplicate index pair {(a, b)}")
-        seen_r.add((a, b))
-        v = _number(v, "r_matrix", f"entry {idx}")
-        r[a, b] += v
-        r[b, a] -= v
+    r[a, b] += v
+    r[b, a] -= v
 
     def read_rows(key, allow_empty=False):
         rows = _require(data, key, list, key)
@@ -195,12 +274,10 @@ def parse_spec(data: dict) -> dict:
             if allow_empty:
                 return np.zeros((0, dim))
             _fail(key, "must contain at least one basis row")
-        mat = []
-        for idx, row in enumerate(rows):
-            if not isinstance(row, (list, tuple)) or len(row) != dim:
-                _fail(key, f"row {idx} must be a vector of length {dim}")
-            mat.append([_number(x, key, f"row {idx}") for x in row])
-        return np.array(mat)
+        mat = _row_array(rows, dim)
+        if mat is None:
+            _check_rows(rows, dim, key)  # raises for the first bad row
+        return mat
 
     try:
         K = Subspace(dim, read_rows("subalgebra_K"))

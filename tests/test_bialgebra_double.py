@@ -23,6 +23,7 @@ from plrmat.errors import (
     NotSubBialgebraError,
     ReductivityError,
     SubalgebraError,
+    SubspaceError,
 )
 from plrmat.lie_core import LieAlgebra, Subspace
 from plrmat.specio import parse_spec
@@ -217,7 +218,9 @@ class TestBuildDouble:
 
     def test_block_corruptions_break_invariance(self):
         """One bracket entry changed in each off-diagonal block of the sl4 double
-        is caught by invariance, the one check build_double makes."""
+        is caught by invariance_residual, which plrmat validate reports.
+        build_double itself checks nothing: on the table it assembles, the
+        residual is the antisymmetry defect of K and K* (test_certificates)."""
         d = build_double(derive_cobracket(*sl_n_standard(4), full_subspace(15)))
         assert d.invariance_residual() <= INVARIANCE_TOL
         n = d.n
@@ -237,6 +240,14 @@ class TestBuildDouble:
 
 
 class TestValidateSetup:
+    def test_non_finite_k_basis_fails_at_once(self):
+        """sl2_dj with an infinite K entry once hung in a least-squares solve."""
+        parsed = parse_spec(export_entry("sl2_dj"))
+        basis = parsed["K"].basis.copy()
+        basis[0, 0] = np.inf
+        with pytest.raises(SubspaceError, match="finite"):
+            validate_setup(parsed["G"], parsed["R"], Subspace(3, basis), parsed["H"], parsed["M"])
+
     def test_sl2_cartan_setup_valid(self):
         s = validate_setup(
             sl2(),

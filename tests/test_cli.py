@@ -112,6 +112,13 @@ class TestValidate:
         code, _, err = run(["validate", "--input", "no_such_entry"], capsys)
         assert code == 2
 
+    def test_directory_input_exits_2(self, tmp_path, capsys):
+        code, _, err = run(["validate", "--input", str(tmp_path)], capsys)
+        assert code == 2
+        diag = json.loads(err)
+        assert diag["error"] == "SpecFileError"
+        assert diag["condition"] == "input"
+
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
         path.write_bytes(json.dumps(export_entry("sl2_dj")).encode("utf-8") + b"\xff")

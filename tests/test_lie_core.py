@@ -167,7 +167,25 @@ class TestLieAlgebra:
             LieAlgebra(c)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tables_rejected(self, bad):
+        """A NaN passes every comparison with a tolerance, so it is refused
+        first, even where both checks are waived."""
+        c = sl2().c.copy()
+        c[0, 1, 1] = bad
+        for tols in ({}, {"antisym_tol": np.inf, "jacobi_tol": np.inf}):
+            with pytest.raises(StructureConstantError, match="finite"):
+                LieAlgebra(c, **tols)
+
+
 class TestSubspace:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_basis_rejected(self, bad):
+        basis = np.eye(3)
+        basis[0, 0] = bad
+        with pytest.raises(SubspaceError, match="finite"):
+            Subspace(3, basis)
+
     def test_independent_basis_accepted(self):
         s = Subspace(3, np.array([[1.0, 0, 0], [0, 1.0, 0]]))
         assert s.dim == 2

@@ -1,8 +1,12 @@
 """Input-schema parsing: accepted documents, first-failure diagnostics."""
 
+import json
+
 import numpy as np
 import pytest
 
+from plrmat.catalog import export_entry, list_entries
+from plrmat.cli import main
 from plrmat.errors import NotSubBialgebraError, SpecFileError
 from plrmat.lie_core import LieAlgebra
 from plrmat.specio import build_setup, dumps_canonical, input_digest, parse_spec
@@ -174,6 +178,119 @@ def test_spec_jacobi_tolerance_bounds_g_and_kstar(monkeypatch):
     parsed["tolerances"]["jacobi"] = 1e-11
     with pytest.raises(NotSubBialgebraError, match="dual bracket"):
         build_setup(parsed)
+
+
+BIG = 10**400  # an int past the float range
+
+# (entry, the detail of the SpecFileError it raises as the second of three)
+BAD_TRIPLETS = [
+    ([0, 2, 2, True], "entry 1: value must be a number, got True"),
+    ([0, 2, 2, "x"], "entry 1: value must be a number, got 'x'"),
+    ([0, 2, 2, None], "entry 1: value must be a number, got None"),
+    ([0, 2, 2, float("nan")], "entry 1: value must be a finite number, got nan"),
+    ([0, 2, 2, float("inf")], "entry 1: value must be a finite number, got inf"),
+    ([0, 2, 2, BIG], f"entry 1: value must be a finite number, got {BIG!r}"),
+    ([0, 1, 1, 3.0], "entry 1: duplicate index triple (0, 1, 1)"),
+    ([1, 1, 0, 1.0], "entry 1: requires i < j (antisymmetry is completed automatically)"),
+    ([2, 1, 0, 1.0], "entry 1: requires i < j (antisymmetry is completed automatically)"),
+    ([0, 1, 3, 1.0], "entry 1: index out of range 0..2"),
+    ([-1, 1, 0, 1.0], "entry 1: index out of range 0..2"),
+    ([0, 1, BIG, 1.0], "entry 1: index out of range 0..2"),
+    ([False, True, 1, 2.0], "entry 1: indices must be integers"),
+    ([0, 1.0, 1, 2.0], "entry 1: indices must be integers"),
+    ([0, 1, 1], "entry 1 must be [i, j, k, value]"),
+    ("0 1 1 2", "entry 1 must be [i, j, k, value]"),
+]
+BAD_R_ENTRIES = [
+    ([0, 2, True], "entry 1: value must be a number, got True"),
+    ([0, 2, "0.5"], "entry 1: value must be a number, got '0.5'"),
+    ([0, 2, float("nan")], "entry 1: value must be a finite number, got nan"),
+    ([0, 2, float("-inf")], "entry 1: value must be a finite number, got -inf"),
+    ([0, 2, -BIG], f"entry 1: value must be a finite number, got {-BIG!r}"),
+    ([1, 2, 0.25], "entry 1: duplicate index pair (1, 2)"),
+    ([2, 2, 0.5], "entry 1: requires a < b (antisymmetry is completed automatically)"),
+    ([2, 0, 0.5], "entry 1: requires a < b (antisymmetry is completed automatically)"),
+    ([0, 3, 0.5], "entry 1: index out of range 0..2"),
+    ([BIG, 2, 0.5], "entry 1: index out of range 0..2"),
+    ([True, 2, 0.5], "entry 1: indices must be integers"),
+    ([0, 2.0, 0.5], "entry 1: indices must be integers"),
+    ([0, 1, 2, 0.5], "entry 1 must be [a, b, value]"),
+    ({"a": 0}, "entry 1 must be [a, b, value]"),
+]
+BAD_ROWS = [
+    ([0, True, 0], "row 1: value must be a number, got True"),
+    ([0, "1", 0], "row 1: value must be a number, got '1'"),
+    ([0, [1], 0], "row 1: value must be a number, got [1]"),
+    ([0, float("nan"), 0], "row 1: value must be a finite number, got nan"),
+    ([0, float("inf"), 0], "row 1: value must be a finite number, got inf"),
+    ([0, BIG, 0], f"row 1: value must be a finite number, got {BIG!r}"),
+    ([0, 1], "row 1 must be a vector of length 3"),
+    (5, "row 1 must be a vector of length 3"),
+]
+
+
+def malformed_docs():
+    """(document, condition, detail): each bad entry second, after a good
+    one and before one that is bad in another way, which must not be the
+    one reported."""
+    base = sl2_doc()
+    for bad, detail in BAD_TRIPLETS:
+        triplets = [[0, 1, 1, 2.0], bad, [2, 0, 0, "later"]]
+        doc = dict(base, algebra=dict(base["algebra"], structure_constants=triplets))
+        yield doc, "algebra.structure_constants", detail
+    for bad, detail in BAD_R_ENTRIES:
+        yield sl2_doc(r_matrix=[[1, 2, 0.5], bad, [0, 0, 0.0]]), "r_matrix", detail
+    for key in ("subalgebra_K", "subalgebra_H", "complement_M"):
+        for bad, detail in BAD_ROWS:
+            rows = [list(r) for r in base[key]]
+            yield sl2_doc(**{key: [rows[0], bad, *rows[1:], ["later", 0, 0]]}), key, detail
+
+
+@pytest.mark.parametrize("doc,condition,detail", list(malformed_docs()))
+def test_first_malformed_entry_is_named(doc, condition, detail, tmp_path, capsys):
+    """The one-step conversion refuses every malformed entry, and the
+    per-entry check then names the first one; the CLI exits 2."""
+    with pytest.raises(SpecFileError) as err:
+        parse_spec(doc)
+    assert (err.value.condition, err.value.detail) == (condition, detail)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", "--input", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err)["detail"] == detail
+
+
+def per_entry_arrays(doc):
+    """c, R and the basis rows built one entry at a time, as the parser once did."""
+    dim = doc["algebra"]["dim"]
+    c = np.zeros((dim, dim, dim))
+    for i, j, k, v in doc["algebra"]["structure_constants"]:
+        c[i, j, k] += float(v)
+        c[j, i, k] -= float(v)
+    r = np.zeros((dim, dim))
+    for a, b, v in doc["r_matrix"]:
+        r[a, b] += float(v)
+        r[b, a] -= float(v)
+    rows = [np.array([[float(x) for x in row] for row in doc[key]]).reshape(-1, dim)
+            for key in ("subalgebra_K", "subalgebra_H", "complement_M")]
+    return [c, r, *rows]
+
+
+def _signed_zero_doc():
+    """Zeros of both signs, ints and an int past 2**53 (rounded) among the values."""
+    doc = sl2_doc(r_matrix=[[0, 1, 0.0], [0, 2, -0.0], [1, 2, 2**53 + 1]],
+                  subalgebra_K=[[1, -0.0, 0.0], [0, 1, 0], [0.0, 0, 3]])
+    doc["algebra"] = dict(doc["algebra"], structure_constants=[
+        [0, 1, 1, 2], [0, 2, 2, -2.0], [1, 2, 0, 1.0], [0, 1, 0, -0.0], [1, 2, 2, 0.0]])
+    return doc
+
+
+@pytest.mark.parametrize("doc", [export_entry(name) for name in list_entries()]
+                         + [_signed_zero_doc()])
+def test_one_step_parse_is_bit_identical_to_per_entry(doc):
+    parsed = parse_spec(doc)
+    got = [parsed["G"].c, parsed["R"], parsed["K"].basis, parsed["H"].basis, parsed["M"].basis]
+    for a, b in zip(got, per_entry_arrays(doc)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestSerialization:
