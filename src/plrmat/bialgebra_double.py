@@ -48,6 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import bounds
 from .errors import (
     DecompositionError,
     DualSubalgebraError,
@@ -70,24 +71,7 @@ from .lie_core import (
     cybe_lhs,
 )
 
-CLOSURE_TOL = 1e-10
-INVARIANCE_TOL = 1e-10
-
 DUAL_BRACKET_SIGN = -1.0
-
-
-def _expand(rows: np.ndarray, vectors: np.ndarray):
-    """Least-squares coordinates of vectors (rows) in the span of rows.
-
-    Returns (coords, residuals) with residuals[k] the max-norm reconstruction
-    error of vectors[k].
-    """
-    if rows.shape[0] == 0:
-        coords = np.zeros((vectors.shape[0], 0))
-        return coords, np.max(np.abs(vectors), axis=1, initial=0.0)
-    sol, *_ = np.linalg.lstsq(rows.T, vectors.T, rcond=None)
-    coords = sol.T
-    return coords, np.max(np.abs(coords @ rows - vectors), axis=1, initial=0.0)
 
 
 def _brackets(A: LieAlgebra, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -108,7 +92,7 @@ class Bialgebra:
     K: LieAlgebra
     Kstar: LieAlgebra
     cobracket: np.ndarray
-    cocycle_tol: float = INVARIANCE_TOL
+    cocycle_tol: float = bounds.JACOBI
 
     def __post_init__(self):
         n = self.K.dim
@@ -117,11 +101,9 @@ class Bialgebra:
             raise InputShapeError(f"cobracket must have shape {(n, n, n)}, got {cb.shape}")
         if self.Kstar.dim != n:
             raise InputShapeError("K and Kstar must have equal dimension")
-        cb = np.ascontiguousarray(cb)
-        cb.setflags(write=False)
-        object.__setattr__(self, "cobracket", cb)
+        object.__setattr__(self, "cobracket", _freeze(cb))
         r = self.duality_residual()
-        if r > 1e-12:
+        if r > bounds.DUALITY_TOL:
             raise InputShapeError(
                 f"Kstar structure constants do not match the cobracket: residual {r:.3e}"
             )
@@ -204,7 +186,7 @@ def derive_cobracket(
     G: LieAlgebra,
     R,
     K_embed: Subspace,
-    tol: float = CLOSURE_TOL,
+    tol: float = bounds.JACOBI,
 ) -> Bialgebra:
     """Restrict the coboundary cobracket of (G, R) to the subalgebra K.
 
@@ -217,13 +199,13 @@ def derive_cobracket(
     R = np.asarray(R, dtype=float)
     if R.shape != (G.dim, G.dim):
         raise InputShapeError(f"R must be {G.dim}x{G.dim}, got {R.shape}")
-    if np.max(np.abs(R + R.T), initial=0.0) > 1e-12:
+    if np.max(np.abs(R + R.T), initial=0.0) > bounds.ANTISYM_TOL:
         raise InputShapeError("R must be antisymmetric")
     if K_embed.ambient_dim != G.dim:
         raise InputShapeError("K must live in the ambient algebra")
     P = K_embed.basis  # (n, N)
     n = K_embed.dim
-    pinv = np.linalg.pinv(P.T)  # maps G coordinates to K coordinates
+    pinv = K_embed.pinv  # maps G coordinates to K coordinates
     ad_rows = np.tensordot(P, G.c, axes=1)  # ad_rows[k, j] = [P[k], e_j]
 
     # closure of K and its structure constants
@@ -274,9 +256,7 @@ class DoubleAlgebra:
     def __post_init__(self):
         if self.D.dim != 2 * self.n:
             raise InputShapeError("double must have dimension 2n")
-        p = np.asarray(self.pairing, dtype=float)
-        p.setflags(write=False)
-        object.__setattr__(self, "pairing", p)
+        object.__setattr__(self, "pairing", _freeze(self.pairing))
 
     @property
     def dim(self) -> int:
@@ -292,20 +272,11 @@ class DoubleAlgebra:
         out[self.n :] = a
         return out
 
-    def comp_K(self, w) -> np.ndarray:
-        return np.asarray(w)[: self.n]
-
     def comp_Kstar(self, w) -> np.ndarray:
         return np.asarray(w)[self.n :]
 
     def pair(self, u, v) -> float:
         return float(np.asarray(u) @ self.pairing @ np.asarray(v))
-
-    def pairing_isotropy_residual(self) -> float:
-        p = self.pairing
-        n = self.n
-        off = np.max(np.abs(p[:n, n:] - np.eye(n)))
-        return float(max(np.max(np.abs(p[:n, :n])), np.max(np.abs(p[n:, n:])), off))
 
     def invariance_residual(self) -> float:
         """Max-norm of <<[Z,A],B>> + <<A,[Z,B]>> over all basis triples.
@@ -330,7 +301,7 @@ def build_double(B: Bialgebra) -> DoubleAlgebra:
     ad-invariance of the pairing nor the antisymmetry of the table: of the
     eight blocks of (K|K*)³, six cancel exactly by construction, and the
     other two are the antisymmetry defects of the K and K* tables, which
-    derive_cobracket has checked at ANTISYM_TOL.  So both residuals equal
+    derive_cobracket has checked at bounds.ANTISYM_TOL.  So both residuals equal
     the larger of those two defects, bit for bit.
     """
     n = B.K.dim
@@ -378,6 +349,7 @@ class ReductionSetup:
     Mdual: np.ndarray
     sub_double: DoubleAlgebra
     sub_embed: np.ndarray  # (2p, 2n): rows embed the sub-double basis into D
+    cond_threshold: float  # bound on cond C(λ) at a second-class point of the dual of H
 
     def __post_init__(self):
         object.__setattr__(self, "R", _freeze(self.R))
@@ -486,15 +458,20 @@ def validate_setup(
     K_embed: Subspace,
     H_embed: Subspace,
     M_embed: Subspace,
-    tol: float = CLOSURE_TOL,
+    tol: float = bounds.JACOBI,
+    cond_threshold: float = bounds.COND_THRESHOLD,
 ) -> ReductionSetup:
     """Check every hypothesis of the reduction and return the validated bundle.
 
     Each failed hypothesis raises a distinct error naming the violated
     condition.  On success the closure of H + H* inside the double has also
     been certified, which makes the sub-double the double of (H, H*).
+    cond_threshold is stored on the setup: every point of the reduction is
+    tested against it.
 
-    The splitting is solved once: after the span check, w = [H_in_K; M_in_K]
+    The H and M bases are read over K through the pseudo-inverse of the K
+    basis that derive_cobracket computed.  The splitting is solved once:
+    after the span check, w = [H_in_K; M_in_K]
     is inverted and its dual basis gives Hdual / Mdual.  Each condition is
     then one bracket table over the relevant bases, multiplied by the
     splitting map that extracts the component which must vanish.
@@ -505,23 +482,23 @@ def validate_setup(
 
     bialgebra = derive_cobracket(G, R, K_embed, tol=tol)
     n = K_embed.dim
-    P = K_embed.basis
-
-    H_in_K, resid = _expand(P, H_embed.basis)
-    resid = np.max(resid, initial=0.0)
-    if resid > tol:
-        raise DecompositionError(f"H basis not inside the span of K: residual {resid:.3e}")
-    M_in_K, resid = _expand(P, M_embed.basis)
-    resid = np.max(resid, initial=0.0)
-    if resid > tol:
-        raise DecompositionError(f"M basis not inside the span of K: residual {resid:.3e}")
+    in_K = []
+    for name, sub in (("H", H_embed), ("M", M_embed)):
+        coords = sub.basis @ K_embed.pinv.T
+        resid = np.max(np.abs(coords @ K_embed.basis - sub.basis), initial=0.0)
+        if resid > tol:
+            raise DecompositionError(
+                f"{name} basis not inside the span of K: residual {resid:.3e}"
+            )
+        in_K.append(coords)
+    H_in_K, M_in_K = in_K
     p, m = H_embed.dim, M_embed.dim
     if p + m != n:
         raise DecompositionError(f"dim H + dim M = {p + m} but dim K = {n}")
     w = np.vstack([H_in_K, M_in_K])
     if n:
         s = np.linalg.svd(w, compute_uv=False)
-        if s[-1] <= 1e-10 * s[0]:
+        if s[-1] <= bounds.RANK_TOL * s[0]:
             raise DecompositionError(
                 f"H ⊕ M does not span K (smallest singular value ratio {s[-1] / s[0]:.3e})"
             )
@@ -576,6 +553,7 @@ def validate_setup(
         Mdual=Mdual,
         sub_double=sub_double,
         sub_embed=sub_embed,
+        cond_threshold=cond_threshold,
     )
     r1, r2 = setup.closure_pairing_residuals()
     if max(r1, r2) > tol:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import bounds
 from .bialgebra_double import ReductionSetup
 from .errors import UnknownEntryError
 from .specio import build_setup, parse_spec
@@ -76,7 +77,7 @@ class CatalogEntry:
     """
 
     def __init__(self, name, notes, table, labels, r_pairs, k_rows, h_rows, m_rows,
-                 seed, num_points, cond_threshold=1e8):
+                 seed, num_points, cond_threshold=bounds.COND_THRESHOLD):
         self.name = name
         self.notes = notes
         self.table = table
@@ -109,12 +110,7 @@ class CatalogEntry:
             "subalgebra_K": [list(row) for row in self.k_rows],
             "subalgebra_H": [list(row) for row in self.h_rows],
             "complement_M": [list(map(float, row)) for row in self.m_rows],
-            "tolerances": {
-                "jacobi": 1e-10,
-                "residual": 1e-6,
-                "cond_threshold": self.cond_threshold,
-                "fd_step": 1e-5,
-            },
+            "tolerances": {**bounds.TOLERANCES, "cond_threshold": self.cond_threshold},
             "sampling": {"seed": self.seed, "num_points": self.num_points, "box_radius": 1.0},
         }
 

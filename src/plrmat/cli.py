@@ -136,18 +136,14 @@ def cmd_reduce(args) -> int:
     tol = parsed["tolerances"]
     sampling = parsed["sampling"]
     words = sample_hstar_points(
-        setup,
-        sampling["num_points"],
-        sampling["seed"],
-        sampling["box_radius"],
-        tol["cond_threshold"],
+        setup, sampling["num_points"], sampling["seed"], sampling["box_radius"]
     )
     points = _describe_points(setup, words)
     dump = []
     for k, w in enumerate(words):
         # with no base r, r* = r + rho is rho itself: one read-only array
         # under both keys, which the serialiser formats once
-        value = rho(setup, w, tol["cond_threshold"])
+        value = rho(setup, w)
         dump.append({"index": k, "rho": value, "r_star": value})
     doc = report_document(
         input_digest(raw),
@@ -166,21 +162,13 @@ def cmd_verify(args) -> int:
     setup = build_setup(parsed)
     tol = parsed["tolerances"]
     sampling = parsed["sampling"]
-    residual_tol = tol["residual"]
-    overrides = {
-        "PL_CDYBE": residual_tol,
-        "TRIANGULARITY": residual_tol,
-        "EQUIVARIANCE": residual_tol,
-        "DIRAC_EQ_HSTAR": residual_tol,
-    }
     reports, words = run_suite(
         setup,
         args.suite,
         num_points=sampling["num_points"],
         seed=sampling["seed"],
-        cond_threshold=tol["cond_threshold"],
         box_radius=sampling["box_radius"],
-        tolerances=overrides,
+        residual=tol["residual"],
     )
     points = _describe_points(setup, words)
     doc = report_document(

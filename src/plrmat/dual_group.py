@@ -33,12 +33,10 @@ from typing import Optional, Union
 import numpy as np
 from scipy.linalg import expm
 
+from . import bounds
 from .bialgebra_double import DoubleAlgebra
 from .errors import FactorNotInDualError, InputShapeError
 from .lie_core import LieAlgebra
-
-DEFAULT_FD_STEP = 1e-5
-DUAL_COMPONENT_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +103,7 @@ def _dual_coords(double: DoubleAlgebra, xi) -> np.ndarray:
         return xi
     if xi.shape == (2 * n,):
         kpart = float(np.max(np.abs(xi[:n]), initial=0.0))
-        if kpart > DUAL_COMPONENT_TOL:
+        if kpart > bounds.DUAL_COMPONENT_TOL:
             raise FactorNotInDualError(
                 f"factor has a K-component of size {kpart:.3e}"
             )
@@ -164,13 +162,13 @@ class StepCache:
         self.minus = [_exp_ad(double, -h * d) for d in dirs]
 
 
-def left_derivative(w: GroupWord, X, f, h: float = DEFAULT_FD_STEP):
+def left_derivative(w: GroupWord, X, f, h: float = bounds.FD_STEP):
     """Central difference of f along left translation by exp(tX), X in K*."""
     step = StepCache(w.double, h, [_dual_coords(w.double, X)])
     return (f(w.left_mul(step.plus[0])) - f(w.left_mul(step.minus[0]))) / (2.0 * h)
 
 
-def right_derivative(w: GroupWord, X, f, h: float = DEFAULT_FD_STEP):
+def right_derivative(w: GroupWord, X, f, h: float = bounds.FD_STEP):
     step = StepCache(w.double, h, [_dual_coords(w.double, X)])
     return (f(w.right_mul(step.plus[0])) - f(w.right_mul(step.minus[0]))) / (2.0 * h)
 
@@ -178,7 +176,7 @@ def right_derivative(w: GroupWord, X, f, h: float = DEFAULT_FD_STEP):
 def gradients(
     w: GroupWord,
     f,
-    h: float = DEFAULT_FD_STEP,
+    h: float = bounds.FD_STEP,
     cache: Optional[StepCache] = None,
 ) -> tuple:
     """Left and right gradients of f at w, one coordinate per cache direction.
@@ -206,7 +204,7 @@ def pb_dual(
     w: GroupWord,
     f1,
     f2,
-    h: float = DEFAULT_FD_STEP,
+    h: float = bounds.FD_STEP,
     cache: Optional[StepCache] = None,
 ) -> float:
     """Poisson bracket {f1, f2}(w) = << grad f1, Ad_w (grad' f2) >>."""

@@ -31,14 +31,12 @@ is read-only.  All operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from . import bounds
 from .errors import InputShapeError, StructureConstantError, SubspaceError
-
-ANTISYM_TOL = 1e-12
-JACOBI_TOL = 1e-10
-RANK_TOL = 1e-10
 
 # Costs of the two certificate paths in dense multiply-adds, measured with
 # numpy 2.4 on one core: a step of a dense per-index loop costs about as much
@@ -162,8 +160,8 @@ class LieAlgebra:
 
     c: np.ndarray
     basis_labels: tuple = ()
-    antisym_tol: float = ANTISYM_TOL
-    jacobi_tol: float = JACOBI_TOL
+    antisym_tol: float = bounds.ANTISYM_TOL
+    jacobi_tol: float = bounds.JACOBI
     checked_jacobi: float | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
@@ -267,7 +265,7 @@ class Subspace:
         object.__setattr__(self, "basis", _freeze(b))
         if b.shape[0] > 0:
             s = np.linalg.svd(b, compute_uv=False)
-            if b.shape[0] > b.shape[1] or s[-1] <= RANK_TOL * s[0]:
+            if b.shape[0] > b.shape[1] or s[-1] <= bounds.RANK_TOL * s[0]:
                 raise SubspaceError(
                     f"basis vectors not linearly independent "
                     f"(smallest/largest singular value {s[-1]:.3e}/{s[0]:.3e})"
@@ -276,6 +274,15 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
+
+    @cached_property
+    def pinv(self) -> np.ndarray:
+        """(dim, ambient_dim): the pseudo-inverse of basisᵀ, computed once.
+
+        v @ pinvᵀ is the least-squares coordinates of an ambient vector v
+        over the basis, exact for v in the span.
+        """
+        return _freeze(np.linalg.pinv(self.basis.T))
 
     def embed(self, coords) -> np.ndarray:
         """Ambient coordinates of the element with the given basis coordinates."""

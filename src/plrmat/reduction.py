@@ -14,11 +14,15 @@ invertible the constraints are second class and the reduced r-matrix
 
     rho(λ) = Σ_ij (C^{-1})_ij (Ad_λ M^i)_M ⊗ (Ad_λ M^j)_M
 
-is defined.  Evaluation is a few dense products per point: the moved basis
-Ad_λ M^i is one product of the K columns of Ad_λ with M_in_Kᵀ, its
-components are products with the splitting maps the ReductionSetup holds
-(Mdual for the M-part, M_in_K for the M*-part), both forms of C are one
-product each, and rho is one solve against C.  The CMatrix of a point is
+is defined.  Numerically that open set is where cond C(λ) is at most the
+setup's cond_threshold: every function that reads C^{-1} checks it on each
+request, and the sampler draws only such points.
+
+Evaluation is a few dense products per point: the moved basis Ad_λ M^i is
+one product of the K columns of Ad_λ with M_in_Kᵀ, its components are
+products with the splitting maps the ReductionSetup holds (Mdual for the
+M-part, M_in_K for the M*-part), both forms of C are one product each, and
+rho is one solve against C.  The CMatrix of a point is
 built once per (setup, word) and memoised weakly; every consumer reads the
 point's solve, Ad_λ^{-1}, N_i, Ad velocity and rho jet from it, each made
 on first use.  rho and its derivatives are plain (dim G, dim G) arrays, and
@@ -56,6 +60,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import expm
 
+from . import bounds
 from .bialgebra_double import ReductionSetup
 from .dual_group import GroupWord
 from .errors import (
@@ -66,9 +71,10 @@ from .errors import (
 )
 from .lie_core import _freeze
 
-COND_THRESHOLD = 1e8
-FORM_AGREE_TOL = 1e-12
-MAX_SAMPLE_ATTEMPTS = 100
+
+def _bound_text(x: float) -> str:
+    """A bound as its literal would be written: 1e-9, not 1e-09."""
+    return np.format_float_scientific(x, trim="-", exp_digits=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +98,9 @@ class CMatrix:
     def m(self) -> int:
         return self.entries.shape[0]
 
-    def diagnosis(self, cond_threshold: float = COND_THRESHOLD) -> str:
+    def diagnosis(self) -> str:
+        """Why the point is not second class under the setup's
+        cond_threshold, or "ok" where it is."""
         if self.m == 0:
             return "ok"
         if self.m % 2 == 1:
@@ -100,8 +108,9 @@ class CMatrix:
                 f"odd-dimensional complement (dim M = {self.m}); an antisymmetric "
                 "matrix of odd size is always singular"
             )
-        if not np.isfinite(self.cond) or self.cond > cond_threshold:
-            return f"condition number {self.cond:.3e} exceeds threshold {cond_threshold:.1e}"
+        threshold = self.setup.cond_threshold
+        if not np.isfinite(self.cond) or self.cond > threshold:
+            return f"condition number {self.cond:.3e} exceeds threshold {threshold:.1e}"
         return "ok"
 
     @cached_property
@@ -152,7 +161,8 @@ class CMatrix:
 
         One row per dual basis element M_i, in K coordinates.  All N_i come
         from one solve against the moved complement basis; the defining
-        relation is verified to 1e-10 for each of them after the solve.
+        relation is verified to bounds.N_RELATION_TOL for each of them after
+        the solve.
         """
         S = self.setup
         n, m = S.n, S.dim_M
@@ -164,10 +174,10 @@ class CMatrix:
         # solvability guard only: every reader enforces second-class membership
         # through C, so this fires solely on numerically singular systems
         s = np.linalg.svd(e_mat, compute_uv=False)
-        if s[-1] <= 0.0 or s[0] / s[-1] > 1e8:
+        if s[-1] <= 0.0 or s[0] / s[-1] > bounds.N_SOLVE_COND:
             raise CDegenerateError(
                 f"moved complement basis is numerically singular "
-                f"(condition {s[0] / max(s[-1], 1e-300):.3e})"
+                f"(condition {s[0] / max(s[-1], bounds.COND_MESSAGE_FLOOR):.3e})"
             )
         # column i: Ad^{-1} M_i in the double, and its M*-coordinates
         targets = inv_ad[:, n:] @ S.Mdual.T
@@ -179,7 +189,9 @@ class CMatrix:
         resid = np.maximum(
             np.max(np.abs(targets[:n]), axis=0), np.max(np.abs(targets[n:] - rhs), axis=0)
         )
-        bad = np.flatnonzero(resid > 1e-10 * (1.0 + np.max(np.abs(targets), axis=0)))
+        bad = np.flatnonzero(
+            resid > bounds.N_RELATION_TOL * (1.0 + np.max(np.abs(targets), axis=0))
+        )
         if bad.size:
             i = bad[0]
             raise ConsistencyError(f"defining relation for N_{i} has residual {resid[i]:.3e}")
@@ -234,7 +246,7 @@ def _build_constraint_matrices(S: ReductionSetup, ads: np.ndarray):
     for a in (c_a, m_parts, kstar_parts):
         a.setflags(write=False)
     for b in range(len(ads)):
-        if agree[b] > FORM_AGREE_TOL * scale[b]:
+        if agree[b] > bounds.FORM_AGREE_TOL * scale[b]:
             raise ConsistencyError(
                 f"the two pairing forms of C disagree by {agree[b]:.3e}"
             )
@@ -257,7 +269,7 @@ def constraint_matrix(S: ReductionSetup, word: GroupWord) -> CMatrix:
     points, by sample_hstar_points with the rest of its block) and held in
     the setup's memo while the word lives.  Degeneracy is recorded, not raised;
     use check_second_class or rho to act on it.  The two equivalent pairing
-    forms of C are both computed and must agree to FORM_AGREE_TOL.
+    forms of C are both computed and must agree to bounds.FORM_AGREE_TOL.
     """
     memo = S._cmatrices
     C = memo.get(word)
@@ -266,31 +278,29 @@ def constraint_matrix(S: ReductionSetup, word: GroupWord) -> CMatrix:
     return C
 
 
-def check_second_class(C: CMatrix, cond_threshold: float = COND_THRESHOLD) -> bool:
-    """Membership test for the open set where the constraints are second class."""
-    return C.diagnosis(cond_threshold) == "ok"
+def check_second_class(C: CMatrix) -> bool:
+    """Membership test for the open set where the constraints are second class,
+    under the cond_threshold of C's setup."""
+    return C.diagnosis() == "ok"
 
 
-def _second_class_matrix(S: ReductionSetup, word: GroupWord, cond_threshold: float) -> CMatrix:
-    """constraint_matrix at word; CDegenerateError unless second class under cond_threshold."""
+def _second_class_matrix(S: ReductionSetup, word: GroupWord) -> CMatrix:
+    """constraint_matrix at word; CDegenerateError unless second class under
+    S.cond_threshold, which is checked on every request."""
     C = constraint_matrix(S, word)
-    diag = C.diagnosis(cond_threshold)
+    diag = C.diagnosis()
     if diag != "ok":
         raise CDegenerateError(f"constraint matrix degenerate: {diag}")
     return C
 
 
-def rho(
-    S: ReductionSetup,
-    word: GroupWord,
-    cond_threshold: float = COND_THRESHOLD,
-) -> np.ndarray:
+def rho(S: ReductionSetup, word: GroupWord) -> np.ndarray:
     """The reduced dynamical r-matrix at λ, as an antisymmetric (dim G, dim G) array.
 
     rho = Σ_ij (C^{-1})_ij (Ad_λ M^i)_M ⊗ (Ad_λ M^j)_M, computed with a
     linear solve against C rather than an explicit inverse.
     """
-    return _second_class_matrix(S, word, cond_threshold).solved[0]
+    return _second_class_matrix(S, word).solved[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,11 +323,7 @@ class RhoJet:
         return RhoJet(_freeze(np.zeros((dim_g, dim_g))), d, d)
 
 
-def rho_jet(
-    S: ReductionSetup,
-    word: GroupWord,
-    cond_threshold: float = COND_THRESHOLD,
-) -> RhoJet:
+def rho_jet(S: ReductionSetup, word: GroupWord) -> RhoJet:
     """rho(λ) with its exact left and right derivatives along the H* basis.
 
     Along a translation generated by ξ, Ad_λ moves with velocity ad_ξ·Ad_λ
@@ -332,37 +338,34 @@ def rho_jet(
     << (A M^i)_M, A M^j >>, which equals the other form of C for every
     matrix A, since M pairs to zero with H*.  The value is rho's, bit for bit.
     """
-    return _second_class_matrix(S, word, cond_threshold).jet
+    return _second_class_matrix(S, word).jet
 
 
-def rho_via_n(
-    S: ReductionSetup,
-    word: GroupWord,
-    cond_threshold: float = COND_THRESHOLD,
-) -> np.ndarray:
+def rho_via_n(S: ReductionSetup, word: GroupWord) -> np.ndarray:
     """rho recomputed from the N_i in both product orders.
 
     Both -Σ N_i ⊗ M^i and +Σ M^i ⊗ N_i are assembled; they must agree with
-    each other to 1e-9 (and with rho, which callers assert separately).  The
+    each other to bounds.RHO_ORDERS_TOL (and with rho, which callers assert
+    separately), and be antisymmetric to bounds.RHO_VIA_N_ANTISYM_TOL.  The
     N_i come from Ad_λ^{-1}, never from the solve against C that gives rho.
     """
-    n_g = S.K_to_G(_second_class_matrix(S, word, cond_threshold).n_matrix)
+    n_g = S.K_to_G(_second_class_matrix(S, word).n_matrix)
     m_g = S.K_to_G(S.M_in_K)
     a = -(n_g.T @ m_g)
     b = m_g.T @ n_g
-    if np.max(np.abs(a - b), initial=0.0) > 1e-9 * (1.0 + np.max(np.abs(a), initial=0.0)):
+    scale = 1.0 + np.max(np.abs(a), initial=0.0)
+    if np.max(np.abs(a - b), initial=0.0) > bounds.RHO_ORDERS_TOL * scale:
         raise ConsistencyError("the two product orders for rho disagree")
     anti = np.max(np.abs(a + a.T), initial=0.0)
-    if anti > 1e-8:
-        raise InputShapeError(f"rho via N has antisymmetry residual {anti:.3e} > 1e-8")
+    tol = bounds.RHO_VIA_N_ANTISYM_TOL
+    if anti > tol:
+        raise InputShapeError(
+            f"rho via N has antisymmetry residual {anti:.3e} > {_bound_text(tol)}"
+        )
     return a
 
 
-def constraint_inverse_operator_residual(
-    S: ReductionSetup,
-    word: GroupWord,
-    cond_threshold: float = COND_THRESHOLD,
-) -> float:
+def constraint_inverse_operator_residual(S: ReductionSetup, word: GroupWord) -> float:
     """Residual of the identity sending M_k to -N_k through C^{-1}.
 
     The operator Σ_ij (C^{-1})_ij (Ad M^i)_M <M_k, (Ad M^j)_M> must equal
@@ -370,19 +373,13 @@ def constraint_inverse_operator_residual(
     """
     if S.dim_M == 0:
         return 0.0
-    C = _second_class_matrix(S, word, cond_threshold)
+    C = _second_class_matrix(S, word)
     # column k: Σ_j (C^{-1})_ij <M_k, (Ad M^j)_M>
     coeffs = np.linalg.solve(C.entries, C.m_parts @ S.Mdual.T)
     return float(np.max(np.abs(coeffs.T @ C.m_parts + C.n_matrix)))
 
 
-def characterization_identity_residual(
-    S: ReductionSetup,
-    word: GroupWord,
-    u,
-    v,
-    cond_threshold: float = COND_THRESHOLD,
-) -> float:
+def characterization_identity_residual(S: ReductionSetup, word: GroupWord, u, v) -> float:
     """Residual of the pairing identity characterizing the rho family.
 
     << (λ^{-1}uλ)_M, λ^{-1}vλ >> = Σ_i << (λ^{-1}uλ)_M, λ^{-1}M^iλ >> ·
@@ -392,7 +389,7 @@ def characterization_identity_residual(
     returned, with the N_i and Ad_λ^{-1} read once for all of them.
     """
     n = S.n
-    C = _second_class_matrix(S, word, cond_threshold)
+    C = _second_class_matrix(S, word)
     N, inv_ad = C.n_matrix, C.ad_inverse
     move = inv_ad[:, :n].T  # K row -> its image under Ad_λ^{-1}, in the double
     to_m = S.Mdual.T @ S.M_in_K  # K row -> its M-part
@@ -447,12 +444,7 @@ def _pair_gradients(C: CMatrix, pairs) -> tuple:
     return g[0::2, :p], g[1::2, p:]
 
 
-def dirac_bracket(
-    S: ReductionSetup,
-    word: GroupWord,
-    pairs,
-    cond_threshold: float = COND_THRESHOLD,
-) -> np.ndarray:
+def dirac_bracket(S: ReductionSetup, word: GroupWord, pairs) -> np.ndarray:
     """The Dirac bracket {F1, F2}* at λ for each pair (F1, F2) of functions.
 
     The functions are l·Ad·r functions on the dual of H (anything with the
@@ -463,7 +455,7 @@ def dirac_bracket(
     every pair.  The result must match native_hstar_bracket to roundoff at
     second-class points.
     """
-    C = _second_class_matrix(S, word, cond_threshold)
+    C = _second_class_matrix(S, word)
     n = S.n
     g1, g2p = (g @ S.H_in_K for g in _pair_gradients(C, pairs))
     # column k: K*-part of Ad_λ grad' f2 for pair k; a K vector pairs with
@@ -509,15 +501,13 @@ def sample_hstar_points(
     num_points: int,
     seed: int,
     box_radius: float = 1.0,
-    cond_threshold: float = COND_THRESHOLD,
-    max_attempts: int = MAX_SAMPLE_ATTEMPTS,
 ) -> list:
     """Draw second-class points of the dual of H with a reproducible stream.
 
     Each point is a single-factor word with H* coordinates uniform in
-    [-box_radius, box_radius]; draws failing the second-class test are
-    rejected, and after max_attempts consecutive rejections sampling stops
-    with SamplingExhaustedError.
+    [-box_radius, box_radius]; draws failing the second-class test under
+    S.cond_threshold are rejected, and after bounds.MAX_SAMPLE_ATTEMPTS
+    consecutive rejections sampling stops with SamplingExhaustedError.
 
     The draws still missing are taken as one block: one uniform call of
     shape (missing, dim H) gives the same coordinates, row by row, as one
@@ -531,6 +521,7 @@ def sample_hstar_points(
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     memo = S._cmatrices
+    max_attempts = bounds.MAX_SAMPLE_ATTEMPTS
     out, accepted, misses = [], [], 0
     while len(out) < num_points:
         coords = rng.uniform(-box_radius, box_radius, (num_points - len(out), S.dim_H))
@@ -544,7 +535,7 @@ def sample_hstar_points(
                 )
             memo[word] = next(cmats)
             C = constraint_matrix(S, word)
-            if check_second_class(C, cond_threshold):
+            if check_second_class(C):
                 out.append(word)
                 accepted.append(C)
                 misses = 0
@@ -560,16 +551,20 @@ def _solve_points(S: ReductionSetup, cmats: list) -> list:
     """CMatrix.solved of every point in cmats, by one solve over their stack.
 
     Every C must be invertible: a singular slice fails the whole stack.  Each
-    rho must be antisymmetric to 1e-9, checked once over the stack.
+    rho must be antisymmetric to bounds.RHO_ANTISYM_TOL, checked once over
+    the stack.
     """
     a = S.K_to_G(np.array([C.m_parts for C in cmats]))
     x = np.linalg.solve(np.array([C.entries for C in cmats]), a)
     values = np.swapaxes(a, -1, -2) @ x
     anti = np.max(np.abs(values + np.swapaxes(values, -1, -2)), axis=(1, 2), initial=0.0)
-    bad = np.flatnonzero(anti > 1e-9)
+    tol = bounds.RHO_ANTISYM_TOL
+    bad = np.flatnonzero(anti > tol)
     if bad.size:
         k = bad[0]
-        raise InputShapeError(f"rho at point {k} has antisymmetry residual {anti[k]:.3e} > 1e-9")
+        raise InputShapeError(
+            f"rho at point {k} has antisymmetry residual {anti[k]:.3e} > {_bound_text(tol)}"
+        )
     values.setflags(write=False)
     x.setflags(write=False)
     return list(zip(values, x))

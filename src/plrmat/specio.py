@@ -20,10 +20,13 @@ The input schema is a JSON document with sparse structure-constant triplets
 
 The tolerance key jacobi bounds the Jacobi identity of G and, as the tol of
 validate_setup, the closure checks of K, H, M and their duals, the Jacobi
-identity of K* and the cocycle check, which certify D(K, K*).  jacobi,
+identity of K* and the cocycle check, which certify D(K, K*).  residual
+bounds the equations of verify.RESIDUAL_EQUATIONS, and cond_threshold is
+stored on the setup, where it defines the second-class points.  jacobi,
 residual and cond_threshold must be finite positive numbers.  The key
 fd_step is accepted and ignored: no suite takes a finite difference.  It
-is kept so that existing inputs parse and the reports are unchanged.
+is kept so that existing inputs parse and the reports are unchanged.  A key
+the block leaves out takes its value from bounds.TOLERANCES, shown above.
 
 Reports are emitted with sorted keys and floats printed to 17 significant
 digits, which makes a rerun with identical inputs byte-identical.
@@ -41,18 +44,12 @@ from json.encoder import encode_basestring_ascii  # json.dumps of a str
 
 import numpy as np
 
+from . import bounds
 from .bialgebra_double import ReductionSetup, validate_setup
 from .errors import SpecFileError
 from .lie_core import LieAlgebra, Subspace
 
 SCHEMA_VERSION = "1"
-
-DEFAULT_TOLERANCES = {
-    "jacobi": 1e-10,
-    "residual": 1e-6,
-    "cond_threshold": 1e8,
-    "fd_step": 1e-5,
-}
 
 DEFAULT_SAMPLING = {"seed": 0, "num_points": 10, "box_radius": 1.0}
 
@@ -139,12 +136,12 @@ def _finite_floats(values):
 
 def _entry_array(entries: list, width: int, dim: int):
     """Sparse entries [index, …, value] as (index rows, values) in one numpy
-    step, or None if any entry breaks a rule of _check_triplets or
-    _check_r_entries: a list or tuple of `width` items, integer indices in
-    range with the first below the second, no index tuple twice, and a finite
-    number as value.  The per-entry check then names the first bad entry.
-    The rules are tested on whole columns by builtins, which cost little on
-    the few entries of a small algebra."""
+    step, or None if any entry breaks a rule of _check_entries: a list or
+    tuple of `width` items, integer indices in range with the first below
+    the second, no index tuple twice, and a finite number as value.  The
+    per-entry check then names the first bad entry.  The rules are tested
+    on whole columns by builtins, which cost little on the few entries of a
+    small algebra."""
     if not (_types_are(entries, (list, tuple)) and set(map(len, entries)) <= {width}):
         return None
     if not entries:
@@ -160,42 +157,28 @@ def _entry_array(entries: list, width: int, dim: int):
     return None if values is None else (np.array(index_cols), values)
 
 
-def _check_triplets(triplets: list, dim: int) -> None:
-    """Raise for the first structure-constant entry that breaks a rule."""
-    seen = set()
-    for idx, row in enumerate(triplets):
-        if not isinstance(row, (list, tuple)) or len(row) != 4:
-            _fail("algebra.structure_constants", f"entry {idx} must be [i, j, k, value]")
-        i, j, k, v = row
-        if not all(_is_int(x) for x in (i, j, k)):
-            _fail("algebra.structure_constants", f"entry {idx}: indices must be integers")
-        if not all(0 <= x < dim for x in (i, j, k)):
-            _fail("algebra.structure_constants", f"entry {idx}: index out of range 0..{dim - 1}")
-        if i >= j:
-            _fail("algebra.structure_constants", f"entry {idx}: requires i < j (antisymmetry is completed automatically)")
-        if (i, j, k) in seen:
-            _fail("algebra.structure_constants", f"entry {idx}: duplicate index triple {(i, j, k)}")
-        seen.add((i, j, k))
-        _number(v, "algebra.structure_constants", f"entry {idx}")
+def _check_entries(entries: list, dim: int, key: str, names: str, kind: str) -> None:
+    """Raise for the first sparse entry [index, …, value] that breaks a rule.
 
-
-def _check_r_entries(entries: list, dim: int) -> None:
-    """Raise for the first r-matrix entry that breaks a rule."""
+    names spells the indices ("ijk" for a structure constant, "ab" for an r
+    entry), and kind names their tuple in the duplicate message.
+    """
     seen = set()
     for idx, row in enumerate(entries):
-        if not isinstance(row, (list, tuple)) or len(row) != 3:
-            _fail("r_matrix", f"entry {idx} must be [a, b, value]")
-        a, b, v = row
-        if not (_is_int(a) and _is_int(b)):
-            _fail("r_matrix", f"entry {idx}: indices must be integers")
-        if not (0 <= a < dim and 0 <= b < dim):
-            _fail("r_matrix", f"entry {idx}: index out of range 0..{dim - 1}")
-        if a >= b:
-            _fail("r_matrix", f"entry {idx}: requires a < b (antisymmetry is completed automatically)")
-        if (a, b) in seen:
-            _fail("r_matrix", f"entry {idx}: duplicate index pair {(a, b)}")
-        seen.add((a, b))
-        _number(v, "r_matrix", f"entry {idx}")
+        if not isinstance(row, (list, tuple)) or len(row) != len(names) + 1:
+            _fail(key, f"entry {idx} must be [{', '.join(names)}, value]")
+        *index, v = row
+        if not all(_is_int(x) for x in index):
+            _fail(key, f"entry {idx}: indices must be integers")
+        if not all(0 <= x < dim for x in index):
+            _fail(key, f"entry {idx}: index out of range 0..{dim - 1}")
+        if index[0] >= index[1]:
+            _fail(key, f"entry {idx}: requires {names[0]} < {names[1]} "
+                       "(antisymmetry is completed automatically)")
+        if tuple(index) in seen:
+            _fail(key, f"entry {idx}: duplicate index {kind} {tuple(index)}")
+        seen.add(tuple(index))
+        _number(v, key, f"entry {idx}")
 
 
 def _row_array(rows: list, dim: int):
@@ -221,7 +204,8 @@ def parse_spec(data: dict) -> dict:
     """Parse and structurally validate an input document.
 
     Returns a dict with keys G, K, H, M (library objects), R (the completed
-    antisymmetric array), tolerances and sampling (plain dicts).  The first violated condition is reported through
+    antisymmetric array), tolerances (over bounds.TOLERANCES) and sampling
+    (plain dicts).  The first violated condition is reported through
     SpecFileError, the Jacobi identity of G included; deeper validation
     (closures, the bialgebra) happens in build_setup.  Structure constants,
     r entries and basis rows are each converted in one numpy step after a
@@ -244,7 +228,8 @@ def parse_spec(data: dict) -> dict:
     triplets = _require(algebra, "structure_constants", list, "algebra.structure_constants")
     parsed = _entry_array(triplets, 4, dim)
     if parsed is None:
-        _check_triplets(triplets, dim)  # raises for the first bad entry
+        # raises for the first bad entry
+        _check_entries(triplets, dim, "algebra.structure_constants", "ijk", "triple")
     (i, j, k), v = parsed
     c = np.zeros((dim, dim, dim))
     c[i, j, k] += v
@@ -252,7 +237,7 @@ def parse_spec(data: dict) -> dict:
     labels = algebra.get("basis_labels", [])
     if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
         _fail("algebra.basis_labels", f"must be a list of strings, got {labels!r}")
-    tolerances = _with_defaults(data, "tolerances", DEFAULT_TOLERANCES)
+    tolerances = _with_defaults(data, "tolerances", bounds.TOLERANCES)
     _check_tolerances(tolerances)
     try:
         G = LieAlgebra(c, basis_labels=tuple(labels), jacobi_tol=tolerances["jacobi"])
@@ -262,7 +247,7 @@ def parse_spec(data: dict) -> dict:
     r_entries = _require(data, "r_matrix", list, "r_matrix")
     parsed = _entry_array(r_entries, 3, dim)
     if parsed is None:
-        _check_r_entries(r_entries, dim)  # raises for the first bad entry
+        _check_entries(r_entries, dim, "r_matrix", "ab", "pair")  # raises for the first bad entry
     (a, b), v = parsed
     r = np.zeros((dim, dim))
     r[a, b] += v
@@ -312,10 +297,15 @@ def parse_spec_text(text: str) -> dict:
 
 
 def build_setup(parsed: dict) -> ReductionSetup:
-    """Run full validation of the parsed ingredients (raises library errors)."""
+    """Run full validation of the parsed ingredients (raises library errors).
+
+    The spec's jacobi is the tol of validate_setup, and its cond_threshold
+    goes on the setup.
+    """
     return validate_setup(
         parsed["G"], parsed["R"], parsed["K"], parsed["H"], parsed["M"],
         tol=parsed["tolerances"]["jacobi"],
+        cond_threshold=parsed["tolerances"]["cond_threshold"],
     )
 
 

@@ -23,6 +23,11 @@ fd_step 0.0.  Every suite reports per-point residuals and the
 worst case against a stated tolerance, and a deliberately sign-corrupted
 r-matrix is pushed through the main residual as a control that the tests
 can fail.
+
+The tolerance of each equation is defined here, in DEFAULT_TOLERANCES; the
+spec's residual tolerance may replace it for the RESIDUAL_EQUATIONS alone,
+so no caller can loosen the control or the exact identities.  The suites
+run at the second-class points of the setup's cond_threshold.
 """
 
 from __future__ import annotations
@@ -34,12 +39,12 @@ from typing import ClassVar, Optional
 import numpy as np
 from scipy.linalg import expm
 
+from . import bounds
 from .bialgebra_double import ReductionSetup
 from .dual_group import GroupWord
 from .errors import ConsistencyError, InputShapeError
 from .lie_core import LieAlgebra, cybe_lhs, invariance_residual3
 from .reduction import (
-    COND_THRESHOLD,
     RhoJet,
     characterization_identity_residual,
     constraint_inverse_operator_residual,
@@ -64,14 +69,14 @@ EQ_CONSTRAINT_PB = "CONSTRAINT_PB"
 EQ_RHO_CONSISTENCY = "RHO_CONSISTENCY"
 EQ_CONTROL = "PL_CDYBE_CONTROL"
 
+# the equations the spec's residual tolerance bounds
+RESIDUAL_EQUATIONS = (EQ_PLCDYBE, EQ_TRIANGULARITY, EQ_EQUIVARIANCE, EQ_DIRAC)
+
 DEFAULT_TOLERANCES = {
     EQ_MCYBE: 1e-10,
-    EQ_PLCDYBE: 1e-6,
-    EQ_TRIANGULARITY: 1e-6,
-    EQ_EQUIVARIANCE: 1e-6,
+    **dict.fromkeys(RESIDUAL_EQUATIONS, bounds.RESIDUAL),
     EQ_Q_JACOBI: 1e-9,
     EQ_P_JACOBI: 1e-9,
-    EQ_DIRAC: 1e-6,
     EQ_CHARACTERIZATION: 1e-9,
     EQ_CONSTRAINT_PB: 1e-7,
     EQ_RHO_CONSISTENCY: 1e-9,
@@ -181,7 +186,7 @@ def equivariance_residual(S: ReductionSetup, rfun, word: GroupWord, x_h) -> np.n
     y = constraint_matrix(S, word).ad_inverse[S.n:, :S.n] @ x_k
     y_h = S.Hstar_component(y)
     leak = float(np.max(np.abs(y - y_h @ S.Hdual), initial=0.0))
-    if leak > 1e-9 * (1.0 + float(np.max(np.abs(y), initial=0.0))):
+    if leak > bounds.DRESSING_LEAK_TOL * (1.0 + float(np.max(np.abs(y), initial=0.0))):
         raise ConsistencyError(f"dressing vector leaves H*: leak {leak:.3e}")
     jet = rfun(word)
     flow = np.tensordot(y_h, jet.right, axes=1)
@@ -190,14 +195,14 @@ def equivariance_residual(S: ReductionSetup, rfun, word: GroupWord, x_h) -> np.n
     return flow - (adx @ r_here + r_here @ adx.T)
 
 
-def reduced_r_function(S: ReductionSetup, cond_threshold: float = COND_THRESHOLD):
+def reduced_r_function(S: ReductionSetup):
     """rfun for r* = rho as a callable on dual-group words, returning RhoJets.
 
-    Each call is rho_jet at the word, which checks the threshold and reads
+    Each call is rho_jet at the word, which checks S.cond_threshold and reads
     the jet cached on the point's CMatrix: the suites ask for r* at a point
     once per equation and per Jacobiator, and it is computed once.
     """
-    return partial(rho_jet, S, cond_threshold=cond_threshold)
+    return partial(rho_jet, S)
 
 
 def sign_flipped_rfun(rfun, a: int, b: int):
@@ -460,25 +465,26 @@ def run_suite(
     suite: str = "all",
     num_points: int = 10,
     seed: int = 0,
-    cond_threshold: float = COND_THRESHOLD,
     box_radius: float = 1.0,
-    tolerances: Optional[dict] = None,
+    residual: Optional[float] = None,
 ) -> tuple[list, list]:
     """Run the requested residual suites on the reduced r* = rho of the setup.
 
     Returns (reports, words): one ResidualReport per equation, and the
     second-class samples of the dual of H the suites ran on, both
-    deterministic for a fixed seed.  Every derivative is exact, so every
-    equation reports fd_step 0.0.
+    deterministic for a fixed seed.  The points are second class under
+    S.cond_threshold.  Each equation is bounded by DEFAULT_TOLERANCES, except
+    that residual, when given, bounds the RESIDUAL_EQUATIONS.  Every
+    derivative is exact, so every equation reports fd_step 0.0.
     """
     tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
+    if residual is not None:
+        tol.update(dict.fromkeys(RESIDUAL_EQUATIONS, residual))
     if suite != "all" and suite not in SUITES:
         raise InputShapeError(f"unknown suite {suite!r}")
     suites = SUITES if suite == "all" else (suite,)
-    rfun = reduced_r_function(S, cond_threshold)
-    words = sample_hstar_points(S, num_points, seed, box_radius, cond_threshold)
+    rfun = reduced_r_function(S)
+    words = sample_hstar_points(S, num_points, seed, box_radius)
     # one stream per section, so a suite's draws do not depend on which other
     # suites run alongside it
     section_seed = {"cdybe": 101, "equivariance": 211, "dirac": 307, "jacobi": 401}
@@ -529,7 +535,7 @@ def run_suite(
             res_d, res_c = [], []
             for w in words:
                 pairs = [(draw(), draw()) for _ in range(10)]
-                got = dirac_bracket(S, w, pairs, cond_threshold)
+                got = dirac_bracket(S, w, pairs)
                 res_d.append(float(np.max(np.abs(got - native_hstar_bracket(S, w, pairs)))))
                 res_c.append(max(
                     (abs(constraint_pb_check(S, w, draw(), i)) for i in range(S.dim_M)),
@@ -540,8 +546,8 @@ def run_suite(
             res = []
             for w in words:
                 direct = rfun(w).value
-                r1 = float(np.max(np.abs(direct - rho_via_n(S, w, cond_threshold)), initial=0.0))
-                r1 = max(r1, constraint_inverse_operator_residual(S, w, cond_threshold))
+                r1 = float(np.max(np.abs(direct - rho_via_n(S, w)), initial=0.0))
+                r1 = max(r1, constraint_inverse_operator_residual(S, w))
                 res.append(r1)
             reports.append(_report(EQ_RHO_CONSISTENCY, words, res, tol[EQ_RHO_CONSISTENCY]))
             res = []
@@ -551,7 +557,7 @@ def run_suite(
                 for k in range(20 if S.dim_M else 0):
                     u[k] = rng.uniform(-1, 1, S.dim_M) @ S.M_in_K
                     v[k] = rng.uniform(-1, 1, S.dim_M) @ S.M_in_K
-                res.append(characterization_identity_residual(S, w, u, v, cond_threshold))
+                res.append(characterization_identity_residual(S, w, u, v))
             reports.append(_report(EQ_CHARACTERIZATION, words, res, tol[EQ_CHARACTERIZATION]))
         elif s == "jacobi":
             pts = [words[k % len(words)] for k in range(JACOBI_POINTS)]

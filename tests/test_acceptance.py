@@ -62,7 +62,6 @@ def suite_results():
             "all",
             num_points=e.num_points,
             seed=e.seed,
-            cond_threshold=e.cond_threshold,
         )
         elapsed = time.perf_counter() - t0
         out[name] = (setup, {r.equation_id: r for r in reports}, elapsed)

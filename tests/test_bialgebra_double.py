@@ -8,8 +8,8 @@ independent of the library's vectorized assembly.
 import numpy as np
 import pytest
 
+from plrmat import bounds
 from plrmat.bialgebra_double import (
-    INVARIANCE_TOL,
     Bialgebra,
     DoubleAlgebra,
     build_double,
@@ -159,6 +159,15 @@ class TestDeriveCobracket:
             derive_cobracket(sl2(), r_dj_sl2(), K)
 
 
+def assert_canonical_pairing(d):
+    """K and K* isotropic, and dual to each other by the identity."""
+    n = d.n
+    np.testing.assert_array_equal(d.pairing[:n, :n], np.zeros((n, n)))
+    np.testing.assert_array_equal(d.pairing[n:, n:], np.zeros((n, n)))
+    np.testing.assert_array_equal(d.pairing[:n, n:], np.eye(n))
+    np.testing.assert_array_equal(d.pairing, d.pairing.T)
+
+
 class TestBuildDouble:
     def test_abelian_double(self):
         A = LieAlgebra.abelian(2)
@@ -166,7 +175,7 @@ class TestBuildDouble:
         d = build_double(b)
         assert d.dim == 4
         assert np.all(d.D.c == 0.0)
-        assert d.pairing_isotropy_residual() <= 1e-14
+        assert_canonical_pairing(d)
 
     def test_semidirect_mixed_brackets_r_zero(self):
         """With R = 0 the double is K ⋉ K* via <[X,a],Y> = -<a,[X,Y]>."""
@@ -177,7 +186,7 @@ class TestBuildDouble:
         for i in range(3):
             for j in range(3):
                 br = d.D.bracket(d.embed_K(eye[i]), d.embed_Kstar(eye[j]))
-                assert np.max(np.abs(d.comp_K(br))) <= 1e-14  # lands in K*
+                assert np.max(np.abs(br[: d.n])) <= 1e-14  # lands in K*
                 # oracle: coefficients of [e_i, eps^j] on eps^k
                 for k in range(3):
                     want = -A.bracket(eye[i], eye[k])[j]
@@ -195,7 +204,7 @@ class TestBuildDouble:
         assert d.dim == 6
         assert d.D.jacobi_residual() <= 1e-10
         assert d.invariance_residual() <= 1e-10
-        assert d.pairing_isotropy_residual() <= 1e-14
+        assert_canonical_pairing(d)
 
     def inconsistent_pair(self):
         """sl2 as its own dual, with the cobracket that duality reads off it."""
@@ -222,7 +231,7 @@ class TestBuildDouble:
         build_double itself checks nothing: on the table it assembles, the
         residual is the antisymmetry defect of K and K* (test_certificates)."""
         d = build_double(derive_cobracket(*sl_n_standard(4), full_subspace(15)))
-        assert d.invariance_residual() <= INVARIANCE_TOL
+        assert d.invariance_residual() <= bounds.JACOBI
         n = d.n
         k, s = range(n), range(n, 2 * n)
         blocks = {"[K,K] -> K*": (k, k, s), "[K*,K*] -> K": (s, s, k),
@@ -236,7 +245,7 @@ class TestBuildDouble:
             c[i, j, m] += 1e-3
             c[j, i, m] -= 1e-3
             bad = DoubleAlgebra(LieAlgebra(c, jacobi_tol=np.inf), d.pairing, n)
-            assert bad.invariance_residual() > INVARIANCE_TOL, label
+            assert bad.invariance_residual() > bounds.JACOBI, label
 
 
 class TestValidateSetup:

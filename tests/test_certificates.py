@@ -11,7 +11,7 @@ products.
 import numpy as np
 import pytest
 
-from plrmat import bialgebra_double, lie_core
+from plrmat import bialgebra_double, bounds, lie_core
 from plrmat.bialgebra_double import build_double, derive_cobracket
 from plrmat.catalog import get_entry, list_entries
 from plrmat.lie_core import LieAlgebra, _jacobi_dense, _jacobi_sparse, _nonzeros
@@ -178,10 +178,10 @@ def _doubles():
 def test_double_residuals_are_the_antisymmetry_of_k_and_kstar(label, B, double):
     """Why build_double checks nothing: its pairing's ad-invariance and its
     table's antisymmetry are, bit for bit, the larger antisymmetry defect of
-    K and K*, which derive_cobracket bounds by ANTISYM_TOL."""
+    K and K*, which derive_cobracket bounds by bounds.ANTISYM_TOL."""
     want = max(B.K.antisymmetry_residual(), B.Kstar.antisymmetry_residual())
     assert double.invariance_residual() == double.D.antisymmetry_residual() == want
-    assert want <= lie_core.ANTISYM_TOL
+    assert want <= bounds.ANTISYM_TOL
     if label == "skewed":  # the identity holds on a nonzero value, not only 0 == 0
         assert want > 0.0
 

@@ -219,6 +219,31 @@ class TestReduceAndVerify:
             assert suite["max_residual"] <= 1e-12
             assert suite["fd_step"] == 0.0
 
+    def test_cond_threshold_override_reaches_the_setup(self, capsys):
+        """--cond-threshold is the threshold of the setup every point is
+        tested against: reduce keeps only points at or below it, and they
+        are not the default run's points; verify passes there too."""
+        def conds(argv):
+            code, out, _ = run(argv, capsys)
+            assert code == 0
+            doc = json.loads(out)
+            return [p["cond"] for p in doc["sample_points"]], doc
+
+        default, _ = conds(["reduce", "--input", "sl3_dj_levi"])
+        strict, doc = conds(["reduce", "--input", "sl3_dj_levi", "--cond-threshold", "3"])
+        assert doc["parameters"]["tolerances"]["cond_threshold"] == 3.0
+        assert len(strict) == len(default) == 10
+        assert max(strict) <= 3.0 < max(default) <= 4.0
+        assert strict != default
+        code, out, _ = run(
+            ["verify", "--input", "sl3_dj_levi", "--suite", "all", "--cond-threshold", "3"],
+            capsys,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["summary"]["pass"] is True
+        assert [p["cond"] for p in doc["sample_points"]] == strict
+
     def test_no_equation_takes_a_finite_difference(self, capsys):
         code, out, _ = run(["verify", "--input", "sl3_dj_levi", "--suite", "all"], capsys)
         assert code == 0

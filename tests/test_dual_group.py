@@ -165,7 +165,7 @@ class TestGradients:
             f = AdEntry(rng.integers(0, 6), rng.integers(0, 6))
             g, gp = gradients(w, f, h=1e-5)
             moved = np.linalg.solve(w.ad, d.embed_K(g))
-            np.testing.assert_allclose(gp, d.comp_K(moved), atol=1e-8)
+            np.testing.assert_allclose(gp, moved[: d.n], atol=1e-8)
 
     def test_r0_closed_form_gradient(self):
         # f = Ad[5,1] on the R = 0 double: f(exp(xi)·w) has linear xi dependence,

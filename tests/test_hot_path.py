@@ -97,7 +97,7 @@ def ref_constraint_matrix(S, word):
     mstar_coords = np.zeros((m, m))
     for i in range(m):
         v = word.ad @ d.embed_K(S.M_in_K[i])
-        m_parts[i] = ref_M_component(S, d.comp_K(v)) @ S.M_in_K
+        m_parts[i] = ref_M_component(S, v[: d.n]) @ S.M_in_K
         kstar_parts[i] = d.comp_Kstar(v)
         mstar_coords[i] = ref_Mstar_component(S, kstar_parts[i])
     c_a = np.zeros((m, m))
@@ -151,7 +151,7 @@ def catalog_cases():
     for name in list_entries():
         e = get_entry(name)
         S = e.setup()
-        yield name, S, sample_hstar_points(S, e.num_points, e.seed, 1.0, e.cond_threshold)
+        yield name, S, sample_hstar_points(S, e.num_points, e.seed)
     S = skewed_levi_setup()
     yield "skewed_levi", S, sample_hstar_points(S, 4, 2)
 
@@ -248,7 +248,7 @@ def ref_characterization_residuals(S, word, us, vs):
         return inv_ad @ d.embed_K(x_k)
 
     def m_part(w_vec):
-        return d.embed_K(ref_M_component(S, d.comp_K(w_vec)) @ S.M_in_K)
+        return d.embed_K(ref_M_component(S, w_vec[: d.n]) @ S.M_in_K)
 
     out = []
     for u, v in zip(us, vs):
@@ -289,7 +289,7 @@ class TestMemoisedRfun:
     def setup_method(self):
         e = get_entry("sl3_dj_levi")
         self.S = e.setup()
-        self.words = sample_hstar_points(self.S, 3, e.seed, 1.0, e.cond_threshold)
+        self.words = sample_hstar_points(self.S, 3, e.seed)
 
     def test_same_word_same_tensor(self):
         rfun = reduced_r_function(self.S)
@@ -332,8 +332,7 @@ def test_cdybe_suite_control_and_triangularity(name):
     S = e.setup()
     reports = {
         r.equation_id: r
-        for r in run_suite(S, "cdybe", num_points=3, seed=e.seed,
-                           cond_threshold=e.cond_threshold)[0]
+        for r in run_suite(S, "cdybe", num_points=3, seed=e.seed)[0]
     }
     control = reports[EQ_CONTROL]
     assert control.passed and control.max_residual >= control.tolerance
@@ -341,8 +340,8 @@ def test_cdybe_suite_control_and_triangularity(name):
     # TRIANGULARITY shares the left side of each point with PL_CDYBE; it
     # must equal what the public check computes on its own, against the
     # first sample point
-    rfun = reduced_r_function(S, e.cond_threshold)
-    words = sample_hstar_points(S, 3, e.seed, 1.0, e.cond_threshold)
+    rfun = reduced_r_function(S)
+    words = sample_hstar_points(S, 3, e.seed)
     want = [triangularity_check(S, rfun, w, ref=words[0]) for w in words]
     assert [r for _, r in reports[EQ_TRIANGULARITY].per_point] == want
     assert reports[EQ_TRIANGULARITY].passed
@@ -573,7 +572,7 @@ def _fd_gradients(u, pt, slot, steps):
     return gradients(getattr(pt, slot), lambda w: u(put(w)), cache.h, cache)
 
 
-def ref_fd_bracket(S, pt, u, v, steps, cond_threshold):
+def ref_fd_bracket(S, pt, u, v, steps):
     """The bracket ansatz with every slot gradient a central difference.
 
     This is the formulation the exact jets replaced, block by block; u and v
@@ -584,7 +583,7 @@ def ref_fd_bracket(S, pt, u, v, steps, cond_threshold):
     R = S.R
 
     def r(w):
-        return rho(S, w, cond_threshold)
+        return rho(S, w)
 
     def to_g(vh):
         return S.K_to_G(vh @ S.H_in_K)
@@ -608,17 +607,17 @@ def ref_fd_bracket(S, pt, u, v, steps, cond_threshold):
     return float(val + gpu @ (R + r(pt.hat)) @ gpv - gu @ (R + r(pt.tilde)) @ gv)
 
 
-def ref_nested_jacobiator(S, pt, f1, f2, f3, h, cond_threshold):
+def ref_nested_jacobiator(S, pt, f1, f2, f3, h):
     """Cyclic Jacobiator with the inner bracket differenced again: O(h²)."""
     steps = _fd_steps(S, h)
 
     def inner(a, b):
-        return lambda q: ref_fd_bracket(S, q, a, b, steps, cond_threshold)
+        return lambda q: ref_fd_bracket(S, q, a, b, steps)
 
     return abs(
-        ref_fd_bracket(S, pt, f1, inner(f2, f3), steps, cond_threshold)
-        + ref_fd_bracket(S, pt, f2, inner(f3, f1), steps, cond_threshold)
-        + ref_fd_bracket(S, pt, f3, inner(f1, f2), steps, cond_threshold)
+        ref_fd_bracket(S, pt, f1, inner(f2, f3), steps)
+        + ref_fd_bracket(S, pt, f2, inner(f3, f1), steps)
+        + ref_fd_bracket(S, pt, f3, inner(f1, f2), steps)
     )
 
 
@@ -629,10 +628,10 @@ def _jacobi_points(name):
     """The setup, its rfun, and a QPoint and PPoint at its first sample points."""
     e = get_entry(name)
     S = e.setup()
-    words = sample_hstar_points(S, e.num_points, e.seed, 1.0, e.cond_threshold)
+    words = sample_hstar_points(S, e.num_points, e.seed)
     rng = np.random.default_rng(e.seed)
     g = ambient_word(S.G, [rng.uniform(-0.3, 0.3, S.G.dim)])
-    rfun = reduced_r_function(S, e.cond_threshold)
+    rfun = reduced_r_function(S)
     return e, S, words, rfun, QPoint(S, g, words[0]), PPoint(S, words[1], g, words[0])
 
 
@@ -645,7 +644,7 @@ def test_exact_jacobiators_match_nested_differences(name):
         want = exact(S, rfun, pt, *phis)
         assert want <= 1e-12
         gaps = [
-            abs(ref_nested_jacobiator(S, pt, *phis, h, e.cond_threshold) - want)
+            abs(ref_nested_jacobiator(S, pt, *phis, h) - want)
             for h in (2e-3, 1e-3, 5e-4)
         ]
         for coarse, fine in zip(gaps, gaps[1:]):
@@ -741,7 +740,7 @@ class TestPointMemo:
     def setup_method(self):
         self.e = get_entry("sl3_dj_levi")
         self.S = self.e.setup()
-        self.words = sample_hstar_points(self.S, 3, self.e.seed, 1.0, self.e.cond_threshold)
+        self.words = sample_hstar_points(self.S, 3, self.e.seed)
 
     def test_one_matrix_per_word(self):
         for w in self.words:
@@ -761,7 +760,7 @@ class TestPointMemo:
 
     def test_memo_keeps_neither_word_nor_matrix_alive(self):
         S = self.S
-        w = sample_hstar_points(S, 1, 99, 1.0, self.e.cond_threshold)[0]
+        w = sample_hstar_points(S, 1, 99)[0]
         C = constraint_matrix(S, w)
         # every cached property of the point is filled in
         rho_jet(S, w)
@@ -775,17 +774,25 @@ class TestPointMemo:
         assert matrix_ref() is None
 
     def test_threshold_is_checked_on_every_request(self):
+        """The setup's threshold is checked on each call, also once the
+        point's data is cached: a copy of the setup at threshold 1.0 refuses
+        a point its original accepts, and one at the point's own cond
+        accepts it."""
         S, w = self.S, self.words[0]
         C = constraint_matrix(S, w)
-        rho(S, w, self.e.cond_threshold)
+        rho(S, w)
         assert C.cond > 1.0
-        for f in (rho, rho_jet, rho_via_n, constraint_inverse_operator_residual):
+        strict = dataclasses.replace(S, cond_threshold=1.0)
+        for _ in range(2):
+            for f in (rho, rho_jet, rho_via_n, constraint_inverse_operator_residual):
+                with pytest.raises(CDegenerateError):
+                    f(strict, w)
             with pytest.raises(CDegenerateError):
-                f(S, w, cond_threshold=1.0)
-        with pytest.raises(CDegenerateError):
-            dirac_bracket(S, w, [(dual_entry(S, 0, 1), dual_entry(S, 1, 0))], cond_threshold=1.0)
+                dirac_bracket(strict, w, [(dual_entry(S, 0, 1), dual_entry(S, 1, 0))])
         assert constraint_matrix(S, w) is C
-        np.testing.assert_array_equal(rho(S, w, C.cond), C.solved[0])
+        np.testing.assert_array_equal(rho(S, w), C.solved[0])
+        at_cond = dataclasses.replace(S, cond_threshold=C.cond)
+        np.testing.assert_array_equal(rho(at_cond, w), C.solved[0])
 
 
 def _counting(monkeypatch, owner, name, calls):
@@ -814,7 +821,7 @@ def test_run_suite_builds_each_draw_once(monkeypatch):
     _counting(monkeypatch, reduction, "_hstar_words", draws)
     _counting(monkeypatch, np.linalg, "inv", inverses)
     reports, words = run_suite(
-        S, "all", num_points=e.num_points, seed=e.seed, cond_threshold=e.cond_threshold
+        S, "all", num_points=e.num_points, seed=e.seed
     )
     assert all(r.passed for r in reports)
     assert _rows(draws) >= len(words) == e.num_points
@@ -831,7 +838,7 @@ def test_equivariance_suite_reads_the_cached_inverse(monkeypatch):
     _counting(monkeypatch, np.linalg, "solve", solves)
     _counting(monkeypatch, np.linalg, "inv", inverses)
     reports, words = run_suite(
-        S, "equivariance", num_points=e.num_points, seed=e.seed, cond_threshold=e.cond_threshold
+        S, "equivariance", num_points=e.num_points, seed=e.seed
     )
     assert all(r.passed for r in reports)
     assert len(solves) == 1

@@ -410,8 +410,8 @@ class TestReadOnly:
         # caller writing into one cannot change what later calls return
         entry = get_entry("sl3_dj_levi")
         S = entry.setup()
-        w = sample_hstar_points(S, 1, entry.seed, cond_threshold=entry.cond_threshold)[0]
-        jet = rho_jet(S, w, entry.cond_threshold)
+        w = sample_hstar_points(S, 1, entry.seed)[0]
+        jet = rho_jet(S, w)
         kept = [np.array(a) for a in (jet.value, jet.left, jet.right)]
         C = constraint_matrix(S, w)
         arrays = {
@@ -435,6 +435,7 @@ class TestReadOnly:
             "sub_embed": S.sub_embed,
             "hstar_ads": S.hstar_ads,
             "sub_restrict": S.sub_restrict,
+            "K_embed.pinv": S.K_embed.pinv,
         }
         assert all(a.size for a in arrays.values())
         writable = []
@@ -445,7 +446,7 @@ class TestReadOnly:
                 continue
             writable.append(name)
         assert writable == []
-        again = rho_jet(S, w, entry.cond_threshold)
+        again = rho_jet(S, w)
         assert again is jet
         for got, want in zip((again.value, again.left, again.right), kept):
             np.testing.assert_array_equal(got, want)

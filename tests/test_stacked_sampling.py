@@ -9,18 +9,18 @@ bytes and the same conditioning, reject the same draws, give the same rho
 bytes, and run out of attempts at the same sample with the same message.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from plrmat import reduction
+from plrmat import bounds, reduction
 from plrmat.bialgebra_double import validate_setup
 from plrmat.catalog import get_entry, list_entries
 from plrmat.dual_group import ad_of_word
 from plrmat.errors import SamplingExhaustedError
 from plrmat.lie_core import Subspace
 from plrmat.reduction import (
-    COND_THRESHOLD,
-    MAX_SAMPLE_ATTEMPTS,
     check_second_class,
     constraint_matrix,
     hstar_word,
@@ -31,17 +31,17 @@ from test_bialgebra_double import sl_n_standard
 from test_hot_path import skewed_levi_setup
 
 
-def sequential_sample(S, num_points, seed, box_radius=1.0, cond_threshold=COND_THRESHOLD,
-                      max_attempts=MAX_SAMPLE_ATTEMPTS):
+def sequential_sample(S, num_points, seed, box_radius=1.0):
     """The sampler one attempt at a time: (points, [(coords, word, C, accepted)])."""
     rng = np.random.Generator(np.random.PCG64(seed))
+    max_attempts = bounds.MAX_SAMPLE_ATTEMPTS
     out, seen = [], []
     for k in range(num_points):
         for _ in range(max_attempts):
             coords = rng.uniform(-box_radius, box_radius, S.dim_H)
             word = hstar_word(S, coords)
             C = constraint_matrix(S, word)
-            ok = check_second_class(C, cond_threshold)
+            ok = check_second_class(C)
             seen.append((coords, word, C, ok))
             if ok:
                 out.append(word)
@@ -79,9 +79,9 @@ def sl4_setup():
 def sampling_cases():
     for name in list_entries():
         e = get_entry(name)
-        yield name, e.setup(), (e.num_points, e.seed, 1.0, e.cond_threshold)
-    yield "sl4", sl4_setup(), (6, 5, 1.0, 30.0)
-    yield "skewed_levi", skewed_levi_setup(), (6, 2, 1.0, 10.0)
+        yield name, e.setup(), (e.num_points, e.seed, 1.0)
+    yield "sl4", replace(sl4_setup(), cond_threshold=30.0), (6, 5, 1.0)
+    yield "skewed_levi", replace(skewed_levi_setup(), cond_threshold=10.0), (6, 2, 1.0)
 
 
 CASES = list(sampling_cases())
@@ -94,7 +94,7 @@ def test_stacked_sampler_matches_the_loop(monkeypatch, name, S, args):
     assert len(words) == len(ref_words) == args[0]
     assert len(seen) == len(ref_seen)
     for (word, C), (coords, ref_word, ref_C, ok) in zip(seen, ref_seen):
-        assert check_second_class(C, args[3]) == ok
+        assert check_second_class(C) == ok
         np.testing.assert_array_equal(word.factors[0], coords @ S.Hdual)
         assert word.ad.tobytes() == ref_word.ad.tobytes()
         assert C.entries.tobytes() == ref_C.entries.tobytes()
@@ -104,7 +104,7 @@ def test_stacked_sampler_matches_the_loop(monkeypatch, name, S, args):
         # the exponential of ad_x for x = Σ_a coords_a H^a
         want = ad_of_word(S.double, [coords @ S.Hdual]).ad
         np.testing.assert_allclose(word.ad, want, rtol=0, atol=1e-13)
-    assert [w for w, C in seen if check_second_class(C, args[3])] == words
+    assert [w for w, C in seen if check_second_class(C)] == words
     # the stacked solve gives each point the rho of its own solve
     for w, ref_w in zip(words, ref_words):
         got, ref = constraint_matrix(S, w), constraint_matrix(S, ref_w)
@@ -121,14 +121,16 @@ def test_the_cases_reject_draws():
     assert rejected >= 20
 
 
-def test_exhaustion_at_the_same_sample():
+def test_exhaustion_at_the_same_sample(monkeypatch):
     outcomes = []
     for name in ("sl2_dj", "sl3_dj_cartan", "sl3_dj_levi"):
         e = get_entry(name)
-        S = e.setup()
+        base = e.setup()
         for max_attempts in (0, 1, 2, 3, 5):
+            monkeypatch.setattr(bounds, "MAX_SAMPLE_ATTEMPTS", max_attempts)
             for threshold in (1.5, e.cond_threshold):
-                args = (10, e.seed, 1.0, threshold, max_attempts)
+                S = replace(base, cond_threshold=threshold)
+                args = (10, e.seed, 1.0)
                 try:
                     ref = [w.factors[0] for w in sequential_sample(S, *args)[0]]
                 except SamplingExhaustedError as exc:

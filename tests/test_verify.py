@@ -11,6 +11,8 @@ Both solutions are produced by the reduction and drive the residuals below
 verify their tolerances.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -83,9 +85,9 @@ class TestPlcdybe:
             assert np.max(np.abs(res)) <= 1e-12
 
     def test_dj_reduced_r_solves_equation_at_samples(self):
-        s = dj_setup()
-        rfun = reduced_r_function(s, 2.5)
-        for w in sample_hstar_points(s, 10, seed=6, cond_threshold=2.5):
+        s = replace(dj_setup(), cond_threshold=2.5)
+        rfun = reduced_r_function(s)
+        for w in sample_hstar_points(s, 10, seed=6):
             assert np.max(np.abs(plcdybe_residual(s, rfun, w))) <= 1e-12
             assert triangularity_check(s, rfun, w) <= 1e-12
 
@@ -107,9 +109,9 @@ class TestPlcdybe:
         assert np.max(np.abs(plcdybe_residual(s, reduced_r_function(s), w))) <= 1e-12
 
     def test_corrupted_r_detected(self):
-        s = dj_setup()
-        rfun = reduced_r_function(s, 2.5)
-        words = sample_hstar_points(s, 5, seed=6, cond_threshold=2.5)
+        s = replace(dj_setup(), cond_threshold=2.5)
+        rfun = reduced_r_function(s)
+        words = sample_hstar_points(s, 5, seed=6)
         a, b = largest_entry(rfun(words[0]).value)
         bad = sign_flipped_rfun(rfun, int(a), int(b))
         worst = max(np.max(np.abs(plcdybe_residual(s, bad, w))) for w in words)
@@ -131,16 +133,16 @@ class TestEquivariance:
         assert np.max(np.abs(res)) == 0.0
 
     def test_dj_reduced_r_equivariant(self):
-        s = dj_setup()
-        rfun = reduced_r_function(s, 2.5)
-        for w in sample_hstar_points(s, 5, seed=6, cond_threshold=2.5):
+        s = replace(dj_setup(), cond_threshold=2.5)
+        rfun = reduced_r_function(s)
+        for w in sample_hstar_points(s, 5, seed=6):
             assert np.max(np.abs(equivariance_residual(s, rfun, w, [1.0]))) <= 1e-12
 
 
 class TestProductBrackets:
     def setup_method(self):
-        self.s = dj_setup()
-        self.rfun = reduced_r_function(self.s, 2.5)
+        self.s = replace(dj_setup(), cond_threshold=2.5)
+        self.rfun = reduced_r_function(self.s)
         rng = np.random.default_rng(1)
         self.g = ambient_word(self.s.G, [rng.uniform(-0.3, 0.3, 3)])
         self.lam = hstar_word(self.s, [0.8])
@@ -211,7 +213,7 @@ def _catalog_samples():
     for name in list_entries():
         e = get_entry(name)
         S = e.setup()
-        yield name, S, sample_hstar_points(S, e.num_points, e.seed, 1.0, e.cond_threshold)
+        yield name, S, sample_hstar_points(S, e.num_points, e.seed)
 
 
 CATALOG_SAMPLES = list(_catalog_samples())
@@ -335,8 +337,8 @@ class TestResidualReport:
 
 class TestRunSuite:
     def test_all_suites_pass_on_dj(self):
-        s = dj_setup()
-        reports, _ = run_suite(s, "all", num_points=10, seed=6, cond_threshold=2.5)
+        s = replace(dj_setup(), cond_threshold=2.5)
+        reports, _ = run_suite(s, "all", num_points=10, seed=6)
         ids = {r.equation_id for r in reports}
         assert {"mCYBE", "PL_CDYBE", "TRIANGULARITY", "EQUIVARIANCE",
                 "DIRAC_EQ_HSTAR", "CONSTRAINT_PB", "RHO_CONSISTENCY",
@@ -345,8 +347,8 @@ class TestRunSuite:
             assert r.passed, f"{r.equation_id} failed with {r.max_residual:.3e}"
 
     def test_single_suite_selection(self):
-        s = classical_setup()
-        reports, _ = run_suite(s, "equivariance", num_points=3, seed=6, cond_threshold=2.5)
+        s = replace(classical_setup(), cond_threshold=2.5)
+        reports, _ = run_suite(s, "equivariance", num_points=3, seed=6)
         assert [r.equation_id for r in reports] == ["EQUIVARIANCE"]
 
     def test_unknown_suite_rejected(self):
@@ -355,9 +357,9 @@ class TestRunSuite:
 
     def test_suite_results_independent_of_combination(self):
         # the jacobi numbers must not depend on which other suites ran
-        s = classical_setup()
-        alone, _ = run_suite(s, "jacobi", num_points=5, seed=6, cond_threshold=2.5)
-        combined, _ = run_suite(s, "all", num_points=5, seed=6, cond_threshold=2.5)
+        s = replace(classical_setup(), cond_threshold=2.5)
+        alone, _ = run_suite(s, "jacobi", num_points=5, seed=6)
+        combined, _ = run_suite(s, "all", num_points=5, seed=6)
         combined_j = [r for r in combined if r.equation_id in ("Q_JACOBI", "P_JACOBI")]
         for ra, rb in zip(alone, combined_j):
             assert ra.equation_id == rb.equation_id
