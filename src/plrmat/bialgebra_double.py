@@ -397,6 +397,19 @@ class ReductionSetup:
         return ads
 
     @cached_property
+    def H_in_G(self) -> np.ndarray:
+        """(p, dim G): row a is the H basis vector H_a in G coordinates."""
+        return _freeze(self.K_to_G(self.H_in_K))
+
+    @cached_property
+    def h_ads(self) -> np.ndarray:
+        """(p, dim G, dim G): ad on G of each H basis vector H_a, each from
+        its own row, so h_ads[a] is the ad matrix of that vector alone."""
+        d = self.G.dim
+        ads = [self.G.ad_matrix(self.K_to_G(h)) for h in self.H_in_K]
+        return _freeze(np.reshape(ads, (self.dim_H, d, d)))
+
+    @cached_property
     def _cmatrices(self) -> weakref.WeakKeyDictionary:
         """reduction.constraint_matrix's memo for this setup: word -> its CMatrix,
         each entry held while its word lives."""

@@ -38,3 +38,11 @@ DRESSING_LEAK_TOL = 1e-9  # H*-leak of a dressing vector, relative to 1 + its si
 
 # consecutive rejected draws after which sample_hstar_points gives up
 MAX_SAMPLE_ATTEMPTS = 100
+# largest sampling.num_points: the sampler's stacked block takes
+# num_points·(2·dim K)²·8 B per array, 127 MB at dim K = 63 (sl8)
+MAX_NUM_POINTS = 1000
+# largest e^{2‖ad_x‖₁}, the bound on cond₁(Ad_λ) of a draw λ = exp(x): past
+# about 1/ε the bound no longer rules out an Ad_λ singular to working
+# precision or an expm overflow, so such a draw is rejected before its expm.
+# The bound is loose: a sheared basis at ‖ad_x‖₁ = 14 has cond₁(Ad_λ) ≈ 1e3
+MAX_AD_COND = 1e16

@@ -324,22 +324,31 @@ def cybe_lhs(A: LieAlgebra, R) -> np.ndarray:
     return _freeze(total)
 
 
+# doubles in one block of invariance_residual3's stacked products: 256 kB,
+# all of a dim-8 algebra at once, and small beside the dim⁴ of the largest
+INVARIANCE_BLOCK = 1 << 15
+
+
 def invariance_residual3(A: LieAlgebra, T) -> float:
     """Max-norm of (ad_x⊗1⊗1 + 1⊗ad_x⊗1 + 1⊗1⊗ad_x)T over all basis x.
 
-    One basis vector at a time, so only dim³ arrays are held: ad_{e_i} acts
-    on each slot as one matrix product against a reshaping of T made once.
+    ad_{e_i} acts on each slot as one matrix product against a reshaping of
+    T made once.  The basis vectors go in blocks whose dim³ arrays hold at
+    most INVARIANCE_BLOCK doubles in all, each block one stacked product per
+    slot: every slice is the product of one basis vector alone.
     """
     t = np.asarray(T, dtype=float)
     n = A.dim
     slot1 = t.reshape(n, n * n)  # [a, (y, z)]
     slot2 = t.transpose(1, 0, 2).reshape(n, n * n)  # [a, (x, z)]
     slot3 = t.reshape(n * n, n)  # [(x, y), a]
+    block = max(1, INVARIANCE_BLOCK // max(1, n**3))
     worst = 0.0
-    for i in range(n):
-        ad_i = A.c[i]  # [a, x] = c[i, a, x], the transpose of ad_{e_i}
-        acted = (ad_i.T @ slot1).reshape(n, n, n)
-        acted += (ad_i.T @ slot2).reshape(n, n, n).transpose(1, 0, 2)
-        acted += (slot3 @ ad_i).reshape(n, n, n)
-        worst = max(worst, float(np.max(np.abs(acted))))
+    for i in range(0, n, block):
+        ads = A.c[i:i + block]  # ads[b, a, x] = c[i + b, a, x], ad_{e_(i+b)} transposed
+        b = len(ads)
+        acted = (np.swapaxes(ads, 1, 2) @ slot1).reshape(b, n, n, n)
+        acted += (np.swapaxes(ads, 1, 2) @ slot2).reshape(b, n, n, n).transpose(0, 2, 1, 3)
+        acted += (slot3 @ ads).reshape(b, n, n, n)
+        worst = max(worst, float(np.abs(acted).max()))
     return worst

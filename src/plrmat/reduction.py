@@ -32,7 +32,9 @@ what a later call returns.
 sample_hstar_points evaluates a block of draws as one stacked pass: one
 expm over the stack of their ad matrices, every product, the SVD and the
 maxima of C over the stack, and one solve for rho over the accepted
-points, filled into each point's CMatrix.  A single word (hstar_word,
+points, filled into each point's CMatrix.  A draw that may be numerically
+singular (bounds.MAX_AD_COND) is a miss before its expm, and a slice whose
+Ad or C is not finite has cond inf.  A single word (hstar_word,
 constraint_matrix on a word not yet seen) is the stack of one, through the
 same kernels, so a point's Ad, C and rho do not depend on how it was made.
 
@@ -47,7 +49,9 @@ ambient dual group as constant along the exp(M*) directions) is
 
 with the constraint gradients known in closed form: grad' ξ_i = M^i and
 grad ξ_i = (Ad_λ M^i)_M.  The gradients of F1 and F2 are exact too: for an
-l·Ad·r function each is l·V·r for a velocity V of Ad_λ.  It must reproduce
+l·Ad·r function each is l·V·r for a velocity V of Ad_λ, one contraction
+for a whole stack of functions (PairGradients), which a caller bracketing
+the same functions several times passes in their place.  It must reproduce
 the Poisson bracket computed natively in the double of (H, H*), read on a
 point of the dual of H as sub_restrict·Ad_λ·sub_embedᵀ.
 """
@@ -56,6 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -186,12 +191,8 @@ class CMatrix:
         # solve fixes the M* component, so this certifies that Ad^{-1} M_i
         # has no H* leak (which is what makes the relation an equality)
         rhs = S.Mdual.T @ (S.M_in_K @ (inv_ad[n:, :n] @ N.T))
-        resid = np.maximum(
-            np.max(np.abs(targets[:n]), axis=0), np.max(np.abs(targets[n:] - rhs), axis=0)
-        )
-        bad = np.flatnonzero(
-            resid > bounds.N_RELATION_TOL * (1.0 + np.max(np.abs(targets), axis=0))
-        )
+        resid = np.maximum(np.abs(targets[:n]).max(axis=0), np.abs(targets[n:] - rhs).max(axis=0))
+        bad = np.flatnonzero(resid > bounds.N_RELATION_TOL * (1.0 + np.abs(targets).max(axis=0)))
         if bad.size:
             i = bad[0]
             raise ConsistencyError(f"defining relation for N_{i} has residual {resid[i]:.3e}")
@@ -223,25 +224,28 @@ def _build_constraint_matrices(S: ReductionSetup, ads: np.ndarray):
     reached disagrees between the two pairing forms.
     """
     m = S.dim_M
-    m_parts, kstar_parts = _moved_basis(S, ads)
-    # << (Ad M^j)_{M*}, (Ad M^i)_M >>: canonical pairing is the coordinate
-    # dot product between dual and primal K coordinates
-    c_a = m_parts @ np.swapaxes(kstar_parts @ S.M_in_K.T @ S.Mdual, -1, -2)
-    # << (Ad M^i)_M, Ad M^j >> picks out the full K*-part of Ad M^j
-    c_b = m_parts @ np.swapaxes(kstar_parts, -1, -2)
-    scale = 1.0 + np.max(np.abs(c_a), axis=(1, 2), initial=0.0)
-    agree = np.max(np.abs(c_a - c_b), axis=(1, 2), initial=0.0)
-    anti = np.max(np.abs(c_a + np.swapaxes(c_a, -1, -2)), axis=(1, 2), initial=0.0)
-    if m == 0:
-        cond = np.zeros(len(ads))
-    else:
+    # a slice whose Ad or C is not finite has cond inf and never reaches the
+    # SVD, so the NaN and inf its products make are expected
+    with np.errstate(invalid="ignore", over="ignore"):
+        m_parts, kstar_parts = _moved_basis(S, ads)
+        # << (Ad M^j)_{M*}, (Ad M^i)_M >>: canonical pairing is the coordinate
+        # dot product between dual and primal K coordinates
+        c_a = m_parts @ np.swapaxes(kstar_parts @ S.M_in_K.T @ S.Mdual, -1, -2)
+        # << (Ad M^i)_M, Ad M^j >> picks out the full K*-part of Ad M^j
+        c_b = m_parts @ np.swapaxes(kstar_parts, -1, -2)
+        scale = 1.0 + np.max(np.abs(c_a), axis=(1, 2), initial=0.0)
+        agree = np.max(np.abs(c_a - c_b), axis=(1, 2), initial=0.0)
+        anti = np.max(np.abs(c_a + np.swapaxes(c_a, -1, -2)), axis=(1, 2), initial=0.0)
+    finite = np.isfinite(ads).all(axis=(1, 2)) & np.isfinite(c_a).all(axis=(1, 2))
+    cond = np.where(finite, 0.0, np.inf)
+    if m and finite.any():
         # conditioning against the canonical unit scale of the pairing, not
         # just sigma_max: the second-class test must diverge as C -> 0, which
         # is how sampling automatically avoids the degenerate neighbourhood
         # of the identity (where sigma_max/sigma_min can stay bounded)
-        s = np.linalg.svd(c_a, compute_uv=False)
+        s = np.linalg.svd(c_a if finite.all() else c_a[finite], compute_uv=False)
         with np.errstate(divide="ignore"):
-            cond = np.where(s[:, -1] > 0.0, np.maximum(s[:, 0], 1.0) / s[:, -1], np.inf)
+            cond[finite] = np.where(s[:, -1] > 0.0, np.maximum(s[:, 0], 1.0) / s[:, -1], np.inf)
     # in place, no copy: each CMatrix holds read-only slices of the stacks
     for a in (c_a, m_parts, kstar_parts):
         a.setflags(write=False)
@@ -353,10 +357,10 @@ def rho_via_n(S: ReductionSetup, word: GroupWord) -> np.ndarray:
     m_g = S.K_to_G(S.M_in_K)
     a = -(n_g.T @ m_g)
     b = m_g.T @ n_g
-    scale = 1.0 + np.max(np.abs(a), initial=0.0)
-    if np.max(np.abs(a - b), initial=0.0) > bounds.RHO_ORDERS_TOL * scale:
+    scale = 1.0 + np.abs(a).max(initial=0.0)
+    if np.abs(a - b).max(initial=0.0) > bounds.RHO_ORDERS_TOL * scale:
         raise ConsistencyError("the two product orders for rho disagree")
-    anti = np.max(np.abs(a + a.T), initial=0.0)
+    anti = np.abs(a + a.T).max(initial=0.0)
     tol = bounds.RHO_VIA_N_ANTISYM_TOL
     if anti > tol:
         raise InputShapeError(
@@ -376,7 +380,7 @@ def constraint_inverse_operator_residual(S: ReductionSetup, word: GroupWord) -> 
     C = _second_class_matrix(S, word)
     # column k: Σ_j (C^{-1})_ij <M_k, (Ad M^j)_M>
     coeffs = np.linalg.solve(C.entries, C.m_parts @ S.Mdual.T)
-    return float(np.max(np.abs(coeffs.T @ C.m_parts + C.n_matrix)))
+    return float(np.abs(coeffs.T @ C.m_parts + C.n_matrix).max())
 
 
 def characterization_identity_residual(S: ReductionSetup, word: GroupWord, u, v) -> float:
@@ -400,22 +404,30 @@ def characterization_identity_residual(S: ReductionSetup, word: GroupWord, u, v)
     lhs = np.sum(mu * pv[:, n:], axis=1)
     t1 = mu @ (S.M_in_K @ move)[:, n:].T
     t2 = mv @ (N @ move)[:, n:].T
-    return float(np.max(np.abs(lhs - np.sum(t1 * t2, axis=1)), initial=0.0))
+    return float(np.abs(lhs - np.sum(t1 * t2, axis=1)).max(initial=0.0))
 
 
-def _hstar_words(S: ReductionSetup, coords: np.ndarray) -> tuple:
-    """(words, ads): the single-factor word exp(Σ_a x_a H^a) for each row x
-    of coords, and the read-only (B, 2n, 2n) stack of their Ad matrices.
-
-    ad_x is summed one H* basis direction at a time, elementwise, and one
-    expm call exponentiates the stack slice by slice, so a row's Ad does not
-    depend on the rows drawn with it.  Each word's Ad is its slice of the
-    stack.
-    """
+def _hstar_generators(S: ReductionSetup, coords: np.ndarray) -> np.ndarray:
+    """(B, 2n, 2n): ad_x on D(K, K*) for x = Σ_a x_a H^a, one per row of
+    coords, summed one H* basis direction at a time, elementwise, so a row's
+    ad_x does not depend on the rows drawn with it."""
     hstar_ads = S.hstar_ads
     gen = np.zeros((len(coords),) + hstar_ads.shape[1:])
     for a in range(S.dim_H):
         gen += coords[:, a, None, None] * hstar_ads[a]
+    return gen
+
+
+def _hstar_words(S: ReductionSetup, coords: np.ndarray, gen=None) -> tuple:
+    """(words, ads): the single-factor word exp(Σ_a x_a H^a) for each row x
+    of coords, and the read-only (B, 2n, 2n) stack of their Ad matrices.
+
+    gen is _hstar_generators of coords, made here if not given, and one expm
+    call exponentiates it slice by slice.  Each word's Ad is its slice of
+    the stack.
+    """
+    if gen is None:
+        gen = _hstar_generators(S, coords)
     ads = expm(gen)
     ads.setflags(write=False)
     words = [GroupWord(S.double, (x @ S.Hdual,), ad) for x, ad in zip(coords, ads)]
@@ -431,17 +443,44 @@ def hstar_word(S: ReductionSetup, coords) -> GroupWord:
     return _hstar_words(S, coords[None])[0][0]
 
 
-def _pair_gradients(C: CMatrix, pairs) -> tuple:
-    """(grad F1, grad' F2) over the H* basis, one row per pair of l·Ad·r functions.
+class PairGradients(NamedTuple):
+    """(grad F1, grad' F2) over the H* basis at one point, one row per pair.
 
-    Every entry is l·V·r for a velocity V of Ad_λ, so one contraction of the
-    stacked left and right rows serves all pairs.  Both gradients lie in H.
+    What dirac_bracket, native_hstar_bracket and constraint_pb_check read of
+    their functions: a caller that brackets the same pairs more than once
+    takes them from _pair_gradients (or _row_gradients) once and passes them
+    in place of the pairs.
     """
-    p = C.setup.dim_H
+
+    first: np.ndarray
+    second: np.ndarray
+
+    def take(self, rows) -> "PairGradients":
+        return PairGradients(self.first[rows], self.second[rows])
+
+
+def _pair_gradients(C: CMatrix, pairs) -> PairGradients:
+    """The PairGradients of pairs of l·Ad·r functions at C's point."""
     left = np.array([f.left for pair in pairs for f in pair])
     right = np.array([f.right for pair in pairs for f in pair])
+    return _row_gradients(C, left, right)
+
+
+def _row_gradients(C: CMatrix, left: np.ndarray, right: np.ndarray) -> PairGradients:
+    """The PairGradients at C's point of the functions l·Ad·r, one per row l
+    of left and r of right, rows 2k and 2k + 1 the pair k.
+
+    Every entry is l·V·r for a velocity V of Ad_λ, so one contraction of the
+    stacked rows serves all pairs.  Both gradients lie in H.
+    """
+    p = C.setup.dim_H
     g = np.sum((left @ C.velocity) * right, axis=-1).T
-    return g[0::2, :p], g[1::2, p:]
+    return PairGradients(g[0::2, :p], g[1::2, p:])
+
+
+def _gradients(C: CMatrix, pairs) -> PairGradients:
+    """pairs itself if it is a PairGradients, else _pair_gradients of it."""
+    return pairs if isinstance(pairs, PairGradients) else _pair_gradients(C, pairs)
 
 
 def dirac_bracket(S: ReductionSetup, word: GroupWord, pairs) -> np.ndarray:
@@ -451,13 +490,14 @@ def dirac_bracket(S: ReductionSetup, word: GroupWord, pairs) -> np.ndarray:
     left and right rows of verify.QFunction), extended to the ambient dual
     group as constant along exp(M*) and bracketed there, with the full
     second-class correction term assembled from the closed-form constraint
-    gradients.  Their gradients are exact, and one solve against C serves
-    every pair.  The result must match native_hstar_bracket to roundoff at
+    gradients.  pairs is a sequence of such pairs or their PairGradients at
+    λ.  Their gradients are exact, and one solve against C serves every
+    pair.  The result must match native_hstar_bracket to roundoff at
     second-class points.
     """
     C = _second_class_matrix(S, word)
     n = S.n
-    g1, g2p = (g @ S.H_in_K for g in _pair_gradients(C, pairs))
+    g1, g2p = (g @ S.H_in_K for g in _gradients(C, pairs))
     # column k: K*-part of Ad_λ grad' f2 for pair k; a K vector pairs with
     # the K*-part of its partner
     moved_g2 = C.ad[n:, :n] @ g2p.T
@@ -475,10 +515,11 @@ def native_hstar_bracket(S: ReductionSetup, word: GroupWord, pairs) -> np.ndarra
     """{F1, F2} computed in the double of (H, H*) for each pair: the oracle side.
 
     The dual-group bracket << grad f1, Ad (grad' f2) >> with Ad the
-    restriction sub_restrict·Ad_λ·sub_embedᵀ, paired on the sub-double.
+    restriction sub_restrict·Ad_λ·sub_embedᵀ, paired on the sub-double;
+    pairs as for dirac_bracket.
     """
     d = S.sub_double
-    g1, g2p = _pair_gradients(constraint_matrix(S, word), pairs)
+    g1, g2p = _gradients(constraint_matrix(S, word), pairs)
     embed = np.eye(d.dim)[: S.dim_H]  # rows: the H basis of the sub-double
     sub_ad = S.sub_restrict @ word.ad @ S.sub_embed.T
     moved_g2 = g2p @ embed @ sub_ad.T
@@ -488,11 +529,14 @@ def native_hstar_bracket(S: ReductionSetup, word: GroupWord, pairs) -> np.ndarra
 def constraint_pb_check(S: ReductionSetup, word: GroupWord, f, m_index: int) -> float:
     """{f, ξ_i}(λ) for an extended function f; vanishes on the dual of H.
 
-    The constraint gradient is used in closed form (grad' ξ_i = M^i), so the
-    value is << grad f, Ad_λ M^i >> with grad f in H.
+    f is an l·Ad·r function, or a PairGradients at λ whose first row is
+    that of the pair (f, f).  The constraint gradient is used in closed form
+    (grad' ξ_i = M^i), so the value is << grad f, Ad_λ M^i >> with grad f
+    in H.
     """
     n = S.n
-    g1 = _pair_gradients(constraint_matrix(S, word), [(f, f)])[0][0] @ S.H_in_K
+    pair = f if isinstance(f, PairGradients) else [(f, f)]
+    g1 = _gradients(constraint_matrix(S, word), pair).first[0] @ S.H_in_K
     return float(g1 @ word.ad[n:, :n] @ S.M_in_K[m_index])
 
 
@@ -507,7 +551,10 @@ def sample_hstar_points(
     Each point is a single-factor word with H* coordinates uniform in
     [-box_radius, box_radius]; draws failing the second-class test under
     S.cond_threshold are rejected, and after bounds.MAX_SAMPLE_ATTEMPTS
-    consecutive rejections sampling stops with SamplingExhaustedError.
+    consecutive rejections sampling stops with SamplingExhaustedError.  A
+    draw x is also rejected, before its expm, when the bound e^{2‖ad_x‖₁} on
+    cond₁(Ad_λ) exceeds bounds.MAX_AD_COND or is not finite, and after it
+    when Ad_λ or C(λ) is not finite (its cond is then inf).
 
     The draws still missing are taken as one block: one uniform call of
     shape (missing, dim H) gives the same coordinates, row by row, as one
@@ -523,16 +570,27 @@ def sample_hstar_points(
     memo = S._cmatrices
     max_attempts = bounds.MAX_SAMPLE_ATTEMPTS
     out, accepted, misses = [], [], 0
+    log_cond = np.log(bounds.MAX_AD_COND)
     while len(out) < num_points:
         coords = rng.uniform(-box_radius, box_radius, (num_points - len(out), S.dim_H))
-        words, ads = _hstar_words(S, coords)
+        gen = _hstar_generators(S, coords)
+        # 2‖ad_x‖₁, the log of the bound on cond₁(Ad_λ); NaN compares false
+        tame = 2.0 * np.max(np.sum(np.abs(gen), axis=1), axis=1, initial=0.0) <= log_cond
+        if not tame.all():
+            coords, gen = coords[tame], gen[tame]
+        words, ads = _hstar_words(S, coords, gen)
         cmats = _build_constraint_matrices(S, ads)
-        for word in words:
+        words = iter(words)
+        for ok in tame:
             if misses >= max_attempts:
                 raise SamplingExhaustedError(
                     f"no second-class point found for sample {len(out)} "
                     f"after {max_attempts} attempts"
                 )
+            if not ok:
+                misses += 1
+                continue
+            word = next(words)
             memo[word] = next(cmats)
             C = constraint_matrix(S, word)
             if check_second_class(C):

@@ -107,14 +107,19 @@ def _check_tolerances(tolerances: dict) -> None:
 
 
 def _check_sampling(sampling: dict) -> None:
-    """Non-negative integer seed, at least one point, a finite positive box radius."""
+    """Non-negative integer seed, 1 to bounds.MAX_NUM_POINTS points, a finite
+    positive box radius."""
     for key in ("seed", "num_points"):
         if not _is_int(sampling[key]):
             _fail("sampling", f"{key} must be an integer")
     if sampling["seed"] < 0:
         _fail("sampling", f"seed must be non-negative, got {sampling['seed']}")
-    if sampling["num_points"] < 1:
-        _fail("sampling", f"num_points must be at least 1, got {sampling['num_points']}")
+    if not 1 <= sampling["num_points"] <= bounds.MAX_NUM_POINTS:
+        _fail(
+            "sampling",
+            f"num_points must be between 1 and {bounds.MAX_NUM_POINTS}, "
+            f"got {sampling['num_points']}",
+        )
     _check_positive(sampling, ("box_radius",), "sampling")
 
 

@@ -24,6 +24,17 @@ worst case against a stated tolerance, and a deliberately sign-corrupted
 r-matrix is pushed through the main residual as a control that the tests
 can fail.
 
+Each point is taken in one pass.  A product point keeps one bracket form
+per rfun, built by its first bracket or Jacobiator and read by the rest,
+with each test function's jet made once per form, those of one Jacobiator
+in one stacked pass.  A Dirac point's test
+functions, and a characterization point's (u, v) pairs, are one draw each,
+and the functions' gradients one contraction (reduction.PairGradients)
+that the brackets read.  An equivariance point takes its H basis vectors
+as one stack.  Every draw gives the stream of the scalar draws
+it replaced and every product keeps its shape, so the residuals are those
+of one call per Jacobiator and bracket, bit for bit.
+
 The tolerance of each equation is defined here, in DEFAULT_TOLERANCES; the
 spec's residual tolerance may replace it for the RESIDUAL_EQUATIONS alone,
 so no caller can loosen the control or the exact identities.  The suites
@@ -32,9 +43,10 @@ run at the second-class points of the setup's cond_threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from functools import partial
-from typing import ClassVar, Optional
+from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import expm
@@ -46,6 +58,7 @@ from .errors import ConsistencyError, InputShapeError
 from .lie_core import LieAlgebra, cybe_lhs, invariance_residual3
 from .reduction import (
     RhoJet,
+    _row_gradients,
     characterization_identity_residual,
     constraint_inverse_operator_residual,
     constraint_matrix,
@@ -132,7 +145,7 @@ def plcdybe_lhs(S: ReductionSetup, rfun, word: GroupWord) -> np.ndarray:
     """
     jet = rfun(word)
     total = cybe_lhs(S.G, S.R + jet.value)
-    ka = S.K_to_G(S.H_in_K)  # row a: H_a in G coordinates
+    ka = S.H_in_G
     n = S.G.dim
     # d[x, y, z] = Σ_a H_a[x] (L_{H^a} r)[y, z]; its cyclic images fill the
     # other two slots
@@ -176,23 +189,31 @@ def equivariance_residual(S: ReductionSetup, rfun, word: GroupWord, x_h) -> np.n
     The dressing derivative moves λ along λ·exp(t·Y) with Y the K*-part of
     Ad_λ^{-1} X; for λ in the dual of H the vector Y lies in H*, which is
     verified, and the derivative of r along it is Σ_a y_a·(right derivative
-    along H^a) for the H* coordinates y of Y.
+    along H^a) for the H* coordinates y of Y.  x_h is one X, of shape
+    (dim H,), or a stack of them, of shape (k, dim H), whose residuals come
+    back stacked; each X goes through the products it would go through alone.
     """
     x_h = np.asarray(x_h, dtype=float)
-    if x_h.shape != (S.dim_H,):
-        raise InputShapeError(f"X must have {S.dim_H} H coordinates")
-    x_k = x_h @ S.H_in_K
+    p = S.dim_H
+    if x_h.shape[-1:] != (p,) or x_h.ndim > 2:
+        raise InputShapeError(f"X must have {p} H coordinates")
+    xs = x_h.reshape(-1, 1, p)  # one row per X
+    x_k = xs @ S.H_in_K
     # dual_group.dressing_vector, read off the point's cached Ad_λ^{-1}
-    y = constraint_matrix(S, word).ad_inverse[S.n:, :S.n] @ x_k
-    y_h = S.Hstar_component(y)
-    leak = float(np.max(np.abs(y - y_h @ S.Hdual), initial=0.0))
-    if leak > bounds.DRESSING_LEAK_TOL * (1.0 + float(np.max(np.abs(y), initial=0.0))):
-        raise ConsistencyError(f"dressing vector leaves H*: leak {leak:.3e}")
+    y = constraint_matrix(S, word).ad_inverse[S.n:, :S.n] @ np.swapaxes(x_k, 1, 2)
+    y_h = np.swapaxes(S.Hstar_component(y), 1, 2)
+    y = np.swapaxes(y, 1, 2)
+    leak = np.abs(y - y_h @ S.Hdual).max(axis=(1, 2), initial=0.0)
+    size = np.abs(y).max(axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(leak > bounds.DRESSING_LEAK_TOL * (1.0 + size))
+    if bad.size:
+        raise ConsistencyError(f"dressing vector leaves H*: leak {leak[bad[0]]:.3e}")
     jet = rfun(word)
-    flow = np.tensordot(y_h, jet.right, axes=1)
-    adx = S.G.ad_matrix(S.K_to_G(x_k))
     r_here = jet.value
-    return flow - (adx @ r_here + r_here @ adx.T)
+    flow = (y_h @ jet.right.reshape(p, -1)).reshape((-1,) + r_here.shape)
+    adx = (xs @ S.h_ads.reshape(p, -1)).reshape((-1,) + r_here.shape)
+    res = flow - (adx @ r_here + r_here @ np.swapaxes(adx, 1, 2))
+    return res if x_h.ndim == 2 else res[0]
 
 
 def reduced_r_function(S: ReductionSetup):
@@ -275,6 +296,8 @@ class QPoint:
     # blocks and the side of the ambient gradient it pairs with
     factors: ClassVar[tuple] = ("g", "dual")
     couplings: ClassVar[tuple] = (("dual", 1.0, "right"),)
+    # (setup, rfun) -> the point's _BracketForm, see _bracket_form
+    forms: dict = field(default_factory=dict, init=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,6 +310,7 @@ class PPoint:
     hat: GroupWord
     factors: ClassVar[tuple] = ("tilde", "g", "hat")
     couplings: ClassVar[tuple] = (("hat", 1.0, "right"), ("tilde", -1.0, "left"))
+    forms: dict = field(default_factory=dict, init=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,6 +324,9 @@ class QFunction:
     slot: str
     left: np.ndarray
     right: np.ndarray
+    # word -> jet(word, ads) as the bracket forms read it: the ambient jet
+    # is shared by the QPoint and PPoint of one Jacobi point
+    slot_jets: dict = field(default_factory=dict, init=False, repr=False)
 
     def __call__(self, pt) -> float:
         return float(self.left @ getattr(pt, self.slot).ad @ self.right)
@@ -311,13 +338,32 @@ class QFunction:
         l·ad_j·ad_i·Ad·r (left, left), l·ad_i·Ad·ad_j·r (left, right),
         l·ad_j·Ad·ad_i·r (right, left) and l·Ad·ad_i·ad_j·r (right, right).
         """
-        l, r, ad = self.left, self.right, word.ad
-        la, ar = l @ ads, ads @ r  # rows l·ad_i and ad_i·r
-        l_ad, ad_r = l @ ad, ad @ r
-        grad = np.concatenate([la @ ad_r, ar @ l_ad])
-        lr = (la @ ad) @ ar.T
-        hess = np.block([[(ads @ ad_r) @ la.T, lr], [lr.T, (l_ad @ ads) @ ar.T]])
-        return grad, hess
+        return _slot_jets([self], word, ads)[0]
+
+
+def _slot_jets(fs, word: GroupWord, ads: np.ndarray) -> list:
+    """QFunction.jet of every function in fs on one factor, in one stacked pass.
+
+    Each function is a batch of its own, a row vector l and a column r, so
+    every product is the one it would take alone.
+    """
+    k, ad = len(ads), word.ad
+    ls = np.array([f.left for f in fs])[:, None, :]  # (F, 1, d)
+    rs = np.array([f.right for f in fs])[:, :, None]  # (F, d, 1)
+    la = (ls[:, None] @ ads)[:, :, 0]  # rows l·ad_i
+    ar = (ads @ rs[:, None])[..., 0]  # rows ad_i·r
+    l_ad, ad_r = ls @ ad, ad @ rs
+    la_t, ar_t = np.swapaxes(la, 1, 2), np.swapaxes(ar, 1, 2)
+    grad = np.concatenate(
+        [(la @ ad_r)[..., 0], (ar @ np.swapaxes(l_ad, 1, 2))[..., 0]], axis=1
+    )
+    lr = (la @ ad) @ ar_t
+    hess = np.empty((len(fs), 2 * k, 2 * k))
+    hess[:, :k, :k] = (ads @ ad_r[:, None])[..., 0] @ la_t
+    hess[:, :k, k:] = lr
+    hess[:, k:, :k] = np.swapaxes(lr, 1, 2)
+    hess[:, k:, k:] = (l_ad[:, None] @ ads)[:, :, 0] @ ar_t
+    return list(zip(grad, hess))
 
 
 def g_entry(S: ReductionSetup, a: int, b: int) -> QFunction:
@@ -342,6 +388,17 @@ def tilde_entry(S: ReductionSetup, a: int, b: int) -> QFunction:
     return _sub_entry(S, "tilde", a, b)
 
 
+class _Jet(NamedTuple):
+    """A test function over a product point: its gradient and Hessian
+    (hess[k, m] = ∂_k grad[m]) and their products with the form."""
+
+    grad: np.ndarray
+    hess: np.ndarray
+    B_grad: np.ndarray  # B @ grad
+    BT_grad: np.ndarray  # B.T @ grad, the same product as grad @ B
+    dB_grad: np.ndarray  # dB @ grad, one row per moving direction
+
+
 class _BracketForm:
     """The bracket of a product point as a bilinear form in slot gradients.
 
@@ -352,8 +409,13 @@ class _BracketForm:
         is the block (left, right) of λ;
       - its left gradient pairs with that ambient side through the H basis;
       - s·r(λ) adds to that side's ambient block.
-    dB[k] is the derivative of B along gradient direction k: it is nonzero
-    only along the dual factors, through Ad_λ and the rho jet.
+    B moves only along the gradient directions of the dual factors, through
+    Ad_λ and the rho jet: dB[i] is its derivative along direction moving[i],
+    and along every other direction the derivative is 0.
+
+    A form is built once per point and rfun (_bracket_form) and serves every
+    bracket and Jacobiator taken there.  A test function's _Jet is made on
+    its first use and kept while the function lives.
     """
 
     def __init__(self, S: ReductionSetup, rfun, pt):
@@ -367,13 +429,16 @@ class _BracketForm:
             size += 2 * len(ads)
         g0 = self.offsets["g"]
         sides = {"left": slice(g0, g0 + dim_g), "right": slice(g0 + dim_g, g0 + 2 * dim_g)}
+        self.moving = np.concatenate(
+            [self.offsets[name] + np.arange(2 * p) for name, _, _ in pt.couplings]
+        )
         B = np.zeros((size, size))
-        dB = np.zeros((size, size, size))
+        dB = np.zeros((len(self.moving), size, size))
         B[sides["left"], sides["left"]] = -S.R
         B[sides["right"], sides["right"]] = S.R
-        h_g = S.K_to_G(S.H_in_K)  # row a: H_a in G coordinates
+        h_g = S.H_in_G
         hk = S.H_in_K
-        for name, sign, side in pt.couplings:
+        for c, (name, sign, side) in enumerate(pt.couplings):
             word = self.factors[name][0]
             o = self.offsets[name]
             lam_l, lam_r, amb = slice(o, o + p), slice(o + p, o + 2 * p), sides[side]
@@ -383,34 +448,65 @@ class _BracketForm:
             B[lam_l, amb] = -h_g
             B[amb, amb] += sign * jet.value
             velocity = constraint_matrix(S, word).velocity
-            along = slice(o, o + 2 * p)
+            along = slice(2 * p * c, 2 * p * (c + 1))  # λ's rows of dB
             dB[along, lam_l, lam_r] = sign * (hk @ velocity[:, n:, :n] @ hk.T)
             dB[along, amb, amb] = sign * np.concatenate([jet.left, jet.right])
         self.size, self.B, self.dB = size, B, dB
+        self._jets = weakref.WeakKeyDictionary()
 
-    def jet(self, f: QFunction) -> tuple:
-        """Gradient J and Hessian (hess[k, m] = ∂_k J[m]) of f over the point."""
-        word, ads = self.factors[f.slot]
-        g, h = f.jet(word, ads)
-        at = slice(self.offsets[f.slot], self.offsets[f.slot] + len(g))
-        grad, hess = np.zeros(self.size), np.zeros((self.size, self.size))
-        grad[at], hess[at, at] = g, h
-        return grad, hess
+    def jets(self, fs) -> list:
+        """The _Jet of every function in fs over the point.  Those not made
+        yet are made together: each factor's slot jets in one stacked pass
+        (_slot_jets), unless the function keeps one for that factor's word,
+        and their products with B and dB as one batch per product."""
+        new = [f for f in dict.fromkeys(fs) if f not in self._jets]
+        if new:
+            grads = np.zeros((len(new), self.size))
+            hess = np.zeros((len(new), self.size, self.size))
+            for slot in dict.fromkeys(f.slot for f in new):
+                word, ads = self.factors[slot]
+                on = [r for r, f in enumerate(new) if f.slot == slot]
+                todo = [new[r] for r in on if word not in new[r].slot_jets]
+                if todo:
+                    for f, slot_jet in zip(todo, _slot_jets(todo, word, ads)):
+                        f.slot_jets[word] = slot_jet
+                at = slice(self.offsets[slot], self.offsets[slot] + 2 * len(ads))
+                for r in on:
+                    grads[r, at], hess[r, at, at] = new[r].slot_jets[word]
+            cols = grads[:, :, None]
+            B_grad, BT_grad = (self.B @ cols)[..., 0], (self.B.T @ cols)[..., 0]
+            dB_grad = (self.dB @ grads[:, None, :, None])[..., 0]
+            for r, f in enumerate(new):
+                self._jets[f] = _Jet(grads[r], hess[r], B_grad[r], BT_grad[r], dB_grad[r])
+        return [self._jets[f] for f in fs]
 
     def bracket(self, u: QFunction, v: QFunction) -> float:
-        return float(self.jet(u)[0] @ self.B @ self.jet(v)[0])
+        ju, jv = self.jets((u, v))
+        return float(ju.BT_grad @ jv.grad)
 
     def jacobiator(self, f1: QFunction, f2: QFunction, f3: QFunction) -> float:
         """|{f1, {f2, f3}} + {f2, {f3, f1}} + {f3, {f1, f2}}| at the point."""
-        jets = [self.jet(f) for f in (f1, f2, f3)]
-        B, dB = self.B, self.dB
+        jets = self.jets((f1, f2, f3))
         total = 0.0
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            (gi, _), (gj, hj), (gk, hk) = jets[i], jets[j], jets[k]
-            # gradient of the inner bracket gjᵀ·B·gk, by the product rule
-            grad_jk = hj @ (B @ gk) + (dB @ gk) @ gj + hk @ (B.T @ gj)
-            total += gi @ B @ grad_jk
+            ji, jj, jk = jets[i], jets[j], jets[k]
+            # gradient of the inner bracket gjᵀ·B·gk, by the product rule;
+            # the middle term, from dB, is 0 off the moving directions
+            grad_jk = jj.hess @ jk.B_grad
+            grad_jk[self.moving] += jk.dB_grad @ jj.grad
+            grad_jk += jk.hess @ jj.BT_grad
+            total += ji.BT_grad @ grad_jk
         return abs(float(total))
+
+
+def _bracket_form(S: ReductionSetup, rfun, pt: QPoint | PPoint) -> _BracketForm:
+    """pt's bracket form under rfun, built on the first request and kept on
+    the point: one per point and rfun, so a corrupted rfun never reads the
+    jets of another."""
+    form = pt.forms.get((S, rfun))
+    if form is None:
+        form = pt.forms[(S, rfun)] = _BracketForm(S, rfun, pt)
+    return form
 
 
 def bracket(S: ReductionSetup, rfun, pt: QPoint | PPoint, u: QFunction, v: QFunction) -> float:
@@ -424,21 +520,21 @@ def bracket(S: ReductionSetup, rfun, pt: QPoint | PPoint, u: QFunction, v: QFunc
     minus sign and pairs with left ambient gradients against R + r(λ̃); the
     two dual copies commute with each other.
     """
-    return _BracketForm(S, rfun, pt).bracket(u, v)
+    return _bracket_form(S, rfun, pt).bracket(u, v)
 
 
 def q_jacobi_residual(
     S: ReductionSetup, rfun, pt: QPoint, f1: QFunction, f2: QFunction, f3: QFunction
 ) -> float:
     """Cyclic Jacobiator of the G × Ȟ* bracket, exact from first-order jets."""
-    return _BracketForm(S, rfun, pt).jacobiator(f1, f2, f3)
+    return _bracket_form(S, rfun, pt).jacobiator(f1, f2, f3)
 
 
 def p_jacobi_residual(
     S: ReductionSetup, rfun, pt: PPoint, f1: QFunction, f2: QFunction, f3: QFunction
 ) -> float:
     """Cyclic Jacobiator of the Ȟ* × G × Ȟ* bracket, exact from first-order jets."""
-    return _BracketForm(S, rfun, pt).jacobiator(f1, f2, f3)
+    return _bracket_form(S, rfun, pt).jacobiator(f1, f2, f3)
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +542,9 @@ def p_jacobi_residual(
 # ---------------------------------------------------------------------------
 
 
-def _report(eq, points, residuals, tol, direction="upper") -> ResidualReport:
-    per = tuple((describe_word(w) if isinstance(w, GroupWord) else w, float(r))
-                for w, r in zip(points, residuals))
+def _report(eq, where, residuals, tol, direction="upper") -> ResidualReport:
+    """where: one descriptor per point, as describe_word gives it."""
+    per = tuple((d, float(r)) for d, r in zip(where, residuals))
     max_r = float(max(residuals)) if residuals else 0.0
     return ResidualReport(
         equation_id=eq,
@@ -485,6 +581,7 @@ def run_suite(
     suites = SUITES if suite == "all" else (suite,)
     rfun = reduced_r_function(S)
     words = sample_hstar_points(S, num_points, seed, box_radius)
+    where = [describe_word(w) for w in words]  # each point described once
     # one stream per section, so a suite's draws do not depend on which other
     # suites run alongside it
     section_seed = {"cdybe": 101, "equivariance": 211, "dirac": 307, "jacobi": 401}
@@ -504,83 +601,86 @@ def run_suite(
             # the left side once per point serves both equations; the first
             # point is the triangularity reference, as in triangularity_check
             lhs = [plcdybe_lhs(S, rfun, w) for w in words]
-            res = [np.max(np.abs(t - S.anomaly), initial=0.0) for t in lhs]
-            reports.append(_report(EQ_PLCDYBE, words, res, tol[EQ_PLCDYBE]))
+            res = [np.abs(t - S.anomaly).max(initial=0.0) for t in lhs]
+            reports.append(_report(EQ_PLCDYBE, where, res, tol[EQ_PLCDYBE]))
             res = [_triangularity(S.G, t, lhs[0]) for t in lhs]
-            reports.append(_report(EQ_TRIANGULARITY, words, res, tol[EQ_TRIANGULARITY]))
+            reports.append(_report(EQ_TRIANGULARITY, where, res, tol[EQ_TRIANGULARITY]))
             if S.dim_M > 0:
                 a, b = largest_entry(rfun(words[0]).value)
                 bad = sign_flipped_rfun(rfun, int(a), int(b))
-                res = [np.max(np.abs(plcdybe_residual(S, bad, w)), initial=0.0) for w in words]
+                res = [np.abs(plcdybe_residual(S, bad, w)).max(initial=0.0) for w in words]
                 reports.append(
-                    _report(EQ_CONTROL, words, res, tol[EQ_CONTROL], direction="lower")
+                    _report(EQ_CONTROL, where, res, tol[EQ_CONTROL], direction="lower")
                 )
         elif s == "equivariance":
-            res = []
-            for w in words:
-                worst = 0.0
-                for a in range(S.dim_H):
-                    x = np.zeros(S.dim_H)
-                    x[a] = 1.0
-                    res_x = equivariance_residual(S, rfun, w, x)
-                    worst = max(worst, np.max(np.abs(res_x), initial=0.0))
-                res.append(worst)
-            reports.append(_report(EQ_EQUIVARIANCE, words, res, tol[EQ_EQUIVARIANCE]))
+            # every H basis vector at a point in one call
+            units = np.eye(S.dim_H)
+            res = [np.abs(equivariance_residual(S, rfun, w, units)).max(initial=0.0)
+                   for w in words]
+            reports.append(_report(EQ_EQUIVARIANCE, where, res, tol[EQ_EQUIVARIANCE]))
         elif s == "dirac":
-            dim2 = S.sub_double.dim
-
-            def draw():
-                return dual_entry(S, int(rng.integers(0, dim2)), int(rng.integers(0, dim2)))
-
+            dim2, m = S.sub_double.dim, S.dim_M
+            # one draw per point: the entries (a, b) of 20 functions for the
+            # 10 Dirac pairs, then of one function per constraint, paired
+            # with itself; dual_entry(S, a, b) has the rows sub_restrict[a]
+            # and sub_embed[b], so the gradients are one contraction
+            paired = np.concatenate([np.arange(20), np.repeat(np.arange(20, 20 + m), 2)])
             res_d, res_c = [], []
             for w in words:
-                pairs = [(draw(), draw()) for _ in range(10)]
-                got = dirac_bracket(S, w, pairs)
-                res_d.append(float(np.max(np.abs(got - native_hstar_bracket(S, w, pairs)))))
+                ab = rng.integers(0, dim2, (20 + m, 2))[paired]
+                grads = _row_gradients(
+                    constraint_matrix(S, w), S.sub_restrict[ab[:, 0]], S.sub_embed[ab[:, 1]]
+                )
+                dirac = grads.take(slice(10))
+                got = dirac_bracket(S, w, dirac)
+                res_d.append(float(np.abs(got - native_hstar_bracket(S, w, dirac)).max()))
                 res_c.append(max(
-                    (abs(constraint_pb_check(S, w, draw(), i)) for i in range(S.dim_M)),
+                    (abs(constraint_pb_check(S, w, grads.take(slice(10 + i, 11 + i)), i))
+                     for i in range(m)),
                     default=0.0,
                 ))
-            reports.append(_report(EQ_DIRAC, words, res_d, tol[EQ_DIRAC]))
-            reports.append(_report(EQ_CONSTRAINT_PB, words, res_c, tol[EQ_CONSTRAINT_PB]))
+            reports.append(_report(EQ_DIRAC, where, res_d, tol[EQ_DIRAC]))
+            reports.append(_report(EQ_CONSTRAINT_PB, where, res_c, tol[EQ_CONSTRAINT_PB]))
             res = []
             for w in words:
                 direct = rfun(w).value
-                r1 = float(np.max(np.abs(direct - rho_via_n(S, w)), initial=0.0))
+                r1 = float(np.abs(direct - rho_via_n(S, w)).max(initial=0.0))
                 r1 = max(r1, constraint_inverse_operator_residual(S, w))
                 res.append(r1)
-            reports.append(_report(EQ_RHO_CONSISTENCY, words, res, tol[EQ_RHO_CONSISTENCY]))
+            reports.append(_report(EQ_RHO_CONSISTENCY, where, res, tol[EQ_RHO_CONSISTENCY]))
             res = []
             for w in words:
-                # 20 (u, v) pairs per point, checked in one call
-                u, v = np.zeros((20, S.n)), np.zeros((20, S.n))
-                for k in range(20 if S.dim_M else 0):
-                    u[k] = rng.uniform(-1, 1, S.dim_M) @ S.M_in_K
-                    v[k] = rng.uniform(-1, 1, S.dim_M) @ S.M_in_K
+                # 20 (u, v) pairs per point from one draw, each row moved into
+                # K coordinates by its own product, and checked in one call
+                if m:
+                    uv = rng.uniform(-1, 1, (20, 2, 1, m)) @ S.M_in_K
+                    u, v = uv[:, 0, 0], uv[:, 1, 0]
+                else:
+                    u = v = np.zeros((20, S.n))
                 res.append(characterization_identity_residual(S, w, u, v))
-            reports.append(_report(EQ_CHARACTERIZATION, words, res, tol[EQ_CHARACTERIZATION]))
+            reports.append(_report(EQ_CHARACTERIZATION, where, res, tol[EQ_CHARACTERIZATION]))
         elif s == "jacobi":
             pts = [words[k % len(words)] for k in range(JACOBI_POINTS)]
+            pts_where = [where[k % len(words)] for k in range(JACOBI_POINTS)]
             dim_g = S.G.dim
             dim2 = S.sub_double.dim
             res_q, res_p = [], []
             for k, w in enumerate(pts):
                 g = ambient_word(S.G, [rng.uniform(-AMBIENT_BOX, AMBIENT_BOX, dim_g)])
                 # three ambient entries give the triple sensitive to the
-                # derivative of r; the mixed triple covers the dual blocks
-                phis = [
-                    g_entry(S, int(rng.integers(0, dim_g)), int(rng.integers(0, dim_g)))
-                    for _ in range(3)
-                ]
-                fd = dual_entry(S, int(rng.integers(0, dim2)), int(rng.integers(0, dim2)))
+                # derivative of r; the mixed triples cover the dual blocks
+                phis = [g_entry(S, a, b) for a, b in rng.integers(0, dim_g, (3, 2)).tolist()]
+                on_dual, on_hat, on_tilde = rng.integers(0, dim2, (3, 2)).tolist()
+                fd = dual_entry(S, *on_dual)
+                f3p, f2p = hat_entry(S, *on_hat), tilde_entry(S, *on_tilde)
+                # each point's form is built by its first Jacobiator and
+                # serves the second, with the jets of phis[0] and phis[1]
                 qpt = QPoint(S, g, w)
                 worst = q_jacobi_residual(S, rfun, qpt, *phis)
                 res_q.append(max(worst, q_jacobi_residual(S, rfun, qpt, phis[0], phis[1], fd)))
                 ppt = PPoint(S, pts[(k + 1) % len(pts)], g, w)
-                f3p = hat_entry(S, int(rng.integers(0, dim2)), int(rng.integers(0, dim2)))
-                f2p = tilde_entry(S, int(rng.integers(0, dim2)), int(rng.integers(0, dim2)))
                 worst = p_jacobi_residual(S, rfun, ppt, *phis)
                 res_p.append(max(worst, p_jacobi_residual(S, rfun, ppt, phis[0], f2p, f3p)))
-            reports.append(_report(EQ_Q_JACOBI, pts, res_q, tol[EQ_Q_JACOBI]))
-            reports.append(_report(EQ_P_JACOBI, pts, res_p, tol[EQ_P_JACOBI]))
+            reports.append(_report(EQ_Q_JACOBI, pts_where, res_q, tol[EQ_Q_JACOBI]))
+            reports.append(_report(EQ_P_JACOBI, pts_where, res_p, tol[EQ_P_JACOBI]))
     return reports, words

@@ -9,6 +9,9 @@ from pathlib import Path
 import pytest
 
 import plrmat
+from plrmat import bounds
+from plrmat import cli as cli_module
+from plrmat import verify as verify_module
 from plrmat.catalog import export_entry
 from plrmat.cli import main, make_parser
 from plrmat.lie_core import LieAlgebra
@@ -259,6 +262,47 @@ class TestReduceAndVerify:
         diag = json.loads(err)
         assert diag["error"] == "SpecFileError"
         assert diag["condition"] == "sampling"
+
+    @pytest.mark.parametrize("verb", ["verify", "reduce"])
+    @pytest.mark.parametrize("samples", [2**70, bounds.MAX_NUM_POINTS + 1], ids=["2**70", "max+1"])
+    def test_regression_huge_num_points_exits_2(self, verb, samples, tmp_path, capsys,
+                                               monkeypatch):
+        # reduce on sl2_classical with num_points 2**70 once reached numpy's
+        # allocator and exited 1; the count is refused before any sampling
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled past the num_points bound")
+
+        monkeypatch.setattr(cli_module, "sample_hstar_points", no_sampling)
+        monkeypatch.setattr(verify_module, "sample_hstar_points", no_sampling)
+        doc = export_entry("sl2_classical")
+        doc["sampling"]["num_points"] = samples
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        by_flag = ["--input", "sl2_classical", "--samples", str(samples)]
+        for argv in (["--input", str(path)], by_flag):
+            code, out, err = run([verb, *argv], capsys)
+            assert code == 2
+            assert out == ""
+            diag = json.loads(err)
+            assert diag["condition"] == "sampling"
+            assert str(bounds.MAX_NUM_POINTS) in diag["detail"]
+
+    @pytest.mark.parametrize("verb", ["verify", "reduce"])
+    @pytest.mark.parametrize("scale", [1e3, 1e5])
+    def test_regression_scaled_sl2_dj_exits_4(self, verb, scale, tmp_path, capsys):
+        # sl2_dj with [e, f] = scale·h is a valid rescaled sl2, but its H* ad
+        # reaches 1.5·scale: the sampler admitted draws whose Ad overflowed
+        # or was singular (exit 1 with LinAlgError, or overflow warnings).
+        # Those draws are now misses, and sampling runs out
+        doc = export_entry("sl2_dj")
+        assert doc["algebra"]["structure_constants"][2][:3] == [1, 2, 0]
+        doc["algebra"]["structure_constants"][2][3] = scale
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(doc))
+        assert run(["validate", "--input", str(path)], capsys)[0] == 0
+        code, out, err = run([verb, "--input", str(path)], capsys)
+        assert code == 4
+        assert json.loads(err)["error"] == "SamplingExhaustedError"
 
     def test_suite_choices_are_the_library_suites(self):
         sub = next(a for a in make_parser()._actions

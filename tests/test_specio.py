@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from plrmat import bounds
 from plrmat.catalog import export_entry, list_entries
 from plrmat.cli import main
 from plrmat.errors import NotSubBialgebraError, SpecFileError
@@ -136,10 +137,15 @@ class TestParse:
             {"seed": -5},
             {"num_points": True},
             {"num_points": False},
+            # the sampler stacks its draws: a count past the bound is refused
+            {"num_points": 2**70},
+            {"num_points": bounds.MAX_NUM_POINTS + 1},
         ):
             assert first_condition(sl2_doc(sampling=bad)) == "sampling", bad
         parsed = parse_spec(sl2_doc(sampling={"num_points": 1, "box_radius": 2}))
         assert parsed["sampling"]["num_points"] == 1
+        parsed = parse_spec(sl2_doc(sampling={"num_points": bounds.MAX_NUM_POINTS}))
+        assert parsed["sampling"]["num_points"] == bounds.MAX_NUM_POINTS
         assert first_condition(sl2_doc(sampling=[1])) == "sampling"
 
     def test_bad_tolerances(self):

@@ -161,3 +161,66 @@ def test_hstar_word_is_the_one_row_stack():
         one = hstar_word(S, x)
         assert one.ad.tobytes() == w.ad.tobytes() == ad.tobytes()
         np.testing.assert_array_equal(one.factors[0], w.factors[0])
+
+
+def _ad_norm(S, coords):
+    """‖ad_x‖₁ of the draw x with these H* coordinates."""
+    return float(np.abs(reduction._hstar_generators(S, coords[None])[0]).sum(axis=0).max())
+
+
+def test_draw_past_the_ad_bound_is_a_miss_before_expm(monkeypatch):
+    """A draw whose bound e^{2‖ad_x‖₁} on cond₁(Ad_λ) exceeds
+    bounds.MAX_AD_COND is a miss that never reaches expm; the others are
+    tested as before, so the sampler keeps exactly the loop's points among
+    the tame draws, and a bound no draw meets exhausts it."""
+    e = get_entry("sl3_dj_levi")
+    S = e.setup()
+    rng = np.random.Generator(np.random.PCG64(e.seed))
+    coords = rng.uniform(-1, 1, (40, S.dim_H))
+    limit = float(np.median([_ad_norm(S, x) for x in coords]))
+    monkeypatch.setattr(bounds, "MAX_AD_COND", float(np.exp(2 * limit)))
+    exponentiated = []
+    original = reduction._hstar_words
+
+    def counting(S_, coords_, gen=None):
+        exponentiated.extend(coords_)
+        return original(S_, coords_, gen)
+
+    monkeypatch.setattr(reduction, "_hstar_words", counting)
+    words = sample_hstar_points(S, 5, e.seed)
+    assert all(_ad_norm(S, x) <= limit for x in exponentiated)
+    # the loop, with the tame test in front of the second-class test
+    rng = np.random.Generator(np.random.PCG64(e.seed))
+    want, misses = [], 0
+    while len(want) < 5:
+        x = rng.uniform(-1, 1, S.dim_H)
+        if _ad_norm(S, x) <= limit and check_second_class(constraint_matrix(S, hstar_word(S, x))):
+            want.append(x @ S.Hdual)
+        else:
+            misses += 1
+    assert misses > 0
+    np.testing.assert_array_equal([w.factors[0] for w in words], want)
+    monkeypatch.setattr(bounds, "MAX_AD_COND", 1.0)
+    exponentiated.clear()
+    with pytest.raises(SamplingExhaustedError, match="sample 0 "):
+        sample_hstar_points(S, 5, e.seed)
+    assert exponentiated == []
+
+
+def test_non_finite_slice_has_infinite_cond():
+    """A slice whose Ad or C is not finite gets cond inf without an SVD, so
+    it is not second class; the other slices keep the bytes they have
+    alone."""
+    S = get_entry("sl3_dj_cartan").setup()
+    coords = np.random.default_rng(4).uniform(-1, 1, (3, S.dim_H))
+    _, ads = reduction._hstar_words(S, coords)
+    bad = np.array(ads)
+    bad[1, 0, 0] = np.inf
+    bad[2, -1, -1] = np.nan  # outside the columns C reads
+    cmats = list(reduction._build_constraint_matrices(S, bad))
+    alone = next(reduction._build_constraint_matrices(S, ads[:1]))
+    assert cmats[0].entries.tobytes() == alone.entries.tobytes()
+    assert cmats[0].cond == alone.cond < np.inf
+    for C in cmats[1:]:
+        assert C.cond == np.inf
+        assert not check_second_class(C)
