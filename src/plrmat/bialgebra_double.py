@@ -83,40 +83,30 @@ def _brackets(A: LieAlgebra, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 class Bialgebra:
     """A Lie bialgebra (K, delta) together with the dual algebra K*.
 
-    cobracket[k] stores delta(e_k) as a dim x dim antisymmetric matrix over
-    the K basis.  Kstar carries the bracket dual to the cobracket, with the
-    global sign DUAL_BRACKET_SIGN discussed in the module docstring, so that
+    Kstar carries the bracket dual to the cobracket, with the global sign
+    DUAL_BRACKET_SIGN discussed in the module docstring, and is the one table
+    kept: cobracket[k], delta(e_k) as a dim x dim antisymmetric matrix over
+    the K basis, is read off it, so that
     Kstar.c[i,j,k] == DUAL_BRACKET_SIGN * cobracket[k,i,j].
     """
 
     K: LieAlgebra
     Kstar: LieAlgebra
-    cobracket: np.ndarray
     cocycle_tol: float = bounds.JACOBI
 
     def __post_init__(self):
-        n = self.K.dim
-        cb = np.asarray(self.cobracket, dtype=float)
-        if cb.shape != (n, n, n):
-            raise InputShapeError(f"cobracket must have shape {(n, n, n)}, got {cb.shape}")
-        if self.Kstar.dim != n:
+        if self.Kstar.dim != self.K.dim:
             raise InputShapeError("K and Kstar must have equal dimension")
-        object.__setattr__(self, "cobracket", _freeze(cb))
-        r = self.duality_residual()
-        if r > bounds.DUALITY_TOL:
-            raise InputShapeError(
-                f"Kstar structure constants do not match the cobracket: residual {r:.3e}"
-            )
         r = self.cocycle_residual()
         if r > self.cocycle_tol:
             raise NotSubBialgebraError(
                 f"cobracket is not a cocycle for the bracket: residual {r:.3e}"
             )
 
-    def duality_residual(self) -> float:
-        """Round-trip error between Kstar structure constants and the cobracket."""
-        want = DUAL_BRACKET_SIGN * np.transpose(self.cobracket, (1, 2, 0))
-        return float(np.max(np.abs(self.Kstar.c - want)))
+    @cached_property
+    def cobracket(self) -> np.ndarray:
+        """delta(e_k) for each K basis vector e_k, read off Kstar's table."""
+        return _freeze(DUAL_BRACKET_SIGN * np.transpose(self.Kstar.c, (2, 0, 1)))
 
     def cocycle_residual(self) -> float:
         """Max-norm of delta([x,y]) - ad_x.delta(y) + ad_y.delta(x) over basis pairs.
@@ -237,7 +227,7 @@ def derive_cobracket(
         Kstar = LieAlgebra(c_star, jacobi_tol=tol)
     except Exception as exc:
         raise NotSubBialgebraError(f"dual bracket is not a Lie bracket: {exc}") from exc
-    return Bialgebra(K=K, Kstar=Kstar, cobracket=cobracket, cocycle_tol=tol)
+    return Bialgebra(K=K, Kstar=Kstar, cocycle_tol=tol)
 
 
 @dataclass(frozen=True, eq=False)

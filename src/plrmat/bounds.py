@@ -25,14 +25,13 @@ TOLERANCES = {
 # fixed bounds
 ANTISYM_TOL = 1e-12  # antisymmetry of a structure-constant table and of R: exact in any basis
 RANK_TOL = 1e-10  # least/largest singular value of a basis, and of H ⊕ M over K
-DUALITY_TOL = 1e-12  # K*'s table against the cobracket it is read from, a transpose
 FORM_AGREE_TOL = 1e-12  # the two pairing forms of C(λ), relative to 1 + max|C|
 DUAL_COMPONENT_TOL = 1e-12  # K-part of a factor given in double coordinates
 RHO_ANTISYM_TOL = 1e-9  # antisymmetry of rho after the solve against C
 N_RELATION_TOL = 1e-10  # the defining relation of the N_i, relative to 1 + max|Ad⁻¹ M_i|
 N_SOLVE_COND = 1e8  # condition of the moved complement basis that n_matrix solves against
 COND_MESSAGE_FLOOR = 1e-300  # stands in for a zero singular value in n_matrix's message
-RHO_ORDERS_TOL = 1e-9  # the two product orders of rho_via_n, relative to 1 + max|rho|
+RHO_ORDERS_TOL = 1e-9  # the two product orders of rho_via_n, |a + aᵀ| relative to 1 + max|a|
 RHO_VIA_N_ANTISYM_TOL = 1e-8  # antisymmetry of rho_via_n
 DRESSING_LEAK_TOL = 1e-9  # H*-leak of a dressing vector, relative to 1 + its size
 

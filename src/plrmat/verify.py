@@ -24,16 +24,17 @@ worst case against a stated tolerance, and a deliberately sign-corrupted
 r-matrix is pushed through the main residual as a control that the tests
 can fail.
 
-Each point is taken in one pass.  A product point keeps one bracket form
-per rfun, built by its first bracket or Jacobiator and read by the rest,
-with each test function's jet made once per form, those of one Jacobiator
-in one stacked pass.  A Dirac point's test
-functions, and a characterization point's (u, v) pairs, are one draw each,
-and the functions' gradients one contraction (reduction.PairGradients)
-that the brackets read.  An equivariance point takes its H basis vectors
-as one stack.  Every draw gives the stream of the scalar draws
-it replaced and every product keeps its shape, so the residuals are those
-of one call per Jacobiator and bracket, bit for bit.
+Each point is taken in one pass.  A Jacobi call takes a product point
+with a stack of (f1, f2, f3) triples: it builds the point's bracket form
+once, makes the jet of each distinct test function once, in one stacked
+pass per factor, and returns one |Jacobiator| per triple; nothing is kept
+on the point, the functions or the form when it returns.  A Dirac point's
+test functions, and a characterization point's (u, v) pairs, are one draw
+each, and the functions' gradients one contraction (reduction.PairGradients)
+that the brackets read.  An equivariance call takes a stack of H vectors,
+a point's basis in the suite.  Every draw gives the stream of the scalar
+draws it replaced and every product keeps its shape, so the residuals are
+those of one call per Jacobiator and bracket, bit for bit.
 
 The tolerance of each equation is defined here, in DEFAULT_TOLERANCES; the
 spec's residual tolerance may replace it for the RESIDUAL_EQUATIONS alone,
@@ -43,8 +44,7 @@ run at the second-class points of the setup's cond_threshold.
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import ClassVar, NamedTuple, Optional
 
@@ -65,6 +65,7 @@ from .reduction import (
     constraint_pb_check,
     dirac_bracket,
     native_hstar_bracket,
+    rho,
     rho_jet,
     rho_via_n,
     sample_hstar_points,
@@ -184,20 +185,21 @@ def triangularity_check(
 
 
 def equivariance_residual(S: ReductionSetup, rfun, word: GroupWord, x_h) -> np.ndarray:
-    """dress_X r - [X⊗1 + 1⊗X, r] at λ, for X in H given by H-basis coordinates.
+    """dress_X r - [X⊗1 + 1⊗X, r] at λ for each X in H of a stack of H-basis
+    coordinates.
 
     The dressing derivative moves λ along λ·exp(t·Y) with Y the K*-part of
     Ad_λ^{-1} X; for λ in the dual of H the vector Y lies in H*, which is
     verified, and the derivative of r along it is Σ_a y_a·(right derivative
-    along H^a) for the H* coordinates y of Y.  x_h is one X, of shape
-    (dim H,), or a stack of them, of shape (k, dim H), whose residuals come
-    back stacked; each X goes through the products it would go through alone.
+    along H^a) for the H* coordinates y of Y.  x_h is a (k, dim H) stack of
+    X, and the residuals come back as a (k, dim G, dim G) stack; each X goes
+    through the products it would go through alone.
     """
     x_h = np.asarray(x_h, dtype=float)
     p = S.dim_H
-    if x_h.shape[-1:] != (p,) or x_h.ndim > 2:
-        raise InputShapeError(f"X must have {p} H coordinates")
-    xs = x_h.reshape(-1, 1, p)  # one row per X
+    if x_h.ndim != 2 or x_h.shape[1] != p:
+        raise InputShapeError(f"X must be a stack of rows of {p} H coordinates")
+    xs = x_h[:, None, :]  # one row per X
     x_k = xs @ S.H_in_K
     # dual_group.dressing_vector, read off the point's cached Ad_λ^{-1}
     y = constraint_matrix(S, word).ad_inverse[S.n:, :S.n] @ np.swapaxes(x_k, 1, 2)
@@ -212,8 +214,7 @@ def equivariance_residual(S: ReductionSetup, rfun, word: GroupWord, x_h) -> np.n
     r_here = jet.value
     flow = (y_h @ jet.right.reshape(p, -1)).reshape((-1,) + r_here.shape)
     adx = (xs @ S.h_ads.reshape(p, -1)).reshape((-1,) + r_here.shape)
-    res = flow - (adx @ r_here + r_here @ np.swapaxes(adx, 1, 2))
-    return res if x_h.ndim == 2 else res[0]
+    return flow - (adx @ r_here + r_here @ np.swapaxes(adx, 1, 2))
 
 
 def reduced_r_function(S: ReductionSetup):
@@ -221,7 +222,7 @@ def reduced_r_function(S: ReductionSetup):
 
     Each call is rho_jet at the word, which checks S.cond_threshold and reads
     the jet cached on the point's CMatrix: the suites ask for r* at a point
-    once per equation and per Jacobiator, and it is computed once.
+    once per equation and per bracket form, and it is computed once.
     """
     return partial(rho_jet, S)
 
@@ -259,7 +260,7 @@ def largest_entry(t: np.ndarray) -> tuple:
 # A test function is l·Ad·r on one factor; on a dual factor l and r are rows
 # of sub_restrict and sub_embed, so it reads Ad on the double of (H, H*).
 #
-# Derivatives are closed forms.  A factor's directions are the basis of G or
+# Derivatives are in closed form.  A factor's directions are the basis of G or
 # the H* basis, with ad matrices ad_i (G.c, or the setup's hstar_ads); along
 # exp(t·e_i)·w and w·exp(t·e_i) the matrix Ad moves to ad_i·Ad and Ad·ad_i.
 # The slot gradient of a function lists its left derivatives along the
@@ -296,8 +297,6 @@ class QPoint:
     # blocks and the side of the ambient gradient it pairs with
     factors: ClassVar[tuple] = ("g", "dual")
     couplings: ClassVar[tuple] = (("dual", 1.0, "right"),)
-    # (setup, rfun) -> the point's _BracketForm, see _bracket_form
-    forms: dict = field(default_factory=dict, init=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,7 +309,6 @@ class PPoint:
     hat: GroupWord
     factors: ClassVar[tuple] = ("tilde", "g", "hat")
     couplings: ClassVar[tuple] = (("hat", 1.0, "right"), ("tilde", -1.0, "left"))
-    forms: dict = field(default_factory=dict, init=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,9 +322,6 @@ class QFunction:
     slot: str
     left: np.ndarray
     right: np.ndarray
-    # word -> jet(word, ads) as the bracket forms read it: the ambient jet
-    # is shared by the QPoint and PPoint of one Jacobi point
-    slot_jets: dict = field(default_factory=dict, init=False, repr=False)
 
     def __call__(self, pt) -> float:
         return float(self.left @ getattr(pt, self.slot).ad @ self.right)
@@ -413,9 +408,8 @@ class _BracketForm:
     Ad_λ and the rho jet: dB[i] is its derivative along direction moving[i],
     and along every other direction the derivative is 0.
 
-    A form is built once per point and rfun (_bracket_form) and serves every
-    bracket and Jacobiator taken there.  A test function's _Jet is made on
-    its first use and kept while the function lives.
+    Each bracket and Jacobi call builds its own form and drops it on return,
+    so nothing is stored on the point or the test functions.
     """
 
     def __init__(self, S: ReductionSetup, rfun, pt):
@@ -452,41 +446,29 @@ class _BracketForm:
             dB[along, lam_l, lam_r] = sign * (hk @ velocity[:, n:, :n] @ hk.T)
             dB[along, amb, amb] = sign * np.concatenate([jet.left, jet.right])
         self.size, self.B, self.dB = size, B, dB
-        self._jets = weakref.WeakKeyDictionary()
 
-    def jets(self, fs) -> list:
-        """The _Jet of every function in fs over the point.  Those not made
-        yet are made together: each factor's slot jets in one stacked pass
-        (_slot_jets), unless the function keeps one for that factor's word,
-        and their products with B and dB as one batch per product."""
-        new = [f for f in dict.fromkeys(fs) if f not in self._jets]
-        if new:
-            grads = np.zeros((len(new), self.size))
-            hess = np.zeros((len(new), self.size, self.size))
-            for slot in dict.fromkeys(f.slot for f in new):
-                word, ads = self.factors[slot]
-                on = [r for r, f in enumerate(new) if f.slot == slot]
-                todo = [new[r] for r in on if word not in new[r].slot_jets]
-                if todo:
-                    for f, slot_jet in zip(todo, _slot_jets(todo, word, ads)):
-                        f.slot_jets[word] = slot_jet
-                at = slice(self.offsets[slot], self.offsets[slot] + 2 * len(ads))
-                for r in on:
-                    grads[r, at], hess[r, at, at] = new[r].slot_jets[word]
-            cols = grads[:, :, None]
-            B_grad, BT_grad = (self.B @ cols)[..., 0], (self.B.T @ cols)[..., 0]
-            dB_grad = (self.dB @ grads[:, None, :, None])[..., 0]
-            for r, f in enumerate(new):
-                self._jets[f] = _Jet(grads[r], hess[r], B_grad[r], BT_grad[r], dB_grad[r])
-        return [self._jets[f] for f in fs]
+    def jets(self, fs) -> dict:
+        """The _Jet over the point of every distinct function in fs: each
+        factor's slot jets in one stacked pass (_slot_jets), and their
+        products with B and dB as one batch per product."""
+        fs = list(dict.fromkeys(fs))
+        grads = np.zeros((len(fs), self.size))
+        hess = np.zeros((len(fs), self.size, self.size))
+        for slot in dict.fromkeys(f.slot for f in fs):
+            word, ads = self.factors[slot]
+            on = [r for r, f in enumerate(fs) if f.slot == slot]
+            at = slice(self.offsets[slot], self.offsets[slot] + 2 * len(ads))
+            for r, (grad, h) in zip(on, _slot_jets([fs[r] for r in on], word, ads)):
+                grads[r, at], hess[r, at, at] = grad, h
+        cols = grads[:, :, None]
+        B_grad, BT_grad = (self.B @ cols)[..., 0], (self.B.T @ cols)[..., 0]
+        dB_grad = (self.dB @ grads[:, None, :, None])[..., 0]
+        return {f: _Jet(grads[r], hess[r], B_grad[r], BT_grad[r], dB_grad[r])
+                for r, f in enumerate(fs)}
 
-    def bracket(self, u: QFunction, v: QFunction) -> float:
-        ju, jv = self.jets((u, v))
-        return float(ju.BT_grad @ jv.grad)
-
-    def jacobiator(self, f1: QFunction, f2: QFunction, f3: QFunction) -> float:
-        """|{f1, {f2, f3}} + {f2, {f3, f1}} + {f3, {f1, f2}}| at the point."""
-        jets = self.jets((f1, f2, f3))
+    def jacobiator(self, jets) -> float:
+        """|{f1, {f2, f3}} + {f2, {f3, f1}} + {f3, {f1, f2}}| at the point,
+        from the _Jets of (f1, f2, f3)."""
         total = 0.0
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             ji, jj, jk = jets[i], jets[j], jets[k]
@@ -497,16 +479,6 @@ class _BracketForm:
             grad_jk += jk.hess @ jj.BT_grad
             total += ji.BT_grad @ grad_jk
         return abs(float(total))
-
-
-def _bracket_form(S: ReductionSetup, rfun, pt: QPoint | PPoint) -> _BracketForm:
-    """pt's bracket form under rfun, built on the first request and kept on
-    the point: one per point and rfun, so a corrupted rfun never reads the
-    jets of another."""
-    form = pt.forms.get((S, rfun))
-    if form is None:
-        form = pt.forms[(S, rfun)] = _BracketForm(S, rfun, pt)
-    return form
 
 
 def bracket(S: ReductionSetup, rfun, pt: QPoint | PPoint, u: QFunction, v: QFunction) -> float:
@@ -520,21 +492,29 @@ def bracket(S: ReductionSetup, rfun, pt: QPoint | PPoint, u: QFunction, v: QFunc
     minus sign and pairs with left ambient gradients against R + r(λ̃); the
     two dual copies commute with each other.
     """
-    return _bracket_form(S, rfun, pt).bracket(u, v)
+    jets = _BracketForm(S, rfun, pt).jets((u, v))
+    return float(jets[u].BT_grad @ jets[v].grad)
 
 
-def q_jacobi_residual(
-    S: ReductionSetup, rfun, pt: QPoint, f1: QFunction, f2: QFunction, f3: QFunction
-) -> float:
-    """Cyclic Jacobiator of the G × Ȟ* bracket, exact from first-order jets."""
-    return _bracket_form(S, rfun, pt).jacobiator(f1, f2, f3)
+def _jacobiators(S: ReductionSetup, rfun, pt, triples) -> np.ndarray:
+    """One |Jacobiator| per (f1, f2, f3) of triples, from one form of pt and
+    one jet of each distinct function."""
+    triples = [tuple(t) for t in triples]
+    form = _BracketForm(S, rfun, pt)
+    jets = form.jets([f for t in triples for f in t])
+    return np.array([form.jacobiator([jets[f] for f in t]) for t in triples], dtype=float)
 
 
-def p_jacobi_residual(
-    S: ReductionSetup, rfun, pt: PPoint, f1: QFunction, f2: QFunction, f3: QFunction
-) -> float:
-    """Cyclic Jacobiator of the Ȟ* × G × Ȟ* bracket, exact from first-order jets."""
-    return _bracket_form(S, rfun, pt).jacobiator(f1, f2, f3)
+def q_jacobi_residual(S: ReductionSetup, rfun, pt: QPoint, triples) -> np.ndarray:
+    """Cyclic Jacobiators of the G × Ȟ* bracket, exact from first-order jets:
+    one per (f1, f2, f3) triple, as a float array."""
+    return _jacobiators(S, rfun, pt, triples)
+
+
+def p_jacobi_residual(S: ReductionSetup, rfun, pt: PPoint, triples) -> np.ndarray:
+    """Cyclic Jacobiators of the Ȟ* × G × Ȟ* bracket, exact from first-order
+    jets: one per (f1, f2, f3) triple, as a float array."""
+    return _jacobiators(S, rfun, pt, triples)
 
 
 # ---------------------------------------------------------------------------
@@ -643,8 +623,7 @@ def run_suite(
             reports.append(_report(EQ_CONSTRAINT_PB, where, res_c, tol[EQ_CONSTRAINT_PB]))
             res = []
             for w in words:
-                direct = rfun(w).value
-                r1 = float(np.abs(direct - rho_via_n(S, w)).max(initial=0.0))
+                r1 = float(np.abs(rho(S, w) - rho_via_n(S, w)).max(initial=0.0))
                 r1 = max(r1, constraint_inverse_operator_residual(S, w))
                 res.append(r1)
             reports.append(_report(EQ_RHO_CONSISTENCY, where, res, tol[EQ_RHO_CONSISTENCY]))
@@ -673,14 +652,12 @@ def run_suite(
                 on_dual, on_hat, on_tilde = rng.integers(0, dim2, (3, 2)).tolist()
                 fd = dual_entry(S, *on_dual)
                 f3p, f2p = hat_entry(S, *on_hat), tilde_entry(S, *on_tilde)
-                # each point's form is built by its first Jacobiator and
-                # serves the second, with the jets of phis[0] and phis[1]
+                # both triples of a product point in one call, which makes
+                # the jets of phis[0] and phis[1] once for the two
                 qpt = QPoint(S, g, w)
-                worst = q_jacobi_residual(S, rfun, qpt, *phis)
-                res_q.append(max(worst, q_jacobi_residual(S, rfun, qpt, phis[0], phis[1], fd)))
+                res_q.append(max(q_jacobi_residual(S, rfun, qpt, [phis, (phis[0], phis[1], fd)])))
                 ppt = PPoint(S, pts[(k + 1) % len(pts)], g, w)
-                worst = p_jacobi_residual(S, rfun, ppt, *phis)
-                res_p.append(max(worst, p_jacobi_residual(S, rfun, ppt, phis[0], f2p, f3p)))
+                res_p.append(max(p_jacobi_residual(S, rfun, ppt, [phis, (phis[0], f2p, f3p)])))
             reports.append(_report(EQ_Q_JACOBI, pts_where, res_q, tol[EQ_Q_JACOBI]))
             reports.append(_report(EQ_P_JACOBI, pts_where, res_p, tol[EQ_P_JACOBI]))
     return reports, words

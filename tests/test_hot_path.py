@@ -641,7 +641,7 @@ def test_exact_jacobiators_match_nested_differences(name):
     e, S, _, rfun, qpt, ppt = _jacobi_points(name)
     phis = [g_entry(S, 1, 2), g_entry(S, 0, 1), g_entry(S, 2, 0)]
     for pt, exact in ((qpt, q_jacobi_residual), (ppt, p_jacobi_residual)):
-        want = exact(S, rfun, pt, *phis)
+        (want,) = exact(S, rfun, pt, [phis])
         assert want <= 1e-12
         gaps = [
             abs(ref_nested_jacobiator(S, pt, *phis, h) - want)
@@ -662,10 +662,10 @@ def test_sign_flipped_jet_breaks_jacobiators(name):
         (g_entry(S, i, j), g_entry(S, j, k), g_entry(S, k, i))
         for i in range(dim_g) for j in range(dim_g) for k in range(dim_g)
     ]
-    worst_q = max(q_jacobi_residual(S, bad, qpt, *t) for t in triples)
-    worst_p = max(p_jacobi_residual(S, bad, ppt, *t) for t in triples)
+    worst_q = max(q_jacobi_residual(S, bad, qpt, triples))
+    worst_p = max(p_jacobi_residual(S, bad, ppt, triples))
     assert worst_q > 1e-2 and worst_p > 1e-2
-    assert max(q_jacobi_residual(S, rfun, qpt, *t) for t in triples) <= 1e-12
+    assert max(q_jacobi_residual(S, rfun, qpt, triples)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", REDUCING)
@@ -714,21 +714,15 @@ def test_dual_blocks_keep_the_jacobi_identity():
     dim2 = S.sub_double.dim
     entries = [(a, b) for a in range(dim2) for b in range(dim2)]
     phi, psi = g_entry(S, 1, 2), g_entry(S, 3, 5)
-    worst = 0.0
+    on_q, on_p = [], []
     for i, e1 in enumerate(entries):
-        worst = max(
-            worst,
-            q_jacobi_residual(S, rfun, qpt, phi, psi, dual_entry(S, *e1)),
-            p_jacobi_residual(S, rfun, ppt, phi, psi, hat_entry(S, *e1)),
-            p_jacobi_residual(S, rfun, ppt, phi, psi, tilde_entry(S, *e1)),
-        )
+        on_q.append((phi, psi, dual_entry(S, *e1)))
+        on_p += [(phi, psi, hat_entry(S, *e1)), (phi, psi, tilde_entry(S, *e1))]
         for e2 in entries[i + 1:]:
-            worst = max(
-                worst,
-                q_jacobi_residual(S, rfun, qpt, phi, dual_entry(S, *e1), dual_entry(S, *e2)),
-                p_jacobi_residual(S, rfun, ppt, phi, hat_entry(S, *e1), hat_entry(S, *e2)),
-            )
-    assert worst <= 1e-12
+            on_q.append((phi, dual_entry(S, *e1), dual_entry(S, *e2)))
+            on_p.append((phi, hat_entry(S, *e1), hat_entry(S, *e2)))
+    assert max(q_jacobi_residual(S, rfun, qpt, on_q)) <= 1e-12
+    assert max(p_jacobi_residual(S, rfun, ppt, on_p)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

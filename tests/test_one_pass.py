@@ -1,16 +1,18 @@
 """The jacobi, dirac and equivariance suites take each sample point in one pass.
 
-run_suite builds one bracket form per product point and shares it, with the
-jets of its test functions, between the point's Jacobiators; it draws each
-Dirac point's test functions, and each characterization point's (u, v)
-pairs, in one call, and contracts the gradients of a Dirac point's
-functions once; the equivariance suite takes a point's H basis vectors in
-one stacked call.  The references below are the loops this replaced: one
-scalar draw per index and per row, a fresh point and fresh functions for
-every Jacobiator, and function pairs handed to every bracket.  Each
-per-point residual must equal its reference bit for bit, so sharing moved
-no draw and no digit.
+run_suite takes both Jacobiators of a product point in one call over a
+stack of triples, which builds one bracket form and one jet per distinct
+test function; it draws each Dirac point's test functions, and each
+characterization point's (u, v) pairs, in one call, and contracts the
+gradients of a Dirac point's functions once; the equivariance suite takes a
+point's H basis vectors in one stacked call.  The references below are the
+loops this replaced: one scalar draw per index and per row, one call with a
+fresh point and fresh functions for every Jacobiator, and function pairs
+handed to every bracket.  Each per-point residual, and each stacked call,
+must equal its reference bit for bit, so sharing moved no draw and no digit.
 """
+
+import gc
 
 import numpy as np
 import pytest
@@ -65,8 +67,9 @@ IDS = [c[0] for c in CASES]
 
 
 def reference_jacobi(S, words, seed):
-    """The jacobi section one call at a time: (Q_JACOBI, P_JACOBI) per point,
-    and the value of every Jacobiator in the order the suite takes them."""
+    """The jacobi section one call per triple: (Q_JACOBI, P_JACOBI) per
+    point, and for each stacked call of the suite, in its order, the
+    one-triple results it must equal, concatenated."""
     rng = np.random.Generator(np.random.PCG64(seed + 401))
     rfun = reduced_r_function(S)
     pts = [words[k % len(words)] for k in range(JACOBI_POINTS)]
@@ -85,13 +88,15 @@ def reference_jacobi(S, words, seed):
         def phis():
             return [g_entry(S, *ab) for ab in phi]
 
-        q = [q_jacobi_residual(S, rfun, QPoint(S, g, w), *fs)
-             for fs in (phis(), phis()[:2] + [dual_entry(S, *on_dual)])]
-        p = [p_jacobi_residual(S, rfun, PPoint(S, tilde, g, w), *fs)
-             for fs in (phis(), [phis()[0], tilde_entry(S, *on_tilde), hat_entry(S, *on_hat)])]
+        q = np.concatenate([q_jacobi_residual(S, rfun, QPoint(S, g, w), [fs])
+                            for fs in (phis(), phis()[:2] + [dual_entry(S, *on_dual)])])
+        p = np.concatenate([
+            p_jacobi_residual(S, rfun, PPoint(S, tilde, g, w), [fs])
+            for fs in (phis(), [phis()[0], tilde_entry(S, *on_tilde), hat_entry(S, *on_hat)])
+        ])
         res_q.append(max(q))
         res_p.append(max(p))
-        calls += q + p
+        calls += [q, p]
     return res_q, res_p, calls
 
 
@@ -187,13 +192,16 @@ def test_stacked_equivariance_matches_one_x_at_a_time(name, S, num_points, seed)
     for w in words:
         stacked = equivariance_residual(S, rfun, w, units)
         assert stacked.shape == (S.dim_H, S.G.dim, S.G.dim)
-        for x, got in zip(units, stacked):
-            assert got.tobytes() == equivariance_residual(S, rfun, w, x).tobytes()
-        want.append(max((float(np.abs(equivariance_residual(S, rfun, w, x)).max())
-                         for x in units), default=0.0))
+        alone = [equivariance_residual(S, rfun, w, x[None]) for x in units]
+        for got, one in zip(stacked, alone):
+            assert one.shape == (1, S.G.dim, S.G.dim)
+            assert got.tobytes() == one[0].tobytes()
+        want.append(max((float(np.abs(one).max()) for one in alone), default=0.0))
     assert _residuals(reports, EQ_EQUIVARIANCE) == want
-    with pytest.raises(InputShapeError):
-        equivariance_residual(S, rfun, words[0], np.zeros((1, 1, S.dim_H)))
+    # a stack only: neither one X nor a deeper array
+    for x in (np.zeros(S.dim_H), np.zeros((1, 1, S.dim_H)), np.zeros((1, S.dim_H + 1))):
+        with pytest.raises(InputShapeError):
+            equivariance_residual(S, rfun, words[0], x)
 
 
 def reference_slot_jet(f, word, ads):
@@ -227,9 +235,10 @@ def test_stacked_slot_jets_are_each_functions_own(name, S, num_points, seed):
 
 
 def test_sign_flipped_rfun_after_the_true_one_still_fails():
-    """A point keeps one form per rfun: the corrupted rfun, asked after the
-    true one on the same point, reads its own jets and fails as on a fresh
-    point, and the true rfun still passes after it."""
+    """A Jacobi call stores nothing on its point or its functions: the
+    corrupted rfun, asked after the true one on the same point and
+    functions, fails exactly as on a fresh point with fresh functions, and
+    the true rfun still passes after it."""
     e = get_entry("sl3_dj_levi")
     S = e.setup()
     words = sample_hstar_points(S, e.num_points, e.seed)
@@ -242,18 +251,30 @@ def test_sign_flipped_rfun_after_the_true_one_still_fails():
         return [(g_entry(S, i, j), g_entry(S, j, k), g_entry(S, k, i))
                 for i in range(4) for j in range(4) for k in range(4)]
 
+    def state(objs):
+        """Each object's attributes, by identity, and its arrays' bytes."""
+        return [{k: (id(v), v.tobytes() if isinstance(v, np.ndarray) else None)
+                 for k, v in vars(o).items()} for o in objs]
+
     triples = make_triples()
+    fs = list({id(f): f for t in triples for f in t}.values())
     for pt, fresh, residual in (
         (QPoint(S, g, words[0]), lambda: QPoint(S, g, words[0]), q_jacobi_residual),
         (PPoint(S, words[1], g, words[0]), lambda: PPoint(S, words[1], g, words[0]),
          p_jacobi_residual),
     ):
-        assert max(residual(S, rfun, pt, *t) for t in triples) <= 1e-12
-        flipped = [residual(S, bad, pt, *t) for t in triples]
+        before = state([pt] + fs)
+        assert max(residual(S, rfun, pt, triples)) <= 1e-12
+        assert state([pt] + fs) == before
+        flipped = residual(S, bad, pt, triples)
         assert max(flipped) > 1e-2
-        assert flipped == [residual(S, bad, fresh(), *t) for t in make_triples()]
-        assert max(residual(S, rfun, pt, *t) for t in triples) <= 1e-12
-        assert len(pt.forms) == 2
+        assert flipped.tobytes() == residual(S, bad, fresh(), make_triples()).tobytes()
+        assert max(residual(S, rfun, pt, triples)) <= 1e-12
+        assert state([pt] + fs) == before
+        # no cache field on either, and no form outlives its call
+        assert not any(isinstance(v, dict) for o in [pt] + fs for v in vars(o).values())
+        gc.collect()
+        assert not any(isinstance(o, verify._BracketForm) for o in gc.get_objects())
 
 
 def _counting(monkeypatch, owner, name, calls):

@@ -17,14 +17,19 @@ e⊗f - f⊗e) demanded by the dynamical Yang-Baxter equation, which pins the
 overall sign; the dynamical-equation residual is asserted in test_verify.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from plrmat.bialgebra_double import validate_setup
 from plrmat.catalog import get_entry
 from plrmat.dual_group import identity_word
+from plrmat import reduction
 from plrmat.errors import (
     CDegenerateError,
+    ConsistencyError,
+    InputShapeError,
     SamplingExhaustedError,
 )
 from plrmat.lie_core import LieAlgebra, Subspace
@@ -195,6 +200,23 @@ class TestNVectors:
                 direct = rho(s, w)
                 via_n = rho_via_n(s, w)
                 assert np.max(np.abs(direct - via_n)) <= 1e-9
+
+    def test_rho_via_n_bounds_its_antisymmetry(self, monkeypatch):
+        """rho_via_n assembles one product order a; the other is −aᵀ, so both
+        bounds read |a + aᵀ|.  Past 1e-9·(1 + max|a|) it raises
+        ConsistencyError, and a larger a within that bound past 1e-8 raises
+        InputShapeError."""
+        s = classical_setup()
+        w = hstar_word(s, [1.0])
+        n = constraint_matrix(s, w).n_matrix
+        for scale, shift, error in ((1.0, 1e-6, ConsistencyError),
+                                    (1e3, 1e-7, InputShapeError)):
+            bad = scale * n
+            bad[0, 0] += shift
+            monkeypatch.setattr(reduction, "_second_class_matrix",
+                                lambda S, word, bad=bad: SimpleNamespace(n_matrix=bad))
+            with pytest.raises(error):
+                rho_via_n(s, w)
 
     def test_rho_via_n_frozen_value(self):
         s = classical_setup()

@@ -123,20 +123,20 @@ class TestEquivariance:
         s = dj_setup()
         w = hstar_word(s, [0.7])
         rfun = reduced_r_function(s)
-        res = equivariance_residual(s, rfun, w, [0.0])
+        res = equivariance_residual(s, rfun, w, [[0.0]])
         assert np.max(np.abs(res)) <= 1e-12
 
     def test_constant_invariant_r_abelian(self):
         s = abelian_trivial_setup()
         zero = RhoJet.zero(s.dim_H, s.G.dim)
-        res = equivariance_residual(s, lambda w: zero, identity_word(s.double), [0.0, 0.0])
+        res = equivariance_residual(s, lambda w: zero, identity_word(s.double), [[0.0, 0.0]])
         assert np.max(np.abs(res)) == 0.0
 
     def test_dj_reduced_r_equivariant(self):
         s = replace(dj_setup(), cond_threshold=2.5)
         rfun = reduced_r_function(s)
         for w in sample_hstar_points(s, 5, seed=6):
-            assert np.max(np.abs(equivariance_residual(s, rfun, w, [1.0]))) <= 1e-12
+            assert np.max(np.abs(equivariance_residual(s, rfun, w, [[1.0]]))) <= 1e-12
 
 
 class TestProductBrackets:
@@ -188,24 +188,24 @@ class TestProductBrackets:
 
     def test_q_jacobi_small_for_reduced_r(self):
         phis = [g_entry(self.s, 1, 2), g_entry(self.s, 0, 1), g_entry(self.s, 2, 0)]
-        res = q_jacobi_residual(self.s, self.rfun, self.qpt, *phis)
+        (res,) = q_jacobi_residual(self.s, self.rfun, self.qpt, [phis])
         assert res <= 1e-12
 
     def test_p_jacobi_small_for_reduced_r(self):
         phis = [g_entry(self.s, 1, 2), g_entry(self.s, 0, 1), g_entry(self.s, 2, 0)]
-        res = p_jacobi_residual(self.s, self.rfun, self.ppt, *phis)
+        (res,) = p_jacobi_residual(self.s, self.rfun, self.ppt, [phis])
         assert res <= 1e-12
 
     def test_jacobi_of_constants_vanishes(self):
         const = self._zero("g", 3)
-        res = q_jacobi_residual(self.s, self.rfun, self.qpt, const, const, const)
+        (res,) = q_jacobi_residual(self.s, self.rfun, self.qpt, [(const, const, const)])
         assert res == 0.0
 
     def test_corrupted_r_breaks_q_jacobi(self):
         a, b = largest_entry(self.rfun(self.lam).value)
         bad = sign_flipped_rfun(self.rfun, int(a), int(b))
         phis = [g_entry(self.s, 1, 2), g_entry(self.s, 0, 1), g_entry(self.s, 2, 0)]
-        res = q_jacobi_residual(self.s, bad, self.qpt, *phis)
+        (res,) = q_jacobi_residual(self.s, bad, self.qpt, [phis])
         assert res > 1e-2
 
 
