@@ -69,6 +69,7 @@ from .lie_core import (
     _products,
     _sparse_pays,
     cybe_lhs,
+    exceeds,
 )
 
 DUAL_BRACKET_SIGN = -1.0
@@ -98,7 +99,7 @@ class Bialgebra:
         if self.Kstar.dim != self.K.dim:
             raise InputShapeError("K and Kstar must have equal dimension")
         r = self.cocycle_residual()
-        if r > self.cocycle_tol:
+        if exceeds(r, self.cocycle_tol):
             raise NotSubBialgebraError(
                 f"cobracket is not a cocycle for the bracket: residual {r:.3e}"
             )
@@ -134,13 +135,13 @@ def _cocycle_dense(c: np.ndarray, cb: np.ndarray) -> float:
     n = c.shape[0]
     ads = np.swapaxes(c, 1, 2)  # ads[i] is the matrix of ad_{e_i}
     cb_rows = cb.reshape(n, n * n)
-    worst = 0.0
+    worst = np.zeros(n)  # max defect per first index
     for i in range(n - 1):
         j = slice(i + 1, None)
         lhs = (c[i, j] @ cb_rows).reshape(-1, n, n)  # delta([e_i, e_j]) for every j > i
         rhs = (ads[i] @ cb[j] + cb[j] @ c[i]) - (ads[j] @ cb[i] + cb[i] @ c[j])
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+        worst[i] = np.abs(lhs - rhs).max()
+    return float(worst.max(initial=0.0))  # keeps a NaN
 
 
 def _cocycle_sparse(cn: tuple, bn: tuple, n: int) -> float:
@@ -189,7 +190,7 @@ def derive_cobracket(
     R = np.asarray(R, dtype=float)
     if R.shape != (G.dim, G.dim):
         raise InputShapeError(f"R must be {G.dim}x{G.dim}, got {R.shape}")
-    if np.max(np.abs(R + R.T), initial=0.0) > bounds.ANTISYM_TOL:
+    if exceeds(np.max(np.abs(R + R.T), initial=0.0), bounds.ANTISYM_TOL):
         raise InputShapeError("R must be antisymmetric")
     if K_embed.ambient_dim != G.dim:
         raise InputShapeError("K must live in the ambient algebra")
@@ -203,7 +204,7 @@ def derive_cobracket(
     coords = brackets @ pinv.T
     resid = float(np.max(np.abs(coords @ P - brackets), initial=0.0))
     scale = 1.0 + float(np.max(np.abs(brackets), initial=0.0))
-    if resid > tol * scale:
+    if exceeds(resid, tol * scale):
         raise SubalgebraError(
             f"K is not closed under the ambient bracket: residual {resid:.3e}"
         )
@@ -215,7 +216,7 @@ def derive_cobracket(
     d_g = ads @ R + R @ ad_rows
     cobracket = pinv @ d_g @ pinv.T
     leak = np.max(np.abs(P.T @ cobracket @ P - d_g), axis=(1, 2), initial=0.0)
-    bad = np.flatnonzero(leak > tol * (1.0 + np.max(np.abs(d_g), axis=(1, 2), initial=0.0)))
+    bad = np.flatnonzero(exceeds(leak, tol * (1.0 + np.max(np.abs(d_g), axis=(1, 2), initial=0.0))))
     if bad.size:
         k = bad[0]
         raise NotSubBialgebraError(
@@ -489,7 +490,7 @@ def validate_setup(
     for name, sub in (("H", H_embed), ("M", M_embed)):
         coords = sub.basis @ K_embed.pinv.T
         resid = np.max(np.abs(coords @ K_embed.basis - sub.basis), initial=0.0)
-        if resid > tol:
+        if exceeds(resid, tol):
             raise DecompositionError(
                 f"{name} basis not inside the span of K: residual {resid:.3e}"
             )
@@ -514,7 +515,7 @@ def validate_setup(
     # H a subalgebra of K: no [H, H] bracket has an M-part
     br = _brackets(K, H_in_K, H_in_K)
     resid = np.max(np.abs(br @ Mdual.T @ M_in_K), axis=2, initial=0.0)
-    bad = resid > tol * (1.0 + np.max(np.abs(br), axis=2, initial=0.0))
+    bad = exceeds(resid, tol * (1.0 + np.max(np.abs(br), axis=2, initial=0.0)))
     if np.any(bad):
         raise SubalgebraError(
             f"H is not closed under the K bracket: residual {resid[bad][0]:.3e}"
@@ -522,21 +523,21 @@ def validate_setup(
 
     # reductivity [H, M] ⊆ M, measured as the H-component of the bracket
     worst = np.max(np.abs(_brackets(K, H_in_K, M_in_K) @ Hdual.T), initial=0.0)
-    if worst > tol:
+    if exceeds(worst, tol):
         raise ReductivityError(
             f"[H, M] has a component along H: projection residual {worst:.3e}"
         )
 
     # H* = ann(M) must be a subalgebra of K*
     worst = np.max(np.abs(_brackets(Kstar, Hdual, Hdual) @ M_in_K.T), initial=0.0)
-    if worst > tol:
+    if exceeds(worst, tol):
         raise DualSubalgebraError(
             f"ann(M) is not a subalgebra of K*: M*-component {worst:.3e}"
         )
 
     # M* = ann(H) must be an ideal of K*
     worst = np.max(np.abs(_brackets(Kstar, np.eye(n), Mdual) @ H_in_K.T), initial=0.0)
-    if worst > tol:
+    if exceeds(worst, tol):
         raise IdealError(f"ann(H) is not an ideal of K*: H*-component {worst:.3e}")
 
     double = build_double(bialgebra)
@@ -559,7 +560,7 @@ def validate_setup(
         cond_threshold=cond_threshold,
     )
     r1, r2 = setup.closure_pairing_residuals()
-    if max(r1, r2) > tol:
+    if exceeds(r1, tol) or exceeds(r2, tol):
         raise SubalgebraError(
             f"[H, H*] leaks outside H + H* in the double: pairings {r1:.3e}, {r2:.3e}"
         )

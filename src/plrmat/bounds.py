@@ -37,6 +37,10 @@ DRESSING_LEAK_TOL = 1e-9  # H*-leak of a dressing vector, relative to 1 + its si
 
 # consecutive rejected draws after which sample_hstar_points gives up
 MAX_SAMPLE_ATTEMPTS = 100
+# largest algebra.dim: the double's structure constants take (2·dim)³·8 B,
+# 134 MB at the limit (sl11 has dim 120), and a larger dim would have numpy
+# refuse or attempt a huge allocation while the input is parsed
+MAX_DIM = 128
 # largest sampling.num_points: the sampler's stacked block takes
 # num_points·(2·dim K)²·8 B per array, 127 MB at dim K = 63 (sl8)
 MAX_NUM_POINTS = 1000

@@ -117,13 +117,14 @@ def cmd_validate(args) -> int:
 
 
 def _apply_overrides(parsed, args):
-    if getattr(args, "samples", None) is not None:
+    """The flags add_common gives reduce and verify, over the spec's values."""
+    if args.samples is not None:
         parsed["sampling"]["num_points"] = args.samples
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         parsed["sampling"]["seed"] = args.seed
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         parsed["tolerances"]["residual"] = args.tol
-    if getattr(args, "cond_threshold", None) is not None:
+    if args.cond_threshold is not None:
         parsed["tolerances"]["cond_threshold"] = args.cond_threshold
     _check_sampling(parsed["sampling"])
     _check_tolerances(parsed["tolerances"])

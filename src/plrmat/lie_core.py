@@ -50,6 +50,15 @@ SPARSE_FIXED_COST = 5e5
 SPARSE_TERM_COST = 4e5
 
 
+def exceeds(r, bound):
+    """Whether a residual fails its bound, elementwise: r > bound, and also
+    wherever r is NaN or bound is not finite, so a residual or a scale that
+    overflowed fails its check instead of passing it."""
+    if isinstance(r, np.ndarray) or isinstance(bound, np.ndarray):
+        return ~((r <= bound) & (bound < np.inf))  # NaN compares false
+    return not (r <= bound and bound < np.inf)
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(np.asarray(a, dtype=float))
     a.setflags(write=False)
@@ -112,7 +121,7 @@ def _jacobi_dense(c: np.ndarray) -> float:
     LieAlgebra.jacobi_residual describes."""
     n = c.shape[0]
     buf = np.empty((2, n**3))
-    worst = 0.0
+    worst = np.empty(n)  # max |J| per first index
     for i in range(n):
         r = n - i
         jac = buf[0, : r * r * n].reshape(r, r, n)  # [j, k, l]
@@ -123,8 +132,9 @@ def _jacobi_dense(c: np.ndarray) -> float:
         jac += tmp
         np.matmul(c[i:, i, :], c_tail, out=tmp.reshape(r, r * n))  # A(k,i,j) as [k, j, l]
         jac += tmp.transpose(1, 0, 2)
-        worst = max(worst, float(jac.max()), -float(jac.min()))
-    return worst
+        worst[i] = np.abs(jac, out=tmp).max()
+    # an array's max keeps a NaN, which the builtin max would drop
+    return float(worst.max())
 
 
 def _jacobi_sparse(nz: tuple, n: int) -> float:
@@ -182,14 +192,14 @@ class LieAlgebra:
             raise StructureConstantError("structure constants must be finite numbers")
         if self.antisym_tol < np.inf:  # as for jacobi_tol below
             r = self.antisymmetry_residual()
-            if r > self.antisym_tol:
+            if exceeds(r, self.antisym_tol):
                 raise StructureConstantError(
                     f"structure constants not antisymmetric: residual {r:.3e} > {self.antisym_tol:.1e}"
                 )
         if self.jacobi_tol < np.inf:  # an infinite bound cannot fail
             r = self.jacobi_residual()
             object.__setattr__(self, "checked_jacobi", r)
-            if r > self.jacobi_tol:
+            if exceeds(r, self.jacobi_tol):
                 raise StructureConstantError(
                     f"Jacobi identity fails: residual {r:.3e} > {self.jacobi_tol:.1e}"
                 )
@@ -343,12 +353,12 @@ def invariance_residual3(A: LieAlgebra, T) -> float:
     slot2 = t.transpose(1, 0, 2).reshape(n, n * n)  # [a, (x, z)]
     slot3 = t.reshape(n * n, n)  # [(x, y), a]
     block = max(1, INVARIANCE_BLOCK // max(1, n**3))
-    worst = 0.0
+    worst = np.zeros(n)  # at each block's first index
     for i in range(0, n, block):
         ads = A.c[i:i + block]  # ads[b, a, x] = c[i + b, a, x], ad_{e_(i+b)} transposed
         b = len(ads)
         acted = (np.swapaxes(ads, 1, 2) @ slot1).reshape(b, n, n, n)
         acted += (np.swapaxes(ads, 1, 2) @ slot2).reshape(b, n, n, n).transpose(0, 2, 1, 3)
         acted += (slot3 @ ads).reshape(b, n, n, n)
-        worst = max(worst, float(np.abs(acted).max()))
-    return worst
+        worst[i] = np.abs(acted).max()
+    return float(worst.max(initial=0.0))  # keeps a NaN

@@ -48,19 +48,20 @@ ambient dual group as constant along the exp(M*) directions) is
     {F1,F2}* = {f1,f2} - Σ_ij {f1, ξ_i} (C^{-1})_ij {ξ_j, f2},
 
 with the constraint gradients known in closed form: grad' ξ_i = M^i and
-grad ξ_i = (Ad_λ M^i)_M.  The gradients of F1 and F2 are exact too: for an
-l·Ad·r function each is l·V·r for a velocity V of Ad_λ, one contraction
-for a whole stack of functions (PairGradients), which a caller bracketing
-the same functions several times passes in their place.  It must reproduce
-the Poisson bracket computed natively in the double of (H, H*), read on a
-point of the dual of H as sub_restrict·Ad_λ·sub_embedᵀ.
+grad ξ_i = (Ad_λ M^i)_M.  The brackets take gradient arrays, never
+functions: for an l·Ad·r function each gradient is l·V·r for a velocity V
+of Ad_λ, and _row_gradients makes them for a whole stack of functions in
+one contraction.  The factors {f1, ξ_i} are constraint_pb_check's, so the
+check that they vanish certifies the very factor the correction uses.  The
+Dirac bracket must reproduce the Poisson bracket computed natively in the
+double of (H, H*), read on a point of the dual of H as
+sub_restrict·Ad_λ·sub_embedᵀ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -388,17 +389,19 @@ def characterization_identity_residual(S: ReductionSetup, word: GroupWord, u, v)
 
     << (λ^{-1}uλ)_M, λ^{-1}vλ >> = Σ_i << (λ^{-1}uλ)_M, λ^{-1}M^iλ >> ·
                                         << (λ^{-1}vλ)_M, λ^{-1}N_iλ >>
-    for u, v in M (K coordinates).  u and v may also be stacks of such
-    vectors, one (u, v) pair per row: the largest residual over the pairs is
-    returned, with the N_i and Ad_λ^{-1} read once for all of them.
+    for u, v in M.  u and v are (k, n) stacks of such vectors in K
+    coordinates, one (u, v) pair per row: the largest residual over the
+    pairs is returned, with the N_i and Ad_λ^{-1} read once for all of them.
     """
     n = S.n
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    if u.ndim != 2 or u.shape[1] != n or v.shape != u.shape:
+        raise InputShapeError(f"u and v must be stacks of the same rows of {n} K coordinates")
     C = _second_class_matrix(S, word)
     N, inv_ad = C.n_matrix, C.ad_inverse
     move = inv_ad[:, :n].T  # K row -> its image under Ad_λ^{-1}, in the double
     to_m = S.Mdual.T @ S.M_in_K  # K row -> its M-part
-    pu = np.atleast_2d(np.asarray(u, dtype=float)) @ move
-    pv = np.atleast_2d(np.asarray(v, dtype=float)) @ move
+    pu, pv = u @ move, v @ move
     mu, mv = pu[:, :n] @ to_m, pv[:, :n] @ to_m
     # every left side is a K vector, so each pairing reads a K*-part
     lhs = np.sum(mu * pv[:, n:], axis=1)
@@ -418,16 +421,13 @@ def _hstar_generators(S: ReductionSetup, coords: np.ndarray) -> np.ndarray:
     return gen
 
 
-def _hstar_words(S: ReductionSetup, coords: np.ndarray, gen=None) -> tuple:
+def _hstar_words(S: ReductionSetup, coords: np.ndarray, gen: np.ndarray) -> tuple:
     """(words, ads): the single-factor word exp(Σ_a x_a H^a) for each row x
     of coords, and the read-only (B, 2n, 2n) stack of their Ad matrices.
 
-    gen is _hstar_generators of coords, made here if not given, and one expm
-    call exponentiates it slice by slice.  Each word's Ad is its slice of
-    the stack.
+    gen is _hstar_generators of coords, and one expm call exponentiates it
+    slice by slice.  Each word's Ad is its slice of the stack.
     """
-    if gen is None:
-        gen = _hstar_generators(S, coords)
     ads = expm(gen)
     ads.setflags(write=False)
     words = [GroupWord(S.double, (x @ S.Hdual,), ad) for x, ad in zip(coords, ads)]
@@ -440,104 +440,71 @@ def hstar_word(S: ReductionSetup, coords) -> GroupWord:
     coords = np.asarray(coords, dtype=float)
     if coords.shape != (S.dim_H,):
         raise InputShapeError(f"expected {S.dim_H} H* coordinates")
-    return _hstar_words(S, coords[None])[0][0]
+    coords = coords[None]
+    return _hstar_words(S, coords, _hstar_generators(S, coords))[0][0]
 
 
-class PairGradients(NamedTuple):
-    """(grad F1, grad' F2) over the H* basis at one point, one row per pair.
-
-    What dirac_bracket, native_hstar_bracket and constraint_pb_check read of
-    their functions: a caller that brackets the same pairs more than once
-    takes them from _pair_gradients (or _row_gradients) once and passes them
-    in place of the pairs.
-    """
-
-    first: np.ndarray
-    second: np.ndarray
-
-    def take(self, rows) -> "PairGradients":
-        return PairGradients(self.first[rows], self.second[rows])
-
-
-def _pair_gradients(C: CMatrix, pairs) -> PairGradients:
-    """The PairGradients of pairs of l·Ad·r functions at C's point."""
-    left = np.array([f.left for pair in pairs for f in pair])
-    right = np.array([f.right for pair in pairs for f in pair])
-    return _row_gradients(C, left, right)
-
-
-def _row_gradients(C: CMatrix, left: np.ndarray, right: np.ndarray) -> PairGradients:
-    """The PairGradients at C's point of the functions l·Ad·r, one per row l
-    of left and r of right, rows 2k and 2k + 1 the pair k.
+def _row_gradients(C: CMatrix, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(k, 2p): the gradients at C's point of the functions l·Ad·r, one per
+    row l of left and r of right: grad, then grad', over the H* basis.
 
     Every entry is l·V·r for a velocity V of Ad_λ, so one contraction of the
-    stacked rows serves all pairs.  Both gradients lie in H.
+    stacked rows serves all functions.  Both gradients lie in H.
     """
-    p = C.setup.dim_H
-    g = np.sum((left @ C.velocity) * right, axis=-1).T
-    return PairGradients(g[0::2, :p], g[1::2, p:])
+    return np.sum((left @ C.velocity) * right, axis=-1).T
 
 
-def _gradients(C: CMatrix, pairs) -> PairGradients:
-    """pairs itself if it is a PairGradients, else _pair_gradients of it."""
-    return pairs if isinstance(pairs, PairGradients) else _pair_gradients(C, pairs)
+def dirac_bracket(S: ReductionSetup, word: GroupWord, grad1, grad2) -> np.ndarray:
+    """The Dirac bracket {F1, F2}* at λ for each row of grad1 and grad2.
 
-
-def dirac_bracket(S: ReductionSetup, word: GroupWord, pairs) -> np.ndarray:
-    """The Dirac bracket {F1, F2}* at λ for each pair (F1, F2) of functions.
-
-    The functions are l·Ad·r functions on the dual of H (anything with the
-    left and right rows of verify.QFunction), extended to the ambient dual
-    group as constant along exp(M*) and bracketed there, with the full
-    second-class correction term assembled from the closed-form constraint
-    gradients.  pairs is a sequence of such pairs or their PairGradients at
-    λ.  Their gradients are exact, and one solve against C serves every
-    pair.  The result must match native_hstar_bracket to roundoff at
-    second-class points.
+    grad1 and grad2 are (k, p) stacks of grad F1 and grad' F2 over the H*
+    basis (_row_gradients), for functions on the dual of H extended to the
+    ambient dual group as constant along exp(M*) and bracketed there, with
+    the full second-class correction assembled from the closed-form
+    constraint gradients: {f1, ξ_i} is constraint_pb_check of grad1.  One
+    solve against C serves every row.  The result must match
+    native_hstar_bracket to roundoff at second-class points.
     """
     C = _second_class_matrix(S, word)
     n = S.n
-    g1, g2p = (g @ S.H_in_K for g in _gradients(C, pairs))
-    # column k: K*-part of Ad_λ grad' f2 for pair k; a K vector pairs with
+    g1, g2p = grad1 @ S.H_in_K, grad2 @ S.H_in_K
+    # column k: K*-part of Ad_λ grad' f2 for row k; a K vector pairs with
     # the K*-part of its partner
     moved_g2 = C.ad[n:, :n] @ g2p.T
     plain = np.sum(g1.T * moved_g2, axis=0)
     if C.m == 0:
         return plain
-    # {f1, ξ_i} = << grad f1, Ad_λ M^i >>  (grad' ξ_i = M^i)
-    b1 = g1 @ C.ad[n:, :n] @ S.M_in_K.T
     # {ξ_j, f2} = << (Ad_λ M^j)_M, Ad_λ grad' f2 >>
     b2 = C.m_parts @ moved_g2
+    b1 = constraint_pb_check(S, word, grad1)
     return plain - np.sum(b1.T * np.linalg.solve(C.entries, b2), axis=0)
 
 
-def native_hstar_bracket(S: ReductionSetup, word: GroupWord, pairs) -> np.ndarray:
-    """{F1, F2} computed in the double of (H, H*) for each pair: the oracle side.
+def native_hstar_bracket(S: ReductionSetup, word: GroupWord, grad1, grad2) -> np.ndarray:
+    """{F1, F2} computed in the double of (H, H*) for each row: the oracle side.
 
     The dual-group bracket << grad f1, Ad (grad' f2) >> with Ad the
     restriction sub_restrict·Ad_λ·sub_embedᵀ, paired on the sub-double;
-    pairs as for dirac_bracket.
+    grad1 and grad2 as for dirac_bracket.
     """
     d = S.sub_double
-    g1, g2p = _gradients(constraint_matrix(S, word), pairs)
     embed = np.eye(d.dim)[: S.dim_H]  # rows: the H basis of the sub-double
     sub_ad = S.sub_restrict @ word.ad @ S.sub_embed.T
-    moved_g2 = g2p @ embed @ sub_ad.T
-    return np.sum((g1 @ embed @ d.pairing) * moved_g2, axis=1)
+    moved_g2 = grad2 @ embed @ sub_ad.T
+    return np.sum((grad1 @ embed @ d.pairing) * moved_g2, axis=1)
 
 
-def constraint_pb_check(S: ReductionSetup, word: GroupWord, f, m_index: int) -> float:
-    """{f, ξ_i}(λ) for an extended function f; vanishes on the dual of H.
+def constraint_pb_check(S: ReductionSetup, word: GroupWord, grad) -> np.ndarray:
+    """(k, dim M): {f_k, ξ_i}(λ) for a (k, p) stack of grad f_k over the H*
+    basis; it vanishes on the dual of H.
 
-    f is an l·Ad·r function, or a PairGradients at λ whose first row is
-    that of the pair (f, f).  The constraint gradient is used in closed form
-    (grad' ξ_i = M^i), so the value is << grad f, Ad_λ M^i >> with grad f
-    in H.
+    The constraint gradient is used in closed form (grad' ξ_i = M^i), so
+    each entry is << grad f_k, Ad_λ M^i >> with grad f_k in H: one product
+    for every row and constraint.  It is the factor {f1, ξ_i} of
+    dirac_bracket's correction.
     """
     n = S.n
-    pair = f if isinstance(f, PairGradients) else [(f, f)]
-    g1 = _gradients(constraint_matrix(S, word), pair).first[0] @ S.H_in_K
-    return float(g1 @ word.ad[n:, :n] @ S.M_in_K[m_index])
+    return grad @ S.H_in_K @ word.ad[n:, :n] @ S.M_in_K.T
 
 
 def sample_hstar_points(

@@ -22,11 +22,12 @@ The tolerance key jacobi bounds the Jacobi identity of G and, as the tol of
 validate_setup, the closure checks of K, H, M and their duals, the Jacobi
 identity of K* and the cocycle check, which certify D(K, K*).  residual
 bounds the equations of verify.RESIDUAL_EQUATIONS, and cond_threshold is
-stored on the setup, where it defines the second-class points.  jacobi,
-residual and cond_threshold must be finite positive numbers.  The key
+stored on the setup, where it defines the second-class points.  The key
 fd_step is accepted and ignored: no suite takes a finite difference.  It
-is kept so that existing inputs parse and the reports are unchanged.  A key
-the block leaves out takes its value from bounds.TOLERANCES, shown above.
+is kept so that existing inputs parse and the reports are unchanged.  All
+four must be finite positive numbers, fd_step too, since the reports echo
+the block; so a key with no default is refused.  A key the block leaves
+out takes its value from bounds.TOLERANCES, shown above.
 
 Reports are emitted with sorted keys and floats printed to 17 significant
 digits, which makes a rerun with identical inputs byte-identical.
@@ -40,6 +41,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 from json.encoder import encode_basestring_ascii  # json.dumps of a str
 
 import numpy as np
@@ -88,22 +90,27 @@ def _require(data, key, kind, condition):
 
 
 def _with_defaults(data: dict, key: str, defaults: dict) -> dict:
-    """The object data[key] over its defaults."""
+    """The object data[key] over its defaults; a key with no default is
+    refused, since the reports echo the block."""
     block = data.get(key, {})
     if not isinstance(block, dict):
         _fail(key, f"must be an object, got {type(block).__name__}")
+    unknown = sorted(block.keys() - defaults.keys())
+    if unknown:
+        _fail(key, f"unknown key {unknown[0]!r}")
     return {**defaults, **block}
 
 
 def _check_positive(block: dict, keys, condition: str) -> None:
     for key in keys:
         value = block[key]
-        if not (_is_int(value) or isinstance(value, float)) or not 0 < value < math.inf:
+        # an int past the float range has no float value
+        if not (_is_int(value) or isinstance(value, float)) or not 0 < value <= sys.float_info.max:
             _fail(condition, f"{key} must be a finite positive number, got {value!r}")
 
 
 def _check_tolerances(tolerances: dict) -> None:
-    _check_positive(tolerances, ("jacobi", "residual", "cond_threshold"), "tolerances")
+    _check_positive(tolerances, ("jacobi", "residual", "cond_threshold", "fd_step"), "tolerances")
 
 
 def _check_sampling(sampling: dict) -> None:
@@ -228,8 +235,8 @@ def parse_spec(data: dict) -> dict:
 
     algebra = _require(data, "algebra", dict, "algebra")
     dim = _require(algebra, "dim", int, "algebra.dim")
-    if dim <= 0:
-        _fail("algebra.dim", f"dimension must be positive, got {dim}")
+    if not 0 < dim <= bounds.MAX_DIM:
+        _fail("algebra.dim", f"dimension must be between 1 and {bounds.MAX_DIM}, got {dim}")
     triplets = _require(algebra, "structure_constants", list, "algebra.structure_constants")
     parsed = _entry_array(triplets, 4, dim)
     if parsed is None:

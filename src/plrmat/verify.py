@@ -30,11 +30,14 @@ once, makes the jet of each distinct test function once, in one stacked
 pass per factor, and returns one |Jacobiator| per triple; nothing is kept
 on the point, the functions or the form when it returns.  A Dirac point's
 test functions, and a characterization point's (u, v) pairs, are one draw
-each, and the functions' gradients one contraction (reduction.PairGradients)
-that the brackets read.  An equivariance call takes a stack of H vectors,
-a point's basis in the suite.  Every draw gives the stream of the scalar
-draws it replaced and every product keeps its shape, so the residuals are
-those of one call per Jacobiator and bracket, bit for bit.
+each.  The functions' gradients are one (20 + dim M, 2·dim H) array
+(reduction._row_gradients), whose rows the brackets and the constraint
+check read: one call each per point, the constraint check a (dim M, dim M)
+product whose diagonal is CONSTRAINT_PB.  An equivariance call takes a
+stack of H vectors, a point's basis in the suite.  Every draw gives the
+stream of the scalar draws it replaced and every bracket product keeps its
+shape, so the residuals are those of one call per Jacobiator and bracket,
+bit for bit.
 
 The tolerance of each equation is defined here, in DEFAULT_TOLERANCES; the
 spec's residual tolerance may replace it for the RESIDUAL_EQUATIONS alone,
@@ -130,8 +133,6 @@ class ResidualReport:
 
 
 def describe_word(word: GroupWord) -> list:
-    if word.factors is None:
-        return []
     return [list(map(float, f)) for f in word.factors]
 
 
@@ -166,7 +167,7 @@ def plcdybe_residual(S: ReductionSetup, rfun, word: GroupWord) -> np.ndarray:
 def _triangularity(G: LieAlgebra, lhs: np.ndarray, ref_lhs: Optional[np.ndarray]) -> float:
     worst = invariance_residual3(G, lhs)
     if ref_lhs is not None:
-        worst = max(worst, float(np.max(np.abs(lhs - ref_lhs), initial=0.0)))
+        worst = float(np.maximum(worst, np.max(np.abs(lhs - ref_lhs), initial=0.0)))
     return worst
 
 
@@ -523,9 +524,10 @@ def p_jacobi_residual(S: ReductionSetup, rfun, pt: PPoint, triples) -> np.ndarra
 
 
 def _report(eq, where, residuals, tol, direction="upper") -> ResidualReport:
-    """where: one descriptor per point, as describe_word gives it."""
+    """where: one descriptor per point, as describe_word gives it.  A NaN at
+    any point is the maximum, so it fails either direction."""
     per = tuple((d, float(r)) for d, r in zip(where, residuals))
-    max_r = float(max(residuals)) if residuals else 0.0
+    max_r = float(np.max(residuals)) if residuals else 0.0
     return ResidualReport(
         equation_id=eq,
         per_point=per,
@@ -599,33 +601,29 @@ def run_suite(
                    for w in words]
             reports.append(_report(EQ_EQUIVARIANCE, where, res, tol[EQ_EQUIVARIANCE]))
         elif s == "dirac":
-            dim2, m = S.sub_double.dim, S.dim_M
-            # one draw per point: the entries (a, b) of 20 functions for the
-            # 10 Dirac pairs, then of one function per constraint, paired
-            # with itself; dual_entry(S, a, b) has the rows sub_restrict[a]
+            dim2, m, p = S.sub_double.dim, S.dim_M, S.dim_H
+            # one draw per point: the entries (a, b) of 20 functions, the
+            # 10 Dirac pairs (F1, F2) interleaved, then of one function per
+            # constraint; dual_entry(S, a, b) has the rows sub_restrict[a]
             # and sub_embed[b], so the gradients are one contraction
-            paired = np.concatenate([np.arange(20), np.repeat(np.arange(20, 20 + m), 2)])
             res_d, res_c = [], []
             for w in words:
-                ab = rng.integers(0, dim2, (20 + m, 2))[paired]
+                ab = rng.integers(0, dim2, (20 + m, 2))
                 grads = _row_gradients(
                     constraint_matrix(S, w), S.sub_restrict[ab[:, 0]], S.sub_embed[ab[:, 1]]
                 )
-                dirac = grads.take(slice(10))
-                got = dirac_bracket(S, w, dirac)
-                res_d.append(float(np.abs(got - native_hstar_bracket(S, w, dirac)).max()))
-                res_c.append(max(
-                    (abs(constraint_pb_check(S, w, grads.take(slice(10 + i, 11 + i)), i))
-                     for i in range(m)),
-                    default=0.0,
-                ))
+                g1, g2 = grads[0:20:2, :p], grads[1:20:2, p:]
+                got = dirac_bracket(S, w, g1, g2)
+                res_d.append(float(np.abs(got - native_hstar_bracket(S, w, g1, g2)).max()))
+                # {f_i, ξ_i} for the function drawn for constraint i
+                pb = constraint_pb_check(S, w, grads[20:, :p])
+                res_c.append(float(np.abs(np.diagonal(pb)).max(initial=0.0)))
             reports.append(_report(EQ_DIRAC, where, res_d, tol[EQ_DIRAC]))
             reports.append(_report(EQ_CONSTRAINT_PB, where, res_c, tol[EQ_CONSTRAINT_PB]))
             res = []
             for w in words:
                 r1 = float(np.abs(rho(S, w) - rho_via_n(S, w)).max(initial=0.0))
-                r1 = max(r1, constraint_inverse_operator_residual(S, w))
-                res.append(r1)
+                res.append(np.maximum(r1, constraint_inverse_operator_residual(S, w)))
             reports.append(_report(EQ_RHO_CONSISTENCY, where, res, tol[EQ_RHO_CONSISTENCY]))
             res = []
             for w in words:
@@ -655,9 +653,9 @@ def run_suite(
                 # both triples of a product point in one call, which makes
                 # the jets of phis[0] and phis[1] once for the two
                 qpt = QPoint(S, g, w)
-                res_q.append(max(q_jacobi_residual(S, rfun, qpt, [phis, (phis[0], phis[1], fd)])))
+                res_q.append(q_jacobi_residual(S, rfun, qpt, [phis, (phis[0], phis[1], fd)]).max())
                 ppt = PPoint(S, pts[(k + 1) % len(pts)], g, w)
-                res_p.append(max(p_jacobi_residual(S, rfun, ppt, [phis, (phis[0], f2p, f3p)])))
+                res_p.append(p_jacobi_residual(S, rfun, ppt, [phis, (phis[0], f2p, f3p)]).max())
             reports.append(_report(EQ_Q_JACOBI, pts_where, res_q, tol[EQ_Q_JACOBI]))
             reports.append(_report(EQ_P_JACOBI, pts_where, res_p, tol[EQ_P_JACOBI]))
     return reports, words

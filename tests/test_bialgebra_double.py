@@ -552,6 +552,16 @@ class TestBlockedResidualsMatchLoops:
             assert want > 1e-7 or not np.any(B.K.c)
             assert abs(bad.cocycle_residual() - want) <= 1e-12 * want
 
+    def test_cocycle_residual_keeps_nan(self):
+        """Products past the float range make a NaN defect, which the dense
+        loop keeps as its maximum."""
+        from plrmat.bialgebra_double import _cocycle_dense
+
+        B = derive_cobracket(sl2(), r_dj_sl2(), full_subspace(3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _cocycle_dense(B.K.c * 1e200, B.cobracket * 1e200)
+        assert np.isnan(got)
+
     def test_closure_pairing_residuals(self):
         import dataclasses
 

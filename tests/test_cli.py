@@ -4,8 +4,10 @@ import argparse
 import importlib.util
 import json
 import re
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import plrmat
@@ -165,6 +167,38 @@ class TestValidate:
         assert code == 2
         assert json.loads(err)["condition"] == "r_matrix"
 
+    @pytest.mark.parametrize("entry", ["sl2_dj", "sl3_dj_cartan"])
+    @pytest.mark.parametrize("field,code,condition", [
+        ("algebra", 2, "algebra"),  # G's Jacobiator overflows
+        ("r_matrix", 3, None),  # K*'s Jacobiator overflows
+    ])
+    def test_regression_overflowed_jacobiator_fails(self, entry, field, code, condition,
+                                                    tmp_path, capsys):
+        # every structure constant, or every r entry, ×1e200: the Jacobiator
+        # overflows to NaN, which the builtin max dropped (reading 0) and
+        # `r > tol` passed, so validate exited 0 with valid: true.  Run as a
+        # user runs it, with the overflow warnings shown, not raised
+        doc = export_entry(entry)
+        if field == "algebra":
+            for t in doc["algebra"]["structure_constants"]:
+                t[3] *= 1e200
+        else:
+            for t in doc["r_matrix"]:
+                t[2] *= 1e200
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got, out, err = run(["validate", "--input", str(path)], capsys)
+        assert got == code
+        assert out == ""
+        diag = json.loads(err)
+        assert "Jacobi identity fails: residual nan" in diag["detail"]
+        if condition is None:
+            assert diag["error"] == "NotSubBialgebraError"
+        else:
+            assert diag["condition"] == condition
+
     @pytest.mark.parametrize("labels,condition", [
         (5, "algebra.basis_labels"),
         ("hef", "algebra.basis_labels"),
@@ -262,6 +296,65 @@ class TestReduceAndVerify:
         diag = json.loads(err)
         assert diag["error"] == "SpecFileError"
         assert diag["condition"] == "sampling"
+
+    @pytest.mark.parametrize("verb", ["validate", "reduce"])
+    @pytest.mark.parametrize("dim", [10**400, 2**70, bounds.MAX_DIM + 1],
+                             ids=["10**400", "2**70", "max+1"])
+    def test_regression_huge_dim_exits_2(self, verb, dim, tmp_path, capsys, monkeypatch):
+        # found by test_fuzz_contract: algebra.dim 10**400 or 2**70 reached
+        # numpy's allocator with the structure constants and exited 1
+        # ("Maximum allowed dimension exceeded"); a dim numpy would try to
+        # allocate is refused too, before any array is made
+        def no_array(*args, **kwargs):
+            raise AssertionError("allocated past the dim bound")
+
+        doc = export_entry("sl3_dj_cartan")
+        doc["algebra"]["dim"] = dim
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(np, "zeros", no_array)
+        code, out, err = run([verb, "--input", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        diag = json.loads(err)
+        assert diag["condition"] == "algebra.dim"
+        assert str(bounds.MAX_DIM) in diag["detail"]
+
+    @pytest.mark.parametrize("block,key", [("sampling", "box_radius"), ("tolerances", "jacobi"),
+                                           ("tolerances", "cond_threshold")])
+    def test_regression_int_past_float_range_exits_2(self, block, key, tmp_path, capsys):
+        # found by test_fuzz_contract: box_radius 10**400 compared below
+        # math.inf and passed, then the sampler's float conversion raised
+        # OverflowError (exit 1)
+        doc = export_entry("sl3_dj_cartan")
+        doc[block][key] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["verify", "--input", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        diag = json.loads(err)
+        assert diag["condition"] == block
+        assert "finite positive number" in diag["detail"]
+
+    @pytest.mark.parametrize("block,key,value", [
+        ("tolerances", "fd_step", float("nan")),
+        ("tolerances", "fd_step", 0),
+        ("tolerances", "bogus", float("nan")),
+        ("sampling", "extra", float("inf")),
+    ])
+    def test_regression_echoed_value_is_checked(self, block, key, value, tmp_path, capsys):
+        # found by test_fuzz_contract: reduce exited 0 with "fd_step": "nan"
+        # in its report, since fd_step was echoed unchecked; a key with no
+        # default was echoed too, whatever its value
+        doc = export_entry("sl2_dj")
+        doc[block][key] = value
+        path = tmp_path / "echo.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["reduce", "--input", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["condition"] == block
 
     @pytest.mark.parametrize("verb", ["verify", "reduce"])
     @pytest.mark.parametrize("samples", [2**70, bounds.MAX_NUM_POINTS + 1], ids=["2**70", "max+1"])

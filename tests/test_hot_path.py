@@ -32,10 +32,9 @@ from plrmat.dual_group import (
     left_derivative,
     right_derivative,
 )
-from plrmat.errors import CDegenerateError
+from plrmat.errors import CDegenerateError, InputShapeError
 from plrmat.lie_core import LieAlgebra, Subspace, cybe_lhs, invariance_residual3
 from plrmat.reduction import (
-    _pair_gradients,
     characterization_identity_residual,
     constraint_inverse_operator_residual,
     constraint_matrix,
@@ -71,6 +70,7 @@ from plrmat.verify import (
 )
 
 from test_lie_core import sl3_dj
+from test_reduction import pair_gradients, row_gradients
 
 
 def ref_M_component(S, vK):
@@ -281,8 +281,10 @@ def test_n_family_matches_reference(name, S, words):
         want = ref_characterization_residuals(S, w, us, vs)
         assert abs(characterization_identity_residual(S, w, us, vs) - max(want)) <= 1e-12
         for k in range(len(us)):
-            got = characterization_identity_residual(S, w, us[k], vs[k])
+            got = characterization_identity_residual(S, w, us[k:k + 1], vs[k:k + 1])
             assert abs(got - want[k]) <= 1e-12
+        with pytest.raises(InputShapeError):
+            characterization_identity_residual(S, w, us[0], vs[0])
 
 
 class TestMemoisedRfun:
@@ -759,7 +761,7 @@ class TestPointMemo:
         # every cached property of the point is filled in
         rho_jet(S, w)
         rho_via_n(S, w)
-        characterization_identity_residual(S, w, S.M_in_K[0], S.M_in_K[1])
+        characterization_identity_residual(S, w, S.M_in_K[:1], S.M_in_K[1:2])
         assert {"solved", "velocity", "jet", "ad_inverse", "n_matrix"} <= set(vars(C))
         word_ref, matrix_ref = weakref.ref(w), weakref.ref(C)
         del w, C
@@ -781,8 +783,9 @@ class TestPointMemo:
             for f in (rho, rho_jet, rho_via_n, constraint_inverse_operator_residual):
                 with pytest.raises(CDegenerateError):
                     f(strict, w)
+            grads = pair_gradients(S, w, [(dual_entry(S, 0, 1), dual_entry(S, 1, 0))])
             with pytest.raises(CDegenerateError):
-                dirac_bracket(strict, w, [(dual_entry(S, 0, 1), dual_entry(S, 1, 0))])
+                dirac_bracket(strict, w, *grads)
         assert constraint_matrix(S, w) is C
         np.testing.assert_array_equal(rho(S, w), C.solved[0])
         at_cond = dataclasses.replace(S, cond_threshold=C.cond)
@@ -871,7 +874,7 @@ def test_gradient_contraction_is_the_jet(name):
     ]
     pairs = list(zip(funcs, reversed(funcs)))
     for w in words:
-        g1, g2p = _pair_gradients(constraint_matrix(S, w), pairs)
+        g1, g2p = pair_gradients(S, w, pairs)
         jets = [(f1.jet(w, S.hstar_ads)[0], f2.jet(w, S.hstar_ads)[0]) for f1, f2 in pairs]
         want1 = np.array([j1[:p] for j1, _ in jets])
         want2 = np.array([j2[p:] for _, j2 in jets])
@@ -882,5 +885,6 @@ def test_gradient_contraction_is_the_jet(name):
         moved_m = w.ad[n:, :n] @ S.M_in_K.T
         for f in funcs[::7]:
             want = f.jet(w, S.hstar_ads)[0][:p] @ S.H_in_K @ moved_m
-            got = [constraint_pb_check(S, w, f, i) for i in range(S.dim_M)]
-            assert float(np.max(np.abs(np.array(got) - want))) <= 1e-14
+            got = constraint_pb_check(S, w, row_gradients(S, w, [f])[:, :p])
+            assert got.shape == (1, S.dim_M)
+            assert float(np.max(np.abs(got[0] - want))) <= 1e-14

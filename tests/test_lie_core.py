@@ -7,6 +7,8 @@ also checked on tensors that are not antisymmetric, so a transposed slot
 cannot cancel.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -282,3 +284,26 @@ class TestInvariance:
         t[1, 1, 1] = 1.0  # e⊗e⊗e is not invariant
         assert not _invariant(A, t, tol=1e-10)
         assert invariance_residual3(A, t) > 1.0
+
+
+class TestOverflowFails:
+    """A residual that overflows to NaN is the maximum, and fails its check."""
+
+    @staticmethod
+    def _quiet(f, *args, **kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return f(*args, **kwargs)
+
+    @pytest.mark.parametrize("make", [sl2, lambda: sl3_dj()[0]], ids=["dense", "nonzero_products"])
+    def test_jacobi_residual_keeps_nan(self, make):
+        c = make().c * 1e200
+        A = LieAlgebra(c, jacobi_tol=np.inf)
+        assert np.isnan(self._quiet(A.jacobi_residual))
+        with pytest.raises(StructureConstantError, match="residual nan"):
+            self._quiet(LieAlgebra, c)
+
+    def test_invariance_residual_keeps_nan(self):
+        t = np.zeros((3, 3, 3))
+        t[2, 2, 2] = np.nan
+        assert np.isnan(invariance_residual3(sl2(), t))

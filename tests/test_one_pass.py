@@ -7,8 +7,8 @@ characterization point's (u, v) pairs, in one call, and contracts the
 gradients of a Dirac point's functions once; the equivariance suite takes a
 point's H basis vectors in one stacked call.  The references below are the
 loops this replaced: one scalar draw per index and per row, one call with a
-fresh point and fresh functions for every Jacobiator, and function pairs
-handed to every bracket.  Each per-point residual, and each stacked call,
+fresh point and fresh functions for every Jacobiator, and one gradient
+contraction per Dirac pair.  Each per-point residual, and each stacked call,
 must equal its reference bit for bit, so sharing moved no draw and no digit.
 """
 
@@ -53,6 +53,7 @@ from plrmat.verify import (
 )
 
 from test_hot_path import skewed_levi_setup
+from test_reduction import pair_gradients, row_gradients
 
 
 def _cases():
@@ -103,22 +104,34 @@ def reference_jacobi(S, words, seed):
 def reference_dirac(S, words, seed):
     """The dirac section's draws one call at a time: (DIRAC_EQ_HSTAR,
     CONSTRAINT_PB, PAIRING_CHARACTERIZATION) per point, and the value of
-    every bracket call in the order the suite makes them."""
+    every bracket and constraint call in the order the suite makes them.
+
+    Each pair's gradients come from their own _row_gradients call, and a
+    point's brackets take them stacked; the constraint functions' gradients
+    are one call of their own."""
     rng = np.random.Generator(np.random.PCG64(seed + 307))
-    dim2 = S.sub_double.dim
+    dim2, p, n = S.sub_double.dim, S.dim_H, S.n
 
     def draw():
         return dual_entry(S, int(rng.integers(0, dim2)), int(rng.integers(0, dim2)))
 
     res_d, res_c, res_chi, calls = [], [], [], []
     for w in words:
-        pairs = [(draw(), draw()) for _ in range(10)]
-        got = dirac_bracket(S, w, pairs)
-        want = native_hstar_bracket(S, w, pairs)
-        pbs = [constraint_pb_check(S, w, draw(), i) for i in range(S.dim_M)]
+        pairs = [pair_gradients(S, w, [(draw(), draw())]) for _ in range(10)]
+        g1 = np.concatenate([g for g, _ in pairs])
+        g2 = np.concatenate([g for _, g in pairs])
+        got = dirac_bracket(S, w, g1, g2)
+        want = native_hstar_bracket(S, w, g1, g2)
+        fs = [draw() for _ in range(S.dim_M)]
+        fs = row_gradients(S, w, fs)[:, :p] if fs else np.zeros((0, p))
+        pb = constraint_pb_check(S, w, fs)
+        # each {f_i, ξ_i} is the one vector product it was, to roundoff
+        moved = w.ad[n:, :n] @ S.M_in_K.T
+        for i, f in enumerate(fs):
+            assert abs(pb[i, i] - f @ S.H_in_K @ moved[:, i]) <= 1e-14
         res_d.append(float(np.max(np.abs(got - want))))
-        res_c.append(max(map(abs, pbs), default=0.0))
-        calls += [got, want] + pbs
+        res_c.append(float(np.abs(np.diagonal(pb)).max(initial=0.0)))
+        calls += [got, want, pb]
     for w in words:
         u, v = np.zeros((20, S.n)), np.zeros((20, S.n))
         for k in range(20 if S.dim_M else 0):
@@ -305,15 +318,18 @@ def test_jacobi_suite_builds_two_forms_per_point_and_no_block(monkeypatch):
 def test_dirac_suite_contracts_gradients_once_per_point(monkeypatch):
     e = get_entry("sl3_dj_cartan")
     S = e.setup()
-    contractions = []
-    # verify imports the name, and _pair_gradients looks it up in reduction
+    contractions, checks = [], []
+    # _row_gradients counted under both names: verify's import and reduction's own
     for owner in (verify, reduction):
         _counting(monkeypatch, owner, "_row_gradients", contractions)
+    _counting(monkeypatch, verify, "constraint_pb_check", checks)
     reports, words = run_suite(S, "dirac", e.num_points, e.seed)
     assert all(r.passed for r in reports)
-    assert len(contractions) == len(words) == e.num_points
-    # each contraction stacks the point's 10 Dirac pairs and one pair per constraint
-    assert all(len(args[1]) == 2 * (10 + S.dim_M) for args in contractions)
+    assert len(contractions) == len(checks) == len(words) == e.num_points
+    # each contraction stacks the point's 10 Dirac pairs and one function
+    # per constraint, and the check takes the constraint functions' rows
+    assert all(len(args[1]) == 20 + S.dim_M for args in contractions)
+    assert all(args[2].shape == (S.dim_M, S.dim_H) for args in checks)
 
 
 def test_suite_calls_every_traced_residual(monkeypatch):

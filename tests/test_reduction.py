@@ -34,6 +34,7 @@ from plrmat.errors import (
 )
 from plrmat.lie_core import LieAlgebra, Subspace
 from plrmat.reduction import (
+    _row_gradients,
     check_second_class,
     constraint_matrix,
     constraint_pb_check,
@@ -237,7 +238,9 @@ class TestNVectors:
                 for _ in range(5):
                     u = rng.uniform(-1, 1, 2) @ s.M_in_K
                     v = rng.uniform(-1, 1, 2) @ s.M_in_K
-                    assert characterization_identity_residual(s, w, u, v) <= 1e-9
+                    assert characterization_identity_residual(s, w, u[None], v[None]) <= 1e-9
+                with pytest.raises(InputShapeError):
+                    characterization_identity_residual(s, w, u, v)
 
 
 def levi_setup():
@@ -248,12 +251,26 @@ def levi_setup():
     return get_entry("sl3_dj_levi").setup()
 
 
+def row_gradients(s, w, fs):
+    """_row_gradients at w of the l·Ad·r functions fs, one row each."""
+    left = np.array([f.left for f in fs])
+    right = np.array([f.right for f in fs])
+    return _row_gradients(constraint_matrix(s, w), left, right)
+
+
+def pair_gradients(s, w, pairs):
+    """(grad F1, grad' F2) at w for each pair (F1, F2), from one contraction."""
+    g = row_gradients(s, w, [f for pair in pairs for f in pair])
+    p = s.dim_H
+    return g[0::2, :p], g[1::2, p:]
+
+
 class TestDiracBracket:
     def test_constant_function_gives_zero(self):
         s = dj_setup()
         w = hstar_word(s, [0.9])
         const = QFunction("dual", np.zeros(2 * s.n), s.sub_embed[0])
-        val = dirac_bracket(s, w, [(const, dual_entry(s, 0, 0))])
+        val = dirac_bracket(s, w, *pair_gradients(s, w, [(const, dual_entry(s, 0, 0))]))
         assert abs(val[0]) <= 1e-12
 
     @staticmethod
@@ -263,8 +280,9 @@ class TestDiracBracket:
         for w in sample_hstar_points(s, 4, seed=5):
             idx = rng.integers(0, dim2, (20, 4))
             pairs = [(dual_entry(s, a, b), dual_entry(s, c, d)) for a, b, c, d in idx]
-            got = dirac_bracket(s, w, pairs)
-            want = native_hstar_bracket(s, w, pairs)
+            grads = pair_gradients(s, w, pairs)
+            got = dirac_bracket(s, w, *grads)
+            want = native_hstar_bracket(s, w, *grads)
             assert got.shape == (20,)
             assert float(np.max(np.abs(got - want))) <= 1e-12
 
@@ -277,24 +295,57 @@ class TestDiracBracket:
     def test_constraint_pb_vanishes(self):
         s = dj_setup()
         rng = np.random.default_rng(4)
+        p = s.dim_H
         for w in sample_hstar_points(s, 4, seed=9):
             for i in range(s.dim_M):
                 f = dual_entry(s, rng.integers(0, 2), rng.integers(0, 2))
-                assert abs(constraint_pb_check(s, w, f, i)) <= 1e-12
+                pb = constraint_pb_check(s, w, row_gradients(s, w, [f])[:, :p])
+                assert pb.shape == (1, s.dim_M)
+                assert abs(pb[0, i]) <= 1e-12
 
     def test_constraint_pb_identity_point_exact(self):
         s = dj_setup()
         w = identity_word(s.double)
-        assert abs(constraint_pb_check(s, w, dual_entry(s, 0, 0), 0)) <= 1e-14
+        grad = row_gradients(s, w, [dual_entry(s, 0, 0)])[:, : s.dim_H]
+        assert abs(constraint_pb_check(s, w, grad)[0, 0]) <= 1e-14
 
     def test_identity_point_trivial_reduction_vanishes(self):
         # with an empty complement the identity is second class and both
         # bracket routes vanish there by isotropy
         s = trivial_setup()
         w = identity_word(s.double)
-        pairs = [(dual_entry(s, 1, 4), dual_entry(s, 2, 5))]
-        assert abs(dirac_bracket(s, w, pairs)[0]) <= 1e-12
-        assert abs(native_hstar_bracket(s, w, pairs)[0]) <= 1e-12
+        grads = pair_gradients(s, w, [(dual_entry(s, 1, 4), dual_entry(s, 2, 5))])
+        assert abs(dirac_bracket(s, w, *grads)[0]) <= 1e-12
+        assert abs(native_hstar_bracket(s, w, *grads)[0]) <= 1e-12
+
+    def test_correction_reads_constraint_pb_check(self, monkeypatch):
+        """The correction's factor {f1, ξ_i} is constraint_pb_check of grad1.
+
+        Its partner {ξ_j, f2} is exactly 0 on sl3_dj_levi (Ad_λ keeps grad' f2
+        in the sub-double, whose K*-part pairs to 0 with M), so a factor
+        shifted by 1 leaves the bracket as it is; a NaN factor reaches every
+        bracket."""
+        s = levi_setup()
+        w = sample_hstar_points(s, 1, seed=5)[0]
+        dim2 = s.sub_double.dim
+        idx = np.random.default_rng(8).integers(0, dim2, (10, 4))
+        g1, g2 = pair_gradients(
+            s, w, [(dual_entry(s, a, b), dual_entry(s, c, d)) for a, b, c, d in idx]
+        )
+        before = dirac_bracket(s, w, g1, g2)
+        assert float(np.max(np.abs(before))) > 1e-2
+        original, seen = reduction.constraint_pb_check, []
+
+        def shifted(*args):
+            seen.append(args[2])
+            return original(*args) + shift
+
+        monkeypatch.setattr(reduction, "constraint_pb_check", shifted)
+        shift = 1.0
+        assert dirac_bracket(s, w, g1, g2).tobytes() == before.tobytes()
+        shift = np.nan
+        assert np.isnan(dirac_bracket(s, w, g1, g2)).all()
+        assert len(seen) == 2 and all(g is g1 for g in seen)
 
 
 class TestBasisIndependence:

@@ -155,7 +155,7 @@ def test_exhaustion_at_the_same_sample(monkeypatch):
 def test_hstar_word_is_the_one_row_stack():
     S = get_entry("sl3_dj_levi").setup()
     coords = np.random.default_rng(2).uniform(-1, 1, (5, S.dim_H))
-    words, ads = reduction._hstar_words(S, coords)
+    words, ads = reduction._hstar_words(S, coords, reduction._hstar_generators(S, coords))
     assert not ads.flags.writeable
     for x, w, ad in zip(coords, words, ads):
         one = hstar_word(S, x)
@@ -182,7 +182,7 @@ def test_draw_past_the_ad_bound_is_a_miss_before_expm(monkeypatch):
     exponentiated = []
     original = reduction._hstar_words
 
-    def counting(S_, coords_, gen=None):
+    def counting(S_, coords_, gen):
         exponentiated.extend(coords_)
         return original(S_, coords_, gen)
 
@@ -213,7 +213,7 @@ def test_non_finite_slice_has_infinite_cond():
     alone."""
     S = get_entry("sl3_dj_cartan").setup()
     coords = np.random.default_rng(4).uniform(-1, 1, (3, S.dim_H))
-    _, ads = reduction._hstar_words(S, coords)
+    _, ads = reduction._hstar_words(S, coords, reduction._hstar_generators(S, coords))
     bad = np.array(ads)
     bad[1, 0, 0] = np.inf
     bad[2, -1, -1] = np.nan  # outside the columns C reads

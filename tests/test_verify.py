@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from plrmat import verify as verify_module
 from plrmat.catalog import get_entry, list_entries
 from plrmat.dual_group import (
     AdEntry,
@@ -49,7 +50,7 @@ from plrmat.verify import (
     triangularity_check,
 )
 
-from test_reduction import classical_setup, dj_setup, trivial_setup
+from test_reduction import classical_setup, dj_setup, pair_gradients, trivial_setup
 
 
 def abelian_trivial_setup():
@@ -300,7 +301,7 @@ class TestRestrictedDualEntries:
         for w in words:
             idx = rng.integers(0, dim2, (10, 4))
             pairs = [(dual_entry(S, a, b), dual_entry(S, c, d)) for a, b, c, d in idx]
-            got = native_hstar_bracket(S, w, pairs)
+            got = native_hstar_bracket(S, w, *pair_gradients(S, w, pairs))
             sw = sub_double_word(S, w)
             want = np.array([pb_dual(sw, AdEntry(a, b), AdEntry(c, d), 1e-5) for a, b, c, d in idx])
             assert float(np.max(np.abs(got - want))) <= 1e-8
@@ -334,6 +335,16 @@ class TestResidualReport:
         r = ResidualReport("X", (((), 1e-3),), 1e-3, 1e-5, 1e-2, direction="lower")
         assert not r.passed
 
+    @pytest.mark.parametrize("direction,good", [("upper", 1e-14), ("lower", 0.5)])
+    def test_regression_nan_at_a_later_point_fails(self, direction, good):
+        # the builtin max dropped a NaN that was not first, so the report
+        # passed with the first point's residual as its maximum
+        where, tol = [[[0.1]], [[0.2]]], 1e-6 if direction == "upper" else 1e-2
+        assert verify_module._report("X", where, [good, good], tol, direction).passed
+        r = verify_module._report("X", where, [good, float("nan")], tol, direction)
+        assert np.isnan(r.max_residual)
+        assert not r.passed
+
 
 class TestRunSuite:
     def test_all_suites_pass_on_dj(self):
@@ -345,6 +356,38 @@ class TestRunSuite:
                 "PAIRING_CHARACTERIZATION", "Q_JACOBI", "P_JACOBI", "PL_CDYBE_CONTROL"} == ids
         for r in reports:
             assert r.passed, f"{r.equation_id} failed with {r.max_residual:.3e}"
+
+    @pytest.mark.parametrize("suite,name,eq,value", [
+        ("jacobi", "q_jacobi_residual", "Q_JACOBI", np.array([0.0, np.nan])),
+        ("jacobi", "p_jacobi_residual", "P_JACOBI", np.array([0.0, np.nan])),
+        ("dirac", "constraint_inverse_operator_residual", "RHO_CONSISTENCY", np.nan),
+        ("dirac", "constraint_pb_check", "CONSTRAINT_PB", np.nan),
+    ])
+    def test_nan_at_a_point_fails_its_equation(self, monkeypatch, suite, name, eq, value):
+        # from the second point on, behind a finite first point: the builtin
+        # max dropped a NaN that was not its first argument
+        e = get_entry("sl3_dj_levi")
+        S = e.setup()
+        original, calls = getattr(verify_module, name), []
+
+        def late_nan(*args):
+            calls.append(args)
+            out = original(*args)
+            return out if len(calls) < 2 else out + value
+
+        monkeypatch.setattr(verify_module, name, late_nan)
+        reports, _ = run_suite(S, suite, e.num_points, e.seed)
+        (report,) = [r for r in reports if r.equation_id == eq]
+        assert np.isnan(report.max_residual)
+        assert not report.passed
+
+    def test_triangularity_keeps_a_nan_reference_difference(self):
+        S = get_entry("sl3_dj_levi").setup()
+        lhs = np.zeros((S.G.dim,) * 3)
+        ref = lhs.copy()
+        ref[-1, -1, -1] = np.nan
+        assert verify_module._triangularity(S.G, lhs, lhs) == 0.0
+        assert np.isnan(verify_module._triangularity(S.G, lhs, ref))
 
     def test_single_suite_selection(self):
         s = replace(classical_setup(), cond_threshold=2.5)
