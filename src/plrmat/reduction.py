@@ -24,10 +24,9 @@ products with the splitting maps the ReductionSetup holds (Mdual for the
 M-part, M_in_K for the M*-part), both forms of C are one product each, and
 rho is one solve against C.  The CMatrix of a point is
 built once per (setup, word) and memoised weakly; every consumer reads the
-point's solve, Ad_λ^{-1}, N_i, Ad velocity and rho jet from it, each made
-on first use.  rho and its derivatives are plain (dim G, dim G) arrays, and
-every array a CMatrix holds or caches is read-only, so no caller can change
-what a later call returns.
+point's solve, Ad_λ^{-1}, N_i, Ad velocity and rho jet from it.  rho and its
+derivatives are plain (dim G, dim G) arrays, and every array a CMatrix holds
+or caches is read-only, so no caller can change what a later call returns.
 
 sample_hstar_points evaluates a block of draws as one stacked pass: one
 expm over the stack of their ad matrices, every product, the SVD and the
@@ -37,6 +36,20 @@ singular (bounds.MAX_AD_COND) is a miss before its expm, and a slice whose
 Ad or C is not finite has cond inf.  A single word (hstar_word,
 constraint_matrix on a word not yet seen) is the stack of one, through the
 same kernels, so a point's Ad, C and rho do not depend on how it was made.
+
+The suites take a sample on a points axis too.  fill_caches makes the rho
+jet, Ad_λ^{-1}, N_i and Ad velocity of every point of a sample in one
+stacked product, solve or inverse each, and fills them into the points'
+CMatrix; a point asked for one on its own makes it as a stack of one,
+through the same kernel.  The equations (rho_via_n, the inverse-operator
+and characterization residuals, the Dirac and native brackets and the
+constraint check) take a sequence of words, with each word's inputs
+stacked on a leading axis, and return one result per word.  Every stacked
+product keeps each slice's shape and layout, so a point's numbers do not
+depend on the points stacked with it, and an error names the first
+offending point in order.  No stacked array passes the sampler's bound of
+bounds.MAX_NUM_POINTS Ad matrices on the double: a caller takes a larger
+sample in chunks (_point_chunks), whose size follows from the shapes alone.
 
 rho is antisymmetric and supported on M⊗M, and can equivalently be written
 as -Σ_i N_i(λ) ⊗ M^i = Σ_i M^i ⊗ N_i(λ) through the unique vectors N_i(λ)
@@ -60,6 +73,7 @@ sub_restrict·Ad_λ·sub_embedᵀ.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -87,8 +101,9 @@ def _bound_text(x: float) -> str:
 class CMatrix:
     """Constraint-bracket matrix at a point, with its conditioning data.
 
-    Its solve, Ad_λ^{-1}, N_i, Ad velocity and rho jet are computed on first
-    use; it holds the word's Ad matrix but never the word, which keys its memo.
+    Its solve, Ad_λ^{-1}, N_i, Ad velocity and rho jet are filled for a whole
+    sample by the sampler and fill_caches, or made on first use as a stack of
+    one; it holds the word's Ad matrix but never the word, which keys its memo.
     """
 
     setup: ReductionSetup = field(repr=False)
@@ -115,7 +130,7 @@ class CMatrix:
                 "matrix of odd size is always singular"
             )
         threshold = self.setup.cond_threshold
-        if not np.isfinite(self.cond) or self.cond > threshold:
+        if not math.isfinite(self.cond) or self.cond > threshold:
             return f"condition number {self.cond:.3e} exceeds threshold {threshold:.1e}"
         return "ok"
 
@@ -134,71 +149,147 @@ class CMatrix:
     @cached_property
     def velocity(self) -> np.ndarray:
         """(2p, 2n, 2n): Ad_λ's velocity along the left, then right, H* translations."""
-        ads = self.setup.hstar_ads
-        v = np.concatenate([ads @ self.ad, self.ad @ ads])
-        v.setflags(write=False)
-        return v
+        return _velocities(self.setup, [self])[0]
 
     @cached_property
     def jet(self) -> RhoJet:
         """rho with its exact derivatives along the H* basis (see rho_jet)."""
-        S = self.setup
-        if self.m == 0:
-            return RhoJet.zero(S.dim_H, S.G.dim)
-        value, x = self.solved
-        d_m, d_kstar = _moved_basis(S, self.velocity)
-        d_c = d_m @ self.kstar_parts.T + self.m_parts @ np.swapaxes(d_kstar, -1, -2)
-        t = np.swapaxes(S.K_to_G(d_m), -1, -2) @ x  # a'ᵀX
-        d_rho = t - np.swapaxes(t, -1, -2) + x.T @ d_c @ x
-        d_rho.setflags(write=False)
-        p = S.dim_H
-        return RhoJet(value, d_rho[:p], d_rho[p:])
+        return _jets(self.setup, [self])[0]
 
     @cached_property
     def ad_inverse(self) -> np.ndarray:
-        """Ad_λ^{-1} on the double, inverted once per point."""
-        inv = np.linalg.inv(self.ad)
-        inv.setflags(write=False)
-        return inv
+        """Ad_λ^{-1} on the double."""
+        return _ad_inverses(self.setup, [self])[0]
 
     @cached_property
     def n_matrix(self) -> np.ndarray:
         """The unique N_i in M with Ad_λ^{-1} M_i = (Ad_λ^{-1} N_i)_{M*}, as rows.
 
-        One row per dual basis element M_i, in K coordinates.  All N_i come
-        from one solve against the moved complement basis; the defining
-        relation is verified to bounds.N_RELATION_TOL for each of them after
-        the solve.
+        One row per dual basis element M_i, in K coordinates (see _n_matrices).
         """
-        S = self.setup
-        n, m = S.n, S.dim_M
-        if m == 0:
-            return _freeze(np.zeros((0, n)))
-        inv_ad = self.ad_inverse
-        # column j: M*-coordinates of (Ad^{-1} M^j)_{M*}
-        e_mat = S.M_in_K @ inv_ad[n:, :n] @ S.M_in_K.T
-        # solvability guard only: every reader enforces second-class membership
-        # through C, so this fires solely on numerically singular systems
-        s = np.linalg.svd(e_mat, compute_uv=False)
-        if s[-1] <= 0.0 or s[0] / s[-1] > bounds.N_SOLVE_COND:
-            raise CDegenerateError(
-                f"moved complement basis is numerically singular "
-                f"(condition {s[0] / max(s[-1], bounds.COND_MESSAGE_FLOOR):.3e})"
-            )
-        # column i: Ad^{-1} M_i in the double, and its M*-coordinates
-        targets = inv_ad[:, n:] @ S.Mdual.T
-        N = np.linalg.solve(e_mat, S.M_in_K @ targets[n:]).T @ S.M_in_K
-        # full residual of the defining relation in double coordinates; the
-        # solve fixes the M* component, so this certifies that Ad^{-1} M_i
-        # has no H* leak (which is what makes the relation an equality)
-        rhs = S.Mdual.T @ (S.M_in_K @ (inv_ad[n:, :n] @ N.T))
-        resid = np.maximum(np.abs(targets[:n]).max(axis=0), np.abs(targets[n:] - rhs).max(axis=0))
-        bad = np.flatnonzero(resid > bounds.N_RELATION_TOL * (1.0 + np.abs(targets).max(axis=0)))
-        if bad.size:
-            i = bad[0]
-            raise ConsistencyError(f"defining relation for N_{i} has residual {resid[i]:.3e}")
-        N.setflags(write=False)
-        return N
+        return _n_matrices(self.setup, [self])[0]
+
+
+def _second_class_matrices(S: ReductionSetup, words) -> list:
+    """_second_class_matrix of each word, in order."""
+    return [_second_class_matrix(S, w) for w in words]
+
+
+def _gather(cmats: list, attr: str) -> np.ndarray:
+    """One attribute of each CMatrix, stacked in order."""
+    return np.array([getattr(C, attr) for C in cmats])
+
+
+def _velocities(S: ReductionSetup, cmats: list) -> np.ndarray:
+    """CMatrix.velocity of every point in cmats, as one read-only stack."""
+    ad = _gather(cmats, "ad")[:, None]
+    ads = S.hstar_ads
+    v = np.concatenate([ads @ ad, ad @ ads], axis=1)
+    v.setflags(write=False)
+    return v
+
+
+def _jets(S: ReductionSetup, cmats: list) -> list:
+    """CMatrix.jet of every point in cmats, from one stacked pass (see rho_jet)."""
+    if S.dim_M == 0:
+        return [RhoJet.zero(S.dim_H, S.G.dim)] * len(cmats)
+    x = np.array([C.solved[1] for C in cmats])[:, None]
+    d_m, d_kstar = _moved_basis(S, _gather(cmats, "velocity"))
+    # kstar_parts.T keeps the layout of the sampler's stack in every product
+    kstar_t = np.array([C.kstar_parts.T for C in cmats])[:, None]
+    m_parts = _gather(cmats, "m_parts")[:, None]
+    d_c = d_m @ kstar_t + m_parts @ np.swapaxes(d_kstar, -1, -2)
+    t = np.swapaxes(S.K_to_G(d_m), -1, -2) @ x  # a'ᵀX
+    d_rho = t - np.swapaxes(t, -1, -2) + np.swapaxes(x, -1, -2) @ d_c @ x
+    d_rho.setflags(write=False)
+    p = S.dim_H
+    return [RhoJet(C.solved[0], d[:p], d[p:]) for C, d in zip(cmats, d_rho)]
+
+
+def _ad_inverses(S: ReductionSetup, cmats: list) -> np.ndarray:
+    """CMatrix.ad_inverse of every point in cmats, by one stacked inverse."""
+    inv = np.linalg.inv(_gather(cmats, "ad"))
+    inv.setflags(write=False)
+    return inv
+
+
+def _n_matrices(S: ReductionSetup, cmats: list) -> np.ndarray:
+    """CMatrix.n_matrix of every point in cmats, by one stacked solve.
+
+    All N_i of a point come from one solve against its moved complement
+    basis; the defining relation is verified to bounds.N_RELATION_TOL for
+    each of them after the solve.  The first point in cmats whose basis is
+    numerically singular, or whose relation fails, raises.
+    """
+    n, m = S.n, S.dim_M
+    if m == 0:
+        return _freeze(np.zeros((len(cmats), 0, n)))
+    inv_ad = _gather(cmats, "ad_inverse")
+    # column j: M*-coordinates of (Ad^{-1} M^j)_{M*}
+    e_mat = S.M_in_K @ inv_ad[:, n:, :n] @ S.M_in_K.T
+    # solvability guard only: every reader enforces second-class membership
+    # through C, so this fires solely on numerically singular systems
+    s = np.linalg.svd(e_mat, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        singular = np.flatnonzero((s[:, -1] <= 0.0) | (s[:, 0] / s[:, -1] > bounds.N_SOLVE_COND))
+    # the points before the first singular one are solved and checked first,
+    # so an error names the first offending point in order
+    k = singular[0] if singular.size else len(cmats)
+    e_mat, inv_ad = e_mat[:k], inv_ad[:k]
+    # column i: Ad^{-1} M_i in the double, and its M*-coordinates
+    targets = inv_ad[:, :, n:] @ S.Mdual.T
+    N = np.swapaxes(np.linalg.solve(e_mat, S.M_in_K @ targets[:, n:]), -1, -2) @ S.M_in_K
+    # full residual of the defining relation in double coordinates; the
+    # solve fixes the M* component, so this certifies that Ad^{-1} M_i
+    # has no H* leak (which is what makes the relation an equality)
+    rhs = S.Mdual.T @ (S.M_in_K @ (inv_ad[:, n:, :n] @ np.swapaxes(N, -1, -2)))
+    resid = np.maximum(np.abs(targets[:, :n]).max(axis=1), np.abs(targets[:, n:] - rhs).max(axis=1))
+    bad = np.argwhere(resid > bounds.N_RELATION_TOL * (1.0 + np.abs(targets).max(axis=1)))
+    if bad.size:
+        b, i = bad[0]
+        raise ConsistencyError(f"defining relation for N_{i} has residual {resid[b, i]:.3e}")
+    if singular.size:
+        lo, hi = s[k, -1], s[k, 0]
+        raise CDegenerateError(
+            f"moved complement basis is numerically singular "
+            f"(condition {hi / max(lo, bounds.COND_MESSAGE_FLOOR):.3e})"
+        )
+    N.setflags(write=False)
+    return N
+
+
+def fill_caches(S: ReductionSetup, words, names) -> None:
+    """Fill the named caches of each word's CMatrix for the whole sample at
+    once: one stacked product, solve or inverse per cache, in chunks that
+    keep each stack within the sampler's per-array bound (_point_chunks).
+    A point that holds a cache keeps it.  The caches are filled in the
+    order listed below, so the jet reads the filled velocities and the N_i
+    the filled inverses; name those too, or each point makes its own.
+    """
+    cmats = _second_class_matrices(S, words)
+    # the largest stack a kernel makes per point: a velocity or rho jet
+    # stack, or one (2n, 2n) Ad matrix
+    big = max(2 * S.n, S.G.dim) ** 2
+    for name, kernel, per_point in (
+        ("velocity", _velocities, 2 * S.dim_H * big),
+        ("jet", _jets, 2 * S.dim_H * big),
+        ("ad_inverse", _ad_inverses, big),
+        ("n_matrix", _n_matrices, big),
+    ):
+        if name not in names:
+            continue
+        todo = [C for C in cmats if name not in C.__dict__]
+        for part in _point_chunks(S, len(todo), per_point):
+            for C, value in zip(todo[part], kernel(S, todo[part])):
+                C.__dict__[name] = value
+
+
+def _point_chunks(S: ReductionSetup, count: int, per_point: int) -> list:
+    """Consecutive slices of range(count) whose stacks of per_point float64
+    entries a point stay within the sampler's per-array bound, the entries
+    of bounds.MAX_NUM_POINTS Ad matrices on the double."""
+    step = max(1, bounds.MAX_NUM_POINTS * (2 * S.n) ** 2 // max(per_point, 1))
+    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 def _moved_basis(S: ReductionSetup, ad: np.ndarray):
@@ -346,68 +437,77 @@ def rho_jet(S: ReductionSetup, word: GroupWord) -> RhoJet:
     return _second_class_matrix(S, word).jet
 
 
-def rho_via_n(S: ReductionSetup, word: GroupWord) -> np.ndarray:
-    """rho recomputed from the N_i as -Σ N_i ⊗ M^i.
+def rho_via_n(S: ReductionSetup, words) -> np.ndarray:
+    """rho recomputed from the N_i as -Σ N_i ⊗ M^i at each word, a
+    (len(words), dim G, dim G) stack.
 
     The other product order, +Σ M^i ⊗ N_i, is the transpose of this one with
     its sign flipped, so the two orders agree exactly when the result is
     antisymmetric: |a + aᵀ| is bounded by bounds.RHO_ORDERS_TOL relative to
-    1 + max|a| and by bounds.RHO_VIA_N_ANTISYM_TOL.  Callers compare it with
-    rho separately.  The N_i come from Ad_λ^{-1}, never from the solve
-    against C that gives rho.
+    1 + max|a| and by bounds.RHO_VIA_N_ANTISYM_TOL, and the first point in
+    order that breaks either bound raises.  Callers compare it with rho
+    separately.  The N_i come from Ad_λ^{-1}, never from the solve against C
+    that gives rho.
     """
-    n_g = S.K_to_G(_second_class_matrix(S, word).n_matrix)
+    n_g = S.K_to_G(_gather(_second_class_matrices(S, words), "n_matrix"))
     m_g = S.K_to_G(S.M_in_K)
-    a = -(n_g.T @ m_g)
-    anti = np.abs(a + a.T).max(initial=0.0)
-    if anti > bounds.RHO_ORDERS_TOL * (1.0 + np.abs(a).max(initial=0.0)):
-        raise ConsistencyError("the two product orders for rho disagree")
+    a = -(np.swapaxes(n_g, -1, -2) @ m_g)
+    anti = np.abs(a + np.swapaxes(a, -1, -2)).max(axis=(1, 2), initial=0.0)
+    orders = anti > bounds.RHO_ORDERS_TOL * (1.0 + np.abs(a).max(axis=(1, 2), initial=0.0))
     tol = bounds.RHO_VIA_N_ANTISYM_TOL
-    if anti > tol:
+    bad = np.flatnonzero(orders | (anti > tol))
+    if bad.size:
+        k = bad[0]
+        if orders[k]:
+            raise ConsistencyError("the two product orders for rho disagree")
         raise InputShapeError(
-            f"rho via N has antisymmetry residual {anti:.3e} > {_bound_text(tol)}"
+            f"rho via N has antisymmetry residual {anti[k]:.3e} > {_bound_text(tol)}"
         )
     return a
 
 
-def constraint_inverse_operator_residual(S: ReductionSetup, word: GroupWord) -> float:
-    """Residual of the identity sending M_k to -N_k through C^{-1}.
+def constraint_inverse_operator_residual(S: ReductionSetup, words) -> np.ndarray:
+    """Residual of the identity sending M_k to -N_k through C^{-1}, one per word.
 
     The operator Σ_ij (C^{-1})_ij (Ad M^i)_M <M_k, (Ad M^j)_M> must equal
     -N_k for every k; with M = 0 there is no k, and every λ is second class.
     """
     if S.dim_M == 0:
-        return 0.0
-    C = _second_class_matrix(S, word)
+        return np.zeros(len(words))
+    cmats = _second_class_matrices(S, words)
+    m_parts = _gather(cmats, "m_parts")
     # column k: Σ_j (C^{-1})_ij <M_k, (Ad M^j)_M>
-    coeffs = np.linalg.solve(C.entries, C.m_parts @ S.Mdual.T)
-    return float(np.abs(coeffs.T @ C.m_parts + C.n_matrix).max())
+    coeffs = np.linalg.solve(_gather(cmats, "entries"), m_parts @ S.Mdual.T)
+    residual = np.swapaxes(coeffs, -1, -2) @ m_parts + _gather(cmats, "n_matrix")
+    return np.abs(residual).max(axis=(1, 2))
 
 
-def characterization_identity_residual(S: ReductionSetup, word: GroupWord, u, v) -> float:
-    """Residual of the pairing identity characterizing the rho family.
+def characterization_identity_residual(S: ReductionSetup, words, u, v) -> np.ndarray:
+    """Residual of the pairing identity characterizing the rho family, one per word.
 
     << (λ^{-1}uλ)_M, λ^{-1}vλ >> = Σ_i << (λ^{-1}uλ)_M, λ^{-1}M^iλ >> ·
                                         << (λ^{-1}vλ)_M, λ^{-1}N_iλ >>
-    for u, v in M.  u and v are (k, n) stacks of such vectors in K
-    coordinates, one (u, v) pair per row: the largest residual over the
-    pairs is returned, with the N_i and Ad_λ^{-1} read once for all of them.
+    for u, v in M.  u and v are (len(words), k, n) stacks of such vectors in
+    K coordinates, one (u, v) pair per row of a word's slice: the largest
+    residual over a word's pairs is its result.
     """
     n = S.n
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    if u.ndim != 2 or u.shape[1] != n or v.shape != u.shape:
-        raise InputShapeError(f"u and v must be stacks of the same rows of {n} K coordinates")
-    C = _second_class_matrix(S, word)
-    N, inv_ad = C.n_matrix, C.ad_inverse
-    move = inv_ad[:, :n].T  # K row -> its image under Ad_λ^{-1}, in the double
+    if u.ndim != 3 or u.shape[0] != len(words) or u.shape[2] != n or v.shape != u.shape:
+        raise InputShapeError(
+            f"u and v must be per-word stacks of the same rows of {n} K coordinates"
+        )
+    cmats = _second_class_matrices(S, words)
+    N, inv_ad = _gather(cmats, "n_matrix"), _gather(cmats, "ad_inverse")
+    move = np.swapaxes(inv_ad[:, :, :n], -1, -2)  # K row -> its image under Ad_λ^{-1}
     to_m = S.Mdual.T @ S.M_in_K  # K row -> its M-part
     pu, pv = u @ move, v @ move
-    mu, mv = pu[:, :n] @ to_m, pv[:, :n] @ to_m
+    mu, mv = pu[..., :n] @ to_m, pv[..., :n] @ to_m
     # every left side is a K vector, so each pairing reads a K*-part
-    lhs = np.sum(mu * pv[:, n:], axis=1)
-    t1 = mu @ (S.M_in_K @ move)[:, n:].T
-    t2 = mv @ (N @ move)[:, n:].T
-    return float(np.abs(lhs - np.sum(t1 * t2, axis=1)).max(initial=0.0))
+    lhs = np.sum(mu * pv[..., n:], axis=-1)
+    t1 = mu @ np.swapaxes((S.M_in_K @ move)[..., n:], -1, -2)
+    t2 = mv @ np.swapaxes((N @ move)[..., n:], -1, -2)
+    return np.abs(lhs - np.sum(t1 * t2, axis=-1)).max(axis=-1, initial=0.0)
 
 
 def _hstar_generators(S: ReductionSetup, coords: np.ndarray) -> np.ndarray:
@@ -444,59 +544,63 @@ def hstar_word(S: ReductionSetup, coords) -> GroupWord:
     return _hstar_words(S, coords, _hstar_generators(S, coords))[0][0]
 
 
-def _row_gradients(C: CMatrix, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """(k, 2p): the gradients at C's point of the functions l·Ad·r, one per
-    row l of left and r of right: grad, then grad', over the H* basis.
+def _row_gradients(S: ReductionSetup, words, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(len(words), k, 2p): the gradients at each word of the functions l·Ad·r,
+    one per row l of its slice of left and r of right: grad, then grad', over
+    the H* basis.
 
     Every entry is l·V·r for a velocity V of Ad_λ, so one contraction of the
-    stacked rows serves all functions.  Both gradients lie in H.
+    stacked rows serves all functions of all words.  Both gradients lie in H.
     """
-    return np.sum((left @ C.velocity) * right, axis=-1).T
+    v = _gather([constraint_matrix(S, w) for w in words], "velocity")
+    return np.swapaxes(np.sum((left[:, None] @ v) * right[:, None], axis=-1), -1, -2)
 
 
-def dirac_bracket(S: ReductionSetup, word: GroupWord, grad1, grad2) -> np.ndarray:
-    """The Dirac bracket {F1, F2}* at λ for each row of grad1 and grad2.
+def dirac_bracket(S: ReductionSetup, words, grad1, grad2) -> np.ndarray:
+    """The Dirac bracket {F1, F2}* at each word for each row of its slice of
+    grad1 and grad2, a (len(words), k) array.
 
-    grad1 and grad2 are (k, p) stacks of grad F1 and grad' F2 over the H*
-    basis (_row_gradients), for functions on the dual of H extended to the
-    ambient dual group as constant along exp(M*) and bracketed there, with
-    the full second-class correction assembled from the closed-form
-    constraint gradients: {f1, ξ_i} is constraint_pb_check of grad1.  One
-    solve against C serves every row.  The result must match
-    native_hstar_bracket to roundoff at second-class points.
+    grad1 and grad2 are (len(words), k, p) stacks of grad F1 and grad' F2
+    over the H* basis (_row_gradients), for functions on the dual of H
+    extended to the ambient dual group as constant along exp(M*) and
+    bracketed there, with the full second-class correction assembled from
+    the closed-form constraint gradients: {f1, ξ_i} is constraint_pb_check
+    of grad1.  One stacked solve against C serves every row.  The result
+    must match native_hstar_bracket to roundoff at second-class points.
     """
-    C = _second_class_matrix(S, word)
+    cmats = _second_class_matrices(S, words)
     n = S.n
     g1, g2p = grad1 @ S.H_in_K, grad2 @ S.H_in_K
     # column k: K*-part of Ad_λ grad' f2 for row k; a K vector pairs with
     # the K*-part of its partner
-    moved_g2 = C.ad[n:, :n] @ g2p.T
-    plain = np.sum(g1.T * moved_g2, axis=0)
-    if C.m == 0:
+    moved_g2 = _gather(cmats, "ad")[:, n:, :n] @ np.swapaxes(g2p, -1, -2)
+    plain = np.sum(np.swapaxes(g1, -1, -2) * moved_g2, axis=-2)
+    if S.dim_M == 0:
         return plain
     # {ξ_j, f2} = << (Ad_λ M^j)_M, Ad_λ grad' f2 >>
-    b2 = C.m_parts @ moved_g2
-    b1 = constraint_pb_check(S, word, grad1)
-    return plain - np.sum(b1.T * np.linalg.solve(C.entries, b2), axis=0)
+    b2 = _gather(cmats, "m_parts") @ moved_g2
+    b1 = constraint_pb_check(S, words, grad1)
+    x = np.linalg.solve(_gather(cmats, "entries"), b2)
+    return plain - np.sum(np.swapaxes(b1, -1, -2) * x, axis=-2)
 
 
-def native_hstar_bracket(S: ReductionSetup, word: GroupWord, grad1, grad2) -> np.ndarray:
+def native_hstar_bracket(S: ReductionSetup, words, grad1, grad2) -> np.ndarray:
     """{F1, F2} computed in the double of (H, H*) for each row: the oracle side.
 
     The dual-group bracket << grad f1, Ad (grad' f2) >> with Ad the
     restriction sub_restrict·Ad_λ·sub_embedᵀ, paired on the sub-double;
-    grad1 and grad2 as for dirac_bracket.
+    words, grad1 and grad2 as for dirac_bracket.
     """
     d = S.sub_double
     embed = np.eye(d.dim)[: S.dim_H]  # rows: the H basis of the sub-double
-    sub_ad = S.sub_restrict @ word.ad @ S.sub_embed.T
-    moved_g2 = grad2 @ embed @ sub_ad.T
-    return np.sum((grad1 @ embed @ d.pairing) * moved_g2, axis=1)
+    sub_ad = S.sub_restrict @ _gather(words, "ad") @ S.sub_embed.T
+    moved_g2 = grad2 @ embed @ np.swapaxes(sub_ad, -1, -2)
+    return np.sum((grad1 @ embed @ d.pairing) * moved_g2, axis=-1)
 
 
-def constraint_pb_check(S: ReductionSetup, word: GroupWord, grad) -> np.ndarray:
-    """(k, dim M): {f_k, ξ_i}(λ) for a (k, p) stack of grad f_k over the H*
-    basis; it vanishes on the dual of H.
+def constraint_pb_check(S: ReductionSetup, words, grad) -> np.ndarray:
+    """(len(words), k, dim M): {f_k, ξ_i}(λ) at each word for its (k, p)
+    slice of grad f_k over the H* basis; it vanishes on the dual of H.
 
     The constraint gradient is used in closed form (grad' ξ_i = M^i), so
     each entry is << grad f_k, Ad_λ M^i >> with grad f_k in H: one product
@@ -504,7 +608,7 @@ def constraint_pb_check(S: ReductionSetup, word: GroupWord, grad) -> np.ndarray:
     dirac_bracket's correction.
     """
     n = S.n
-    return grad @ S.H_in_K @ word.ad[n:, :n] @ S.M_in_K.T
+    return grad @ S.H_in_K @ _gather(words, "ad")[:, n:, :n] @ S.M_in_K.T
 
 
 def sample_hstar_points(

@@ -378,19 +378,35 @@ def _dumps(obj, indent: int, memo: dict) -> str:
 
 
 def _dumps_list(obj, indent: int, memo: dict) -> str:
-    """A list or tuple; memo passes on to the arrays nested in it."""
+    """A list or tuple, each distinct one formatted once.
+
+    memo is _dumps_array's: (id(obj), indent) -> (obj, text), so a list that
+    appears in several places, as a sample point's descriptor does in every
+    equation of a verify report, is formatted once.  A list cannot change
+    while the call runs, and holding it keeps its id from passing to a
+    temporary list made later in the call.  A list of dicts is a section of
+    the document, written once, so its text is not held.
+    """
     if not obj:
         return "[]"
+    key = (id(obj), indent)
+    seen = memo.get(key)
+    if seen is not None:
+        return seen[1]
     pad_in = "  " * (indent + 1)
     sep = ",\n" + pad_in
     # finite Python floats print alike under "%.17g" and format(x, ".17g");
     # a sum that is not finite (a NaN, an inf or an overflow) sends the list
     # down the per-item path, which is right for every list
-    if set(map(type, obj)) == {float} and math.isfinite(sum(obj)):
+    kinds = set(map(type, obj))
+    if kinds == {float} and math.isfinite(sum(obj)):
         body = sep.join(["%.17g"] * len(obj)) % tuple(obj)
     else:
         body = sep.join([_dumps(v, indent + 1, memo) for v in obj])
-    return "[\n" + pad_in + body + "\n" + "  " * indent + "]"
+    text = "[\n" + pad_in + body + "\n" + "  " * indent + "]"
+    if dict not in kinds:
+        memo[key] = (obj, text)
+    return text
 
 
 def _dumps_array(obj: np.ndarray, indent: int, memo: dict) -> str:

@@ -24,20 +24,28 @@ worst case against a stated tolerance, and a deliberately sign-corrupted
 r-matrix is pushed through the main residual as a control that the tests
 can fail.
 
-Each point is taken in one pass.  A Jacobi call takes a product point
-with a stack of (f1, f2, f3) triples: it builds the point's bracket form
-once, makes the jet of each distinct test function once, in one stacked
-pass per factor, and returns one |Jacobiator| per triple; nothing is kept
-on the point, the functions or the form when it returns.  A Dirac point's
-test functions, and a characterization point's (u, v) pairs, are one draw
-each.  The functions' gradients are one (20 + dim M, 2·dim H) array
+A setup's whole sample is taken in one stacked pass per equation.  After
+sampling, each section fills the rho jets, Ad_λ^{-1}, N_i and Ad velocities
+it reads for every point at once (reduction.fill_caches).  Each equation
+function takes a sequence of points, with each point's inputs stacked on a
+leading axis, and returns one result per point.  A Jacobi call takes a
+stack of product points, each with a row of (f1, f2, f3) triples: it builds
+one bracket form over the points, makes the jet of each distinct test
+function of a point once, in one stacked pass per factor, and returns one
+|Jacobiator| per triple; nothing is kept on the points, the functions or
+the form when it returns.  A Dirac point's test functions, and a
+characterization point's (u, v) pairs, are one draw each, point by point.
+The functions' gradients are one (points, 20 + dim M, 2·dim H) array
 (reduction._row_gradients), whose rows the brackets and the constraint
-check read: one call each per point, the constraint check a (dim M, dim M)
-product whose diagonal is CONSTRAINT_PB.  An equivariance call takes a
-stack of H vectors, a point's basis in the suite.  Every draw gives the
-stream of the scalar draws it replaced and every bracket product keeps its
-shape, so the residuals are those of one call per Jacobiator and bracket,
-bit for bit.
+check read in one call each, the constraint check a (dim M, dim M) product
+per point whose diagonal is CONSTRAINT_PB.  An equivariance call takes each
+point's stack of H vectors, its basis in the suite.  Only the cdybe section
+takes its points one by one.  Every draw gives the stream of the scalar
+draws it replaced and every stacked product keeps each slice's shape, so
+the residuals are those of one call per point, Jacobiator and bracket, bit
+for bit.  A section whose per-point arrays are larger than one Ad_λ takes
+the sample in chunks within the sampler's per-array bound
+(reduction._point_chunks); at the catalog's sample sizes that is one chunk.
 
 The tolerance of each equation is defined here, in DEFAULT_TOLERANCES; the
 spec's residual tolerance may replace it for the RESIDUAL_EQUATIONS alone,
@@ -49,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import ClassVar, NamedTuple, Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 from scipy.linalg import expm
@@ -61,12 +69,14 @@ from .errors import ConsistencyError, InputShapeError
 from .lie_core import LieAlgebra, cybe_lhs, invariance_residual3
 from .reduction import (
     RhoJet,
+    _point_chunks,
     _row_gradients,
     characterization_identity_residual,
     constraint_inverse_operator_residual,
     constraint_matrix,
     constraint_pb_check,
     dirac_bracket,
+    fill_caches,
     native_hstar_bracket,
     rho,
     rho_jet,
@@ -185,37 +195,40 @@ def triangularity_check(
     return _triangularity(S.G, plcdybe_lhs(S, rfun, word), ref_lhs)
 
 
-def equivariance_residual(S: ReductionSetup, rfun, word: GroupWord, x_h) -> np.ndarray:
-    """dress_X r - [X⊗1 + 1⊗X, r] at λ for each X in H of a stack of H-basis
-    coordinates.
+def equivariance_residual(S: ReductionSetup, rfun, words, x_h) -> np.ndarray:
+    """dress_X r - [X⊗1 + 1⊗X, r] at each word for each X in H of its stack
+    of H-basis coordinates.
 
     The dressing derivative moves λ along λ·exp(t·Y) with Y the K*-part of
     Ad_λ^{-1} X; for λ in the dual of H the vector Y lies in H*, which is
     verified, and the derivative of r along it is Σ_a y_a·(right derivative
-    along H^a) for the H* coordinates y of Y.  x_h is a (k, dim H) stack of
-    X, and the residuals come back as a (k, dim G, dim G) stack; each X goes
-    through the products it would go through alone.
+    along H^a) for the H* coordinates y of Y.  x_h is a (len(words), k,
+    dim H) stack of X, and the residuals come back as a (len(words), k,
+    dim G, dim G) stack; each X goes through the products it would go
+    through alone.
     """
     x_h = np.asarray(x_h, dtype=float)
     p = S.dim_H
-    if x_h.ndim != 2 or x_h.shape[1] != p:
-        raise InputShapeError(f"X must be a stack of rows of {p} H coordinates")
-    xs = x_h[:, None, :]  # one row per X
+    if x_h.ndim != 3 or x_h.shape[0] != len(words) or x_h.shape[2] != p:
+        raise InputShapeError(f"X must be a per-word stack of rows of {p} H coordinates")
+    xs = x_h[:, :, None, :]  # one row per X
     x_k = xs @ S.H_in_K
-    # dual_group.dressing_vector, read off the point's cached Ad_λ^{-1}
-    y = constraint_matrix(S, word).ad_inverse[S.n:, :S.n] @ np.swapaxes(x_k, 1, 2)
-    y_h = np.swapaxes(S.Hstar_component(y), 1, 2)
-    y = np.swapaxes(y, 1, 2)
-    leak = np.abs(y - y_h @ S.Hdual).max(axis=(1, 2), initial=0.0)
-    size = np.abs(y).max(axis=(1, 2), initial=0.0)
-    bad = np.flatnonzero(leak > bounds.DRESSING_LEAK_TOL * (1.0 + size))
+    # dual_group.dressing_vector, read off each point's cached Ad_λ^{-1}
+    inv = np.array([constraint_matrix(S, w).ad_inverse for w in words])
+    y = inv[:, None, S.n:, :S.n] @ np.swapaxes(x_k, -1, -2)
+    y_h = np.swapaxes(S.Hstar_component(y), -1, -2)
+    y = np.swapaxes(y, -1, -2)
+    leak = np.abs(y - y_h @ S.Hdual).max(axis=(2, 3), initial=0.0)
+    size = np.abs(y).max(axis=(2, 3), initial=0.0)
+    bad = np.argwhere(leak > bounds.DRESSING_LEAK_TOL * (1.0 + size))
     if bad.size:
-        raise ConsistencyError(f"dressing vector leaves H*: leak {leak[bad[0]]:.3e}")
-    jet = rfun(word)
-    r_here = jet.value
-    flow = (y_h @ jet.right.reshape(p, -1)).reshape((-1,) + r_here.shape)
-    adx = (xs @ S.h_ads.reshape(p, -1)).reshape((-1,) + r_here.shape)
-    return flow - (adx @ r_here + r_here @ np.swapaxes(adx, 1, 2))
+        raise ConsistencyError(f"dressing vector leaves H*: leak {leak[tuple(bad[0])]:.3e}")
+    jets = [rfun(w) for w in words]
+    r_here = np.array([jet.value for jet in jets])[:, None]
+    right = np.array([jet.right for jet in jets]).reshape(len(words), 1, p, -1)
+    flow = (y_h @ right).reshape(xs.shape[:2] + r_here.shape[2:])
+    adx = (xs @ S.h_ads.reshape(p, -1)).reshape(xs.shape[:2] + r_here.shape[2:])
+    return flow - (adx @ r_here + r_here @ np.swapaxes(adx, -1, -2))
 
 
 def reduced_r_function(S: ReductionSetup):
@@ -334,16 +347,19 @@ class QFunction:
         l·ad_j·ad_i·Ad·r (left, left), l·ad_i·Ad·ad_j·r (left, right),
         l·ad_j·Ad·ad_i·r (right, left) and l·Ad·ad_i·ad_j·r (right, right).
         """
-        return _slot_jets([self], word, ads)[0]
+        grad, hess = _slot_jets([self], word.ad[None], ads)
+        return grad[0], hess[0]
 
 
-def _slot_jets(fs, word: GroupWord, ads: np.ndarray) -> list:
-    """QFunction.jet of every function in fs on one factor, in one stacked pass.
+def _slot_jets(fs, ad: np.ndarray, ads: np.ndarray) -> tuple:
+    """QFunction.jet of every function in fs, in one stacked pass: (grads,
+    hessians), one row each.  ad[i] is the Ad matrix of the factor fs[i] is
+    read on.
 
     Each function is a batch of its own, a row vector l and a column r, so
     every product is the one it would take alone.
     """
-    k, ad = len(ads), word.ad
+    k = len(ads)
     ls = np.array([f.left for f in fs])[:, None, :]  # (F, 1, d)
     rs = np.array([f.right for f in fs])[:, :, None]  # (F, d, 1)
     la = (ls[:, None] @ ads)[:, :, 0]  # rows l·ad_i
@@ -359,7 +375,7 @@ def _slot_jets(fs, word: GroupWord, ads: np.ndarray) -> list:
     hess[:, :k, k:] = lr
     hess[:, k:, :k] = np.swapaxes(lr, 1, 2)
     hess[:, k:, k:] = (l_ad[:, None] @ ads)[:, :, 0] @ ar_t
-    return list(zip(grad, hess))
+    return grad, hess
 
 
 def g_entry(S: ReductionSetup, a: int, b: int) -> QFunction:
@@ -384,102 +400,112 @@ def tilde_entry(S: ReductionSetup, a: int, b: int) -> QFunction:
     return _sub_entry(S, "tilde", a, b)
 
 
-class _Jet(NamedTuple):
-    """A test function over a product point: its gradient and Hessian
-    (hess[k, m] = ∂_k grad[m]) and their products with the form."""
-
-    grad: np.ndarray
-    hess: np.ndarray
-    B_grad: np.ndarray  # B @ grad
-    BT_grad: np.ndarray  # B.T @ grad, the same product as grad @ B
-    dB_grad: np.ndarray  # dB @ grad, one row per moving direction
-
-
 class _BracketForm:
-    """The bracket of a product point as a bilinear form in slot gradients.
+    """The brackets of a stack of product points, all QPoints or all PPoints,
+    as bilinear forms in slot gradients.
 
-    B holds the blocks of the bracket ansatz.  The ambient gradients meet
-    -R on the left side and R on the right.  For each dual factor λ, with
-    its sign s and ambient side:
+    B[b] holds the blocks of the bracket ansatz at point b.  The ambient
+    gradients meet -R on the left side and R on the right.  For each dual
+    factor λ, with its sign s and ambient side:
       - its dual Poisson bracket, s·<< grad u, Ad_λ grad' v >> on D(K, K*),
         is the block (left, right) of λ;
       - its left gradient pairs with that ambient side through the H basis;
       - s·r(λ) adds to that side's ambient block.
     B moves only along the gradient directions of the dual factors, through
-    Ad_λ and the rho jet: dB[i] is its derivative along direction moving[i],
-    and along every other direction the derivative is 0.
+    Ad_λ and the rho jet: dB[b, i] is its derivative along direction
+    moving[i], and along every other direction the derivative is 0.
 
     Each bracket and Jacobi call builds its own form and drops it on return,
-    so nothing is stored on the point or the test functions.
+    so nothing is stored on the points or the test functions.
     """
 
-    def __init__(self, S: ReductionSetup, rfun, pt):
+    def __init__(self, S: ReductionSetup, rfun, pts):
         n, p, dim_g = S.n, S.dim_H, S.G.dim
+        kind = type(pts[0])
         g_ads = np.swapaxes(S.G.c, 1, 2)  # g_ads[i] = ad_{e_i} on G
         self.factors, self.offsets, size = {}, {}, 0
-        for name in pt.factors:
+        for name in kind.factors:
             ads = g_ads if name == "g" else S.hstar_ads
-            self.factors[name] = (getattr(pt, name), ads)
+            words = [getattr(pt, name) for pt in pts]
+            self.factors[name] = (words, np.array([w.ad for w in words]), ads)
             self.offsets[name] = size
             size += 2 * len(ads)
         g0 = self.offsets["g"]
         sides = {"left": slice(g0, g0 + dim_g), "right": slice(g0 + dim_g, g0 + 2 * dim_g)}
         self.moving = np.concatenate(
-            [self.offsets[name] + np.arange(2 * p) for name, _, _ in pt.couplings]
+            [self.offsets[name] + np.arange(2 * p) for name, _, _ in kind.couplings]
         )
-        B = np.zeros((size, size))
-        dB = np.zeros((len(self.moving), size, size))
-        B[sides["left"], sides["left"]] = -S.R
-        B[sides["right"], sides["right"]] = S.R
+        B = np.zeros((len(pts), size, size))
+        dB = np.zeros((len(pts), len(self.moving), size, size))
+        B[:, sides["left"], sides["left"]] = -S.R
+        B[:, sides["right"], sides["right"]] = S.R
         h_g = S.H_in_G
         hk = S.H_in_K
-        for c, (name, sign, side) in enumerate(pt.couplings):
-            word = self.factors[name][0]
+        for c, (name, sign, side) in enumerate(kind.couplings):
+            words, ad, _ = self.factors[name]
             o = self.offsets[name]
             lam_l, lam_r, amb = slice(o, o + p), slice(o + p, o + 2 * p), sides[side]
-            jet = rfun(word)
-            B[lam_l, lam_r] = sign * (hk @ word.ad[n:, :n] @ hk.T)
-            B[amb, lam_l] = h_g.T
-            B[lam_l, amb] = -h_g
-            B[amb, amb] += sign * jet.value
-            velocity = constraint_matrix(S, word).velocity
+            jets = [rfun(w) for w in words]
+            B[:, lam_l, lam_r] = sign * (hk @ ad[:, n:, :n] @ hk.T)
+            B[:, amb, lam_l] = h_g.T
+            B[:, lam_l, amb] = -h_g
+            B[:, amb, amb] += sign * np.array([jet.value for jet in jets])
+            velocity = np.array([constraint_matrix(S, w).velocity for w in words])
             along = slice(2 * p * c, 2 * p * (c + 1))  # λ's rows of dB
-            dB[along, lam_l, lam_r] = sign * (hk @ velocity[:, n:, :n] @ hk.T)
-            dB[along, amb, amb] = sign * np.concatenate([jet.left, jet.right])
+            dB[:, along, lam_l, lam_r] = sign * (hk @ velocity[:, :, n:, :n] @ hk.T)
+            dB[:, along, amb, amb] = sign * np.array(
+                [np.concatenate([jet.left, jet.right]) for jet in jets])
         self.size, self.B, self.dB = size, B, dB
 
-    def jets(self, fs) -> dict:
-        """The _Jet over the point of every distinct function in fs: each
-        factor's slot jets in one stacked pass (_slot_jets), and their
-        products with B and dB as one batch per product."""
-        fs = list(dict.fromkeys(fs))
-        grads = np.zeros((len(fs), self.size))
-        hess = np.zeros((len(fs), self.size, self.size))
-        for slot in dict.fromkeys(f.slot for f in fs):
-            word, ads = self.factors[slot]
-            on = [r for r, f in enumerate(fs) if f.slot == slot]
+    def jets(self, fs) -> tuple:
+        """(grad, hess, B_grad, BT_grad, dB_grad) of the functions fs[b][i]
+        over point b: the gradients and Hessians (hess[..., k, m] =
+        ∂_k grad[m]) from each factor's slot jets in one stacked pass
+        (_slot_jets), and their products with B, Bᵀ and dB as one batch per
+        product.  Each has the leading axes (points, functions)."""
+        count, per = len(fs), len(fs[0])
+        flat = [f for row in fs for f in row]
+        owner = np.repeat(np.arange(count), per)
+        grads = np.zeros((len(flat), self.size))
+        hess = np.zeros((len(flat), self.size, self.size))
+        for slot in dict.fromkeys(f.slot for f in flat):
+            _, ad, ads = self.factors[slot]
+            on = np.array([r for r, f in enumerate(flat) if f.slot == slot])
             at = slice(self.offsets[slot], self.offsets[slot] + 2 * len(ads))
-            for r, (grad, h) in zip(on, _slot_jets([fs[r] for r in on], word, ads)):
-                grads[r, at], hess[r, at, at] = grad, h
-        cols = grads[:, :, None]
-        B_grad, BT_grad = (self.B @ cols)[..., 0], (self.B.T @ cols)[..., 0]
-        dB_grad = (self.dB @ grads[:, None, :, None])[..., 0]
-        return {f: _Jet(grads[r], hess[r], B_grad[r], BT_grad[r], dB_grad[r])
-                for r, f in enumerate(fs)}
+            grads[on, at], hess[on, at, at] = _slot_jets([flat[r] for r in on], ad[owner[on]], ads)
+        grads = grads.reshape(count, per, self.size)
+        hess = hess.reshape(count, per, self.size, self.size)
+        cols = grads[..., None]
+        B_grad = (self.B[:, None] @ cols)[..., 0]
+        BT_grad = (np.swapaxes(self.B, 1, 2)[:, None] @ cols)[..., 0]
+        dB_grad = (self.dB[:, None] @ grads[:, :, None, :, None])[..., 0]
+        return grads, hess, B_grad, BT_grad, dB_grad
 
-    def jacobiator(self, jets) -> float:
-        """|{f1, {f2, f3}} + {f2, {f3, f1}} + {f3, {f1, f2}}| at the point,
-        from the _Jets of (f1, f2, f3)."""
-        total = 0.0
+    def jacobiators(self, triples) -> np.ndarray:
+        """|{f1, {f2, f3}} + {f2, {f3, f1}} + {f3, {f1, f2}}| for each
+        (f1, f2, f3) of triples[b] at point b, a (points, triples) array,
+        from one jet of each distinct function of a point."""
+        fs, index = [], []
+        for row in triples:
+            seen = {}
+            index.append([[seen.setdefault(f, len(seen)) for f in t] for t in row])
+            fs.append(list(seen))
+        # a point with fewer distinct functions repeats its first one
+        width = max(map(len, fs))
+        jets = self.jets([row + row[:1] * (width - len(row)) for row in fs])
+        at = np.arange(len(fs))[:, None], np.array(index)
+        grad, hess, B_grad, BT_grad, dB_grad = (
+            [a[at[0], at[1][..., i]] for i in range(3)] for a in jets
+        )
+        total = np.zeros(at[1].shape[:2])
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            ji, jj, jk = jets[i], jets[j], jets[k]
             # gradient of the inner bracket gjᵀ·B·gk, by the product rule;
             # the middle term, from dB, is 0 off the moving directions
-            grad_jk = jj.hess @ jk.B_grad
-            grad_jk[self.moving] += jk.dB_grad @ jj.grad
-            grad_jk += jk.hess @ jj.BT_grad
-            total += ji.BT_grad @ grad_jk
-        return abs(float(total))
+            grad_jk = (hess[j] @ B_grad[k][..., None])[..., 0]
+            grad_jk[..., self.moving] += (dB_grad[k] @ grad[j][..., None])[..., 0]
+            grad_jk += (hess[k] @ BT_grad[j][..., None])[..., 0]
+            total += (BT_grad[i][..., None, :] @ grad_jk[..., None])[..., 0, 0]
+        return np.abs(total)
 
 
 def bracket(S: ReductionSetup, rfun, pt: QPoint | PPoint, u: QFunction, v: QFunction) -> float:
@@ -493,29 +519,40 @@ def bracket(S: ReductionSetup, rfun, pt: QPoint | PPoint, u: QFunction, v: QFunc
     minus sign and pairs with left ambient gradients against R + r(λ̃); the
     two dual copies commute with each other.
     """
-    jets = _BracketForm(S, rfun, pt).jets((u, v))
-    return float(jets[u].BT_grad @ jets[v].grad)
+    grad, _, _, BT_grad, _ = _BracketForm(S, rfun, [pt]).jets([[u, v]])
+    return float(BT_grad[0, 0] @ grad[0, 1])
 
 
-def _jacobiators(S: ReductionSetup, rfun, pt, triples) -> np.ndarray:
-    """One |Jacobiator| per (f1, f2, f3) of triples, from one form of pt and
-    one jet of each distinct function."""
-    triples = [tuple(t) for t in triples]
-    form = _BracketForm(S, rfun, pt)
-    jets = form.jets([f for t in triples for f in t])
-    return np.array([form.jacobiator([jets[f] for f in t]) for t in triples], dtype=float)
+def _jacobiators(S: ReductionSetup, rfun, pts, triples) -> np.ndarray:
+    """One |Jacobiator| per (f1, f2, f3) of triples[b] at pts[b], from one
+    form per chunk of points and one jet per function.  Every point has the
+    same number of triples; the chunks keep the form's and the jets' stacks
+    within the sampler's per-array bound."""
+    triples = [[tuple(t) for t in row] for row in triples]
+    if len(triples) != len(pts) or len({len(row) for row in triples}) > 1:
+        raise InputShapeError("give every point the same number of triples")
+    kind = type(pts[0])
+    # per point: dB and the Hessians, each a stack of (size, size) matrices
+    size = sum(2 * (S.G.dim if name == "g" else S.dim_H) for name in kind.factors)
+    rows = max(2 * S.dim_H * len(kind.couplings), 3 * len(triples[0]))
+    return np.concatenate([
+        _BracketForm(S, rfun, pts[part]).jacobiators(triples[part])
+        for part in _point_chunks(S, len(pts), rows * size * size)
+    ])
 
 
-def q_jacobi_residual(S: ReductionSetup, rfun, pt: QPoint, triples) -> np.ndarray:
-    """Cyclic Jacobiators of the G × Ȟ* bracket, exact from first-order jets:
-    one per (f1, f2, f3) triple, as a float array."""
-    return _jacobiators(S, rfun, pt, triples)
+def q_jacobi_residual(S: ReductionSetup, rfun, pts, triples) -> np.ndarray:
+    """Cyclic Jacobiators of the G × Ȟ* bracket, exact from first-order jets,
+    at each QPoint of pts: one per (f1, f2, f3) of its row of triples, as a
+    (len(pts), triples per point) float array."""
+    return _jacobiators(S, rfun, pts, triples)
 
 
-def p_jacobi_residual(S: ReductionSetup, rfun, pt: PPoint, triples) -> np.ndarray:
+def p_jacobi_residual(S: ReductionSetup, rfun, pts, triples) -> np.ndarray:
     """Cyclic Jacobiators of the Ȟ* × G × Ȟ* bracket, exact from first-order
-    jets: one per (f1, f2, f3) triple, as a float array."""
-    return _jacobiators(S, rfun, pt, triples)
+    jets, at each PPoint of pts: one per (f1, f2, f3) of its row of triples,
+    as a (len(pts), triples per point) float array."""
+    return _jacobiators(S, rfun, pts, triples)
 
 
 # ---------------------------------------------------------------------------
@@ -524,10 +561,11 @@ def p_jacobi_residual(S: ReductionSetup, rfun, pt: PPoint, triples) -> np.ndarra
 
 
 def _report(eq, where, residuals, tol, direction="upper") -> ResidualReport:
-    """where: one descriptor per point, as describe_word gives it.  A NaN at
-    any point is the maximum, so it fails either direction."""
+    """where: one descriptor per point, as describe_word gives it; residuals:
+    one per point, a sequence or an array.  A NaN at any point is the
+    maximum, so it fails either direction."""
     per = tuple((d, float(r)) for d, r in zip(where, residuals))
-    max_r = float(np.max(residuals)) if residuals else 0.0
+    max_r = float(np.max(residuals)) if len(residuals) else 0.0
     return ResidualReport(
         equation_id=eq,
         per_point=per,
@@ -567,11 +605,20 @@ def run_suite(
     # one stream per section, so a suite's draws do not depend on which other
     # suites run alongside it
     section_seed = {"cdybe": 101, "equivariance": 211, "dirac": 307, "jacobi": 401}
+    n, m, p, dim_g = S.n, S.dim_M, S.dim_H, S.G.dim
     reports = []
+
+    def by_chunks(per_point, section):
+        """section(part) for the parts of the sample that keep stacks of
+        per_point entries a point within the sampler's per-array bound, its
+        per-point results joined over the parts in order."""
+        outs = [section(part) for part in _point_chunks(S, len(words), per_point)]
+        return [np.concatenate(col) for col in zip(*outs)]
 
     for s in suites:
         rng = np.random.Generator(np.random.PCG64(seed + section_seed[s]))
         if s == "cdybe":
+            fill_caches(S, words, ("velocity", "jet"))
             reports.append(
                 _report(
                     EQ_MCYBE,
@@ -595,53 +642,62 @@ def run_suite(
                     _report(EQ_CONTROL, where, res, tol[EQ_CONTROL], direction="lower")
                 )
         elif s == "equivariance":
-            # every H basis vector at a point in one call
-            units = np.eye(S.dim_H)
-            res = [np.abs(equivariance_residual(S, rfun, w, units)).max(initial=0.0)
-                   for w in words]
+            fill_caches(S, words, ("velocity", "jet", "ad_inverse"))
+            # every H basis vector at every point of a part in one call, a
+            # (p, dim G, dim G) residual stack per point
+            units = np.broadcast_to(np.eye(p), (len(words), p, p))
+            (res,) = by_chunks(p * dim_g * dim_g, lambda part: (np.abs(
+                equivariance_residual(S, rfun, words[part], units[part])
+            ).max(axis=(1, 2, 3), initial=0.0),))
             reports.append(_report(EQ_EQUIVARIANCE, where, res, tol[EQ_EQUIVARIANCE]))
         elif s == "dirac":
-            dim2, m, p = S.sub_double.dim, S.dim_M, S.dim_H
+            fill_caches(S, words, ("velocity", "ad_inverse", "n_matrix"))
+            dim2 = S.sub_double.dim
             # one draw per point: the entries (a, b) of 20 functions, the
             # 10 Dirac pairs (F1, F2) interleaved, then of one function per
             # constraint; dual_entry(S, a, b) has the rows sub_restrict[a]
             # and sub_embed[b], so the gradients are one contraction
-            res_d, res_c = [], []
-            for w in words:
-                ab = rng.integers(0, dim2, (20 + m, 2))
+            ab = np.array([rng.integers(0, dim2, (20 + m, 2)) for _ in words])
+            # then 20 (u, v) pairs per point from one draw, each row moved
+            # into K coordinates by its own product
+            if m:
+                uv = np.array([rng.uniform(-1, 1, (20, 2, 1, m)) for _ in words]) @ S.M_in_K
+                u, v = uv[:, :, 0, 0], uv[:, :, 1, 0]
+            else:
+                u = v = np.zeros((len(words), 20, n))
+
+            def dirac(part):
+                pw = words[part]
                 grads = _row_gradients(
-                    constraint_matrix(S, w), S.sub_restrict[ab[:, 0]], S.sub_embed[ab[:, 1]]
+                    S, pw, S.sub_restrict[ab[part, :, 0]], S.sub_embed[ab[part, :, 1]]
                 )
-                g1, g2 = grads[0:20:2, :p], grads[1:20:2, p:]
-                got = dirac_bracket(S, w, g1, g2)
-                res_d.append(float(np.abs(got - native_hstar_bracket(S, w, g1, g2)).max()))
+                g1, g2 = grads[:, 0:20:2, :p], grads[:, 1:20:2, p:]
+                got = dirac_bracket(S, pw, g1, g2)
+                res_d = np.abs(got - native_hstar_bracket(S, pw, g1, g2)).max(axis=1)
                 # {f_i, ξ_i} for the function drawn for constraint i
-                pb = constraint_pb_check(S, w, grads[20:, :p])
-                res_c.append(float(np.abs(np.diagonal(pb)).max(initial=0.0)))
+                pb = constraint_pb_check(S, pw, grads[:, 20:, :p])
+                res_c = np.abs(np.diagonal(pb, axis1=1, axis2=2)).max(axis=1, initial=0.0)
+                rhos = np.array([rho(S, w) for w in pw])
+                res_r = np.maximum(
+                    np.abs(rhos - rho_via_n(S, pw)).max(axis=(1, 2), initial=0.0),
+                    constraint_inverse_operator_residual(S, pw),
+                )
+                res_x = characterization_identity_residual(S, pw, u[part], v[part])
+                return res_d, res_c, res_r, res_x
+
+            # per point: its velocity stack, (2p, 2n, 2n), and the
+            # contraction of its functions with it, (2p, 20 + dim M, 2n)
+            res_d, res_c, res_r, res_x = by_chunks(2 * p * 2 * n * max(2 * n, 20 + m), dirac)
             reports.append(_report(EQ_DIRAC, where, res_d, tol[EQ_DIRAC]))
             reports.append(_report(EQ_CONSTRAINT_PB, where, res_c, tol[EQ_CONSTRAINT_PB]))
-            res = []
-            for w in words:
-                r1 = float(np.abs(rho(S, w) - rho_via_n(S, w)).max(initial=0.0))
-                res.append(np.maximum(r1, constraint_inverse_operator_residual(S, w)))
-            reports.append(_report(EQ_RHO_CONSISTENCY, where, res, tol[EQ_RHO_CONSISTENCY]))
-            res = []
-            for w in words:
-                # 20 (u, v) pairs per point from one draw, each row moved into
-                # K coordinates by its own product, and checked in one call
-                if m:
-                    uv = rng.uniform(-1, 1, (20, 2, 1, m)) @ S.M_in_K
-                    u, v = uv[:, 0, 0], uv[:, 1, 0]
-                else:
-                    u = v = np.zeros((20, S.n))
-                res.append(characterization_identity_residual(S, w, u, v))
-            reports.append(_report(EQ_CHARACTERIZATION, where, res, tol[EQ_CHARACTERIZATION]))
+            reports.append(_report(EQ_RHO_CONSISTENCY, where, res_r, tol[EQ_RHO_CONSISTENCY]))
+            reports.append(_report(EQ_CHARACTERIZATION, where, res_x, tol[EQ_CHARACTERIZATION]))
         elif s == "jacobi":
             pts = [words[k % len(words)] for k in range(JACOBI_POINTS)]
             pts_where = [where[k % len(words)] for k in range(JACOBI_POINTS)]
-            dim_g = S.G.dim
+            fill_caches(S, words[:JACOBI_POINTS], ("velocity", "jet"))
             dim2 = S.sub_double.dim
-            res_q, res_p = [], []
+            qpts, ppts, q_triples, p_triples = [], [], [], []
             for k, w in enumerate(pts):
                 g = ambient_word(S.G, [rng.uniform(-AMBIENT_BOX, AMBIENT_BOX, dim_g)])
                 # three ambient entries give the triple sensitive to the
@@ -650,12 +706,13 @@ def run_suite(
                 on_dual, on_hat, on_tilde = rng.integers(0, dim2, (3, 2)).tolist()
                 fd = dual_entry(S, *on_dual)
                 f3p, f2p = hat_entry(S, *on_hat), tilde_entry(S, *on_tilde)
-                # both triples of a product point in one call, which makes
-                # the jets of phis[0] and phis[1] once for the two
-                qpt = QPoint(S, g, w)
-                res_q.append(q_jacobi_residual(S, rfun, qpt, [phis, (phis[0], phis[1], fd)]).max())
-                ppt = PPoint(S, pts[(k + 1) % len(pts)], g, w)
-                res_p.append(p_jacobi_residual(S, rfun, ppt, [phis, (phis[0], f2p, f3p)]).max())
+                qpts.append(QPoint(S, g, w))
+                q_triples.append([phis, (phis[0], phis[1], fd)])
+                ppts.append(PPoint(S, pts[(k + 1) % len(pts)], g, w))
+                p_triples.append([phis, (phis[0], f2p, f3p)])
+            # every product point's two triples, of every point, in one call each
+            res_q = q_jacobi_residual(S, rfun, qpts, q_triples).max(axis=1)
+            res_p = p_jacobi_residual(S, rfun, ppts, p_triples).max(axis=1)
             reports.append(_report(EQ_Q_JACOBI, pts_where, res_q, tol[EQ_Q_JACOBI]))
             reports.append(_report(EQ_P_JACOBI, pts_where, res_p, tol[EQ_P_JACOBI]))
     return reports, words

@@ -139,6 +139,33 @@ def test_one_list_at_two_indents():
     assert text.count("0.10000000000000001") == 4
 
 
+def test_one_list_in_two_places_serialises_like_two_equal_copies():
+    """A verify report lists each point's descriptor once per equation, the
+    same list object each time; the memo formats it once, and the text is
+    that of a document holding equal copies."""
+    desc = [[0.1, -0.25], [1e-300, 2.5]]
+    shared = {"eqs": [{"point": desc, "r": 0.5}, {"point": desc, "r": 1.5}],
+              "points": [desc]}
+    copies = {"eqs": [{"point": [list(r) for r in desc], "r": 0.5},
+                      {"point": [list(r) for r in desc], "r": 1.5}],
+              "points": [[list(r) for r in desc]]}
+    for indent in (0, 2):
+        assert dumps_canonical(shared, indent).encode() == dumps_canonical(copies, indent).encode()
+        assert_same_text(shared, indent)
+
+
+def test_the_memo_holds_data_lists_not_sections():
+    """A list of dicts is a section of the document, written once; holding
+    its text would keep a second copy of the document while it is written."""
+    desc = [[0.1, -0.25], [1e-300, 2.5]]
+    sections = [{"point": desc, "r": 0.5}, {"point": desc, "r": 1.5}]
+    memo = {}
+    specio._dumps({"eqs": sections, "points": [desc]}, 0, memo)
+    held = [obj for obj, _ in memo.values()]
+    assert any(obj is desc for obj in held)
+    assert not any(obj is sections for obj in held)
+
+
 def test_equal_shaped_arrays_are_not_confused():
     """ndarray.tolist() makes temporaries; a freed one's id may come back for
     the next, so the memo must keep each list alive for the whole call."""

@@ -273,18 +273,19 @@ def test_n_family_matches_reference(name, S, words):
         assert len(ns) == len(want) == S.dim_M
         for got, ref in zip(ns, want):
             _close(got, ref, rtol=1e-12)
-        _close(rho_via_n(S, w), ref_rho_via_n(S, w), rtol=1e-12)
-        got = constraint_inverse_operator_residual(S, w)
+        _close(rho_via_n(S, [w])[0], ref_rho_via_n(S, w), rtol=1e-12)
+        (got,) = constraint_inverse_operator_residual(S, [w])
         assert abs(got - ref_inverse_operator_residual(S, w)) <= 1e-12
         us = rng.uniform(-1, 1, (6, S.dim_M)) @ S.M_in_K
         vs = rng.uniform(-1, 1, (6, S.dim_M)) @ S.M_in_K
         want = ref_characterization_residuals(S, w, us, vs)
-        assert abs(characterization_identity_residual(S, w, us, vs) - max(want)) <= 1e-12
+        (got,) = characterization_identity_residual(S, [w], us[None], vs[None])
+        assert abs(got - max(want)) <= 1e-12
         for k in range(len(us)):
-            got = characterization_identity_residual(S, w, us[k:k + 1], vs[k:k + 1])
+            (got,) = characterization_identity_residual(S, [w], us[None, k:k + 1], vs[None, k:k + 1])
             assert abs(got - want[k]) <= 1e-12
         with pytest.raises(InputShapeError):
-            characterization_identity_residual(S, w, us[0], vs[0])
+            characterization_identity_residual(S, [w], us, vs)
 
 
 class TestMemoisedRfun:
@@ -643,7 +644,7 @@ def test_exact_jacobiators_match_nested_differences(name):
     e, S, _, rfun, qpt, ppt = _jacobi_points(name)
     phis = [g_entry(S, 1, 2), g_entry(S, 0, 1), g_entry(S, 2, 0)]
     for pt, exact in ((qpt, q_jacobi_residual), (ppt, p_jacobi_residual)):
-        (want,) = exact(S, rfun, pt, [phis])
+        ((want,),) = exact(S, rfun, [pt], [[phis]])
         assert want <= 1e-12
         gaps = [
             abs(ref_nested_jacobiator(S, pt, *phis, h) - want)
@@ -664,10 +665,10 @@ def test_sign_flipped_jet_breaks_jacobiators(name):
         (g_entry(S, i, j), g_entry(S, j, k), g_entry(S, k, i))
         for i in range(dim_g) for j in range(dim_g) for k in range(dim_g)
     ]
-    worst_q = max(q_jacobi_residual(S, bad, qpt, triples))
-    worst_p = max(p_jacobi_residual(S, bad, ppt, triples))
+    worst_q = q_jacobi_residual(S, bad, [qpt], [triples]).max()
+    worst_p = p_jacobi_residual(S, bad, [ppt], [triples]).max()
     assert worst_q > 1e-2 and worst_p > 1e-2
-    assert max(q_jacobi_residual(S, rfun, qpt, triples)) <= 1e-12
+    assert q_jacobi_residual(S, rfun, [qpt], [triples]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("name", REDUCING)
@@ -723,8 +724,8 @@ def test_dual_blocks_keep_the_jacobi_identity():
         for e2 in entries[i + 1:]:
             on_q.append((phi, dual_entry(S, *e1), dual_entry(S, *e2)))
             on_p.append((phi, hat_entry(S, *e1), hat_entry(S, *e2)))
-    assert max(q_jacobi_residual(S, rfun, qpt, on_q)) <= 1e-12
-    assert max(p_jacobi_residual(S, rfun, ppt, on_p)) <= 1e-12
+    assert q_jacobi_residual(S, rfun, [qpt], [on_q]).max() <= 1e-12
+    assert p_jacobi_residual(S, rfun, [ppt], [on_p]).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -760,8 +761,8 @@ class TestPointMemo:
         C = constraint_matrix(S, w)
         # every cached property of the point is filled in
         rho_jet(S, w)
-        rho_via_n(S, w)
-        characterization_identity_residual(S, w, S.M_in_K[:1], S.M_in_K[1:2])
+        rho_via_n(S, [w])
+        characterization_identity_residual(S, [w], S.M_in_K[None, :1], S.M_in_K[None, 1:2])
         assert {"solved", "velocity", "jet", "ad_inverse", "n_matrix"} <= set(vars(C))
         word_ref, matrix_ref = weakref.ref(w), weakref.ref(C)
         del w, C
@@ -780,12 +781,13 @@ class TestPointMemo:
         assert C.cond > 1.0
         strict = dataclasses.replace(S, cond_threshold=1.0)
         for _ in range(2):
-            for f in (rho, rho_jet, rho_via_n, constraint_inverse_operator_residual):
+            for f, at in ((rho, w), (rho_jet, w), (rho_via_n, [w]),
+                          (constraint_inverse_operator_residual, [w])):
                 with pytest.raises(CDegenerateError):
-                    f(strict, w)
-            grads = pair_gradients(S, w, [(dual_entry(S, 0, 1), dual_entry(S, 1, 0))])
+                    f(strict, at)
+            g1, g2 = pair_gradients(S, w, [(dual_entry(S, 0, 1), dual_entry(S, 1, 0))])
             with pytest.raises(CDegenerateError):
-                dirac_bracket(strict, w, *grads)
+                dirac_bracket(strict, [w], g1[None], g2[None])
         assert constraint_matrix(S, w) is C
         np.testing.assert_array_equal(rho(S, w), C.solved[0])
         at_cond = dataclasses.replace(S, cond_threshold=C.cond)
@@ -810,25 +812,32 @@ def _rows(calls) -> int:
 def test_run_suite_builds_each_draw_once(monkeypatch):
     """Every drawn candidate's C is built once, as one row of a stacked
     build; every consumer of every suite reads the point's one CMatrix, and
-    Ad_λ is inverted once per point."""
+    Ad_λ is inverted once per point, in one stacked inverse over the sample.
+    Each cached kernel (velocity, rho jet, N_i) runs once, over the sample."""
     e = get_entry("sl3_dj_levi")
     S = e.setup()
     builds, draws, inverses = [], [], []
     _counting(monkeypatch, reduction, "_build_constraint_matrices", builds)
     _counting(monkeypatch, reduction, "_hstar_words", draws)
     _counting(monkeypatch, np.linalg, "inv", inverses)
+    kernels = {name: [] for name in ("_velocities", "_jets", "_n_matrices")}
+    for name, calls in kernels.items():
+        _counting(monkeypatch, reduction, name, calls)
     reports, words = run_suite(
         S, "all", num_points=e.num_points, seed=e.seed
     )
     assert all(r.passed for r in reports)
     assert _rows(draws) >= len(words) == e.num_points
     assert _rows(builds) == _rows(draws)
-    assert len(inverses) == len(words)
+    assert len(inverses) == 1 and len(inverses[0][0]) == len(words)
+    assert {name: [_rows([args]) for args in calls] for name, calls in kernels.items()} == (
+        dict.fromkeys(kernels, [len(words)]))
 
 
 def test_equivariance_suite_reads_the_cached_inverse(monkeypatch):
-    """The dressing vectors come from the point's Ad_λ⁻¹: the only solve
-    left is rho's, one stacked solve over the sampled points."""
+    """The dressing vectors come from the point's Ad_λ⁻¹, one stacked
+    inverse over the sampled points: the only solve left is rho's, one
+    stacked solve over them."""
     e = get_entry("sl3_dj_levi")
     S = e.setup()
     solves, inverses = [], []
@@ -839,7 +848,8 @@ def test_equivariance_suite_reads_the_cached_inverse(monkeypatch):
     )
     assert all(r.passed for r in reports)
     assert len(solves) == 1
-    assert len(solves[0][0]) == len(inverses) == len(words) == e.num_points
+    assert len(inverses) == 1
+    assert len(solves[0][0]) == len(inverses[0][0]) == len(words) == e.num_points
     monkeypatch.undo()
     for w in words:
         block = constraint_matrix(S, w).ad_inverse[S.n:, :S.n]
@@ -885,6 +895,6 @@ def test_gradient_contraction_is_the_jet(name):
         moved_m = w.ad[n:, :n] @ S.M_in_K.T
         for f in funcs[::7]:
             want = f.jet(w, S.hstar_ads)[0][:p] @ S.H_in_K @ moved_m
-            got = constraint_pb_check(S, w, row_gradients(S, w, [f])[:, :p])
-            assert got.shape == (1, S.dim_M)
-            assert float(np.max(np.abs(got[0] - want))) <= 1e-14
+            got = constraint_pb_check(S, [w], row_gradients(S, w, [f])[None, :, :p])
+            assert got.shape == (1, 1, S.dim_M)
+            assert float(np.max(np.abs(got[0, 0] - want))) <= 1e-14

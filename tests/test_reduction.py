@@ -17,6 +17,7 @@ e⊗f - f⊗e) demanded by the dynamical Yang-Baxter equation, which pins the
 overall sign; the dynamical-equation residual is asserted in test_verify.
 """
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,7 +26,7 @@ import pytest
 from plrmat.bialgebra_double import validate_setup
 from plrmat.catalog import get_entry
 from plrmat.dual_group import identity_word
-from plrmat import reduction
+from plrmat import bounds, reduction
 from plrmat.errors import (
     CDegenerateError,
     ConsistencyError,
@@ -39,6 +40,7 @@ from plrmat.reduction import (
     constraint_matrix,
     constraint_pb_check,
     dirac_bracket,
+    fill_caches,
     hstar_word,
     constraint_inverse_operator_residual,
     native_hstar_bracket,
@@ -186,7 +188,7 @@ class TestNVectors:
     def test_degenerate_point_raises(self):
         s = abelian_odd_setup()
         with pytest.raises(CDegenerateError):
-            rho_via_n(s, hstar_word(s, [0.4, 0.1]))
+            rho_via_n(s, [hstar_word(s, [0.4, 0.1])])
 
     def test_classical_frozen_n_vectors(self):
         s = classical_setup()
@@ -199,7 +201,7 @@ class TestNVectors:
         for s in (classical_setup(), dj_setup()):
             for w in sample_hstar_points(s, 5, seed=7):
                 direct = rho(s, w)
-                via_n = rho_via_n(s, w)
+                (via_n,) = rho_via_n(s, [w])
                 assert np.max(np.abs(direct - via_n)) <= 1e-9
 
     def test_rho_via_n_bounds_its_antisymmetry(self, monkeypatch):
@@ -217,11 +219,65 @@ class TestNVectors:
             monkeypatch.setattr(reduction, "_second_class_matrix",
                                 lambda S, word, bad=bad: SimpleNamespace(n_matrix=bad))
             with pytest.raises(error):
-                rho_via_n(s, w)
+                rho_via_n(s, [w])
+
+    def test_stacked_rho_via_n_raises_for_the_first_offending_point(self, monkeypatch):
+        """Over a stack of words, the error is that of the first point in
+        order that breaks a bound, whichever bound a later point breaks."""
+        s = classical_setup()
+        words = [hstar_word(s, [x]) for x in (0.5, 1.0, 1.5)]
+        good = [constraint_matrix(s, w).n_matrix for w in words]
+        orders = 1.0 * good[1]
+        orders[0, 0] += 1e-6  # past 1e-9·(1 + max|a|): ConsistencyError
+        antisym = 1e3 * good[2]
+        antisym[0, 0] += 1e-7  # within it, past 1e-8: InputShapeError
+        for first, second, error in ((orders, antisym, ConsistencyError),
+                                     (antisym, orders, InputShapeError)):
+            n = dict(zip(map(id, words), (good[0], first, second)))
+            monkeypatch.setattr(reduction, "_second_class_matrix",
+                                lambda S, word, n=n: SimpleNamespace(n_matrix=n[id(word)]))
+            with pytest.raises(error):
+                rho_via_n(s, words)
+
+    def test_stacked_n_matrices_raise_for_the_first_offending_point(self, monkeypatch):
+        """A stack of points raises for its first point in order whose moved
+        complement basis is singular under bounds.N_SOLVE_COND, or whose
+        defining relation breaks bounds.N_RELATION_TOL, with that point's
+        message."""
+        s = levi_setup()
+        words = sample_hstar_points(s, 3, seed=7)
+        n = s.n
+
+        def basis_cond(w):
+            inv = np.linalg.inv(w.ad)
+            sv = np.linalg.svd(s.M_in_K @ inv[n:, :n] @ s.M_in_K.T, compute_uv=False)
+            return sv[0] / sv[-1]
+
+        # the worst-conditioned point second, so a bound between its
+        # condition and the others' makes it the one singular point
+        conds = [basis_cond(w) for w in words]
+        worst = int(np.argmax(conds))
+        words.insert(1, words.pop(worst))
+        conds.insert(1, conds.pop(worst))
+        between = (conds[1] + max(conds[0], conds[2])) / 2
+        assert max(conds[0], conds[2]) < between < conds[1]
+        monkeypatch.setattr(bounds, "N_SOLVE_COND", between)
+        message = f"numerically singular (condition {conds[1]:.3e})"
+        with pytest.raises(CDegenerateError, match=re.escape(message)):
+            fill_caches(s, words, ("ad_inverse", "n_matrix"))
+        # a relation that every point breaks: the first point's, before the
+        # singular second point's
+        monkeypatch.setattr(bounds, "N_RELATION_TOL", -1.0)
+        with pytest.raises(ConsistencyError, match="defining relation for N_0"):
+            fill_caches(s, words, ("ad_inverse", "n_matrix"))
+        # the singular point first: its error, before any relation
+        with pytest.raises(CDegenerateError):
+            fill_caches(s, words[1:], ("ad_inverse", "n_matrix"))
+        assert not any("n_matrix" in vars(constraint_matrix(s, w)) for w in words)
 
     def test_rho_via_n_frozen_value(self):
         s = classical_setup()
-        t = rho_via_n(s, hstar_word(s, [1.0]))
+        (t,) = rho_via_n(s, [hstar_word(s, [1.0])])
         want = np.zeros((3, 3))
         want[1, 2], want[2, 1] = 1.0, -1.0
         np.testing.assert_allclose(t, want, atol=1e-10)
@@ -229,7 +285,7 @@ class TestNVectors:
     def test_constraint_inverse_operator_identity(self):
         for s in (classical_setup(), dj_setup()):
             for w in sample_hstar_points(s, 4, seed=13):
-                assert constraint_inverse_operator_residual(s, w) <= 1e-9
+                assert constraint_inverse_operator_residual(s, [w])[0] <= 1e-9
 
     def test_characterization_identity(self):
         rng = np.random.default_rng(21)
@@ -238,9 +294,14 @@ class TestNVectors:
                 for _ in range(5):
                     u = rng.uniform(-1, 1, 2) @ s.M_in_K
                     v = rng.uniform(-1, 1, 2) @ s.M_in_K
-                    assert characterization_identity_residual(s, w, u[None], v[None]) <= 1e-9
+                    got = characterization_identity_residual(s, [w], u[None, None], v[None, None])
+                    assert got.shape == (1,) and got[0] <= 1e-9
+                # a stack of rows for every word: neither one word's rows nor a
+                # stack for another number of words
                 with pytest.raises(InputShapeError):
-                    characterization_identity_residual(s, w, u, v)
+                    characterization_identity_residual(s, [w], u[None], v[None])
+                with pytest.raises(InputShapeError):
+                    characterization_identity_residual(s, [w, w], u[None, None], v[None, None])
 
 
 def levi_setup():
@@ -252,10 +313,11 @@ def levi_setup():
 
 
 def row_gradients(s, w, fs):
-    """_row_gradients at w of the l·Ad·r functions fs, one row each."""
+    """_row_gradients at w, a stack of one, of the l·Ad·r functions fs, one
+    row each."""
     left = np.array([f.left for f in fs])
     right = np.array([f.right for f in fs])
-    return _row_gradients(constraint_matrix(s, w), left, right)
+    return _row_gradients(s, [w], left[None], right[None])[0]
 
 
 def pair_gradients(s, w, pairs):
@@ -270,8 +332,9 @@ class TestDiracBracket:
         s = dj_setup()
         w = hstar_word(s, [0.9])
         const = QFunction("dual", np.zeros(2 * s.n), s.sub_embed[0])
-        val = dirac_bracket(s, w, *pair_gradients(s, w, [(const, dual_entry(s, 0, 0))]))
-        assert abs(val[0]) <= 1e-12
+        g1, g2 = pair_gradients(s, w, [(const, dual_entry(s, 0, 0))])
+        val = dirac_bracket(s, [w], g1[None], g2[None])
+        assert abs(val[0, 0]) <= 1e-12
 
     @staticmethod
     def _check_matches_native(s):
@@ -280,10 +343,10 @@ class TestDiracBracket:
         for w in sample_hstar_points(s, 4, seed=5):
             idx = rng.integers(0, dim2, (20, 4))
             pairs = [(dual_entry(s, a, b), dual_entry(s, c, d)) for a, b, c, d in idx]
-            grads = pair_gradients(s, w, pairs)
-            got = dirac_bracket(s, w, *grads)
-            want = native_hstar_bracket(s, w, *grads)
-            assert got.shape == (20,)
+            g1, g2 = pair_gradients(s, w, pairs)
+            got = dirac_bracket(s, [w], g1[None], g2[None])
+            want = native_hstar_bracket(s, [w], g1[None], g2[None])
+            assert got.shape == want.shape == (1, 20)
             assert float(np.max(np.abs(got - want))) <= 1e-12
 
     def test_matches_native_bracket_dj(self):
@@ -299,24 +362,24 @@ class TestDiracBracket:
         for w in sample_hstar_points(s, 4, seed=9):
             for i in range(s.dim_M):
                 f = dual_entry(s, rng.integers(0, 2), rng.integers(0, 2))
-                pb = constraint_pb_check(s, w, row_gradients(s, w, [f])[:, :p])
-                assert pb.shape == (1, s.dim_M)
-                assert abs(pb[0, i]) <= 1e-12
+                pb = constraint_pb_check(s, [w], row_gradients(s, w, [f])[None, :, :p])
+                assert pb.shape == (1, 1, s.dim_M)
+                assert abs(pb[0, 0, i]) <= 1e-12
 
     def test_constraint_pb_identity_point_exact(self):
         s = dj_setup()
         w = identity_word(s.double)
         grad = row_gradients(s, w, [dual_entry(s, 0, 0)])[:, : s.dim_H]
-        assert abs(constraint_pb_check(s, w, grad)[0, 0]) <= 1e-14
+        assert abs(constraint_pb_check(s, [w], grad[None])[0, 0, 0]) <= 1e-14
 
     def test_identity_point_trivial_reduction_vanishes(self):
         # with an empty complement the identity is second class and both
         # bracket routes vanish there by isotropy
         s = trivial_setup()
         w = identity_word(s.double)
-        grads = pair_gradients(s, w, [(dual_entry(s, 1, 4), dual_entry(s, 2, 5))])
-        assert abs(dirac_bracket(s, w, *grads)[0]) <= 1e-12
-        assert abs(native_hstar_bracket(s, w, *grads)[0]) <= 1e-12
+        g1, g2 = pair_gradients(s, w, [(dual_entry(s, 1, 4), dual_entry(s, 2, 5))])
+        assert abs(dirac_bracket(s, [w], g1[None], g2[None])[0, 0]) <= 1e-12
+        assert abs(native_hstar_bracket(s, [w], g1[None], g2[None])[0, 0]) <= 1e-12
 
     def test_correction_reads_constraint_pb_check(self, monkeypatch):
         """The correction's factor {f1, ξ_i} is constraint_pb_check of grad1.
@@ -332,7 +395,8 @@ class TestDiracBracket:
         g1, g2 = pair_gradients(
             s, w, [(dual_entry(s, a, b), dual_entry(s, c, d)) for a, b, c, d in idx]
         )
-        before = dirac_bracket(s, w, g1, g2)
+        g1, g2 = g1[None], g2[None]
+        before = dirac_bracket(s, [w], g1, g2)
         assert float(np.max(np.abs(before))) > 1e-2
         original, seen = reduction.constraint_pb_check, []
 
@@ -342,9 +406,9 @@ class TestDiracBracket:
 
         monkeypatch.setattr(reduction, "constraint_pb_check", shifted)
         shift = 1.0
-        assert dirac_bracket(s, w, g1, g2).tobytes() == before.tobytes()
+        assert dirac_bracket(s, [w], g1, g2).tobytes() == before.tobytes()
         shift = np.nan
-        assert np.isnan(dirac_bracket(s, w, g1, g2)).all()
+        assert np.isnan(dirac_bracket(s, [w], g1, g2)).all()
         assert len(seen) == 2 and all(g is g1 for g in seen)
 
 

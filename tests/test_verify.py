@@ -124,20 +124,21 @@ class TestEquivariance:
         s = dj_setup()
         w = hstar_word(s, [0.7])
         rfun = reduced_r_function(s)
-        res = equivariance_residual(s, rfun, w, [[0.0]])
+        res = equivariance_residual(s, rfun, [w], [[[0.0]]])
+        assert res.shape == (1, 1, s.G.dim, s.G.dim)
         assert np.max(np.abs(res)) <= 1e-12
 
     def test_constant_invariant_r_abelian(self):
         s = abelian_trivial_setup()
         zero = RhoJet.zero(s.dim_H, s.G.dim)
-        res = equivariance_residual(s, lambda w: zero, identity_word(s.double), [[0.0, 0.0]])
+        res = equivariance_residual(s, lambda w: zero, [identity_word(s.double)], [[[0.0, 0.0]]])
         assert np.max(np.abs(res)) == 0.0
 
     def test_dj_reduced_r_equivariant(self):
         s = replace(dj_setup(), cond_threshold=2.5)
         rfun = reduced_r_function(s)
         for w in sample_hstar_points(s, 5, seed=6):
-            assert np.max(np.abs(equivariance_residual(s, rfun, w, [[1.0]]))) <= 1e-12
+            assert np.max(np.abs(equivariance_residual(s, rfun, [w], [[[1.0]]]))) <= 1e-12
 
 
 class TestProductBrackets:
@@ -189,24 +190,24 @@ class TestProductBrackets:
 
     def test_q_jacobi_small_for_reduced_r(self):
         phis = [g_entry(self.s, 1, 2), g_entry(self.s, 0, 1), g_entry(self.s, 2, 0)]
-        (res,) = q_jacobi_residual(self.s, self.rfun, self.qpt, [phis])
+        ((res,),) = q_jacobi_residual(self.s, self.rfun, [self.qpt], [[phis]])
         assert res <= 1e-12
 
     def test_p_jacobi_small_for_reduced_r(self):
         phis = [g_entry(self.s, 1, 2), g_entry(self.s, 0, 1), g_entry(self.s, 2, 0)]
-        (res,) = p_jacobi_residual(self.s, self.rfun, self.ppt, [phis])
+        ((res,),) = p_jacobi_residual(self.s, self.rfun, [self.ppt], [[phis]])
         assert res <= 1e-12
 
     def test_jacobi_of_constants_vanishes(self):
         const = self._zero("g", 3)
-        (res,) = q_jacobi_residual(self.s, self.rfun, self.qpt, [(const, const, const)])
+        ((res,),) = q_jacobi_residual(self.s, self.rfun, [self.qpt], [[(const, const, const)]])
         assert res == 0.0
 
     def test_corrupted_r_breaks_q_jacobi(self):
         a, b = largest_entry(self.rfun(self.lam).value)
         bad = sign_flipped_rfun(self.rfun, int(a), int(b))
         phis = [g_entry(self.s, 1, 2), g_entry(self.s, 0, 1), g_entry(self.s, 2, 0)]
-        (res,) = q_jacobi_residual(self.s, bad, self.qpt, [phis])
+        ((res,),) = q_jacobi_residual(self.s, bad, [self.qpt], [[phis]])
         assert res > 1e-2
 
 
@@ -301,7 +302,8 @@ class TestRestrictedDualEntries:
         for w in words:
             idx = rng.integers(0, dim2, (10, 4))
             pairs = [(dual_entry(S, a, b), dual_entry(S, c, d)) for a, b, c, d in idx]
-            got = native_hstar_bracket(S, w, *pair_gradients(S, w, pairs))
+            g1, g2 = pair_gradients(S, w, pairs)
+            (got,) = native_hstar_bracket(S, [w], g1[None], g2[None])
             sw = sub_double_word(S, w)
             want = np.array([pb_dual(sw, AdEntry(a, b), AdEntry(c, d), 1e-5) for a, b, c, d in idx])
             assert float(np.max(np.abs(got - want))) <= 1e-8
@@ -345,6 +347,23 @@ class TestResidualReport:
         assert np.isnan(r.max_residual)
         assert not r.passed
 
+    @pytest.mark.parametrize("direction,good", [("upper", 1e-3), ("lower", 0.5)])
+    def test_regression_array_of_residuals(self, direction, good):
+        # the stacked sections hand their residuals over as arrays, and
+        # "if residuals" raised ValueError on an array of two or more
+        where, tol = [[1.0], [2.0]], 1e-2
+        r = verify_module._report("X", where, np.array([good, 2 * good]), tol, direction)
+        assert r.max_residual == 2 * good
+        assert r.per_point == (([1.0], good), ([2.0], 2 * good))
+        assert r.passed
+        r = verify_module._report("X", where, np.array([good, np.nan]), tol, direction)
+        assert np.isnan(r.max_residual) and not r.passed
+
+    def test_regression_empty_array_of_residuals(self):
+        # an empty array raised ValueError too; no point has the maximum 0.0
+        r = verify_module._report("X", [], np.array([]), 1e-2)
+        assert r.per_point == () and r.max_residual == 0.0 and r.passed
+
 
 class TestRunSuite:
     def test_all_suites_pass_on_dj(self):
@@ -364,20 +383,23 @@ class TestRunSuite:
         ("dirac", "constraint_pb_check", "CONSTRAINT_PB", np.nan),
     ])
     def test_nan_at_a_point_fails_its_equation(self, monkeypatch, suite, name, eq, value):
-        # from the second point on, behind a finite first point: the builtin
-        # max dropped a NaN that was not its first argument
+        # from the second point of the stack on, behind a finite first
+        # point: the builtin max dropped a NaN that was not its first argument
         e = get_entry("sl3_dj_levi")
         S = e.setup()
         original, calls = getattr(verify_module, name), []
 
         def late_nan(*args):
             calls.append(args)
-            out = original(*args)
-            return out if len(calls) < 2 else out + value
+            out = np.array(original(*args))
+            out[1:] += value
+            return out
 
         monkeypatch.setattr(verify_module, name, late_nan)
         reports, _ = run_suite(S, suite, e.num_points, e.seed)
         (report,) = [r for r in reports if r.equation_id == eq]
+        assert len(calls) == 1 and len(calls[0][1 if suite == "dirac" else 2]) > 1
+        assert np.isfinite(report.per_point[0][1])
         assert np.isnan(report.max_residual)
         assert not report.passed
 
