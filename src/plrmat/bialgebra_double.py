@@ -402,8 +402,8 @@ class ReductionSetup:
 
     @cached_property
     def _cmatrices(self) -> weakref.WeakKeyDictionary:
-        """reduction.constraint_matrix's memo for this setup: word -> its CMatrix,
-        each entry held while its word lives."""
+        """reduction.constraint_matrix's memo for this setup: word -> its row,
+        a CMatrix stack of one, each entry held while its word lives."""
         return weakref.WeakKeyDictionary()
 
     @cached_property

@@ -19,11 +19,7 @@ from .errors import (
     SpecFileError,
     UnknownEntryError,
 )
-from .reduction import (
-    constraint_matrix,
-    rho,
-    sample_hstar_points,
-)
+from .reduction import sample_hstar_points
 from .specio import (
     _check_sampling,
     _check_tolerances,
@@ -91,10 +87,10 @@ def _diagnostic(exc: Exception) -> str:
     return dumps_canonical(doc)
 
 
-def _describe_points(setup, words):
+def _describe_points(sample):
     return [
-        {"index": k, "factors": describe_word(w), "cond": constraint_matrix(setup, w).cond}
-        for k, w in enumerate(words)
+        {"index": k, "factors": describe_word(w), "cond": cond}
+        for k, (w, cond) in enumerate(zip(sample.words, sample.cond.tolist()))
     ]
 
 
@@ -136,16 +132,13 @@ def cmd_reduce(args) -> int:
     setup = build_setup(parsed)
     tol = parsed["tolerances"]
     sampling = parsed["sampling"]
-    words = sample_hstar_points(
+    sample = sample_hstar_points(
         setup, sampling["num_points"], sampling["seed"], sampling["box_radius"]
     )
-    points = _describe_points(setup, words)
-    dump = []
-    for k, w in enumerate(words):
-        # with no base r, r* = r + rho is rho itself: one read-only array
-        # under both keys, which the serialiser formats once
-        value = rho(setup, w)
-        dump.append({"index": k, "rho": value, "r_star": value})
+    points = _describe_points(sample)
+    # with no base r, r* = r + rho is rho itself: one read-only array under
+    # both keys, which the serialiser formats once
+    dump = [{"index": k, "rho": value, "r_star": value} for k, value in enumerate(sample.solved[0])]
     doc = report_document(
         input_digest(raw),
         {"command": "reduce", "sampling": sampling, "tolerances": tol},
@@ -163,7 +156,7 @@ def cmd_verify(args) -> int:
     setup = build_setup(parsed)
     tol = parsed["tolerances"]
     sampling = parsed["sampling"]
-    reports, words = run_suite(
+    reports, sample = run_suite(
         setup,
         args.suite,
         num_points=sampling["num_points"],
@@ -171,7 +164,7 @@ def cmd_verify(args) -> int:
         box_radius=sampling["box_radius"],
         residual=tol["residual"],
     )
-    points = _describe_points(setup, words)
+    points = _describe_points(sample)
     doc = report_document(
         input_digest(raw),
         {

@@ -22,34 +22,22 @@ Evaluation is a few dense products per point: the moved basis Ad_λ M^i is
 one product of the K columns of Ad_λ with M_in_Kᵀ, its components are
 products with the splitting maps the ReductionSetup holds (Mdual for the
 M-part, M_in_K for the M*-part), both forms of C are one product each, and
-rho is one solve against C.  The CMatrix of a point is
-built once per (setup, word) and memoised weakly; every consumer reads the
-point's solve, Ad_λ^{-1}, N_i, Ad velocity and rho jet from it.  rho and its
-derivatives are plain (dim G, dim G) arrays, and every array a CMatrix holds
-or caches is read-only, so no caller can change what a later call returns.
+rho is one solve against C.  rho and its derivatives are plain
+(dim G, dim G) arrays, and every array a CMatrix holds or makes is
+read-only, so no caller can change what a later call returns.
 
-sample_hstar_points evaluates a block of draws as one stacked pass: one
-expm over the stack of their ad matrices, every product, the SVD and the
-maxima of C over the stack, and one solve for rho over the accepted
-points, filled into each point's CMatrix.  A draw that may be numerically
-singular (bounds.MAX_AD_COND) is a miss before its expm, and a slice whose
-Ad or C is not finite has cond inf.  A single word (hstar_word,
-constraint_matrix on a word not yet seen) is the stack of one, through the
-same kernels, so a point's Ad, C and rho do not depend on how it was made.
-
-The suites take a sample on a points axis too.  fill_caches makes the rho
-jet, Ad_λ^{-1}, N_i and Ad velocity of every point of a sample in one
-stacked product, solve or inverse each, and fills them into the points'
-CMatrix; a point asked for one on its own makes it as a stack of one,
-through the same kernel.  The equations (rho_via_n, the inverse-operator
-and characterization residuals, the Dirac and native brackets and the
-constraint check) take a sequence of words, with each word's inputs
-stacked on a leading axis, and return one result per word.  Every stacked
-product keeps each slice's shape and layout, so a point's numbers do not
-depend on the points stacked with it, and an error names the first
-offending point in order.  No stacked array passes the sampler's bound of
-bounds.MAX_NUM_POINTS Ad matrices on the double: a caller takes a larger
-sample in chunks (_point_chunks), whose size follows from the shapes alone.
+A CMatrix is a stack of points (see its docstring).  sample_hstar_points
+evaluates a block of draws in one stacked pass, tests each candidate
+through constraint_matrix, whose weak memo holds one row per (setup,
+word), and returns the accepted points as one stack.  The equations take
+a stack, with each point's inputs stacked on a leading axis, and return
+one result per point; rho and rho_jet at a single word are the stack of
+one, through the same kernels.  Every stacked product keeps each slice's
+shape and layout, so a point's numbers do not depend on the points
+stacked with it, and an error names the first offending point in order.
+No stacked array passes the sampler's bound of bounds.MAX_NUM_POINTS Ad
+matrices on the double: a caller takes a larger sample in chunks, C[part]
+for the parts _point_chunks cuts from the shapes alone.
 
 rho is antisymmetric and supported on M⊗M, and can equivalently be written
 as -Σ_i N_i(λ) ⊗ M^i = Σ_i M^i ⊗ N_i(λ) through the unique vectors N_i(λ)
@@ -75,7 +63,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -99,132 +86,168 @@ def _bound_text(x: float) -> str:
 
 @dataclass(frozen=True, eq=False)
 class CMatrix:
-    """Constraint-bracket matrix at a point, with its conditioning data.
+    """The constraint-bracket matrices of a stack of points, with their
+    conditioning data, every field on a leading points axis.
 
-    Its solve, Ad_λ^{-1}, N_i, Ad velocity and rho jet are filled for a whole
-    sample by the sampler and fill_caches, or made on first use as a stack of
-    one; it holds the word's Ad matrix but never the word, which keys its memo.
+    Its derived data is made on first use, one stacked kernel over the whole
+    stack, and kept on it; C[idx], for a slice or an index array, is the
+    sub-stack of those points, with whatever this stack has made, sliced.
+    A row of the setup's memo has the word None, since its word keys it.
     """
 
     setup: ReductionSetup = field(repr=False)
+    words: tuple = field(repr=False)
     ad: np.ndarray = field(repr=False)  # Ad_λ on the double
     entries: np.ndarray
-    cond: float
-    antisym_residual: float
-    form_agreement: float
+    cond: np.ndarray
+    antisym_residual: np.ndarray
+    form_agreement: np.ndarray
     m_parts: np.ndarray  # rows: (Ad_λ M^i)_M in K coordinates
     kstar_parts: np.ndarray  # rows: (Ad_λ M^i)_{K*} in dual K coordinates
+    _made: dict = field(default_factory=dict, init=False, repr=False)
 
-    @property
-    def m(self) -> int:
-        return self.entries.shape[0]
+    def __len__(self) -> int:
+        return len(self.ad)
+
+    def __getitem__(self, idx) -> CMatrix:
+        if isinstance(idx, slice):  # a slice of a read-only stack is a read-only view
+            sub = CMatrix(self.setup, self.words[idx], *(a[idx] for a in self._arrays()))
+        else:
+            words = tuple(self.words[i] for i in idx)
+            sub = CMatrix(self.setup, words, *(_take(a, idx) for a in self._arrays()))
+        sub._made.update((name, _take(value, idx)) for name, value in self._made.items())
+        return sub
+
+    def _arrays(self) -> tuple:
+        """The fields with a points axis, in the order of the constructor."""
+        return (self.ad, self.entries, self.cond, self.antisym_residual,
+                self.form_agreement, self.m_parts, self.kstar_parts)
 
     def diagnosis(self) -> str:
-        """Why the point is not second class under the setup's
-        cond_threshold, or "ok" where it is."""
-        if self.m == 0:
-            return "ok"
-        if self.m % 2 == 1:
-            return (
-                f"odd-dimensional complement (dim M = {self.m}); an antisymmetric "
-                "matrix of odd size is always singular"
-            )
-        threshold = self.setup.cond_threshold
-        if not math.isfinite(self.cond) or self.cond > threshold:
-            return f"condition number {self.cond:.3e} exceeds threshold {threshold:.1e}"
-        return "ok"
+        """Why the first point that is not second class under the setup's
+        cond_threshold is not, or "ok" where every point is."""
+        return _diagnosis(self.setup, self)
 
-    @cached_property
+    def _once(self, name: str, kernel):
+        made = self._made
+        if name not in made:
+            made[name] = kernel(self.setup, self)
+        return made[name]
+
+    @property
     def solved(self) -> tuple:
-        """(rho, X) with X = C⁻¹a by one solve, for the rows a = (Ad_λ M^i)_M over G.
+        """(rho, X) with X = C⁻¹a by one solve, for the rows a = (Ad_λ M^i)_M over G."""
+        return self._once("solved", _solve_points)
 
-        Sampled points have it filled by sample_hstar_points; any other
-        point solves as a stack of one.
-        """
-        if self.m == 0:
-            dim_g = self.setup.G.dim
-            return _freeze(np.zeros((dim_g, dim_g))), None
-        return _solve_points(self.setup, [self])[0]
-
-    @cached_property
+    @property
     def velocity(self) -> np.ndarray:
-        """(2p, 2n, 2n): Ad_λ's velocity along the left, then right, H* translations."""
-        return _velocities(self.setup, [self])[0]
+        """(points, 2p, 2n, 2n): Ad_λ's velocity along the left, then right, H* translations."""
+        return self._once("velocity", _velocities)
 
-    @cached_property
+    @property
     def jet(self) -> RhoJet:
         """rho with its exact derivatives along the H* basis (see rho_jet)."""
-        return _jets(self.setup, [self])[0]
+        return self._once("jet", _jets)
 
-    @cached_property
+    @property
     def ad_inverse(self) -> np.ndarray:
         """Ad_λ^{-1} on the double."""
-        return _ad_inverses(self.setup, [self])[0]
+        return self._once("ad_inverse", _ad_inverses)
 
-    @cached_property
+    @property
     def n_matrix(self) -> np.ndarray:
         """The unique N_i in M with Ad_λ^{-1} M_i = (Ad_λ^{-1} N_i)_{M*}, as rows.
 
         One row per dual basis element M_i, in K coordinates (see _n_matrices).
         """
-        return _n_matrices(self.setup, [self])[0]
+        return self._once("n_matrix", _n_matrices)
 
 
-def _second_class_matrices(S: ReductionSetup, words) -> list:
-    """_second_class_matrix of each word, in order."""
-    return [_second_class_matrix(S, w) for w in words]
+def _take(a, idx):
+    """The rows of a stack that idx picks, read-only: a slice or an index
+    views a read-only stack, and an index array's copy is made so.  For a
+    tuple of stacks or a RhoJet, the rows of each."""
+    if isinstance(a, np.ndarray):
+        a = a[idx]
+        if isinstance(idx, np.ndarray):
+            a.setflags(write=False)
+        return a
+    if isinstance(a, RhoJet):
+        return RhoJet(_take(a.value, idx), _take(a.left, idx), _take(a.right, idx))
+    return tuple(_take(x, idx) for x in a)
 
 
-def _gather(cmats: list, attr: str) -> np.ndarray:
-    """One attribute of each CMatrix, stacked in order."""
-    return np.array([getattr(C, attr) for C in cmats])
+def _diagnosis(S: ReductionSetup, C: CMatrix) -> str:
+    """CMatrix.diagnosis of C under S.cond_threshold."""
+    m = C.entries.shape[-1]
+    if m == 0:
+        return "ok"
+    if m % 2 == 1:
+        return (
+            f"odd-dimensional complement (dim M = {m}); an antisymmetric "
+            "matrix of odd size is always singular"
+        )
+    threshold = S.cond_threshold
+    for cond in C.cond.tolist():
+        if not math.isfinite(cond) or cond > threshold:
+            return f"condition number {cond:.3e} exceeds threshold {threshold:.1e}"
+    return "ok"
 
 
-def _velocities(S: ReductionSetup, cmats: list) -> np.ndarray:
-    """CMatrix.velocity of every point in cmats, as one read-only stack."""
-    ad = _gather(cmats, "ad")[:, None]
+def _second_class(S: ReductionSetup, C: CMatrix) -> CMatrix:
+    """C, once each of its points is second class under S.cond_threshold,
+    which is checked on every request; CDegenerateError for the first that
+    is not."""
+    diag = _diagnosis(S, C)
+    if diag != "ok":
+        raise CDegenerateError(f"constraint matrix degenerate: {diag}")
+    return C
+
+
+def _velocities(S: ReductionSetup, C: CMatrix) -> np.ndarray:
+    """CMatrix.velocity: one stacked product, read-only."""
+    ad = C.ad[:, None]
     ads = S.hstar_ads
     v = np.concatenate([ads @ ad, ad @ ads], axis=1)
     v.setflags(write=False)
     return v
 
 
-def _jets(S: ReductionSetup, cmats: list) -> list:
-    """CMatrix.jet of every point in cmats, from one stacked pass (see rho_jet)."""
-    if S.dim_M == 0:
-        return [RhoJet.zero(S.dim_H, S.G.dim)] * len(cmats)
-    x = np.array([C.solved[1] for C in cmats])[:, None]
-    d_m, d_kstar = _moved_basis(S, _gather(cmats, "velocity"))
-    # kstar_parts.T keeps the layout of the sampler's stack in every product
-    kstar_t = np.array([C.kstar_parts.T for C in cmats])[:, None]
-    m_parts = _gather(cmats, "m_parts")[:, None]
+def _jets(S: ReductionSetup, C: CMatrix) -> RhoJet:
+    """CMatrix.jet, from one stacked pass (see rho_jet)."""
+    values, x = C.solved
+    x = x[:, None]
+    d_m, d_kstar = _moved_basis(S, C.velocity)
+    # a contiguous kstar_parts.T keeps the layout of the sampler's stack in every product
+    kstar_t = np.ascontiguousarray(np.swapaxes(C.kstar_parts, -1, -2))[:, None]
+    m_parts = C.m_parts[:, None]
     d_c = d_m @ kstar_t + m_parts @ np.swapaxes(d_kstar, -1, -2)
     t = np.swapaxes(S.K_to_G(d_m), -1, -2) @ x  # a'ᵀX
     d_rho = t - np.swapaxes(t, -1, -2) + np.swapaxes(x, -1, -2) @ d_c @ x
     d_rho.setflags(write=False)
     p = S.dim_H
-    return [RhoJet(C.solved[0], d[:p], d[p:]) for C, d in zip(cmats, d_rho)]
+    return RhoJet(values, d_rho[:, :p], d_rho[:, p:])
 
 
-def _ad_inverses(S: ReductionSetup, cmats: list) -> np.ndarray:
-    """CMatrix.ad_inverse of every point in cmats, by one stacked inverse."""
-    inv = np.linalg.inv(_gather(cmats, "ad"))
+def _ad_inverses(S: ReductionSetup, C: CMatrix) -> np.ndarray:
+    """CMatrix.ad_inverse, by one stacked inverse."""
+    inv = np.linalg.inv(C.ad)
     inv.setflags(write=False)
     return inv
 
 
-def _n_matrices(S: ReductionSetup, cmats: list) -> np.ndarray:
-    """CMatrix.n_matrix of every point in cmats, by one stacked solve.
+def _n_matrices(S: ReductionSetup, C: CMatrix) -> np.ndarray:
+    """CMatrix.n_matrix, by one stacked solve.
 
     All N_i of a point come from one solve against its moved complement
     basis; the defining relation is verified to bounds.N_RELATION_TOL for
-    each of them after the solve.  The first point in cmats whose basis is
+    each of them after the solve.  The first point of C whose basis is
     numerically singular, or whose relation fails, raises.
     """
     n, m = S.n, S.dim_M
     if m == 0:
-        return _freeze(np.zeros((len(cmats), 0, n)))
-    inv_ad = _gather(cmats, "ad_inverse")
+        return _freeze(np.zeros((len(C), 0, n)))
+    inv_ad = C.ad_inverse
     # column j: M*-coordinates of (Ad^{-1} M^j)_{M*}
     e_mat = S.M_in_K @ inv_ad[:, n:, :n] @ S.M_in_K.T
     # solvability guard only: every reader enforces second-class membership
@@ -234,7 +257,7 @@ def _n_matrices(S: ReductionSetup, cmats: list) -> np.ndarray:
         singular = np.flatnonzero((s[:, -1] <= 0.0) | (s[:, 0] / s[:, -1] > bounds.N_SOLVE_COND))
     # the points before the first singular one are solved and checked first,
     # so an error names the first offending point in order
-    k = singular[0] if singular.size else len(cmats)
+    k = singular[0] if singular.size else len(C)
     e_mat, inv_ad = e_mat[:k], inv_ad[:k]
     # column i: Ad^{-1} M_i in the double, and its M*-coordinates
     targets = inv_ad[:, :, n:] @ S.Mdual.T
@@ -256,32 +279,6 @@ def _n_matrices(S: ReductionSetup, cmats: list) -> np.ndarray:
         )
     N.setflags(write=False)
     return N
-
-
-def fill_caches(S: ReductionSetup, words, names) -> None:
-    """Fill the named caches of each word's CMatrix for the whole sample at
-    once: one stacked product, solve or inverse per cache, in chunks that
-    keep each stack within the sampler's per-array bound (_point_chunks).
-    A point that holds a cache keeps it.  The caches are filled in the
-    order listed below, so the jet reads the filled velocities and the N_i
-    the filled inverses; name those too, or each point makes its own.
-    """
-    cmats = _second_class_matrices(S, words)
-    # the largest stack a kernel makes per point: a velocity or rho jet
-    # stack, or one (2n, 2n) Ad matrix
-    big = max(2 * S.n, S.G.dim) ** 2
-    for name, kernel, per_point in (
-        ("velocity", _velocities, 2 * S.dim_H * big),
-        ("jet", _jets, 2 * S.dim_H * big),
-        ("ad_inverse", _ad_inverses, big),
-        ("n_matrix", _n_matrices, big),
-    ):
-        if name not in names:
-            continue
-        todo = [C for C in cmats if name not in C.__dict__]
-        for part in _point_chunks(S, len(todo), per_point):
-            for C, value in zip(todo[part], kernel(S, todo[part])):
-                C.__dict__[name] = value
 
 
 def _point_chunks(S: ReductionSetup, count: int, per_point: int) -> list:
@@ -306,14 +303,15 @@ def _moved_basis(S: ReductionSetup, ad: np.ndarray):
     return m_parts, np.swapaxes(moved[..., n:, :], -1, -2)
 
 
-def _build_constraint_matrices(S: ReductionSetup, ads: np.ndarray):
+def _build_constraint_matrices(S: ReductionSetup, ads: np.ndarray) -> tuple:
     """Evaluate C at each point of a (B, 2n, 2n) stack of adjoint matrices.
 
     Every product, the SVD and the maxima run once over the whole stack;
     each slice goes through the same kernels as a stack of one, so a
-    point's C does not depend on the draws it was evaluated with.  Yields
-    one CMatrix per slice, in order, raising ConsistencyError when the slice
-    reached disagrees between the two pairing forms.
+    point's C does not depend on the draws it was evaluated with.  Returns
+    (block, disagree): the stack, whose words are None, and for each slice
+    whether its two pairing forms disagree, which _row raises for when the
+    slice is reached.
     """
     m = S.dim_M
     # a slice whose Ad or C is not finite has cond inf and never reaches the
@@ -338,85 +336,73 @@ def _build_constraint_matrices(S: ReductionSetup, ads: np.ndarray):
         s = np.linalg.svd(c_a if finite.all() else c_a[finite], compute_uv=False)
         with np.errstate(divide="ignore"):
             cond[finite] = np.where(s[:, -1] > 0.0, np.maximum(s[:, 0], 1.0) / s[:, -1], np.inf)
-    # in place, no copy: each CMatrix holds read-only slices of the stacks
-    for a in (c_a, m_parts, kstar_parts):
+    # in place, no copy: each row holds read-only slices of the stacks
+    for a in (c_a, m_parts, kstar_parts, cond, anti, agree):
         a.setflags(write=False)
-    for b in range(len(ads)):
-        if agree[b] > bounds.FORM_AGREE_TOL * scale[b]:
-            raise ConsistencyError(
-                f"the two pairing forms of C disagree by {agree[b]:.3e}"
-            )
-        yield CMatrix(
-            setup=S,
-            ad=ads[b],
-            entries=c_a[b],
-            cond=float(cond[b]),
-            antisym_residual=float(anti[b]),
-            form_agreement=float(agree[b]),
-            m_parts=m_parts[b],
-            kstar_parts=kstar_parts[b],
+    block = CMatrix(S, (None,) * len(ads), ads, c_a, cond, anti, agree, m_parts, kstar_parts)
+    return block, agree > bounds.FORM_AGREE_TOL * scale
+
+
+def _row(block: CMatrix, disagree: np.ndarray, b: int) -> CMatrix:
+    """Slice b of a block of _build_constraint_matrices as a memo row, a stack
+    of one without its word; ConsistencyError where its pairing forms disagree."""
+    if disagree[b]:
+        raise ConsistencyError(
+            f"the two pairing forms of C disagree by {block.form_agreement[b]:.3e}"
         )
+    return CMatrix(block.setup, (None,), *(a[b:b + 1] for a in block._arrays()))
 
 
 def constraint_matrix(S: ReductionSetup, word: GroupWord) -> CMatrix:
-    """The constraint-bracket matrix C at the given word, with its per-point data.
+    """The constraint-bracket matrix C at the given word, as a stack of one.
 
-    One CMatrix per (setup, word), built on the first request (for sampled
-    points, by sample_hstar_points with the rest of its block) and held in
-    the setup's memo while the word lives.  Degeneracy is recorded, not raised;
-    use check_second_class or rho to act on it.  The two equivalent pairing
-    forms of C are both computed and must agree to bounds.FORM_AGREE_TOL.
+    One row per (setup, word), built on the first request (for sampled
+    points, by sample_hstar_points with its block, then a view of the
+    sample's row) and held in the setup's memo while the word lives.
+    Degeneracy is recorded, not raised; use check_second_class or rho to act
+    on it.  The two equivalent pairing forms of C are both computed and must
+    agree to bounds.FORM_AGREE_TOL.
     """
     memo = S._cmatrices
     C = memo.get(word)
     if C is None:
-        C = memo[word] = next(_build_constraint_matrices(S, word.ad[None]))
+        C = memo[word] = _row(*_build_constraint_matrices(S, word.ad[None]), 0)
     return C
 
 
 def check_second_class(C: CMatrix) -> bool:
     """Membership test for the open set where the constraints are second class,
-    under the cond_threshold of C's setup."""
+    at every point of C, under the cond_threshold of C's setup."""
     return C.diagnosis() == "ok"
-
-
-def _second_class_matrix(S: ReductionSetup, word: GroupWord) -> CMatrix:
-    """constraint_matrix at word; CDegenerateError unless second class under
-    S.cond_threshold, which is checked on every request."""
-    C = constraint_matrix(S, word)
-    diag = C.diagnosis()
-    if diag != "ok":
-        raise CDegenerateError(f"constraint matrix degenerate: {diag}")
-    return C
 
 
 def rho(S: ReductionSetup, word: GroupWord) -> np.ndarray:
     """The reduced dynamical r-matrix at λ, as an antisymmetric (dim G, dim G) array.
 
     rho = Σ_ij (C^{-1})_ij (Ad_λ M^i)_M ⊗ (Ad_λ M^j)_M, computed with a
-    linear solve against C rather than an explicit inverse.
+    linear solve against C rather than an explicit inverse.  The word's
+    stack of one is its own, so nothing is kept on its memo row.
     """
-    return _second_class_matrix(S, word).solved[0]
+    return _second_class(S, constraint_matrix(S, word)[:]).solved[0][0]
 
 
 @dataclass(frozen=True, eq=False)
 class RhoJet:
-    """rho at a point of the dual of H, with its first derivatives.
+    """rho at a stack of points of the dual of H, with its first derivatives.
 
-    left[a] and right[a] are the derivatives of rho along λ ↦ exp(t·H^a)·λ
-    and λ ↦ λ·exp(t·H^a) at t = 0, for the H* basis H^a (the rows of Hdual),
-    each a (dim G, dim G) array; a derivative along Σ_a y_a H^a is the same
-    combination of them.
+    value[b] is rho at point b, and left[b, a] and right[b, a] are its
+    derivatives along λ ↦ exp(t·H^a)·λ and λ ↦ λ·exp(t·H^a) at t = 0, for
+    the H* basis H^a (the rows of Hdual), each a (dim G, dim G) array; a
+    derivative along Σ_a y_a H^a is the same combination of them.  jet[idx]
+    takes the points idx picks, and jet[b] is point b's jet alone.
     """
 
     value: np.ndarray
     left: np.ndarray
     right: np.ndarray
 
-    @staticmethod
-    def zero(dim_h: int, dim_g: int) -> "RhoJet":
-        d = _freeze(np.zeros((dim_h, dim_g, dim_g)))
-        return RhoJet(_freeze(np.zeros((dim_g, dim_g))), d, d)
+    def __getitem__(self, idx) -> RhoJet:
+        return _take(self, idx)
 
 
 def rho_jet(S: ReductionSetup, word: GroupWord) -> RhoJet:
@@ -433,13 +419,14 @@ def rho_jet(S: ReductionSetup, word: GroupWord) -> RhoJet:
     and a few products per direction.  C' is read through the form
     << (A M^i)_M, A M^j >>, which equals the other form of C for every
     matrix A, since M pairs to zero with H*.  The value is rho's, bit for bit.
+    The jet of a stack is CMatrix.jet, made once over the stack.
     """
-    return _second_class_matrix(S, word).jet
+    return _second_class(S, constraint_matrix(S, word)[:]).jet[0]
 
 
-def rho_via_n(S: ReductionSetup, words) -> np.ndarray:
-    """rho recomputed from the N_i as -Σ N_i ⊗ M^i at each word, a
-    (len(words), dim G, dim G) stack.
+def rho_via_n(S: ReductionSetup, C: CMatrix) -> np.ndarray:
+    """rho recomputed from the N_i as -Σ N_i ⊗ M^i at each point of C, a
+    (len(C), dim G, dim G) stack.
 
     The other product order, +Σ M^i ⊗ N_i, is the transpose of this one with
     its sign flipped, so the two orders agree exactly when the result is
@@ -449,7 +436,7 @@ def rho_via_n(S: ReductionSetup, words) -> np.ndarray:
     separately.  The N_i come from Ad_λ^{-1}, never from the solve against C
     that gives rho.
     """
-    n_g = S.K_to_G(_gather(_second_class_matrices(S, words), "n_matrix"))
+    n_g = S.K_to_G(_second_class(S, C).n_matrix)
     m_g = S.K_to_G(S.M_in_K)
     a = -(np.swapaxes(n_g, -1, -2) @ m_g)
     anti = np.abs(a + np.swapaxes(a, -1, -2)).max(axis=(1, 2), initial=0.0)
@@ -466,39 +453,39 @@ def rho_via_n(S: ReductionSetup, words) -> np.ndarray:
     return a
 
 
-def constraint_inverse_operator_residual(S: ReductionSetup, words) -> np.ndarray:
-    """Residual of the identity sending M_k to -N_k through C^{-1}, one per word.
+def constraint_inverse_operator_residual(S: ReductionSetup, C: CMatrix) -> np.ndarray:
+    """Residual of the identity sending M_k to -N_k through C^{-1}, one per point.
 
     The operator Σ_ij (C^{-1})_ij (Ad M^i)_M <M_k, (Ad M^j)_M> must equal
     -N_k for every k; with M = 0 there is no k, and every λ is second class.
     """
     if S.dim_M == 0:
-        return np.zeros(len(words))
-    cmats = _second_class_matrices(S, words)
-    m_parts = _gather(cmats, "m_parts")
+        return np.zeros(len(C))
+    C = _second_class(S, C)
+    m_parts = C.m_parts
     # column k: Σ_j (C^{-1})_ij <M_k, (Ad M^j)_M>
-    coeffs = np.linalg.solve(_gather(cmats, "entries"), m_parts @ S.Mdual.T)
-    residual = np.swapaxes(coeffs, -1, -2) @ m_parts + _gather(cmats, "n_matrix")
+    coeffs = np.linalg.solve(C.entries, m_parts @ S.Mdual.T)
+    residual = np.swapaxes(coeffs, -1, -2) @ m_parts + C.n_matrix
     return np.abs(residual).max(axis=(1, 2))
 
 
-def characterization_identity_residual(S: ReductionSetup, words, u, v) -> np.ndarray:
-    """Residual of the pairing identity characterizing the rho family, one per word.
+def characterization_identity_residual(S: ReductionSetup, C: CMatrix, u, v) -> np.ndarray:
+    """Residual of the pairing identity characterizing the rho family, one per point.
 
     << (λ^{-1}uλ)_M, λ^{-1}vλ >> = Σ_i << (λ^{-1}uλ)_M, λ^{-1}M^iλ >> ·
                                         << (λ^{-1}vλ)_M, λ^{-1}N_iλ >>
-    for u, v in M.  u and v are (len(words), k, n) stacks of such vectors in
-    K coordinates, one (u, v) pair per row of a word's slice: the largest
-    residual over a word's pairs is its result.
+    for u, v in M.  u and v are (len(C), k, n) stacks of such vectors in
+    K coordinates, one (u, v) pair per row of a point's slice: the largest
+    residual over a point's pairs is its result.
     """
     n = S.n
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    if u.ndim != 3 or u.shape[0] != len(words) or u.shape[2] != n or v.shape != u.shape:
+    if u.ndim != 3 or u.shape[0] != len(C) or u.shape[2] != n or v.shape != u.shape:
         raise InputShapeError(
-            f"u and v must be per-word stacks of the same rows of {n} K coordinates"
+            f"u and v must be per-point stacks of the same rows of {n} K coordinates"
         )
-    cmats = _second_class_matrices(S, words)
-    N, inv_ad = _gather(cmats, "n_matrix"), _gather(cmats, "ad_inverse")
+    C = _second_class(S, C)
+    N, inv_ad = C.n_matrix, C.ad_inverse
     move = np.swapaxes(inv_ad[:, :, :n], -1, -2)  # K row -> its image under Ad_λ^{-1}
     to_m = S.Mdual.T @ S.M_in_K  # K row -> its M-part
     pu, pv = u @ move, v @ move
@@ -544,23 +531,23 @@ def hstar_word(S: ReductionSetup, coords) -> GroupWord:
     return _hstar_words(S, coords, _hstar_generators(S, coords))[0][0]
 
 
-def _row_gradients(S: ReductionSetup, words, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """(len(words), k, 2p): the gradients at each word of the functions l·Ad·r,
+def _row_gradients(S: ReductionSetup, C: CMatrix, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(len(C), k, 2p): the gradients at each point of the functions l·Ad·r,
     one per row l of its slice of left and r of right: grad, then grad', over
     the H* basis.
 
     Every entry is l·V·r for a velocity V of Ad_λ, so one contraction of the
-    stacked rows serves all functions of all words.  Both gradients lie in H.
+    stacked rows serves all functions of all points.  Both gradients lie in H.
     """
-    v = _gather([constraint_matrix(S, w) for w in words], "velocity")
+    v = C.velocity
     return np.swapaxes(np.sum((left[:, None] @ v) * right[:, None], axis=-1), -1, -2)
 
 
-def dirac_bracket(S: ReductionSetup, words, grad1, grad2) -> np.ndarray:
-    """The Dirac bracket {F1, F2}* at each word for each row of its slice of
-    grad1 and grad2, a (len(words), k) array.
+def dirac_bracket(S: ReductionSetup, C: CMatrix, grad1, grad2) -> np.ndarray:
+    """The Dirac bracket {F1, F2}* at each point of C for each row of its
+    slice of grad1 and grad2, a (len(C), k) array.
 
-    grad1 and grad2 are (len(words), k, p) stacks of grad F1 and grad' F2
+    grad1 and grad2 are (len(C), k, p) stacks of grad F1 and grad' F2
     over the H* basis (_row_gradients), for functions on the dual of H
     extended to the ambient dual group as constant along exp(M*) and
     bracketed there, with the full second-class correction assembled from
@@ -568,38 +555,38 @@ def dirac_bracket(S: ReductionSetup, words, grad1, grad2) -> np.ndarray:
     of grad1.  One stacked solve against C serves every row.  The result
     must match native_hstar_bracket to roundoff at second-class points.
     """
-    cmats = _second_class_matrices(S, words)
+    C = _second_class(S, C)
     n = S.n
     g1, g2p = grad1 @ S.H_in_K, grad2 @ S.H_in_K
     # column k: K*-part of Ad_λ grad' f2 for row k; a K vector pairs with
     # the K*-part of its partner
-    moved_g2 = _gather(cmats, "ad")[:, n:, :n] @ np.swapaxes(g2p, -1, -2)
+    moved_g2 = C.ad[:, n:, :n] @ np.swapaxes(g2p, -1, -2)
     plain = np.sum(np.swapaxes(g1, -1, -2) * moved_g2, axis=-2)
     if S.dim_M == 0:
         return plain
     # {ξ_j, f2} = << (Ad_λ M^j)_M, Ad_λ grad' f2 >>
-    b2 = _gather(cmats, "m_parts") @ moved_g2
-    b1 = constraint_pb_check(S, words, grad1)
-    x = np.linalg.solve(_gather(cmats, "entries"), b2)
+    b2 = C.m_parts @ moved_g2
+    b1 = constraint_pb_check(S, C, grad1)
+    x = np.linalg.solve(C.entries, b2)
     return plain - np.sum(np.swapaxes(b1, -1, -2) * x, axis=-2)
 
 
-def native_hstar_bracket(S: ReductionSetup, words, grad1, grad2) -> np.ndarray:
+def native_hstar_bracket(S: ReductionSetup, C: CMatrix, grad1, grad2) -> np.ndarray:
     """{F1, F2} computed in the double of (H, H*) for each row: the oracle side.
 
     The dual-group bracket << grad f1, Ad (grad' f2) >> with Ad the
     restriction sub_restrict·Ad_λ·sub_embedᵀ, paired on the sub-double;
-    words, grad1 and grad2 as for dirac_bracket.
+    C, grad1 and grad2 as for dirac_bracket.
     """
     d = S.sub_double
     embed = np.eye(d.dim)[: S.dim_H]  # rows: the H basis of the sub-double
-    sub_ad = S.sub_restrict @ _gather(words, "ad") @ S.sub_embed.T
+    sub_ad = S.sub_restrict @ C.ad @ S.sub_embed.T
     moved_g2 = grad2 @ embed @ np.swapaxes(sub_ad, -1, -2)
     return np.sum((grad1 @ embed @ d.pairing) * moved_g2, axis=-1)
 
 
-def constraint_pb_check(S: ReductionSetup, words, grad) -> np.ndarray:
-    """(len(words), k, dim M): {f_k, ξ_i}(λ) at each word for its (k, p)
+def constraint_pb_check(S: ReductionSetup, C: CMatrix, grad) -> np.ndarray:
+    """(len(C), k, dim M): {f_k, ξ_i}(λ) at each point of C for its (k, p)
     slice of grad f_k over the H* basis; it vanishes on the dual of H.
 
     The constraint gradient is used in closed form (grad' ξ_i = M^i), so
@@ -608,7 +595,7 @@ def constraint_pb_check(S: ReductionSetup, words, grad) -> np.ndarray:
     dirac_bracket's correction.
     """
     n = S.n
-    return grad @ S.H_in_K @ _gather(words, "ad")[:, n:, :n] @ S.M_in_K.T
+    return grad @ S.H_in_K @ C.ad[:, n:, :n] @ S.M_in_K.T
 
 
 def sample_hstar_points(
@@ -616,8 +603,9 @@ def sample_hstar_points(
     num_points: int,
     seed: int,
     box_radius: float = 1.0,
-) -> list:
-    """Draw second-class points of the dual of H with a reproducible stream.
+) -> CMatrix:
+    """Draw num_points second-class points of the dual of H with a
+    reproducible stream, as one stack.
 
     Each point is a single-factor word with H* coordinates uniform in
     [-box_radius, box_radius]; draws failing the second-class test under
@@ -632,15 +620,18 @@ def sample_hstar_points(
     call per attempt, since the generator fills its output in order.  The
     block's words, Ad matrices and constraint matrices are built in one
     stacked pass and scanned in draw order; a further block is drawn only
-    while points are missing.  Each candidate's CMatrix goes into the
-    setup's memo, where constraint_matrix reads it for the test.  rho at
-    the accepted points is then one stacked solve, filled into each
-    point's CMatrix.
+    while points are missing.  Each candidate's row goes into the setup's
+    memo, where constraint_matrix reads it for the test.  A block whose
+    every row is accepted is the sample; otherwise the accepted rows are
+    gathered into one stack, and each accepted word's memo row becomes a
+    view of its row, so no block outlives the sampler.
     """
+    if num_points < 1:
+        raise InputShapeError(f"num_points must be at least 1, got {num_points}")
     rng = np.random.Generator(np.random.PCG64(seed))
     memo = S._cmatrices
     max_attempts = bounds.MAX_SAMPLE_ATTEMPTS
-    out, accepted, misses = [], [], 0
+    out, blocks, misses = [], [], 0
     log_cond = np.log(bounds.MAX_AD_COND)
     while len(out) < num_points:
         coords = rng.uniform(-box_radius, box_radius, (num_points - len(out), S.dim_H))
@@ -650,8 +641,9 @@ def sample_hstar_points(
         if not tame.all():
             coords, gen = coords[tame], gen[tame]
         words, ads = _hstar_words(S, coords, gen)
-        cmats = _build_constraint_matrices(S, ads)
-        words = iter(words)
+        block, disagree = _build_constraint_matrices(S, ads)
+        words, taken = iter(enumerate(words)), []
+        blocks.append((block, taken))
         for ok in tame:
             if misses >= max_attempts:
                 raise SamplingExhaustedError(
@@ -661,30 +653,40 @@ def sample_hstar_points(
             if not ok:
                 misses += 1
                 continue
-            word = next(words)
-            memo[word] = next(cmats)
-            C = constraint_matrix(S, word)
-            if check_second_class(C):
+            b, word = next(words)
+            memo[word] = _row(block, disagree, b)
+            if check_second_class(constraint_matrix(S, word)):
                 out.append(word)
-                accepted.append(C)
+                taken.append(b)
                 misses = 0
             else:
                 misses += 1
-    if accepted and S.dim_M:
-        for C, solved in zip(accepted, _solve_points(S, accepted)):
-            C.__dict__["solved"] = solved
-    return out
+    if len(blocks) == 1:  # every row of the one block was accepted
+        joined = block._arrays()
+    else:
+        joined = [np.concatenate(col) for col in zip(*(
+            [a[taken] for a in block._arrays()] for block, taken in blocks))]
+        for a in joined:
+            a.setflags(write=False)
+        for k, word in enumerate(out):
+            memo[word] = CMatrix(S, (None,), *(a[k:k + 1] for a in joined))
+    sample = CMatrix(S, tuple(out), *joined)
+    sample.solved  # rho over the sample, and its antisymmetry check, before any reader
+    return sample
 
 
-def _solve_points(S: ReductionSetup, cmats: list) -> list:
-    """CMatrix.solved of every point in cmats, by one solve over their stack.
+def _solve_points(S: ReductionSetup, C: CMatrix) -> tuple:
+    """CMatrix.solved, by one solve over the stack.
 
     Every C must be invertible: a singular slice fails the whole stack.  Each
     rho must be antisymmetric to bounds.RHO_ANTISYM_TOL, checked once over
     the stack.
     """
-    a = S.K_to_G(np.array([C.m_parts for C in cmats]))
-    x = np.linalg.solve(np.array([C.entries for C in cmats]), a)
+    if S.dim_M == 0:  # no constraint: rho is 0, with no solve
+        dim_g = S.G.dim
+        return _freeze(np.zeros((len(C), dim_g, dim_g))), _freeze(np.zeros((len(C), 0, dim_g)))
+    a = S.K_to_G(C.m_parts)
+    x = np.linalg.solve(C.entries, a)
     values = np.swapaxes(a, -1, -2) @ x
     anti = np.max(np.abs(values + np.swapaxes(values, -1, -2)), axis=(1, 2), initial=0.0)
     tol = bounds.RHO_ANTISYM_TOL
@@ -696,4 +698,4 @@ def _solve_points(S: ReductionSetup, cmats: list) -> list:
         )
     values.setflags(write=False)
     x.setflags(write=False)
-    return list(zip(values, x))
+    return values, x

@@ -13,9 +13,9 @@ r: Ȟ* → G⊗G, the certified identities are
   * the Jacobi identity of the bracket ansatz on G × Ȟ* (and its two-sided
     variant on Ȟ* × G × Ȟ*), evaluated exactly on entries of Ad.
 
-Derivatives of r are exact: an rfun returns the rho jet of
-reduction.rho_jet, the value of r with its left and right derivatives along
-the H* basis, cached on the point's CMatrix.  The Jacobiators need only those
+Derivatives of r are exact: an rfun takes a stack of points and returns
+their stacked rho jet, the value of r with its left and right derivatives
+along the H* basis, made once on the stack.  The Jacobiators need only those
 first derivatives and closed-form derivatives of the test functions, and the
 Dirac brackets read the gradients of their test functions off the point's
 Ad velocity, so no equation is differenced and every report carries
@@ -24,28 +24,21 @@ worst case against a stated tolerance, and a deliberately sign-corrupted
 r-matrix is pushed through the main residual as a control that the tests
 can fail.
 
-A setup's whole sample is taken in one stacked pass per equation.  After
-sampling, each section fills the rho jets, Ad_λ^{-1}, N_i and Ad velocities
-it reads for every point at once (reduction.fill_caches).  Each equation
-function takes a sequence of points, with each point's inputs stacked on a
-leading axis, and returns one result per point.  A Jacobi call takes a
-stack of product points, each with a row of (f1, f2, f3) triples: it builds
-one bracket form over the points, makes the jet of each distinct test
-function of a point once, in one stacked pass per factor, and returns one
-|Jacobiator| per triple; nothing is kept on the points, the functions or
-the form when it returns.  A Dirac point's test functions, and a
-characterization point's (u, v) pairs, are one draw each, point by point.
-The functions' gradients are one (points, 20 + dim M, 2·dim H) array
-(reduction._row_gradients), whose rows the brackets and the constraint
-check read in one call each, the constraint check a (dim M, dim M) product
-per point whose diagonal is CONSTRAINT_PB.  An equivariance call takes each
-point's stack of H vectors, its basis in the suite.  Only the cdybe section
-takes its points one by one.  Every draw gives the stream of the scalar
-draws it replaced and every stacked product keeps each slice's shape, so
-the residuals are those of one call per point, Jacobiator and bracket, bit
-for bit.  A section whose per-point arrays are larger than one Ad_λ takes
-the sample in chunks within the sampler's per-array bound
-(reduction._point_chunks); at the catalog's sample sizes that is one chunk.
+A setup's whole sample is one stack (reduction.CMatrix), which each
+equation takes in one call, and the rho jets, Ad_λ^{-1}, N_i and Ad
+velocities it reads are made once on it.  A Jacobi call takes a QPoint or
+PPoint of stacks, each product point with a row of (f1, f2, f3) triples,
+builds one bracket form over the points and makes the jet of each
+distinct test function of a point once; nothing is kept on the functions
+or the form.  A Dirac point's test functions, and a characterization
+point's (u, v) pairs, are one draw each, point by point.  Only the cdybe
+section takes its points one by one, each a stack of one.  Every draw
+gives the stream of the scalar draws it replaced and every stacked product
+keeps each slice's shape, so the residuals are those of one call per
+point, bit for bit.  A section whose per-point arrays are larger than one
+Ad_λ takes the sample in chunks within the sampler's per-array bound (the
+sub-stacks of the parts reduction._point_chunks cuts); at the catalog's
+sample sizes the one chunk is the sample itself.
 
 The tolerance of each equation is defined here, in DEFAULT_TOLERANCES; the
 spec's residual tolerance may replace it for the RESIDUAL_EQUATIONS alone,
@@ -55,8 +48,7 @@ run at the second-class points of the setup's cond_threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -68,18 +60,16 @@ from .dual_group import GroupWord
 from .errors import ConsistencyError, InputShapeError
 from .lie_core import LieAlgebra, cybe_lhs, invariance_residual3
 from .reduction import (
+    CMatrix,
     RhoJet,
     _point_chunks,
     _row_gradients,
+    _second_class,
     characterization_identity_residual,
     constraint_inverse_operator_residual,
-    constraint_matrix,
     constraint_pb_check,
     dirac_bracket,
-    fill_caches,
     native_hstar_bracket,
-    rho,
-    rho_jet,
     rho_via_n,
     sample_hstar_points,
 )
@@ -146,32 +136,32 @@ def describe_word(word: GroupWord) -> list:
     return [list(map(float, f)) for f in word.factors]
 
 
-def plcdybe_lhs(S: ReductionSetup, rfun, word: GroupWord) -> np.ndarray:
-    """Left side of the dynamical Yang-Baxter equation for the pair H ⊆ G, a
-    (dim G)³ array.
+def plcdybe_lhs(S: ReductionSetup, rfun, C: CMatrix) -> np.ndarray:
+    """Left side of the dynamical Yang-Baxter equation for the pair H ⊆ G at
+    the point of C, a stack of one, as a (dim G)³ array.
 
     The cyclic images of [ (R+r)_12, (R+r)_23 ] sum to the full three-slot
     bracket combination of R + r(λ), and the derivative terms place the
     basis vector H_a of H in one slot against the left derivative of r along
     the dual basis vector H^a in the other two, cyclically.
     """
-    jet = rfun(word)
-    total = cybe_lhs(S.G, S.R + jet.value)
+    jet = rfun(C)
+    total = cybe_lhs(S.G, S.R + jet.value[0])
     ka = S.H_in_G
     n = S.G.dim
     # d[x, y, z] = Σ_a H_a[x] (L_{H^a} r)[y, z]; its cyclic images fill the
     # other two slots
-    d = (ka.T @ jet.left.reshape(len(ka), n * n)).reshape(n, n, n)
+    d = (ka.T @ jet.left[0].reshape(len(ka), n * n)).reshape(n, n, n)
     return total + d + d.transpose(2, 0, 1) + d.transpose(1, 2, 0)
 
 
-def plcdybe_residual(S: ReductionSetup, rfun, word: GroupWord) -> np.ndarray:
-    """Residual of the dynamical Yang-Baxter equation at λ, a (dim G)³ array.
+def plcdybe_residual(S: ReductionSetup, rfun, C: CMatrix) -> np.ndarray:
+    """Residual of the dynamical Yang-Baxter equation at C's one point, a (dim G)³ array.
 
     In the triangular normalization the right side is the anomaly of the
     constant R, so the residual is the left side minus cybe_lhs(R).
     """
-    return plcdybe_lhs(S, rfun, word) - S.anomaly
+    return plcdybe_lhs(S, rfun, C) - S.anomaly
 
 
 def _triangularity(G: LieAlgebra, lhs: np.ndarray, ref_lhs: Optional[np.ndarray]) -> float:
@@ -182,40 +172,38 @@ def _triangularity(G: LieAlgebra, lhs: np.ndarray, ref_lhs: Optional[np.ndarray]
 
 
 def triangularity_check(
-    S: ReductionSetup, rfun, word: GroupWord, ref: Optional[GroupWord] = None
+    S: ReductionSetup, rfun, C: CMatrix, ref: Optional[CMatrix] = None
 ) -> float:
-    """Triangularity of the dynamical left side L(λ) = plcdybe_lhs at λ.
+    """Triangularity of the dynamical left side L(λ) = plcdybe_lhs at C's one point.
 
     The larger of the ad-invariance residual of L(λ) and, when a reference
-    point is given, max|L(λ) − L(ref)|: L must be an invariant constant.
+    stack of one is given, max|L(λ) − L(ref)|: L must be an invariant constant.
     Unlike PL_CDYBE this never reads the anomaly of R, so on its own it
     cannot tell which constant L equals.
     """
     ref_lhs = None if ref is None else plcdybe_lhs(S, rfun, ref)
-    return _triangularity(S.G, plcdybe_lhs(S, rfun, word), ref_lhs)
+    return _triangularity(S.G, plcdybe_lhs(S, rfun, C), ref_lhs)
 
 
-def equivariance_residual(S: ReductionSetup, rfun, words, x_h) -> np.ndarray:
-    """dress_X r - [X⊗1 + 1⊗X, r] at each word for each X in H of its stack
-    of H-basis coordinates.
+def equivariance_residual(S: ReductionSetup, rfun, C: CMatrix, x_h) -> np.ndarray:
+    """dress_X r - [X⊗1 + 1⊗X, r] at each point of C for each X in H of its
+    stack of H-basis coordinates.
 
     The dressing derivative moves λ along λ·exp(t·Y) with Y the K*-part of
     Ad_λ^{-1} X; for λ in the dual of H the vector Y lies in H*, which is
     verified, and the derivative of r along it is Σ_a y_a·(right derivative
-    along H^a) for the H* coordinates y of Y.  x_h is a (len(words), k,
-    dim H) stack of X, and the residuals come back as a (len(words), k,
-    dim G, dim G) stack; each X goes through the products it would go
-    through alone.
+    along H^a) for the H* coordinates y of Y.  x_h is a (len(C), k, dim H)
+    stack of X, and the residuals come back as a (len(C), k, dim G, dim G)
+    stack; each X goes through the products it would go through alone.
     """
     x_h = np.asarray(x_h, dtype=float)
     p = S.dim_H
-    if x_h.ndim != 3 or x_h.shape[0] != len(words) or x_h.shape[2] != p:
-        raise InputShapeError(f"X must be a per-word stack of rows of {p} H coordinates")
+    if x_h.ndim != 3 or x_h.shape[0] != len(C) or x_h.shape[2] != p:
+        raise InputShapeError(f"X must be a per-point stack of rows of {p} H coordinates")
     xs = x_h[:, :, None, :]  # one row per X
     x_k = xs @ S.H_in_K
-    # dual_group.dressing_vector, read off each point's cached Ad_λ^{-1}
-    inv = np.array([constraint_matrix(S, w).ad_inverse for w in words])
-    y = inv[:, None, S.n:, :S.n] @ np.swapaxes(x_k, -1, -2)
+    # dual_group.dressing_vector, read off the stack's Ad_λ^{-1}
+    y = C.ad_inverse[:, None, S.n:, :S.n] @ np.swapaxes(x_k, -1, -2)
     y_h = np.swapaxes(S.Hstar_component(y), -1, -2)
     y = np.swapaxes(y, -1, -2)
     leak = np.abs(y - y_h @ S.Hdual).max(axis=(2, 3), initial=0.0)
@@ -223,22 +211,23 @@ def equivariance_residual(S: ReductionSetup, rfun, words, x_h) -> np.ndarray:
     bad = np.argwhere(leak > bounds.DRESSING_LEAK_TOL * (1.0 + size))
     if bad.size:
         raise ConsistencyError(f"dressing vector leaves H*: leak {leak[tuple(bad[0])]:.3e}")
-    jets = [rfun(w) for w in words]
-    r_here = np.array([jet.value for jet in jets])[:, None]
-    right = np.array([jet.right for jet in jets]).reshape(len(words), 1, p, -1)
+    jet = rfun(C)
+    r_here = jet.value[:, None]
+    right = jet.right.reshape(len(C), 1, p, -1)
     flow = (y_h @ right).reshape(xs.shape[:2] + r_here.shape[2:])
     adx = (xs @ S.h_ads.reshape(p, -1)).reshape(xs.shape[:2] + r_here.shape[2:])
     return flow - (adx @ r_here + r_here @ np.swapaxes(adx, -1, -2))
 
 
 def reduced_r_function(S: ReductionSetup):
-    """rfun for r* = rho as a callable on dual-group words, returning RhoJets.
+    """rfun for r* = rho as a callable on stacks of points, returning their
+    stacked RhoJet.
 
-    Each call is rho_jet at the word, which checks S.cond_threshold and reads
-    the jet cached on the point's CMatrix: the suites ask for r* at a point
-    once per equation and per bracket form, and it is computed once.
+    Each call checks S.cond_threshold at every point of the stack and reads
+    the jet made on it (CMatrix.jet), once per stack or carried from the
+    stack it was cut from, however often the suites ask for r*.
     """
-    return partial(rho_jet, S)
+    return lambda C: _second_class(S, C).jet
 
 
 def sign_flipped_rfun(rfun, a: int, b: int):
@@ -254,8 +243,8 @@ def sign_flipped_rfun(rfun, a: int, b: int):
         t[..., b, a] = -t[..., b, a]
         return t
 
-    def f(word: GroupWord) -> RhoJet:
-        jet = rfun(word)
+    def f(C: CMatrix) -> RhoJet:
+        jet = rfun(C)
         return RhoJet(flip(jet.value), flip(jet.left), flip(jet.right))
 
     return f
@@ -269,8 +258,9 @@ def largest_entry(t: np.ndarray) -> tuple:
 # points of the product spaces
 # ---------------------------------------------------------------------------
 #
-# Every factor of a product point is a GroupWord: the ambient factor a word
-# over G, each dual factor a point of the dual of H as a word over D(K, K*).
+# A QPoint or PPoint is a stack of product points, each factor a stack: the
+# ambient factor a (points, dim G, dim G) stack of Ad matrices over G, each
+# dual factor a CMatrix, points of the dual of H with their Ad over D(K, K*).
 # A test function is l·Ad·r on one factor; on a dual factor l and r are rows
 # of sub_restrict and sub_embed, so it reads Ad on the double of (H, H*).
 #
@@ -302,11 +292,11 @@ def ambient_word(G: LieAlgebra, factors) -> GroupWord:
 
 @dataclass(frozen=True, eq=False)
 class QPoint:
-    """Point (g, λ) of the product space G × Ȟ* of a setup."""
+    """A stack of points (g, λ) of the product space G × Ȟ* of a setup."""
 
     setup: ReductionSetup
-    g: GroupWord
-    dual: GroupWord
+    g: np.ndarray
+    dual: CMatrix
     # factors in gradient order, and for each dual factor the sign of its
     # blocks and the side of the ambient gradient it pairs with
     factors: ClassVar[tuple] = ("g", "dual")
@@ -315,12 +305,12 @@ class QPoint:
 
 @dataclass(frozen=True, eq=False)
 class PPoint:
-    """Point (λ̃, g, λ̂) of the two-sided product space Ȟ* × G × Ȟ*."""
+    """A stack of points (λ̃, g, λ̂) of the two-sided product space Ȟ* × G × Ȟ*."""
 
     setup: ReductionSetup
-    tilde: GroupWord
-    g: GroupWord
-    hat: GroupWord
+    tilde: CMatrix
+    g: np.ndarray
+    hat: CMatrix
     factors: ClassVar[tuple] = ("tilde", "g", "hat")
     couplings: ClassVar[tuple] = (("hat", 1.0, "right"), ("tilde", -1.0, "left"))
 
@@ -337,24 +327,14 @@ class QFunction:
     left: np.ndarray
     right: np.ndarray
 
-    def __call__(self, pt) -> float:
-        return float(self.left @ getattr(pt, self.slot).ad @ self.right)
-
-    def jet(self, word: GroupWord, ads: np.ndarray) -> tuple:
-        """Slot gradient (2k,) and Hessian (2k, 2k) on a factor with k directions.
-
-        hess[i, j] is the derivative along direction i of gradient entry j:
-        l·ad_j·ad_i·Ad·r (left, left), l·ad_i·Ad·ad_j·r (left, right),
-        l·ad_j·Ad·ad_i·r (right, left) and l·Ad·ad_i·ad_j·r (right, right).
-        """
-        grad, hess = _slot_jets([self], word.ad[None], ads)
-        return grad[0], hess[0]
-
 
 def _slot_jets(fs, ad: np.ndarray, ads: np.ndarray) -> tuple:
-    """QFunction.jet of every function in fs, in one stacked pass: (grads,
+    """The slot gradient (2k,) and Hessian (2k, 2k), on a factor with k
+    directions, of every function in fs, in one stacked pass: (grads,
     hessians), one row each.  ad[i] is the Ad matrix of the factor fs[i] is
-    read on.
+    read on.  hess[i, j] is the derivative along direction i of gradient
+    entry j: l·ad_j·ad_i·Ad·r (left, left), l·ad_i·Ad·ad_j·r (left, right),
+    l·ad_j·Ad·ad_i·r (right, left) and l·Ad·ad_i·ad_j·r (right, right).
 
     Each function is a batch of its own, a row vector l and a column r, so
     every product is the one it would take alone.
@@ -413,21 +393,23 @@ class _BracketForm:
       - s·r(λ) adds to that side's ambient block.
     B moves only along the gradient directions of the dual factors, through
     Ad_λ and the rho jet: dB[b, i] is its derivative along direction
-    moving[i], and along every other direction the derivative is 0.
+    moving[i], and along every other direction the derivative is 0.  The
+    dual factors' Ad matrices, velocities and jets are read off their stacks.
 
     Each bracket and Jacobi call builds its own form and drops it on return,
     so nothing is stored on the points or the test functions.
     """
 
-    def __init__(self, S: ReductionSetup, rfun, pts):
+    def __init__(self, S: ReductionSetup, rfun, pt):
         n, p, dim_g = S.n, S.dim_H, S.G.dim
-        kind = type(pts[0])
+        kind = type(pt)
         g_ads = np.swapaxes(S.G.c, 1, 2)  # g_ads[i] = ad_{e_i} on G
         self.factors, self.offsets, size = {}, {}, 0
         for name in kind.factors:
             ads = g_ads if name == "g" else S.hstar_ads
-            words = [getattr(pt, name) for pt in pts]
-            self.factors[name] = (words, np.array([w.ad for w in words]), ads)
+            # the ambient factor is a stack of Ad matrices, a dual one a CMatrix
+            ad = getattr(pt, name) if name == "g" else getattr(pt, name).ad
+            self.factors[name] = (ad, ads)
             self.offsets[name] = size
             size += 2 * len(ads)
         g0 = self.offsets["g"]
@@ -435,26 +417,25 @@ class _BracketForm:
         self.moving = np.concatenate(
             [self.offsets[name] + np.arange(2 * p) for name, _, _ in kind.couplings]
         )
-        B = np.zeros((len(pts), size, size))
-        dB = np.zeros((len(pts), len(self.moving), size, size))
+        count = len(pt.g)
+        B = np.zeros((count, size, size))
+        dB = np.zeros((count, len(self.moving), size, size))
         B[:, sides["left"], sides["left"]] = -S.R
         B[:, sides["right"], sides["right"]] = S.R
         h_g = S.H_in_G
         hk = S.H_in_K
         for c, (name, sign, side) in enumerate(kind.couplings):
-            words, ad, _ = self.factors[name]
+            lam = getattr(pt, name)
             o = self.offsets[name]
             lam_l, lam_r, amb = slice(o, o + p), slice(o + p, o + 2 * p), sides[side]
-            jets = [rfun(w) for w in words]
-            B[:, lam_l, lam_r] = sign * (hk @ ad[:, n:, :n] @ hk.T)
+            jet = rfun(lam)
+            B[:, lam_l, lam_r] = sign * (hk @ lam.ad[:, n:, :n] @ hk.T)
             B[:, amb, lam_l] = h_g.T
             B[:, lam_l, amb] = -h_g
-            B[:, amb, amb] += sign * np.array([jet.value for jet in jets])
-            velocity = np.array([constraint_matrix(S, w).velocity for w in words])
+            B[:, amb, amb] += sign * jet.value
             along = slice(2 * p * c, 2 * p * (c + 1))  # λ's rows of dB
-            dB[:, along, lam_l, lam_r] = sign * (hk @ velocity[:, :, n:, :n] @ hk.T)
-            dB[:, along, amb, amb] = sign * np.array(
-                [np.concatenate([jet.left, jet.right]) for jet in jets])
+            dB[:, along, lam_l, lam_r] = sign * (hk @ lam.velocity[:, :, n:, :n] @ hk.T)
+            dB[:, along, amb, amb] = sign * np.concatenate([jet.left, jet.right], axis=1)
         self.size, self.B, self.dB = size, B, dB
 
     def jets(self, fs) -> tuple:
@@ -469,7 +450,7 @@ class _BracketForm:
         grads = np.zeros((len(flat), self.size))
         hess = np.zeros((len(flat), self.size, self.size))
         for slot in dict.fromkeys(f.slot for f in flat):
-            _, ad, ads = self.factors[slot]
+            ad, ads = self.factors[slot]
             on = np.array([r for r, f in enumerate(flat) if f.slot == slot])
             at = slice(self.offsets[slot], self.offsets[slot] + 2 * len(ads))
             grads[on, at], hess[on, at, at] = _slot_jets([flat[r] for r in on], ad[owner[on]], ads)
@@ -509,7 +490,8 @@ class _BracketForm:
 
 
 def bracket(S: ReductionSetup, rfun, pt: QPoint | PPoint, u: QFunction, v: QFunction) -> float:
-    """The bracket ansatz of a QPoint's or a PPoint's space on two test functions.
+    """The bracket ansatz of a QPoint's or a PPoint's space on two test
+    functions, at pt's one point (each factor a stack of one).
 
     Assembled blockwise from slot gradients: the dual-side Poisson brackets,
     the pairing of ambient gradients with dual gradients, and the double
@@ -519,40 +501,41 @@ def bracket(S: ReductionSetup, rfun, pt: QPoint | PPoint, u: QFunction, v: QFunc
     minus sign and pairs with left ambient gradients against R + r(λ̃); the
     two dual copies commute with each other.
     """
-    grad, _, _, BT_grad, _ = _BracketForm(S, rfun, [pt]).jets([[u, v]])
+    grad, _, _, BT_grad, _ = _BracketForm(S, rfun, pt).jets([[u, v]])
     return float(BT_grad[0, 0] @ grad[0, 1])
 
 
-def _jacobiators(S: ReductionSetup, rfun, pts, triples) -> np.ndarray:
-    """One |Jacobiator| per (f1, f2, f3) of triples[b] at pts[b], from one
-    form per chunk of points and one jet per function.  Every point has the
-    same number of triples; the chunks keep the form's and the jets' stacks
-    within the sampler's per-array bound."""
+def _jacobiators(S: ReductionSetup, rfun, pt, triples) -> np.ndarray:
+    """One |Jacobiator| per (f1, f2, f3) of triples[b] at point b of pt, from
+    one form per chunk of points and one jet per function.  Every point has
+    the same number of triples; the chunks keep the form's and the jets'
+    stacks within the sampler's per-array bound."""
     triples = [[tuple(t) for t in row] for row in triples]
-    if len(triples) != len(pts) or len({len(row) for row in triples}) > 1:
+    if len(triples) != len(pt.g) or len({len(row) for row in triples}) > 1:
         raise InputShapeError("give every point the same number of triples")
-    kind = type(pts[0])
+    kind = type(pt)
     # per point: dB and the Hessians, each a stack of (size, size) matrices
     size = sum(2 * (S.G.dim if name == "g" else S.dim_H) for name in kind.factors)
     rows = max(2 * S.dim_H * len(kind.couplings), 3 * len(triples[0]))
     return np.concatenate([
-        _BracketForm(S, rfun, pts[part]).jacobiators(triples[part])
-        for part in _point_chunks(S, len(pts), rows * size * size)
+        _BracketForm(S, rfun, replace(pt, **{f: getattr(pt, f)[part] for f in kind.factors}))
+        .jacobiators(triples[part])
+        for part in _point_chunks(S, len(triples), rows * size * size)
     ])
 
 
-def q_jacobi_residual(S: ReductionSetup, rfun, pts, triples) -> np.ndarray:
+def q_jacobi_residual(S: ReductionSetup, rfun, pt: QPoint, triples) -> np.ndarray:
     """Cyclic Jacobiators of the G × Ȟ* bracket, exact from first-order jets,
-    at each QPoint of pts: one per (f1, f2, f3) of its row of triples, as a
-    (len(pts), triples per point) float array."""
-    return _jacobiators(S, rfun, pts, triples)
+    at each point of the QPoint stack pt: one per (f1, f2, f3) of its row of
+    triples, as a (points, triples per point) float array."""
+    return _jacobiators(S, rfun, pt, triples)
 
 
-def p_jacobi_residual(S: ReductionSetup, rfun, pts, triples) -> np.ndarray:
+def p_jacobi_residual(S: ReductionSetup, rfun, pt: PPoint, triples) -> np.ndarray:
     """Cyclic Jacobiators of the Ȟ* × G × Ȟ* bracket, exact from first-order
-    jets, at each PPoint of pts: one per (f1, f2, f3) of its row of triples,
-    as a (len(pts), triples per point) float array."""
-    return _jacobiators(S, rfun, pts, triples)
+    jets, at each point of the PPoint stack pt: one per (f1, f2, f3) of its
+    row of triples, as a (points, triples per point) float array."""
+    return _jacobiators(S, rfun, pt, triples)
 
 
 # ---------------------------------------------------------------------------
@@ -583,11 +566,11 @@ def run_suite(
     seed: int = 0,
     box_radius: float = 1.0,
     residual: Optional[float] = None,
-) -> tuple[list, list]:
+) -> tuple[list, CMatrix]:
     """Run the requested residual suites on the reduced r* = rho of the setup.
 
-    Returns (reports, words): one ResidualReport per equation, and the
-    second-class samples of the dual of H the suites ran on, both
+    Returns (reports, sample): one ResidualReport per equation, and the
+    stack of second-class samples of the dual of H the suites ran on, both
     deterministic for a fixed seed.  The points are second class under
     S.cond_threshold.  Each equation is bounded by DEFAULT_TOLERANCES, except
     that residual, when given, bounds the RESIDUAL_EQUATIONS.  Every
@@ -600,25 +583,30 @@ def run_suite(
         raise InputShapeError(f"unknown suite {suite!r}")
     suites = SUITES if suite == "all" else (suite,)
     rfun = reduced_r_function(S)
-    words = sample_hstar_points(S, num_points, seed, box_radius)
-    where = [describe_word(w) for w in words]  # each point described once
+    sample = sample_hstar_points(S, num_points, seed, box_radius)
+    where = [describe_word(w) for w in sample.words]  # each point described once
     # one stream per section, so a suite's draws do not depend on which other
     # suites run alongside it
     section_seed = {"cdybe": 101, "equivariance": 211, "dirac": 307, "jacobi": 401}
     n, m, p, dim_g = S.n, S.dim_M, S.dim_H, S.G.dim
+    # the largest stack a kernel makes per point: a velocity or rho jet
+    # stack, or one (2n, 2n) Ad matrix
+    jet_size = 2 * p * max(2 * n, dim_g) ** 2
     reports = []
 
     def by_chunks(per_point, section):
-        """section(part) for the parts of the sample that keep stacks of
-        per_point entries a point within the sampler's per-array bound, its
-        per-point results joined over the parts in order."""
-        outs = [section(part) for part in _point_chunks(S, len(words), per_point)]
+        """section(C, part) for the parts of the sample that keep stacks of
+        per_point entries a point within the sampler's per-array bound, C
+        the sub-stack of the part, or the sample itself where one part
+        holds it all; its per-point results joined over the parts in order."""
+        parts = _point_chunks(S, len(sample), per_point)
+        stacks = [sample] if len(parts) == 1 else [sample[part] for part in parts]
+        outs = [section(C, part) for C, part in zip(stacks, parts)]
         return [np.concatenate(col) for col in zip(*outs)]
 
     for s in suites:
         rng = np.random.Generator(np.random.PCG64(seed + section_seed[s]))
         if s == "cdybe":
-            fill_caches(S, words, ("velocity", "jet"))
             reports.append(
                 _report(
                     EQ_MCYBE,
@@ -627,62 +615,72 @@ def run_suite(
                     tol[EQ_MCYBE],
                 )
             )
-            # the left side once per point serves both equations; the first
-            # point is the triangularity reference, as in triangularity_check
-            lhs = [plcdybe_lhs(S, rfun, w) for w in words]
-            res = [np.abs(t - S.anomaly).max(initial=0.0) for t in lhs]
-            reports.append(_report(EQ_PLCDYBE, where, res, tol[EQ_PLCDYBE]))
-            res = [_triangularity(S.G, t, lhs[0]) for t in lhs]
-            reports.append(_report(EQ_TRIANGULARITY, where, res, tol[EQ_TRIANGULARITY]))
+            # the control flips the largest entry of rho at the first point
+            bad = sign_flipped_rfun(rfun, *map(int, largest_entry(sample.solved[0][0])))
+
+            # the first point's left side, the triangularity reference, as in
+            # triangularity_check
+            ref = []
+
+            def cdybe(C, part):
+                rfun(C)  # the part's jets, once: each point's stack of one carries its row
+                res = []
+                for k in range(len(C)):
+                    pt = C[k:k + 1]
+                    # the left side once per point serves PL_CDYBE and TRIANGULARITY
+                    t = plcdybe_lhs(S, rfun, pt)
+                    if not ref:
+                        ref.append(t)
+                    flipped = np.abs(plcdybe_residual(S, bad, pt)).max(initial=0.0) if m else 0.0
+                    res.append((np.abs(t - S.anomaly).max(initial=0.0),
+                                _triangularity(S.G, t, ref[0]), flipped))
+                return np.array(res).T
+
+            res_p, res_t, flipped = by_chunks(jet_size, cdybe)
+            reports.append(_report(EQ_PLCDYBE, where, res_p, tol[EQ_PLCDYBE]))
+            reports.append(_report(EQ_TRIANGULARITY, where, res_t, tol[EQ_TRIANGULARITY]))
             if S.dim_M > 0:
-                a, b = largest_entry(rfun(words[0]).value)
-                bad = sign_flipped_rfun(rfun, int(a), int(b))
-                res = [np.abs(plcdybe_residual(S, bad, w)).max(initial=0.0) for w in words]
                 reports.append(
-                    _report(EQ_CONTROL, where, res, tol[EQ_CONTROL], direction="lower")
+                    _report(EQ_CONTROL, where, flipped, tol[EQ_CONTROL], direction="lower")
                 )
         elif s == "equivariance":
-            fill_caches(S, words, ("velocity", "jet", "ad_inverse"))
             # every H basis vector at every point of a part in one call, a
             # (p, dim G, dim G) residual stack per point
-            units = np.broadcast_to(np.eye(p), (len(words), p, p))
-            (res,) = by_chunks(p * dim_g * dim_g, lambda part: (np.abs(
-                equivariance_residual(S, rfun, words[part], units[part])
+            units = np.broadcast_to(np.eye(p), (len(sample), p, p))
+            (res,) = by_chunks(jet_size, lambda C, part: (np.abs(
+                equivariance_residual(S, rfun, C, units[part])
             ).max(axis=(1, 2, 3), initial=0.0),))
             reports.append(_report(EQ_EQUIVARIANCE, where, res, tol[EQ_EQUIVARIANCE]))
         elif s == "dirac":
-            fill_caches(S, words, ("velocity", "ad_inverse", "n_matrix"))
             dim2 = S.sub_double.dim
             # one draw per point: the entries (a, b) of 20 functions, the
             # 10 Dirac pairs (F1, F2) interleaved, then of one function per
             # constraint; dual_entry(S, a, b) has the rows sub_restrict[a]
             # and sub_embed[b], so the gradients are one contraction
-            ab = np.array([rng.integers(0, dim2, (20 + m, 2)) for _ in words])
+            ab = np.array([rng.integers(0, dim2, (20 + m, 2)) for _ in sample.words])
             # then 20 (u, v) pairs per point from one draw, each row moved
             # into K coordinates by its own product
             if m:
-                uv = np.array([rng.uniform(-1, 1, (20, 2, 1, m)) for _ in words]) @ S.M_in_K
+                uv = np.array([rng.uniform(-1, 1, (20, 2, 1, m)) for _ in sample.words]) @ S.M_in_K
                 u, v = uv[:, :, 0, 0], uv[:, :, 1, 0]
             else:
-                u = v = np.zeros((len(words), 20, n))
+                u = v = np.zeros((len(sample), 20, n))
 
-            def dirac(part):
-                pw = words[part]
+            def dirac(C, part):
                 grads = _row_gradients(
-                    S, pw, S.sub_restrict[ab[part, :, 0]], S.sub_embed[ab[part, :, 1]]
+                    S, C, S.sub_restrict[ab[part, :, 0]], S.sub_embed[ab[part, :, 1]]
                 )
                 g1, g2 = grads[:, 0:20:2, :p], grads[:, 1:20:2, p:]
-                got = dirac_bracket(S, pw, g1, g2)
-                res_d = np.abs(got - native_hstar_bracket(S, pw, g1, g2)).max(axis=1)
+                got = dirac_bracket(S, C, g1, g2)
+                res_d = np.abs(got - native_hstar_bracket(S, C, g1, g2)).max(axis=1)
                 # {f_i, ξ_i} for the function drawn for constraint i
-                pb = constraint_pb_check(S, pw, grads[:, 20:, :p])
+                pb = constraint_pb_check(S, C, grads[:, 20:, :p])
                 res_c = np.abs(np.diagonal(pb, axis1=1, axis2=2)).max(axis=1, initial=0.0)
-                rhos = np.array([rho(S, w) for w in pw])
                 res_r = np.maximum(
-                    np.abs(rhos - rho_via_n(S, pw)).max(axis=(1, 2), initial=0.0),
-                    constraint_inverse_operator_residual(S, pw),
+                    np.abs(C.solved[0] - rho_via_n(S, C)).max(axis=(1, 2), initial=0.0),
+                    constraint_inverse_operator_residual(S, C),
                 )
-                res_x = characterization_identity_residual(S, pw, u[part], v[part])
+                res_x = characterization_identity_residual(S, C, u[part], v[part])
                 return res_d, res_c, res_r, res_x
 
             # per point: its velocity stack, (2p, 2n, 2n), and the
@@ -693,12 +691,14 @@ def run_suite(
             reports.append(_report(EQ_RHO_CONSISTENCY, where, res_r, tol[EQ_RHO_CONSISTENCY]))
             reports.append(_report(EQ_CHARACTERIZATION, where, res_x, tol[EQ_CHARACTERIZATION]))
         elif s == "jacobi":
-            pts = [words[k % len(words)] for k in range(JACOBI_POINTS)]
-            pts_where = [where[k % len(words)] for k in range(JACOBI_POINTS)]
-            fill_caches(S, words[:JACOBI_POINTS], ("velocity", "jet"))
+            take = np.arange(JACOBI_POINTS) % len(sample)
+            # the same rows as a slice where the sample has them, so hat views it
+            hat = sample[:JACOBI_POINTS] if len(sample) >= JACOBI_POINTS else sample[take]
+            rfun(hat)  # the jets of the Jacobi points, once: the tilde stack carries them
+            tilde = hat[np.roll(np.arange(JACOBI_POINTS), -1)]
             dim2 = S.sub_double.dim
-            qpts, ppts, q_triples, p_triples = [], [], [], []
-            for k, w in enumerate(pts):
+            g_ads, q_triples, p_triples = [], [], []
+            for _ in range(JACOBI_POINTS):
                 g = ambient_word(S.G, [rng.uniform(-AMBIENT_BOX, AMBIENT_BOX, dim_g)])
                 # three ambient entries give the triple sensitive to the
                 # derivative of r; the mixed triples cover the dual blocks
@@ -706,13 +706,14 @@ def run_suite(
                 on_dual, on_hat, on_tilde = rng.integers(0, dim2, (3, 2)).tolist()
                 fd = dual_entry(S, *on_dual)
                 f3p, f2p = hat_entry(S, *on_hat), tilde_entry(S, *on_tilde)
-                qpts.append(QPoint(S, g, w))
+                g_ads.append(g.ad)
                 q_triples.append([phis, (phis[0], phis[1], fd)])
-                ppts.append(PPoint(S, pts[(k + 1) % len(pts)], g, w))
                 p_triples.append([phis, (phis[0], f2p, f3p)])
+            g_ads = np.array(g_ads)
             # every product point's two triples, of every point, in one call each
-            res_q = q_jacobi_residual(S, rfun, qpts, q_triples).max(axis=1)
-            res_p = p_jacobi_residual(S, rfun, ppts, p_triples).max(axis=1)
+            res_q = q_jacobi_residual(S, rfun, QPoint(S, g_ads, hat), q_triples).max(axis=1)
+            res_p = p_jacobi_residual(S, rfun, PPoint(S, tilde, g_ads, hat), p_triples).max(axis=1)
+            pts_where = [where[k] for k in take]
             reports.append(_report(EQ_Q_JACOBI, pts_where, res_q, tol[EQ_Q_JACOBI]))
             reports.append(_report(EQ_P_JACOBI, pts_where, res_p, tol[EQ_P_JACOBI]))
-    return reports, words
+    return reports, sample

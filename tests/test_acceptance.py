@@ -111,7 +111,8 @@ def test_criterion_2_classical_oracle():
         want = np.zeros((3, 3))
         want[1, 2], want[2, 1] = 1.0 / x, -1.0 / x
         worst_rho = max(worst_rho, float(np.max(np.abs(t - want))))
-        worst_res = max(worst_res, np.max(np.abs(plcdybe_residual(s, rfun, w))))
+        # the point as a stack of one of its own, so the memo row stays bare
+        worst_res = max(worst_res, np.max(np.abs(plcdybe_residual(s, rfun, C[:]))))
     ok = worst_c <= 1e-9 and worst_rho <= 1e-9 and worst_res <= 1e-6
     _line(
         2,

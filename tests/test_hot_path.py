@@ -11,13 +11,14 @@ M bases are all skewed, so no map reduces to a selection of coordinates.
 
 import dataclasses
 import gc
+import re
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from plrmat import catalog, cli, reduction
+from plrmat import catalog, cli, reduction, verify
 from plrmat.bialgebra_double import DoubleAlgebra, validate_setup
 from plrmat.catalog import (
     export_entry,
@@ -26,6 +27,7 @@ from plrmat.catalog import (
     structure_constants_from_table,
 )
 from plrmat.dual_group import (
+    GroupWord,
     StepCache,
     dressing_vector,
     gradients,
@@ -70,7 +72,7 @@ from plrmat.verify import (
 )
 
 from test_lie_core import sl3_dj
-from test_reduction import pair_gradients, row_gradients
+from test_reduction import pair_gradients, row_gradients, stack
 
 
 def ref_M_component(S, vK):
@@ -151,9 +153,9 @@ def catalog_cases():
     for name in list_entries():
         e = get_entry(name)
         S = e.setup()
-        yield name, S, sample_hstar_points(S, e.num_points, e.seed)
+        yield name, S, sample_hstar_points(S, e.num_points, e.seed).words
     S = skewed_levi_setup()
-    yield "skewed_levi", S, sample_hstar_points(S, 4, 2)
+    yield "skewed_levi", S, sample_hstar_points(S, 4, 2).words
 
 
 CASES = list(catalog_cases())
@@ -191,9 +193,9 @@ def test_constraint_matrix_matches_reference(name, S, words):
     for w in words:
         C = constraint_matrix(S, w)
         c_a, c_b, m_parts = ref_constraint_matrix(S, w)
-        _close(C.entries, c_a)
-        _close(C.entries, c_b)
-        _close(C.m_parts, m_parts)
+        _close(C.entries[0], c_a)
+        _close(C.entries[0], c_b)
+        _close(C.m_parts[0], m_parts)
 
 
 @pytest.mark.parametrize("name,S,words", CASES, ids=IDS)
@@ -269,54 +271,60 @@ N_CASES = [c for c in CASES if c[0] in ("sl3_dj_levi", "skewed_levi")]
 def test_n_family_matches_reference(name, S, words):
     rng = np.random.default_rng(19)
     for w in words:
-        ns, want = constraint_matrix(S, w).n_matrix, ref_n_vectors(S, w)
+        at = stack(S, w)
+        (ns,), want = at.n_matrix, ref_n_vectors(S, w)
         assert len(ns) == len(want) == S.dim_M
         for got, ref in zip(ns, want):
             _close(got, ref, rtol=1e-12)
-        _close(rho_via_n(S, [w])[0], ref_rho_via_n(S, w), rtol=1e-12)
-        (got,) = constraint_inverse_operator_residual(S, [w])
+        _close(rho_via_n(S, at)[0], ref_rho_via_n(S, w), rtol=1e-12)
+        (got,) = constraint_inverse_operator_residual(S, at)
         assert abs(got - ref_inverse_operator_residual(S, w)) <= 1e-12
         us = rng.uniform(-1, 1, (6, S.dim_M)) @ S.M_in_K
         vs = rng.uniform(-1, 1, (6, S.dim_M)) @ S.M_in_K
         want = ref_characterization_residuals(S, w, us, vs)
-        (got,) = characterization_identity_residual(S, [w], us[None], vs[None])
+        (got,) = characterization_identity_residual(S, at, us[None], vs[None])
         assert abs(got - max(want)) <= 1e-12
         for k in range(len(us)):
-            (got,) = characterization_identity_residual(S, [w], us[None, k:k + 1], vs[None, k:k + 1])
+            (got,) = characterization_identity_residual(S, at, us[None, k:k + 1], vs[None, k:k + 1])
             assert abs(got - want[k]) <= 1e-12
         with pytest.raises(InputShapeError):
-            characterization_identity_residual(S, [w], us, vs)
+            characterization_identity_residual(S, at, us, vs)
 
 
 class TestMemoisedRfun:
     def setup_method(self):
         e = get_entry("sl3_dj_levi")
         self.S = e.setup()
-        self.words = sample_hstar_points(self.S, 3, e.seed)
+        self.sample = sample_hstar_points(self.S, 3, e.seed)
 
     def test_same_word_same_tensor(self):
         rfun = reduced_r_function(self.S)
-        for w in self.words:
-            first = rfun(w)
-            assert rfun(w) is first
-            np.testing.assert_array_equal(first.value, rho(self.S, w))
+        first = rfun(self.sample)
+        assert rfun(self.sample) is first
+        for k, w in enumerate(self.sample.words):
+            np.testing.assert_array_equal(first.value[k], rho(self.S, w))
+            # a sub-stack carries its rows of the jet made on its parent
+            part = rfun(self.sample[k:k + 1])
+            assert np.shares_memory(part.left, first.left)
+            assert part.left.tobytes() == first.left[k:k + 1].tobytes()
 
     def test_distinct_word_objects_are_evaluated_apart(self):
         rfun = reduced_r_function(self.S)
-        w = self.words[0]
+        w = self.sample.words[0]
         twin = w.right_mul(np.eye(self.S.double.dim))
         assert twin is not w
-        assert rfun(twin) is not rfun(w)
-        np.testing.assert_array_equal(rfun(twin).value, rfun(w).value)
-        np.testing.assert_array_equal(rfun(twin).left, rfun(w).left)
+        a, b = stack(self.S, twin), stack(self.S, w)
+        assert rfun(a) is not rfun(b)
+        np.testing.assert_array_equal(rfun(a).value, rfun(b).value)
+        np.testing.assert_array_equal(rfun(a).left, rfun(b).left)
 
     def test_control_still_fails_and_leaves_memo_intact(self):
         S = self.S
         rfun = reduced_r_function(S)
-        w = self.words[0]
+        w = self.sample[:1]
         clean = rfun(w)
         kept = [np.array(t) for t in (clean.value, clean.left, clean.right)]
-        a, b = largest_entry(clean.value)
+        a, b = largest_entry(clean.value[0])
         bad = sign_flipped_rfun(rfun, int(a), int(b))
         # the value and both derivatives are flipped together
         for got, want in zip((bad(w).value, bad(w).left, bad(w).right), kept):
@@ -344,8 +352,9 @@ def test_cdybe_suite_control_and_triangularity(name):
     # must equal what the public check computes on its own, against the
     # first sample point
     rfun = reduced_r_function(S)
-    words = sample_hstar_points(S, 3, e.seed)
-    want = [triangularity_check(S, rfun, w, ref=words[0]) for w in words]
+    sample = sample_hstar_points(S, 3, e.seed)
+    pts = [sample[k:k + 1] for k in range(len(sample))]
+    want = [triangularity_check(S, rfun, pt, ref=pts[0]) for pt in pts]
     assert [r for _, r in reports[EQ_TRIANGULARITY].per_point] == want
     assert reports[EQ_TRIANGULARITY].passed
     assert reports[EQ_TRIANGULARITY].max_residual <= 1e-12
@@ -568,19 +577,51 @@ def _fd_steps(S, h):
     return StepCache(S.G, h, np.eye(S.G.dim)), StepCache(S.double, h, S.Hdual)
 
 
+@dataclasses.dataclass(frozen=True)
+class WordQPoint:
+    """A point (g, λ) of G × Ȟ* with a word for each factor, which the
+    finite differences translate."""
+
+    g: GroupWord
+    dual: GroupWord
+
+
+@dataclasses.dataclass(frozen=True)
+class WordPPoint:
+    """A point (λ̃, g, λ̂) of Ȟ* × G × Ȟ* with a word for each factor."""
+
+    tilde: GroupWord
+    g: GroupWord
+    hat: GroupWord
+
+
+def slot_jet(f, word, ads):
+    """The slot gradient and Hessian of one function on a factor's word, a
+    stack of one of verify._slot_jets."""
+    grad, hess = verify._slot_jets([f], word.ad[None], ads)
+    return grad[0], hess[0]
+
+
+def _value(u, pt):
+    """u at a word point: l·Ad·r on its factor for a QFunction, else u(pt)."""
+    if isinstance(u, QFunction):
+        return float(u.left @ getattr(pt, u.slot).ad @ u.right)
+    return u(pt)
+
+
 def _fd_gradients(u, pt, slot, steps):
     """Left and right gradients of u along one factor by central differences."""
     cache = steps[0] if slot == "g" else steps[1]
     put = lambda w: dataclasses.replace(pt, **{slot: w})  # noqa: E731
-    return gradients(getattr(pt, slot), lambda w: u(put(w)), cache.h, cache)
+    return gradients(getattr(pt, slot), lambda w: _value(u, put(w)), cache.h, cache)
 
 
 def ref_fd_bracket(S, pt, u, v, steps):
     """The bracket ansatz with every slot gradient a central difference.
 
     This is the formulation the exact jets replaced, block by block; u and v
-    are any scalar functions of a QPoint or PPoint, and steps come from
-    _fd_steps.
+    are QFunctions or any scalar functions of a WordQPoint or WordPPoint,
+    and steps come from _fd_steps.
     """
     n = S.n
     R = S.R
@@ -596,7 +637,7 @@ def ref_fd_bracket(S, pt, u, v, steps):
 
     gu, gpu = _fd_gradients(u, pt, "g", steps)
     gv, gpv = _fd_gradients(v, pt, "g", steps)
-    if isinstance(pt, QPoint):
+    if isinstance(pt, WordQPoint):
         du, _ = _fd_gradients(u, pt, "dual", steps)
         dv, dpv = _fd_gradients(v, pt, "dual", steps)
         val = dual_block(pt.dual, du, dpv) + gpu @ to_g(dv) - gpv @ to_g(du)
@@ -628,26 +669,31 @@ REDUCING = [n for n in list_entries() if get_entry(n).setup().dim_M > 0]
 
 
 def _jacobi_points(name):
-    """The setup, its rfun, and a QPoint and PPoint at its first sample points."""
+    """The setup, its sample, its rfun, a QPoint and a PPoint of one point
+    each at its first sample points, and the same two points with words for
+    factors."""
     e = get_entry(name)
     S = e.setup()
-    words = sample_hstar_points(S, e.num_points, e.seed)
+    sample = sample_hstar_points(S, e.num_points, e.seed)
     rng = np.random.default_rng(e.seed)
     g = ambient_word(S.G, [rng.uniform(-0.3, 0.3, S.G.dim)])
     rfun = reduced_r_function(S)
-    return e, S, words, rfun, QPoint(S, g, words[0]), PPoint(S, words[1], g, words[0])
+    qpt = QPoint(S, g.ad[None], sample[:1])
+    ppt = PPoint(S, sample[1:2], g.ad[None], sample[:1])
+    w0, w1 = sample.words[:2]
+    return S, sample, rfun, qpt, ppt, WordQPoint(g, w0), WordPPoint(w1, g, w0)
 
 
 @pytest.mark.parametrize("name", REDUCING)
 def test_exact_jacobiators_match_nested_differences(name):
     """|exact − nested FD| falls about fourfold per halving of h from 2e-3."""
-    e, S, _, rfun, qpt, ppt = _jacobi_points(name)
+    S, _, rfun, qpt, ppt, wq, wp = _jacobi_points(name)
     phis = [g_entry(S, 1, 2), g_entry(S, 0, 1), g_entry(S, 2, 0)]
-    for pt, exact in ((qpt, q_jacobi_residual), (ppt, p_jacobi_residual)):
-        ((want,),) = exact(S, rfun, [pt], [[phis]])
+    for pt, at, exact in ((qpt, wq, q_jacobi_residual), (ppt, wp, p_jacobi_residual)):
+        ((want,),) = exact(S, rfun, pt, [[phis]])
         assert want <= 1e-12
         gaps = [
-            abs(ref_nested_jacobiator(S, pt, *phis, h) - want)
+            abs(ref_nested_jacobiator(S, at, *phis, h) - want)
             for h in (2e-3, 1e-3, 5e-4)
         ]
         for coarse, fine in zip(gaps, gaps[1:]):
@@ -657,18 +703,18 @@ def test_exact_jacobiators_match_nested_differences(name):
 @pytest.mark.parametrize("name", REDUCING)
 def test_sign_flipped_jet_breaks_jacobiators(name):
     """The corrupted r of PL_CDYBE_CONTROL fails both exact Jacobiators."""
-    _, S, words, rfun, qpt, ppt = _jacobi_points(name)
-    a, b = largest_entry(rfun(words[0]).value)
+    S, sample, rfun, qpt, ppt, _, _ = _jacobi_points(name)
+    a, b = largest_entry(rfun(sample[:1]).value[0])
     bad = sign_flipped_rfun(rfun, int(a), int(b))
     dim_g = S.G.dim
     triples = [
         (g_entry(S, i, j), g_entry(S, j, k), g_entry(S, k, i))
         for i in range(dim_g) for j in range(dim_g) for k in range(dim_g)
     ]
-    worst_q = q_jacobi_residual(S, bad, [qpt], [triples]).max()
-    worst_p = p_jacobi_residual(S, bad, [ppt], [triples]).max()
+    worst_q = q_jacobi_residual(S, bad, qpt, [triples]).max()
+    worst_p = p_jacobi_residual(S, bad, ppt, [triples]).max()
     assert worst_q > 1e-2 and worst_p > 1e-2
-    assert q_jacobi_residual(S, rfun, [qpt], [triples]).max() <= 1e-12
+    assert q_jacobi_residual(S, rfun, qpt, [triples]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("name", REDUCING)
@@ -676,34 +722,35 @@ def test_sign_flipped_jet_breaks_triangularity(name):
     """The corrupted r of PL_CDYBE_CONTROL fails TRIANGULARITY.  Where the
     invariance part cannot see it (on sl2 it stays 0), the λ-dependence of
     the corrupted left side does."""
-    _, S, words, rfun, _, _ = _jacobi_points(name)
-    a, b = largest_entry(rfun(words[0]).value)
+    S, sample, rfun, _, _, _, _ = _jacobi_points(name)
+    pts = [sample[k:k + 1] for k in range(len(sample))]
+    a, b = largest_entry(rfun(pts[0]).value[0])
     bad = sign_flipped_rfun(rfun, int(a), int(b))
-    assert max(triangularity_check(S, bad, w, ref=words[0]) for w in words) > 1e-2
-    assert max(triangularity_check(S, rfun, w, ref=words[0]) for w in words) <= 1e-12
+    assert max(triangularity_check(S, bad, pt, ref=pts[0]) for pt in pts) > 1e-2
+    assert max(triangularity_check(S, rfun, pt, ref=pts[0]) for pt in pts) <= 1e-12
     # without a reference only the invariance part is left
-    for w in words:
-        assert triangularity_check(S, bad, w) == invariance_residual3(S.G, plcdybe_lhs(S, bad, w))
+    for pt in pts:
+        assert triangularity_check(S, bad, pt) == invariance_residual3(S.G, plcdybe_lhs(S, bad, pt))
 
 
 @pytest.mark.parametrize("slot", ["g", "dual"])
 def test_function_hessian_matches_differenced_gradient(slot):
-    """Row k of QFunction.jet's Hessian is the derivative of its gradient
+    """Row k of a function's slot Hessian is the derivative of its gradient
     along direction k, left directions first, then right ones."""
-    _, S, _, _, qpt, _ = _jacobi_points("sl3_dj_levi")
+    S, _, _, _, _, wq, _ = _jacobi_points("sl3_dj_levi")
     h = 1e-4
     if slot == "g":
         f, ads, cache = g_entry(S, 3, 5), np.swapaxes(S.G.c, 1, 2), StepCache(S.G, h, np.eye(S.G.dim))
     else:
         f, ads, cache = dual_entry(S, 7, 3), S.hstar_ads, StepCache(S.double, h, S.Hdual)
-    word = getattr(qpt, slot)
-    grad, hess = f.jet(word, ads)
+    word = getattr(wq, slot)
+    grad, hess = slot_jet(f, word, ads)
     assert float(np.max(np.abs(hess))) > 1e-2
     k = len(ads)
     for side, move in enumerate(("left_mul", "right_mul")):
         for i in range(k):
-            plus = f.jet(getattr(word, move)(cache.plus[i]), ads)[0]
-            minus = f.jet(getattr(word, move)(cache.minus[i]), ads)[0]
+            plus = slot_jet(f, getattr(word, move)(cache.plus[i]), ads)[0]
+            minus = slot_jet(f, getattr(word, move)(cache.minus[i]), ads)[0]
             np.testing.assert_allclose(hess[side * k + i], (plus - minus) / (2 * h), atol=1e-7)
 
 
@@ -713,7 +760,7 @@ def test_dual_blocks_keep_the_jacobi_identity():
     and the derivative of Ad_λ there; the suite's own triples reach them
     only where its mixed triple is nonzero.  On the double of a non-abelian
     (H, H*) the Jacobiators stay at roundoff."""
-    _, S, _, rfun, qpt, ppt = _jacobi_points("sl3_dj_levi")
+    S, _, rfun, qpt, ppt, _, _ = _jacobi_points("sl3_dj_levi")
     dim2 = S.sub_double.dim
     entries = [(a, b) for a in range(dim2) for b in range(dim2)]
     phi, psi = g_entry(S, 1, 2), g_entry(S, 3, 5)
@@ -724,12 +771,12 @@ def test_dual_blocks_keep_the_jacobi_identity():
         for e2 in entries[i + 1:]:
             on_q.append((phi, dual_entry(S, *e1), dual_entry(S, *e2)))
             on_p.append((phi, hat_entry(S, *e1), hat_entry(S, *e2)))
-    assert q_jacobi_residual(S, rfun, [qpt], [on_q]).max() <= 1e-12
-    assert p_jacobi_residual(S, rfun, [ppt], [on_p]).max() <= 1e-12
+    assert q_jacobi_residual(S, rfun, qpt, [on_q]).max() <= 1e-12
+    assert p_jacobi_residual(S, rfun, ppt, [on_p]).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
-# one CMatrix per point, read by every consumer
+# one row per word in the memo, derived data on the sample's stack
 # ---------------------------------------------------------------------------
 
 
@@ -737,15 +784,16 @@ class TestPointMemo:
     def setup_method(self):
         self.e = get_entry("sl3_dj_levi")
         self.S = self.e.setup()
-        self.words = sample_hstar_points(self.S, 3, self.e.seed)
+        self.sample = sample_hstar_points(self.S, 3, self.e.seed)
 
     def test_one_matrix_per_word(self):
-        for w in self.words:
+        for w in self.sample.words:
             assert constraint_matrix(self.S, w) is constraint_matrix(self.S, w)
-            assert rho_jet(self.S, w) is rho_jet(self.S, w)
+        # derived data is made once per stack, and kept there
+        assert self.sample.jet is self.sample.jet
 
     def test_second_setup_gets_its_own_matrix(self):
-        S, S2, w = self.S, self.e.setup(), self.words[0]
+        S, S2, w = self.S, self.e.setup(), self.sample.words[0]
         assert S2 is not S
         first = constraint_matrix(S, w)
         other = constraint_matrix(S2, w)
@@ -757,41 +805,62 @@ class TestPointMemo:
 
     def test_memo_keeps_neither_word_nor_matrix_alive(self):
         S = self.S
-        w = sample_hstar_points(S, 1, 99)[0]
+        sample = sample_hstar_points(S, 1, 99)
+        w = sample.words[0]
         C = constraint_matrix(S, w)
-        # every cached property of the point is filled in
+        # every derived datum is made on the sample, and the one-point calls
+        # make theirs on stacks of their own: no per-word object holds any
+        rho(S, w)
         rho_jet(S, w)
-        rho_via_n(S, [w])
-        characterization_identity_residual(S, [w], S.M_in_K[None, :1], S.M_in_K[None, 1:2])
-        assert {"solved", "velocity", "jet", "ad_inverse", "n_matrix"} <= set(vars(C))
+        reduced_r_function(S)(sample)
+        rho_via_n(S, sample)
+        characterization_identity_residual(S, sample, S.M_in_K[None, :1], S.M_in_K[None, 1:2])
+        assert {"solved", "velocity", "jet", "ad_inverse", "n_matrix"} <= set(sample._made)
+        assert C._made == {} and C.words == (None,)
         word_ref, matrix_ref = weakref.ref(w), weakref.ref(C)
-        del w, C
+        del w, C, sample
         gc.collect()
         assert word_ref() is None
         assert matrix_ref() is None
 
     def test_threshold_is_checked_on_every_request(self):
-        """The setup's threshold is checked on each call, also once the
-        point's data is cached: a copy of the setup at threshold 1.0 refuses
-        a point its original accepts, and one at the point's own cond
-        accepts it."""
-        S, w = self.S, self.words[0]
-        C = constraint_matrix(S, w)
+        """The setup's threshold is checked on each call, also once a stack
+        holds its data: a copy of the setup at threshold 1.0 refuses a point
+        its original accepts, and one at the point's own cond accepts it.
+        Over a stack, the first point in order past the threshold raises."""
+        S, C = self.S, self.sample[:1]
+        w = C.words[0]
+        row = constraint_matrix(S, w)
         rho(S, w)
-        assert C.cond > 1.0
+        reduced_r_function(S)(C)
+        assert "jet" in C._made and C.cond[0] > 1.0
         strict = dataclasses.replace(S, cond_threshold=1.0)
         for _ in range(2):
-            for f, at in ((rho, w), (rho_jet, w), (rho_via_n, [w]),
-                          (constraint_inverse_operator_residual, [w])):
+            for f, at in ((rho, w), (rho_jet, w), (rho_via_n, C),
+                          (constraint_inverse_operator_residual, C)):
                 with pytest.raises(CDegenerateError):
                     f(strict, at)
+            with pytest.raises(CDegenerateError):
+                reduced_r_function(strict)(C)
             g1, g2 = pair_gradients(S, w, [(dual_entry(S, 0, 1), dual_entry(S, 1, 0))])
             with pytest.raises(CDegenerateError):
-                dirac_bracket(strict, [w], g1[None], g2[None])
-        assert constraint_matrix(S, w) is C
-        np.testing.assert_array_equal(rho(S, w), C.solved[0])
-        at_cond = dataclasses.replace(S, cond_threshold=C.cond)
-        np.testing.assert_array_equal(rho(at_cond, w), C.solved[0])
+                dirac_bracket(strict, C, g1[None], g2[None])
+        assert constraint_matrix(S, w) is row
+        np.testing.assert_array_equal(rho(S, w), C.solved[0][0])
+        at_cond = dataclasses.replace(S, cond_threshold=float(C.cond[0]))
+        np.testing.assert_array_equal(rho(at_cond, w), C.solved[0][0])
+        # a threshold between the sample's conds: the first point past it
+        order = np.argsort(self.sample.cond)
+        conds = self.sample.cond[order]
+        assert conds[0] < conds[1]
+        between = dataclasses.replace(S, cond_threshold=float(conds[0] + conds[1]) / 2)
+        message = re.escape(f"condition number {conds[1]:.3e} exceeds")
+        ordered = self.sample[order]
+        for call in (lambda: rho_via_n(between, ordered),
+                     lambda: constraint_inverse_operator_residual(between, ordered),
+                     lambda: reduced_r_function(between)(ordered)):
+            with pytest.raises(CDegenerateError, match=message):
+                call()
 
 
 def _counting(monkeypatch, owner, name, calls):
@@ -823,15 +892,15 @@ def test_run_suite_builds_each_draw_once(monkeypatch):
     kernels = {name: [] for name in ("_velocities", "_jets", "_n_matrices")}
     for name, calls in kernels.items():
         _counting(monkeypatch, reduction, name, calls)
-    reports, words = run_suite(
+    reports, sample = run_suite(
         S, "all", num_points=e.num_points, seed=e.seed
     )
     assert all(r.passed for r in reports)
-    assert _rows(draws) >= len(words) == e.num_points
+    assert _rows(draws) >= len(sample) == e.num_points
     assert _rows(builds) == _rows(draws)
-    assert len(inverses) == 1 and len(inverses[0][0]) == len(words)
+    assert len(inverses) == 1 and len(inverses[0][0]) == len(sample)
     assert {name: [_rows([args]) for args in calls] for name, calls in kernels.items()} == (
-        dict.fromkeys(kernels, [len(words)]))
+        dict.fromkeys(kernels, [len(sample)]))
 
 
 def test_equivariance_suite_reads_the_cached_inverse(monkeypatch):
@@ -843,16 +912,16 @@ def test_equivariance_suite_reads_the_cached_inverse(monkeypatch):
     solves, inverses = [], []
     _counting(monkeypatch, np.linalg, "solve", solves)
     _counting(monkeypatch, np.linalg, "inv", inverses)
-    reports, words = run_suite(
+    reports, sample = run_suite(
         S, "equivariance", num_points=e.num_points, seed=e.seed
     )
     assert all(r.passed for r in reports)
     assert len(solves) == 1
     assert len(inverses) == 1
-    assert len(solves[0][0]) == len(inverses[0][0]) == len(words) == e.num_points
+    assert len(solves[0][0]) == len(inverses[0][0]) == len(sample) == e.num_points
     monkeypatch.undo()
-    for w in words:
-        block = constraint_matrix(S, w).ad_inverse[S.n:, :S.n]
+    for w, inv in zip(sample.words, sample.ad_inverse):
+        block = inv[S.n:, :S.n]
         for x in S.H_in_K:
             _close(block @ x, dressing_vector(w, x), rtol=1e-13)
 
@@ -872,7 +941,7 @@ def test_reduce_builds_each_draw_once(monkeypatch, tmp_path):
 @pytest.mark.parametrize("name", ["sl3_dj_levi", "skewed_levi"])
 def test_gradient_contraction_is_the_jet(name):
     """The Dirac suite's gradients, one contraction with the point's Ad
-    velocity, are the halves of QFunction.jet's gradient."""
+    velocity, are the halves of its slot gradient."""
     _, S, words = next(c for c in CASES if c[0] == name)
     rng = np.random.default_rng(17)
     dim2, p, n = S.sub_double.dim, S.dim_H, S.n
@@ -885,7 +954,8 @@ def test_gradient_contraction_is_the_jet(name):
     pairs = list(zip(funcs, reversed(funcs)))
     for w in words:
         g1, g2p = pair_gradients(S, w, pairs)
-        jets = [(f1.jet(w, S.hstar_ads)[0], f2.jet(w, S.hstar_ads)[0]) for f1, f2 in pairs]
+        jets = [(slot_jet(f1, w, S.hstar_ads)[0], slot_jet(f2, w, S.hstar_ads)[0])
+                for f1, f2 in pairs]
         want1 = np.array([j1[:p] for j1, _ in jets])
         want2 = np.array([j2[p:] for _, j2 in jets])
         assert float(np.max(np.abs(want1))) > 1e-1
@@ -894,7 +964,7 @@ def test_gradient_contraction_is_the_jet(name):
         assert float(np.max(np.abs(g2p - want2))) <= 1e-14
         moved_m = w.ad[n:, :n] @ S.M_in_K.T
         for f in funcs[::7]:
-            want = f.jet(w, S.hstar_ads)[0][:p] @ S.H_in_K @ moved_m
-            got = constraint_pb_check(S, [w], row_gradients(S, w, [f])[None, :, :p])
+            want = slot_jet(f, w, S.hstar_ads)[0][:p] @ S.H_in_K @ moved_m
+            got = constraint_pb_check(S, stack(S, w), row_gradients(S, w, [f])[None, :, :p])
             assert got.shape == (1, 1, S.dim_M)
             assert float(np.max(np.abs(got[0, 0] - want))) <= 1e-14

@@ -1,17 +1,18 @@
 """The suites take a setup's whole sample in one stacked pass per equation.
 
-run_suite makes each point's rho jet, Ad_λ⁻¹, N_i and Ad velocity for the
-whole sample in one stacked pass (reduction.fill_caches), and calls each
-equation once over the sample: the Jacobiators over a stack of product
-points, each with a row of triples; the Dirac brackets, the constraint
-check and the rho consistency residuals over a stack of words, each with
-its slice of gradients; the equivariance residual over a stack of words,
-each with its H basis.  The references below make one call per point (a
-stack of one) and per triple, with fresh points and functions, and draw
-one scalar at a time: each per-point residual, and each stacked call,
-must equal its reference bit for bit, so stacking moved no draw and no
-digit, and a point's numbers do not depend on the points stacked with it.
-A sample taken in several chunks gives the reports of one chunk.
+The sample is one stack (reduction.CMatrix), on which each point's rho jet,
+Ad_λ⁻¹, N_i and Ad velocity are made once, by one stacked kernel each, and
+run_suite calls each equation once over it: the Jacobiators over a stack of
+product points, each with a row of triples; the Dirac brackets, the
+constraint check and the rho consistency residuals over the sample, each
+point with its slice of gradients; the equivariance residual over the
+sample, each point with its H basis.  The references below make one call
+per point (a stack of one) and per triple, with fresh stacks and
+functions, and draw one scalar at a time: each per-point residual, and
+each stacked call, must equal its reference bit for bit, so stacking moved
+no draw and no digit, and a point's numbers do not depend on the points
+stacked with it.  A sample taken in several chunks gives the reports of
+one chunk.
 """
 
 import dataclasses
@@ -59,8 +60,8 @@ from plrmat.verify import (
     tilde_entry,
 )
 
-from test_hot_path import skewed_levi_setup
-from test_reduction import pair_gradients, row_gradients
+from test_hot_path import skewed_levi_setup, slot_jet
+from test_reduction import pair_gradients, row_gradients, stack
 
 
 def _cases():
@@ -98,11 +99,11 @@ def reference_jacobi(S, words, seed):
             return [g_entry(S, *ab) for ab in phi]
 
         want_q.append(np.concatenate([
-            q_jacobi_residual(S, rfun, [QPoint(S, g, w)], [[fs]])[0]
+            q_jacobi_residual(S, rfun, QPoint(S, g.ad[None], stack(S, w)), [[fs]])[0]
             for fs in (phis(), phis()[:2] + [dual_entry(S, *on_dual)])
         ]))
         want_p.append(np.concatenate([
-            p_jacobi_residual(S, rfun, [PPoint(S, tilde, g, w)], [[fs]])[0]
+            p_jacobi_residual(S, rfun, PPoint(S, stack(S, tilde), g.ad[None], stack(S, w)), [[fs]])[0]
             for fs in (phis(), [phis()[0], tilde_entry(S, *on_tilde), hat_entry(S, *on_hat)])
         ]))
     want_q, want_p = np.array(want_q), np.array(want_p)
@@ -131,19 +132,19 @@ def reference_dirac(S, words, seed):
         pairs = [pair_gradients(S, w, [(draw(), draw())]) for _ in range(10)]
         g1 = np.concatenate([g for g, _ in pairs])[None]
         g2 = np.concatenate([g for _, g in pairs])[None]
-        got = dirac_bracket(S, [w], g1, g2)
-        want = native_hstar_bracket(S, [w], g1, g2)
+        got = dirac_bracket(S, stack(S, w), g1, g2)
+        want = native_hstar_bracket(S, stack(S, w), g1, g2)
         fs = [draw() for _ in range(S.dim_M)]
         fs = row_gradients(S, w, fs)[:, :p] if fs else np.zeros((0, p))
-        pb = constraint_pb_check(S, [w], fs[None])
+        pb = constraint_pb_check(S, stack(S, w), fs[None])
         # each {f_i, ξ_i} is the one vector product it was, to roundoff
         moved = w.ad[n:, :n] @ S.M_in_K.T
         for i, f in enumerate(fs):
             assert abs(pb[0, i, i] - f @ S.H_in_K @ moved[:, i]) <= 1e-14
         res[EQ_DIRAC].append(float(np.max(np.abs(got - want))))
         res[EQ_CONSTRAINT_PB].append(float(np.abs(np.diagonal(pb[0])).max(initial=0.0)))
-        r1 = float(np.abs(rho(S, w) - rho_via_n(S, [w])[0]).max(initial=0.0))
-        res[EQ_RHO_CONSISTENCY].append(max(r1, constraint_inverse_operator_residual(S, [w])[0]))
+        r1 = float(np.abs(rho(S, w) - rho_via_n(S, stack(S, w))[0]).max(initial=0.0))
+        res[EQ_RHO_CONSISTENCY].append(max(r1, constraint_inverse_operator_residual(S, stack(S, w))[0]))
         for name, value in zip(calls, (got, want, pb)):
             calls[name].append(value)
     for w in words:
@@ -151,7 +152,8 @@ def reference_dirac(S, words, seed):
         for k in range(20 if S.dim_M else 0):
             u[k] = rng.uniform(-1, 1, S.dim_M) @ S.M_in_K
             v[k] = rng.uniform(-1, 1, S.dim_M) @ S.M_in_K
-        res[EQ_CHARACTERIZATION].append(characterization_identity_residual(S, [w], u[None], v[None])[0])
+        res[EQ_CHARACTERIZATION].append(
+            characterization_identity_residual(S, stack(S, w), u[None], v[None])[0])
     return res, {name: np.concatenate(values) for name, values in calls.items()}
 
 
@@ -184,9 +186,9 @@ def _same_bytes(got, want):
 def test_jacobi_suite_matches_fresh_calls(monkeypatch, name, S, num_points, seed):
     calls = {}
     _recording(monkeypatch, ("q_jacobi_residual", "p_jacobi_residual"), calls)
-    reports, words = run_suite(S, "jacobi", num_points, seed)
+    reports, sample = run_suite(S, "jacobi", num_points, seed)
     monkeypatch.undo()
-    res_q, res_p, want_q, want_p = reference_jacobi(S, words, seed)
+    res_q, res_p, want_q, want_p = reference_jacobi(S, sample.words, seed)
     # one call per equation, every product point's triples in it
     (got_q,), (got_p,) = calls["q_jacobi_residual"], calls["p_jacobi_residual"]
     _same_bytes(got_q, want_q)
@@ -201,9 +203,9 @@ def test_dirac_suite_matches_fresh_calls(monkeypatch, name, S, num_points, seed)
     calls = {}
     _recording(monkeypatch, ("dirac_bracket", "native_hstar_bracket", "constraint_pb_check"),
                calls)
-    reports, words = run_suite(S, "dirac", num_points, seed)
+    reports, sample = run_suite(S, "dirac", num_points, seed)
     monkeypatch.undo()
-    res, want = reference_dirac(S, words, seed)
+    res, want = reference_dirac(S, sample.words, seed)
     for fn, values in calls.items():
         (got,) = values  # one call over the whole sample
         _same_bytes(got, want[fn])
@@ -217,31 +219,31 @@ def test_stacked_equivariance_matches_one_x_at_a_time(name, S, num_points, seed)
     one call; each slice is the residual of that vector at that point alone,
     bit for bit."""
     rfun = reduced_r_function(S)
-    reports, words = run_suite(S, "equivariance", num_points, seed)
+    reports, sample = run_suite(S, "equivariance", num_points, seed)
     # the setup's H-basis arrays the suites read are read-only
     assert not (S.h_ads.flags.writeable or S.H_in_G.flags.writeable)
     units = np.eye(S.dim_H)
-    stacked = equivariance_residual(S, rfun, words, np.array([units] * len(words)))
-    assert stacked.shape == (len(words), S.dim_H, S.G.dim, S.G.dim)
+    stacked = equivariance_residual(S, rfun, sample, np.array([units] * len(sample)))
+    assert stacked.shape == (len(sample), S.dim_H, S.G.dim, S.G.dim)
     want = []
-    for w, at_w in zip(words, stacked):
-        alone = [equivariance_residual(S, rfun, [w], x[None, None]) for x in units]
+    for w, at_w in zip(sample.words, stacked):
+        alone = [equivariance_residual(S, rfun, stack(S, w), x[None, None]) for x in units]
         for got, one in zip(at_w, alone):
             assert one.shape == (1, 1, S.G.dim, S.G.dim)
             assert got.tobytes() == one[0, 0].tobytes()
         want.append(max((float(np.abs(one).max()) for one in alone), default=0.0))
     assert _residuals(reports, EQ_EQUIVARIANCE) == want
-    # a stack of X per word only: neither one X, nor one word's stack, nor a
-    # deeper array, nor a stack for another number of words
+    # a stack of X per point only: neither one X, nor one point's stack, nor
+    # a deeper array, nor a stack for another number of points
     p = S.dim_H
     for x in (np.zeros(p), np.zeros((1, p)), np.zeros((1, 1, 1, p)), np.zeros((1, 1, p + 1)),
               np.zeros((2, 1, p))):
         with pytest.raises(InputShapeError):
-            equivariance_residual(S, rfun, words[:1], x)
+            equivariance_residual(S, rfun, sample[:1], x)
 
 
 def reference_slot_jet(f, word, ads):
-    """QFunction.jet as one function's products, its Hessian by np.block."""
+    """One function's slot jet as its own products, its Hessian by np.block."""
     l, r, ad = f.left, f.right, word.ad
     la, ar = l @ ads, ads @ r
     l_ad, ad_r = l @ ad, ad @ r
@@ -255,7 +257,7 @@ def test_stacked_slot_jets_are_each_functions_own(name, S, num_points, seed):
     """_slot_jets of a stack of functions, each on its own factor's Ad, gives
     each one the bytes of its own products, on the ambient factor and on a
     dual one."""
-    words = sample_hstar_points(S, 2, seed)
+    words = sample_hstar_points(S, 2, seed).words
     rng = np.random.default_rng(seed)
     g = ambient_word(S.G, [rng.uniform(-AMBIENT_BOX, AMBIENT_BOX, S.G.dim)])
     g2 = ambient_word(S.G, [rng.uniform(-AMBIENT_BOX, AMBIENT_BOX, S.G.dim)])
@@ -270,7 +272,7 @@ def test_stacked_slot_jets_are_each_functions_own(name, S, num_points, seed):
             want_grad, want_hess = reference_slot_jet(f, word, ads)
             assert grad.tobytes() == want_grad.tobytes()
             assert h.tobytes() == want_hess.tobytes()
-            one = f.jet(word, ads)
+            one = slot_jet(f, word, ads)
             assert one[0].tobytes() == grad.tobytes() and one[1].tobytes() == h.tobytes()
 
 
@@ -281,10 +283,12 @@ def test_sign_flipped_rfun_after_the_true_one_still_fails():
     the true rfun still passes after it."""
     e = get_entry("sl3_dj_levi")
     S = e.setup()
-    words = sample_hstar_points(S, e.num_points, e.seed)
+    sample = sample_hstar_points(S, e.num_points, e.seed)
+    w0, w1 = sample.words[:2]
     g = ambient_word(S.G, [np.random.default_rng(e.seed).uniform(-0.3, 0.3, S.G.dim)])
+    gg = np.array([g.ad, g.ad])
     rfun = reduced_r_function(S)
-    a, b = largest_entry(rfun(words[0]).value)
+    a, b = largest_entry(rfun(sample[:1]).value[0])
     bad = sign_flipped_rfun(rfun, int(a), int(b))
 
     def make_triples():
@@ -299,19 +303,19 @@ def test_sign_flipped_rfun_after_the_true_one_still_fails():
     triples = make_triples()
     fs = list({id(f): f for t in triples for f in t}.values())
     for make, residual in (
-        (lambda: [QPoint(S, g, words[0]), QPoint(S, g, words[1])], q_jacobi_residual),
-        (lambda: [PPoint(S, words[1], g, words[0]), PPoint(S, words[0], g, words[1])],
-         p_jacobi_residual),
+        (lambda: QPoint(S, gg, stack(S, w0, w1)), q_jacobi_residual),
+        (lambda: PPoint(S, stack(S, w1, w0), gg, stack(S, w0, w1)), p_jacobi_residual),
     ):
-        pts = make()
+        pt = make()
+        pts = [pt]
         before = state(pts + fs)
-        assert residual(S, rfun, pts, [triples] * 2).max() <= 1e-12
+        assert residual(S, rfun, pt, [triples] * 2).max() <= 1e-12
         assert state(pts + fs) == before
-        flipped = residual(S, bad, pts, [triples] * 2)
+        flipped = residual(S, bad, pt, [triples] * 2)
         assert flipped.shape == (2, len(triples))
         assert flipped.max() > 1e-2
         assert flipped.tobytes() == residual(S, bad, make(), [make_triples()] * 2).tobytes()
-        assert residual(S, rfun, pts, [triples] * 2).max() <= 1e-12
+        assert residual(S, rfun, pt, [triples] * 2).max() <= 1e-12
         assert state(pts + fs) == before
         # no cache field on either, and no form outlives its call
         assert not any(isinstance(v, dict) for o in pts + fs for v in vars(o).values())
@@ -342,7 +346,7 @@ def test_jacobi_suite_builds_one_form_per_call_and_no_block(monkeypatch):
     monkeypatch.setattr(np, "block", no_block)
     reports, _ = run_suite(S, "jacobi", e.num_points, e.seed)
     assert all(r.passed for r in reports)
-    assert [len(args[3]) for args in forms] == [JACOBI_POINTS, JACOBI_POINTS]
+    assert [len(args[3].g) for args in forms] == [JACOBI_POINTS, JACOBI_POINTS]
 
 
 def test_dirac_suite_contracts_gradients_once_per_point(monkeypatch):
@@ -355,15 +359,15 @@ def test_dirac_suite_contracts_gradients_once_per_point(monkeypatch):
     for owner in (verify, reduction):
         _counting(monkeypatch, owner, "_row_gradients", contractions)
     _counting(monkeypatch, verify, "constraint_pb_check", checks)
-    reports, words = run_suite(S, "dirac", e.num_points, e.seed)
+    reports, sample = run_suite(S, "dirac", e.num_points, e.seed)
     assert all(r.passed for r in reports)
     assert len(contractions) == len(checks) == 1
     # the contraction stacks each point's 10 Dirac pairs and one function
     # per constraint, and the check takes the constraint functions' rows
     (_, at, left, right), = contractions
-    assert len(at) == len(words) == e.num_points
-    assert left.shape[:2] == right.shape[:2] == (len(words), 20 + S.dim_M)
-    assert checks[0][2].shape == (len(words), S.dim_M, S.dim_H)
+    assert at is sample and len(sample) == e.num_points
+    assert left.shape[:2] == right.shape[:2] == (len(sample), 20 + S.dim_M)
+    assert checks[0][2].shape == (len(sample), S.dim_M, S.dim_H)
 
 
 @pytest.mark.parametrize("name,S,num_points,seed", CASES, ids=IDS)
@@ -375,7 +379,7 @@ def test_chunked_sample_gives_the_one_chunk_reports(monkeypatch, name, S, num_po
         # repr round-trips every float, so equal text is equal bits
         return [repr(dataclasses.astuple(r)) for r in reports]
 
-    one, words = run_suite(S, "all", num_points, seed)
+    one, sample = run_suite(S, "all", num_points, seed)
     chunks = []
     original = reduction._point_chunks
 
@@ -388,11 +392,10 @@ def test_chunked_sample_gives_the_one_chunk_reports(monkeypatch, name, S, num_po
     monkeypatch.setattr(reduction, "_point_chunks", recorded)
     monkeypatch.setattr(verify, "_point_chunks", recorded)
     many, again = run_suite(S, "all", num_points, seed)
-    assert [w.ad.tobytes() for w in again] == [w.ad.tobytes() for w in words]
-    # every cache fill that had points to fill, every stacked section and
-    # both Jacobi calls split their points
-    split = [n for n in chunks if n]
-    assert len(split) >= 6 and min(split) >= 2
+    assert [w.ad.tobytes() for w in again.words] == [w.ad.tobytes() for w in sample.words]
+    # every stacked section (cdybe, equivariance, dirac) and both Jacobi
+    # calls split their points
+    assert len(chunks) == 5 and min(chunks) >= 2
     assert fields(many) == fields(one)
 
 
@@ -409,3 +412,75 @@ def test_suite_calls_every_traced_residual(monkeypatch):
         _counting(monkeypatch, verify, name, calls[name])
     run_suite(S, "all", e.num_points, e.seed)
     assert {name: len(c) > 0 for name, c in calls.items()} == dict.fromkeys(names, True)
+
+
+def _derived_bytes(C):
+    """The bytes of every datum made on the stack C: its solve, Ad
+    velocities, rho jets, Ad_λ⁻¹ and N_i."""
+    (values, x), jet = C.solved, C.jet
+    arrays = (values, x, C.velocity, jet.value, jet.left, jet.right, C.ad_inverse, C.n_matrix)
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("name,S,num_points,seed", CASES, ids=IDS)
+def test_sub_stack_gives_what_it_makes_alone(name, S, num_points, seed):
+    """C[idx], for a slice or an index array, has the solve, velocities,
+    jets, inverses and N_i of the same points made on a stack of their own,
+    bit for bit, whether it was cut before or after its parent made them;
+    cut after, it carries its parent's rows."""
+    sample = sample_hstar_points(S, num_points, seed)
+    n = len(sample)
+    picks = [slice(1, None), slice(0, n, 2), np.arange(n)[::-1], np.array([0, 0, n - 1])]
+    before = [sample[idx] for idx in picks]  # the sampler made only the solve
+    assert set(sample._made) == {"solved"}
+    whole = _derived_bytes(sample)
+    for idx, early in zip(picks, before):
+        late = sample[idx]
+        assert set(late._made) == {"solved", "velocity", "jet", "ad_inverse", "n_matrix"}
+        alone = stack(S, *late.words)
+        want = _derived_bytes(alone)
+        assert _derived_bytes(early) == want
+        assert _derived_bytes(late) == want
+        rows = np.arange(n)[idx]
+        assert late.words == tuple(sample.words[k] for k in rows)
+        assert [a.tobytes() for a in late._arrays()] == [a[rows].tobytes() for a in sample._arrays()]
+    assert _derived_bytes(sample) == whole
+
+
+def test_suites_and_commands_read_points_off_the_sample(monkeypatch, tmp_path):
+    """run_suite on every catalog entry, and reduce and verify on the command
+    line, call constraint_matrix only from inside the sampler, and never
+    the one-point rho or rho_jet: every equation reads the sample's stack."""
+    from plrmat import cli
+
+    inside, calls = [], {"constraint_matrix": [], "rho": [], "rho_jet": []}
+    sampler = reduction.sample_hstar_points
+
+    def sampling(*args, **kwargs):
+        inside.append(True)
+        try:
+            return sampler(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    for module in (reduction, verify, cli):
+        if hasattr(module, "sample_hstar_points"):
+            monkeypatch.setattr(module, "sample_hstar_points", sampling)
+    for name, log in calls.items():
+        original = getattr(reduction, name)
+
+        def recorded(*args, _original=original, _log=log):
+            _log.append(bool(inside))
+            return _original(*args)
+
+        for module in (reduction, verify, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, recorded)
+    for name in list_entries():
+        e = get_entry(name)
+        reports, _ = run_suite(e.setup(), "all", e.num_points, e.seed)
+        assert all(r.passed for r in reports)
+        for command in ("reduce", "verify"):
+            assert cli.main([command, "--input", name, "--output", str(tmp_path / "out.json")]) == 0
+    assert calls["constraint_matrix"] and all(calls["constraint_matrix"])
+    assert calls["rho"] == calls["rho_jet"] == []

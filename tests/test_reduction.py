@@ -40,7 +40,6 @@ from plrmat.reduction import (
     constraint_matrix,
     constraint_pb_check,
     dirac_bracket,
-    fill_caches,
     hstar_word,
     constraint_inverse_operator_residual,
     native_hstar_bracket,
@@ -53,6 +52,12 @@ from plrmat.reduction import (
 from plrmat.verify import QFunction, dual_entry
 
 from test_lie_core import r_dj_sl2, sl2, sl3_dj
+
+
+def stack(s, *words):
+    """The points of words as one stack: their memo rows, joined in order."""
+    rows = [constraint_matrix(s, w)._arrays() for w in words]
+    return reduction.CMatrix(s, words, *map(np.concatenate, zip(*rows)))
 
 
 def classical_setup():
@@ -115,14 +120,14 @@ class TestConstraintMatrix:
     def test_trivial_reduction_vacuously_second_class(self):
         s = trivial_setup()
         C = constraint_matrix(s, identity_word(s.double))
-        assert C.m == 0
+        assert C.entries.shape == (1, 0, 0)
         assert check_second_class(C)
 
     def test_classical_frozen_values(self):
         s = classical_setup()
         for x in (0.5, 1.0, 2.0):
             C = constraint_matrix(s, hstar_word(s, [x]))
-            np.testing.assert_allclose(C.entries, [[0.0, -x], [x, 0.0]], atol=1e-12)
+            np.testing.assert_allclose(C.entries[0], [[0.0, -x], [x, 0.0]], atol=1e-12)
             assert C.antisym_residual <= 1e-12
             assert C.form_agreement <= 1e-12
             # singular values are (x, x); conditioning is against unit scale
@@ -132,7 +137,7 @@ class TestConstraintMatrix:
     def test_odd_complement_diagnosed(self):
         s = abelian_odd_setup()
         C = constraint_matrix(s, hstar_word(s, [0.2, -0.3]))
-        assert C.m == 1
+        assert C.entries.shape == (1, 1, 1)
         assert not check_second_class(C)
         assert "odd-dimensional" in C.diagnosis()
 
@@ -165,7 +170,7 @@ class TestRho:
 
     def test_rho_antisymmetric_at_samples(self):
         s = dj_setup()
-        for w in sample_hstar_points(s, 5, seed=11):
+        for w in sample_hstar_points(s, 5, seed=11).words:
             t = rho(s, w)
             assert np.max(np.abs(t + t.T)) <= 1e-12
 
@@ -183,25 +188,25 @@ class TestRho:
 class TestNVectors:
     def test_trivial_reduction_empty(self):
         s = trivial_setup()
-        assert constraint_matrix(s, identity_word(s.double)).n_matrix.shape == (0, s.n)
+        assert stack(s, identity_word(s.double)).n_matrix.shape == (1, 0, s.n)
 
     def test_degenerate_point_raises(self):
         s = abelian_odd_setup()
         with pytest.raises(CDegenerateError):
-            rho_via_n(s, [hstar_word(s, [0.4, 0.1])])
+            rho_via_n(s, stack(s, hstar_word(s, [0.4, 0.1])))
 
     def test_classical_frozen_n_vectors(self):
         s = classical_setup()
         for x in (0.5, 1.0, 2.0):
-            ns = constraint_matrix(s, hstar_word(s, [x])).n_matrix
+            (ns,) = stack(s, hstar_word(s, [x])).n_matrix
             np.testing.assert_allclose(ns[0], [0.0, 0.0, 1.0 / x], atol=1e-10)
             np.testing.assert_allclose(ns[1], [0.0, -1.0 / x, 0.0], atol=1e-10)
 
     def test_three_way_agreement_classical_and_dj(self):
         for s in (classical_setup(), dj_setup()):
-            for w in sample_hstar_points(s, 5, seed=7):
+            for w in sample_hstar_points(s, 5, seed=7).words:
                 direct = rho(s, w)
-                (via_n,) = rho_via_n(s, [w])
+                (via_n,) = rho_via_n(s, stack(s, w))
                 assert np.max(np.abs(direct - via_n)) <= 1e-9
 
     def test_rho_via_n_bounds_its_antisymmetry(self, monkeypatch):
@@ -211,33 +216,33 @@ class TestNVectors:
         InputShapeError."""
         s = classical_setup()
         w = hstar_word(s, [1.0])
-        n = constraint_matrix(s, w).n_matrix
+        n = stack(s, w).n_matrix
         for scale, shift, error in ((1.0, 1e-6, ConsistencyError),
                                     (1e3, 1e-7, InputShapeError)):
             bad = scale * n
-            bad[0, 0] += shift
-            monkeypatch.setattr(reduction, "_second_class_matrix",
-                                lambda S, word, bad=bad: SimpleNamespace(n_matrix=bad))
+            bad[0, 0, 0] += shift
+            monkeypatch.setattr(reduction, "_second_class",
+                                lambda S, C, bad=bad: SimpleNamespace(n_matrix=bad))
             with pytest.raises(error):
-                rho_via_n(s, [w])
+                rho_via_n(s, stack(s, w))
 
     def test_stacked_rho_via_n_raises_for_the_first_offending_point(self, monkeypatch):
-        """Over a stack of words, the error is that of the first point in
+        """Over a stack of points, the error is that of the first point in
         order that breaks a bound, whichever bound a later point breaks."""
         s = classical_setup()
         words = [hstar_word(s, [x]) for x in (0.5, 1.0, 1.5)]
-        good = [constraint_matrix(s, w).n_matrix for w in words]
+        good = list(stack(s, *words).n_matrix)
         orders = 1.0 * good[1]
         orders[0, 0] += 1e-6  # past 1e-9·(1 + max|a|): ConsistencyError
         antisym = 1e3 * good[2]
         antisym[0, 0] += 1e-7  # within it, past 1e-8: InputShapeError
         for first, second, error in ((orders, antisym, ConsistencyError),
                                      (antisym, orders, InputShapeError)):
-            n = dict(zip(map(id, words), (good[0], first, second)))
-            monkeypatch.setattr(reduction, "_second_class_matrix",
-                                lambda S, word, n=n: SimpleNamespace(n_matrix=n[id(word)]))
+            n = np.array([good[0], first, second])
+            monkeypatch.setattr(reduction, "_second_class",
+                                lambda S, C, n=n: SimpleNamespace(n_matrix=n))
             with pytest.raises(error):
-                rho_via_n(s, words)
+                rho_via_n(s, stack(s, *words))
 
     def test_stacked_n_matrices_raise_for_the_first_offending_point(self, monkeypatch):
         """A stack of points raises for its first point in order whose moved
@@ -245,7 +250,7 @@ class TestNVectors:
         defining relation breaks bounds.N_RELATION_TOL, with that point's
         message."""
         s = levi_setup()
-        words = sample_hstar_points(s, 3, seed=7)
+        sample = sample_hstar_points(s, 3, seed=7)
         n = s.n
 
         def basis_cond(w):
@@ -255,53 +260,58 @@ class TestNVectors:
 
         # the worst-conditioned point second, so a bound between its
         # condition and the others' makes it the one singular point
-        conds = [basis_cond(w) for w in words]
+        conds = [basis_cond(w) for w in sample.words]
+        order = [0, 1, 2]
         worst = int(np.argmax(conds))
-        words.insert(1, words.pop(worst))
+        order.insert(1, order.pop(worst))
         conds.insert(1, conds.pop(worst))
         between = (conds[1] + max(conds[0], conds[2])) / 2
         assert max(conds[0], conds[2]) < between < conds[1]
         monkeypatch.setattr(bounds, "N_SOLVE_COND", between)
         message = f"numerically singular (condition {conds[1]:.3e})"
+        tried = [sample[order], sample[order], sample[order[1:]]]
         with pytest.raises(CDegenerateError, match=re.escape(message)):
-            fill_caches(s, words, ("ad_inverse", "n_matrix"))
+            tried[0].n_matrix
         # a relation that every point breaks: the first point's, before the
         # singular second point's
         monkeypatch.setattr(bounds, "N_RELATION_TOL", -1.0)
         with pytest.raises(ConsistencyError, match="defining relation for N_0"):
-            fill_caches(s, words, ("ad_inverse", "n_matrix"))
+            tried[1].n_matrix
         # the singular point first: its error, before any relation
         with pytest.raises(CDegenerateError):
-            fill_caches(s, words[1:], ("ad_inverse", "n_matrix"))
-        assert not any("n_matrix" in vars(constraint_matrix(s, w)) for w in words)
+            tried[2].n_matrix
+        # a failed kernel leaves nothing on the stack it ran on
+        assert not any("n_matrix" in C._made for C in tried + [sample])
 
     def test_rho_via_n_frozen_value(self):
         s = classical_setup()
-        (t,) = rho_via_n(s, [hstar_word(s, [1.0])])
+        (t,) = rho_via_n(s, stack(s, hstar_word(s, [1.0])))
         want = np.zeros((3, 3))
         want[1, 2], want[2, 1] = 1.0, -1.0
         np.testing.assert_allclose(t, want, atol=1e-10)
 
     def test_constraint_inverse_operator_identity(self):
         for s in (classical_setup(), dj_setup()):
-            for w in sample_hstar_points(s, 4, seed=13):
-                assert constraint_inverse_operator_residual(s, [w])[0] <= 1e-9
+            for w in sample_hstar_points(s, 4, seed=13).words:
+                assert constraint_inverse_operator_residual(s, stack(s, w))[0] <= 1e-9
 
     def test_characterization_identity(self):
         rng = np.random.default_rng(21)
         for s in (classical_setup(), dj_setup()):
-            for w in sample_hstar_points(s, 3, seed=17):
+            for w in sample_hstar_points(s, 3, seed=17).words:
                 for _ in range(5):
                     u = rng.uniform(-1, 1, 2) @ s.M_in_K
                     v = rng.uniform(-1, 1, 2) @ s.M_in_K
-                    got = characterization_identity_residual(s, [w], u[None, None], v[None, None])
+                    got = characterization_identity_residual(
+                        s, stack(s, w), u[None, None], v[None, None])
                     assert got.shape == (1,) and got[0] <= 1e-9
-                # a stack of rows for every word: neither one word's rows nor a
-                # stack for another number of words
+                # a stack of rows for every point: neither one point's rows nor a
+                # stack for another number of points
                 with pytest.raises(InputShapeError):
-                    characterization_identity_residual(s, [w], u[None], v[None])
+                    characterization_identity_residual(s, stack(s, w), u[None], v[None])
                 with pytest.raises(InputShapeError):
-                    characterization_identity_residual(s, [w, w], u[None, None], v[None, None])
+                    characterization_identity_residual(
+                        s, stack(s, w, w), u[None, None], v[None, None])
 
 
 def levi_setup():
@@ -317,7 +327,7 @@ def row_gradients(s, w, fs):
     row each."""
     left = np.array([f.left for f in fs])
     right = np.array([f.right for f in fs])
-    return _row_gradients(s, [w], left[None], right[None])[0]
+    return _row_gradients(s, stack(s, w), left[None], right[None])[0]
 
 
 def pair_gradients(s, w, pairs):
@@ -333,19 +343,19 @@ class TestDiracBracket:
         w = hstar_word(s, [0.9])
         const = QFunction("dual", np.zeros(2 * s.n), s.sub_embed[0])
         g1, g2 = pair_gradients(s, w, [(const, dual_entry(s, 0, 0))])
-        val = dirac_bracket(s, [w], g1[None], g2[None])
+        val = dirac_bracket(s, stack(s, w), g1[None], g2[None])
         assert abs(val[0, 0]) <= 1e-12
 
     @staticmethod
     def _check_matches_native(s):
         rng = np.random.default_rng(3)
         dim2 = s.sub_double.dim
-        for w in sample_hstar_points(s, 4, seed=5):
+        for w in sample_hstar_points(s, 4, seed=5).words:
             idx = rng.integers(0, dim2, (20, 4))
             pairs = [(dual_entry(s, a, b), dual_entry(s, c, d)) for a, b, c, d in idx]
             g1, g2 = pair_gradients(s, w, pairs)
-            got = dirac_bracket(s, [w], g1[None], g2[None])
-            want = native_hstar_bracket(s, [w], g1[None], g2[None])
+            got = dirac_bracket(s, stack(s, w), g1[None], g2[None])
+            want = native_hstar_bracket(s, stack(s, w), g1[None], g2[None])
             assert got.shape == want.shape == (1, 20)
             assert float(np.max(np.abs(got - want))) <= 1e-12
 
@@ -359,10 +369,10 @@ class TestDiracBracket:
         s = dj_setup()
         rng = np.random.default_rng(4)
         p = s.dim_H
-        for w in sample_hstar_points(s, 4, seed=9):
+        for w in sample_hstar_points(s, 4, seed=9).words:
             for i in range(s.dim_M):
                 f = dual_entry(s, rng.integers(0, 2), rng.integers(0, 2))
-                pb = constraint_pb_check(s, [w], row_gradients(s, w, [f])[None, :, :p])
+                pb = constraint_pb_check(s, stack(s, w), row_gradients(s, w, [f])[None, :, :p])
                 assert pb.shape == (1, 1, s.dim_M)
                 assert abs(pb[0, 0, i]) <= 1e-12
 
@@ -370,7 +380,7 @@ class TestDiracBracket:
         s = dj_setup()
         w = identity_word(s.double)
         grad = row_gradients(s, w, [dual_entry(s, 0, 0)])[:, : s.dim_H]
-        assert abs(constraint_pb_check(s, [w], grad[None])[0, 0, 0]) <= 1e-14
+        assert abs(constraint_pb_check(s, stack(s, w), grad[None])[0, 0, 0]) <= 1e-14
 
     def test_identity_point_trivial_reduction_vanishes(self):
         # with an empty complement the identity is second class and both
@@ -378,8 +388,8 @@ class TestDiracBracket:
         s = trivial_setup()
         w = identity_word(s.double)
         g1, g2 = pair_gradients(s, w, [(dual_entry(s, 1, 4), dual_entry(s, 2, 5))])
-        assert abs(dirac_bracket(s, [w], g1[None], g2[None])[0, 0]) <= 1e-12
-        assert abs(native_hstar_bracket(s, [w], g1[None], g2[None])[0, 0]) <= 1e-12
+        assert abs(dirac_bracket(s, stack(s, w), g1[None], g2[None])[0, 0]) <= 1e-12
+        assert abs(native_hstar_bracket(s, stack(s, w), g1[None], g2[None])[0, 0]) <= 1e-12
 
     def test_correction_reads_constraint_pb_check(self, monkeypatch):
         """The correction's factor {f1, ξ_i} is constraint_pb_check of grad1.
@@ -389,14 +399,14 @@ class TestDiracBracket:
         shifted by 1 leaves the bracket as it is; a NaN factor reaches every
         bracket."""
         s = levi_setup()
-        w = sample_hstar_points(s, 1, seed=5)[0]
+        w = sample_hstar_points(s, 1, seed=5).words[0]
         dim2 = s.sub_double.dim
         idx = np.random.default_rng(8).integers(0, dim2, (10, 4))
         g1, g2 = pair_gradients(
             s, w, [(dual_entry(s, a, b), dual_entry(s, c, d)) for a, b, c, d in idx]
         )
         g1, g2 = g1[None], g2[None]
-        before = dirac_bracket(s, [w], g1, g2)
+        before = dirac_bracket(s, stack(s, w), g1, g2)
         assert float(np.max(np.abs(before))) > 1e-2
         original, seen = reduction.constraint_pb_check, []
 
@@ -406,9 +416,9 @@ class TestDiracBracket:
 
         monkeypatch.setattr(reduction, "constraint_pb_check", shifted)
         shift = 1.0
-        assert dirac_bracket(s, [w], g1, g2).tobytes() == before.tobytes()
+        assert dirac_bracket(s, stack(s, w), g1, g2).tobytes() == before.tobytes()
         shift = np.nan
-        assert np.isnan(dirac_bracket(s, [w], g1, g2)).all()
+        assert np.isnan(dirac_bracket(s, stack(s, w), g1, g2)).all()
         assert len(seen) == 2 and all(g is g1 for g in seen)
 
 
@@ -499,16 +509,18 @@ class TestTwoStepComposition:
         to_a = one.Hdual @ step_a.H_in_K.T
         to_b = to_a @ step_b.H_in_K.T
 
-        def two_step_rfun(word):
-            wa = GroupWord(step_a.double, None, word.ad)
+        def two_step_rfun(C):
+            """The composed jet at the point of C, a stack of one."""
+            (ad,) = C.ad
+            wa = GroupWord(step_a.double, None, ad)
             wb = GroupWord(
-                step_b.double, None, step_a.sub_restrict @ word.ad @ step_a.sub_embed.T
+                step_b.double, None, step_a.sub_restrict @ ad @ step_a.sub_embed.T
             )
             ja, jb = rho_jet(step_a, wa), rho_jet(step_b, wb)
             return RhoJet(
-                ja.value + jb.value,
-                np.tensordot(to_a, ja.left, 1) + np.tensordot(to_b, jb.left, 1),
-                np.tensordot(to_a, ja.right, 1) + np.tensordot(to_b, jb.right, 1),
+                (ja.value + jb.value)[None],
+                (np.tensordot(to_a, ja.left, 1) + np.tensordot(to_b, jb.left, 1))[None],
+                (np.tensordot(to_a, ja.right, 1) + np.tensordot(to_b, jb.right, 1))[None],
             )
 
         rng = np.random.default_rng(8)
@@ -518,12 +530,13 @@ class TestTwoStepComposition:
                 x[1] += 0.5
             w = hstar_word(one, x)
             direct = rho(one, w)
-            composed = two_step_rfun(w).value
+            (composed,) = two_step_rfun(stack(one, w)).value
             scale = 1.0 + float(np.max(np.abs(direct)))
             assert float(np.max(np.abs(direct - composed))) <= self.GAP_TOL * scale
             assert np.max(np.abs(direct)) > 0.1  # the stages have something to compose
-            assert np.max(np.abs(plcdybe_residual(one, reduced_r_function(one), w))) <= 1e-12
-            assert np.max(np.abs(plcdybe_residual(one, two_step_rfun, w))) <= 1e-12
+            at = stack(one, w)
+            assert np.max(np.abs(plcdybe_residual(one, reduced_r_function(one), at))) <= 1e-12
+            assert np.max(np.abs(plcdybe_residual(one, two_step_rfun, at))) <= 1e-12
 
 
 class TestSampling:
@@ -531,7 +544,7 @@ class TestSampling:
         s = dj_setup()
         a = sample_hstar_points(s, 5, seed=42)
         b = sample_hstar_points(s, 5, seed=42)
-        for wa, wb in zip(a, b):
+        for wa, wb in zip(a.words, b.words):
             np.testing.assert_array_equal(wa.ad, wb.ad)
 
     def test_exhaustion_on_always_degenerate_setup(self):
@@ -541,20 +554,21 @@ class TestSampling:
 
     def test_samples_are_second_class(self):
         s = classical_setup()
-        for w in sample_hstar_points(s, 8, seed=1):
+        for w in sample_hstar_points(s, 8, seed=1).words:
             assert check_second_class(constraint_matrix(s, w))
 
 
 class TestReadOnly:
     def test_cached_arrays_reject_writes(self):
-        # every array a setup or a point holds is read-only in place, so a
-        # caller writing into one cannot change what later calls return
+        # every array a setup or a stack of points holds is read-only in
+        # place, so a caller writing into one cannot change what later calls
+        # return
         entry = get_entry("sl3_dj_levi")
         S = entry.setup()
-        w = sample_hstar_points(S, 1, entry.seed)[0]
-        jet = rho_jet(S, w)
+        C = sample_hstar_points(S, 1, entry.seed)
+        jet = C.jet
         kept = [np.array(a) for a in (jet.value, jet.left, jet.right)]
-        C = constraint_matrix(S, w)
+        one = rho_jet(S, C.words[0])
         arrays = {
             "entries": C.entries,
             "m_parts": C.m_parts,
@@ -567,6 +581,9 @@ class TestReadOnly:
             "jet.value": jet.value,
             "jet.left": jet.left,
             "jet.right": jet.right,
+            "rho_jet.value": one.value,
+            "rho_jet.left": one.left,
+            "cond": C.cond,
             "R": S.R,
             "anomaly": S.anomaly,
             "H_in_K": S.H_in_K,
@@ -587,7 +604,9 @@ class TestReadOnly:
                 continue
             writable.append(name)
         assert writable == []
-        again = rho_jet(S, w)
+        again = C.jet
         assert again is jet
         for got, want in zip((again.value, again.left, again.right), kept):
             np.testing.assert_array_equal(got, want)
+        for got, want in zip((one.value, one.left), kept):
+            np.testing.assert_array_equal(got, want[0])

@@ -1,12 +1,13 @@
 """The stacked sampler against the loop it replaced.
 
 sample_hstar_points draws the missing points as one block and evaluates the
-block's words, Ad matrices, constraint matrices and rho in stacked passes.
-sequential_sample below is the original loop: one uniform call, one
-hstar_word and one constraint_matrix per attempt, and one solve per point.
-Both must see the same candidates, with the same factors, the same Ad and C
-bytes and the same conditioning, reject the same draws, give the same rho
-bytes, and run out of attempts at the same sample with the same message.
+block's words, Ad matrices, constraint matrices and rho in stacked passes,
+and returns the accepted points as one stack.  sequential_sample below is
+the original loop: one uniform call, one hstar_word and one
+constraint_matrix per attempt, and one solve per point.  Both must see the
+same candidates, with the same factors, the same Ad and C bytes and the
+same conditioning, reject the same draws, give the same rho bytes, and run
+out of attempts at the same sample with the same message.
 """
 
 from dataclasses import replace
@@ -18,12 +19,13 @@ from plrmat import bounds, reduction
 from plrmat.bialgebra_double import validate_setup
 from plrmat.catalog import get_entry, list_entries
 from plrmat.dual_group import ad_of_word
-from plrmat.errors import SamplingExhaustedError
+from plrmat.errors import ConsistencyError, InputShapeError, SamplingExhaustedError
 from plrmat.lie_core import Subspace
 from plrmat.reduction import (
     check_second_class,
     constraint_matrix,
     hstar_word,
+    rho,
     sample_hstar_points,
 )
 
@@ -89,9 +91,9 @@ CASES = list(sampling_cases())
 
 @pytest.mark.parametrize("name,S,args", CASES, ids=[c[0] for c in CASES])
 def test_stacked_sampler_matches_the_loop(monkeypatch, name, S, args):
-    words, seen = stacked_sample(monkeypatch, S, *args)
+    sample, seen = stacked_sample(monkeypatch, S, *args)
     ref_words, ref_seen = sequential_sample(S, *args)
-    assert len(words) == len(ref_words) == args[0]
+    assert len(sample) == len(sample.words) == len(ref_words) == args[0]
     assert len(seen) == len(ref_seen)
     for (word, C), (coords, ref_word, ref_C, ok) in zip(seen, ref_seen):
         assert check_second_class(C) == ok
@@ -104,12 +106,19 @@ def test_stacked_sampler_matches_the_loop(monkeypatch, name, S, args):
         # the exponential of ad_x for x = Σ_a coords_a H^a
         want = ad_of_word(S.double, [coords @ S.Hdual]).ad
         np.testing.assert_allclose(word.ad, want, rtol=0, atol=1e-13)
-    assert [w for w, C in seen if check_second_class(C)] == words
-    # the stacked solve gives each point the rho of its own solve
-    for w, ref_w in zip(words, ref_words):
-        got, ref = constraint_matrix(S, w), constraint_matrix(S, ref_w)
-        assert "solved" in vars(got) or S.dim_M == 0
-        assert got.solved[0].tobytes() == ref.solved[0].tobytes()
+    assert [w for w, C in seen if check_second_class(C)] == list(sample.words)
+    # the sample's one stacked solve gives each point the rho of the
+    # one-word solve
+    assert "solved" in sample._made
+    for k, (w, ref_w) in enumerate(zip(sample.words, ref_words)):
+        assert sample.solved[0][k].tobytes() == rho(S, ref_w).tobytes()
+        # each accepted word's memo row is a view of its row of the sample,
+        # with its bytes, and holds nothing derived
+        row = constraint_matrix(S, w)
+        assert row._made == {}
+        for got, whole in zip(row._arrays(), sample._arrays()):
+            assert got.size == 0 or np.shares_memory(got, whole)
+            assert got.tobytes() == whole[k:k + 1].tobytes()
 
 
 def test_the_cases_reject_draws():
@@ -136,7 +145,7 @@ def test_exhaustion_at_the_same_sample(monkeypatch):
                 except SamplingExhaustedError as exc:
                     ref = str(exc)
                 try:
-                    got = [w.factors[0] for w in sample_hstar_points(S, *args)]
+                    got = [w.factors[0] for w in sample_hstar_points(S, *args).words]
                 except SamplingExhaustedError as exc:
                     got = str(exc)
                 if isinstance(ref, str):
@@ -187,7 +196,7 @@ def test_draw_past_the_ad_bound_is_a_miss_before_expm(monkeypatch):
         return original(S_, coords_, gen)
 
     monkeypatch.setattr(reduction, "_hstar_words", counting)
-    words = sample_hstar_points(S, 5, e.seed)
+    words = sample_hstar_points(S, 5, e.seed).words
     assert all(_ad_norm(S, x) <= limit for x in exponentiated)
     # the loop, with the tame test in front of the second-class test
     rng = np.random.Generator(np.random.PCG64(e.seed))
@@ -217,10 +226,32 @@ def test_non_finite_slice_has_infinite_cond():
     bad = np.array(ads)
     bad[1, 0, 0] = np.inf
     bad[2, -1, -1] = np.nan  # outside the columns C reads
-    cmats = list(reduction._build_constraint_matrices(S, bad))
-    alone = next(reduction._build_constraint_matrices(S, ads[:1]))
-    assert cmats[0].entries.tobytes() == alone.entries.tobytes()
-    assert cmats[0].cond == alone.cond < np.inf
-    for C in cmats[1:]:
-        assert C.cond == np.inf
-        assert not check_second_class(C)
+    block, disagree = reduction._build_constraint_matrices(S, bad)
+    alone, _ = reduction._build_constraint_matrices(S, ads[:1])
+    assert not disagree.any()
+    assert block.entries[:1].tobytes() == alone.entries.tobytes()
+    assert block.cond[0] == alone.cond[0] < np.inf
+    for b in (1, 2):
+        assert block.cond[b] == np.inf
+        assert not check_second_class(block[b:b + 1])
+
+
+@pytest.mark.parametrize("num_points", [0, -3])
+def test_regression_sample_of_no_points_is_refused(num_points):
+    """A sample of fewer than one point is an input error, as on the command
+    line, not an empty stack that each suite fails on in its own way."""
+    S = get_entry("sl3_dj_levi").setup()
+    with pytest.raises(InputShapeError, match=f"num_points must be at least 1, got {num_points}"):
+        sample_hstar_points(S, num_points, 1)
+
+
+def test_disagreeing_pairing_forms_raise_when_reached(monkeypatch):
+    """A slice whose two pairing forms of C disagree past
+    bounds.FORM_AGREE_TOL raises ConsistencyError, with its disagreement,
+    when the sampler or constraint_matrix reaches it."""
+    S = get_entry("sl3_dj_levi").setup()
+    monkeypatch.setattr(bounds, "FORM_AGREE_TOL", -1.0)
+    with pytest.raises(ConsistencyError, match="the two pairing forms of C disagree by"):
+        sample_hstar_points(S, 3, 1)
+    with pytest.raises(ConsistencyError, match="the two pairing forms of C disagree by"):
+        constraint_matrix(S, hstar_word(S, np.full(S.dim_H, 0.3)))

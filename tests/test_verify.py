@@ -29,6 +29,7 @@ from plrmat.dual_group import (
 from plrmat.errors import InputShapeError
 from plrmat.reduction import RhoJet, hstar_word, native_hstar_bracket, rho, sample_hstar_points
 from plrmat.verify import (
+    SUITES,
     PPoint,
     QFunction,
     QPoint,
@@ -50,7 +51,18 @@ from plrmat.verify import (
     triangularity_check,
 )
 
-from test_reduction import classical_setup, dj_setup, pair_gradients, trivial_setup
+from test_reduction import classical_setup, dj_setup, pair_gradients, stack, trivial_setup
+
+
+def zero_jet(s):
+    """The jet of the constant r = 0 at one point."""
+    d = np.zeros((1, s.dim_H, s.G.dim, s.G.dim))
+    return RhoJet(np.zeros((1, s.G.dim, s.G.dim)), d, d)
+
+
+def points(sample):
+    """Each point of a sample as a stack of one."""
+    return [sample[k:k + 1] for k in range(len(sample))]
 
 
 def abelian_trivial_setup():
@@ -68,29 +80,29 @@ class TestPlcdybe:
     def test_constant_zero_r_with_full_h_is_exact(self):
         # the equation collapses to the constant Yang-Baxter identity
         s = trivial_setup()
-        zero = RhoJet.zero(s.dim_H, s.G.dim)
-        res = plcdybe_residual(s, lambda w: zero, identity_word(s.double))
+        zero = zero_jet(s)
+        res = plcdybe_residual(s, lambda C: zero, stack(s, identity_word(s.double)))
         assert np.max(np.abs(res)) == 0.0
 
     def test_abelian_everything_vanishes(self):
         s = abelian_trivial_setup()
-        zero = RhoJet.zero(s.dim_H, s.G.dim)
-        res = plcdybe_residual(s, lambda w: zero, identity_word(s.double))
+        zero = zero_jet(s)
+        res = plcdybe_residual(s, lambda C: zero, stack(s, identity_word(s.double)))
         assert np.max(np.abs(res)) == 0.0
 
     def test_classical_reduced_r_solves_equation(self):
         s = classical_setup()
         rfun = reduced_r_function(s)
         for x in (0.5, 1.0, 2.0):
-            res = plcdybe_residual(s, rfun, hstar_word(s, [x]))
+            res = plcdybe_residual(s, rfun, stack(s, hstar_word(s, [x])))
             assert np.max(np.abs(res)) <= 1e-12
 
     def test_dj_reduced_r_solves_equation_at_samples(self):
         s = replace(dj_setup(), cond_threshold=2.5)
         rfun = reduced_r_function(s)
-        for w in sample_hstar_points(s, 10, seed=6):
-            assert np.max(np.abs(plcdybe_residual(s, rfun, w))) <= 1e-12
-            assert triangularity_check(s, rfun, w) <= 1e-12
+        for pt in points(sample_hstar_points(s, 10, seed=6)):
+            assert np.max(np.abs(plcdybe_residual(s, rfun, pt))) <= 1e-12
+            assert triangularity_check(s, rfun, pt) <= 1e-12
 
     def test_quadratic_step_convergence(self):
         # with the exact derivative of rho replaced by a central difference of
@@ -102,20 +114,21 @@ class TestPlcdybe:
 
         def fd_rfun(h):
             d = left_derivative(w, s.Hdual[0], lambda v: rho(s, v), h)
-            return lambda word: RhoJet(value, d[None], d[None])
+            return lambda C: RhoJet(value[None], d[None, None], d[None, None])
 
-        r1 = np.max(np.abs(plcdybe_residual(s, fd_rfun(1e-2), w)))
-        r2 = np.max(np.abs(plcdybe_residual(s, fd_rfun(5e-3), w)))
+        at = stack(s, w)
+        r1 = np.max(np.abs(plcdybe_residual(s, fd_rfun(1e-2), at)))
+        r2 = np.max(np.abs(plcdybe_residual(s, fd_rfun(5e-3), at)))
         assert 2.5 <= r1 / r2 <= 6.0
-        assert np.max(np.abs(plcdybe_residual(s, reduced_r_function(s), w))) <= 1e-12
+        assert np.max(np.abs(plcdybe_residual(s, reduced_r_function(s), at))) <= 1e-12
 
     def test_corrupted_r_detected(self):
         s = replace(dj_setup(), cond_threshold=2.5)
         rfun = reduced_r_function(s)
-        words = sample_hstar_points(s, 5, seed=6)
-        a, b = largest_entry(rfun(words[0]).value)
+        pts = points(sample_hstar_points(s, 5, seed=6))
+        a, b = largest_entry(rfun(pts[0]).value[0])
         bad = sign_flipped_rfun(rfun, int(a), int(b))
-        worst = max(np.max(np.abs(plcdybe_residual(s, bad, w))) for w in words)
+        worst = max(np.max(np.abs(plcdybe_residual(s, bad, pt))) for pt in pts)
         assert worst > 1e-2
 
 
@@ -124,21 +137,22 @@ class TestEquivariance:
         s = dj_setup()
         w = hstar_word(s, [0.7])
         rfun = reduced_r_function(s)
-        res = equivariance_residual(s, rfun, [w], [[[0.0]]])
+        res = equivariance_residual(s, rfun, stack(s, w), [[[0.0]]])
         assert res.shape == (1, 1, s.G.dim, s.G.dim)
         assert np.max(np.abs(res)) <= 1e-12
 
     def test_constant_invariant_r_abelian(self):
         s = abelian_trivial_setup()
-        zero = RhoJet.zero(s.dim_H, s.G.dim)
-        res = equivariance_residual(s, lambda w: zero, [identity_word(s.double)], [[[0.0, 0.0]]])
+        zero = zero_jet(s)
+        res = equivariance_residual(
+            s, lambda C: zero, stack(s, identity_word(s.double)), [[[0.0, 0.0]]])
         assert np.max(np.abs(res)) == 0.0
 
     def test_dj_reduced_r_equivariant(self):
         s = replace(dj_setup(), cond_threshold=2.5)
         rfun = reduced_r_function(s)
-        for w in sample_hstar_points(s, 5, seed=6):
-            assert np.max(np.abs(equivariance_residual(s, rfun, [w], [[[1.0]]]))) <= 1e-12
+        for pt in points(sample_hstar_points(s, 5, seed=6)):
+            assert np.max(np.abs(equivariance_residual(s, rfun, pt, [[[1.0]]]))) <= 1e-12
 
 
 class TestProductBrackets:
@@ -149,8 +163,9 @@ class TestProductBrackets:
         self.g = ambient_word(self.s.G, [rng.uniform(-0.3, 0.3, 3)])
         self.lam = hstar_word(self.s, [0.8])
         self.lam2 = hstar_word(self.s, [-0.6])
-        self.qpt = QPoint(self.s, self.g, self.lam)
-        self.ppt = PPoint(self.s, self.lam2, self.g, self.lam)
+        g, lam = self.g.ad[None], stack(self.s, self.lam)
+        self.qpt = QPoint(self.s, g, lam)
+        self.ppt = PPoint(self.s, stack(self.s, self.lam2), g, lam)
 
     @staticmethod
     def _zero(slot, dim):
@@ -167,8 +182,9 @@ class TestProductBrackets:
         s = abelian_trivial_setup()
         g = ambient_word(s.G, [np.array([0.4, -0.2])])
         lam = hstar_word(s, np.zeros(2))
-        zero = RhoJet.zero(s.dim_H, s.G.dim)
-        val = bracket(s, lambda w: zero, QPoint(s, g, lam), g_entry(s, 0, 0), g_entry(s, 1, 1))
+        zero = zero_jet(s)
+        val = bracket(s, lambda C: zero, QPoint(s, g.ad[None], stack(s, lam)),
+                      g_entry(s, 0, 0), g_entry(s, 1, 1))
         assert val == 0.0
 
     def test_antisymmetry(self):
@@ -190,24 +206,24 @@ class TestProductBrackets:
 
     def test_q_jacobi_small_for_reduced_r(self):
         phis = [g_entry(self.s, 1, 2), g_entry(self.s, 0, 1), g_entry(self.s, 2, 0)]
-        ((res,),) = q_jacobi_residual(self.s, self.rfun, [self.qpt], [[phis]])
+        ((res,),) = q_jacobi_residual(self.s, self.rfun, self.qpt, [[phis]])
         assert res <= 1e-12
 
     def test_p_jacobi_small_for_reduced_r(self):
         phis = [g_entry(self.s, 1, 2), g_entry(self.s, 0, 1), g_entry(self.s, 2, 0)]
-        ((res,),) = p_jacobi_residual(self.s, self.rfun, [self.ppt], [[phis]])
+        ((res,),) = p_jacobi_residual(self.s, self.rfun, self.ppt, [[phis]])
         assert res <= 1e-12
 
     def test_jacobi_of_constants_vanishes(self):
         const = self._zero("g", 3)
-        ((res,),) = q_jacobi_residual(self.s, self.rfun, [self.qpt], [[(const, const, const)]])
+        ((res,),) = q_jacobi_residual(self.s, self.rfun, self.qpt, [[(const, const, const)]])
         assert res == 0.0
 
     def test_corrupted_r_breaks_q_jacobi(self):
-        a, b = largest_entry(self.rfun(self.lam).value)
+        a, b = largest_entry(self.rfun(self.qpt.dual).value[0])
         bad = sign_flipped_rfun(self.rfun, int(a), int(b))
         phis = [g_entry(self.s, 1, 2), g_entry(self.s, 0, 1), g_entry(self.s, 2, 0)]
-        ((res,),) = q_jacobi_residual(self.s, bad, [self.qpt], [[phis]])
+        ((res,),) = q_jacobi_residual(self.s, bad, self.qpt, [[phis]])
         assert res > 1e-2
 
 
@@ -215,7 +231,7 @@ def _catalog_samples():
     for name in list_entries():
         e = get_entry(name)
         S = e.setup()
-        yield name, S, sample_hstar_points(S, e.num_points, e.seed)
+        yield name, S, sample_hstar_points(S, e.num_points, e.seed).words
 
 
 CATALOG_SAMPLES = list(_catalog_samples())
@@ -230,7 +246,7 @@ def _restriction_cases():
     for name, S, words in CATALOG_SAMPLES:
         yield pytest.param(S, words, 1e-15, id=name)
     S = skewed_levi_setup()
-    yield pytest.param(S, sample_hstar_points(S, 4, 2), 1e-14, id="skewed_levi")
+    yield pytest.param(S, sample_hstar_points(S, 4, 2).words, 1e-14, id="skewed_levi")
 
 
 RESTRICTION_CASES = list(_restriction_cases())
@@ -256,17 +272,19 @@ class TestRestrictedDualEntries:
 
     @staticmethod
     def _read(S, pt, entry):
+        """l·Ad·r of each entry function on the one point of its factor of pt."""
         dim2 = S.sub_double.dim
-        return np.array([[entry(S, a, b)(pt) for b in range(dim2)] for a in range(dim2)])
+        fs = [[entry(S, a, b) for b in range(dim2)] for a in range(dim2)]
+        return np.array([[f.left @ getattr(pt, f.slot).ad[0] @ f.right for f in row] for row in fs])
 
     def _entries(self, S, w):
         """What dual_entry, hat_entry and tilde_entry read at the dual point w."""
-        g = ambient_word(S.G, [])
-        other = identity_word(S.double)
+        g = ambient_word(S.G, []).ad[None]
+        at, other = stack(S, w), stack(S, identity_word(S.double))
         return (
-            self._read(S, QPoint(S, g, w), dual_entry),
-            self._read(S, PPoint(S, other, g, w), hat_entry),
-            self._read(S, PPoint(S, w, g, other), tilde_entry),
+            self._read(S, QPoint(S, g, at), dual_entry),
+            self._read(S, PPoint(S, other, g, at), hat_entry),
+            self._read(S, PPoint(S, at, g, other), tilde_entry),
         )
 
     @pytest.mark.parametrize("S,words,tol", RESTRICTION_CASES)
@@ -303,7 +321,7 @@ class TestRestrictedDualEntries:
             idx = rng.integers(0, dim2, (10, 4))
             pairs = [(dual_entry(S, a, b), dual_entry(S, c, d)) for a, b, c, d in idx]
             g1, g2 = pair_gradients(S, w, pairs)
-            (got,) = native_hstar_bracket(S, [w], g1[None], g2[None])
+            (got,) = native_hstar_bracket(S, stack(S, w), g1[None], g2[None])
             sw = sub_double_word(S, w)
             want = np.array([pb_dual(sw, AdEntry(a, b), AdEntry(c, d), 1e-5) for a, b, c, d in idx])
             assert float(np.max(np.abs(got - want))) <= 1e-8
@@ -398,7 +416,9 @@ class TestRunSuite:
         monkeypatch.setattr(verify_module, name, late_nan)
         reports, _ = run_suite(S, suite, e.num_points, e.seed)
         (report,) = [r for r in reports if r.equation_id == eq]
-        assert len(calls) == 1 and len(calls[0][1 if suite == "dirac" else 2]) > 1
+        # the stack the one call took: the Dirac sample, or the Jacobi points
+        at = calls[0][1] if suite == "dirac" else calls[0][2].g
+        assert len(calls) == 1 and len(at) > 1
         assert np.isfinite(report.per_point[0][1])
         assert np.isnan(report.max_residual)
         assert not report.passed
@@ -415,6 +435,15 @@ class TestRunSuite:
         s = replace(classical_setup(), cond_threshold=2.5)
         reports, _ = run_suite(s, "equivariance", num_points=3, seed=6)
         assert [r.equation_id for r in reports] == ["EQUIVARIANCE"]
+
+    @pytest.mark.parametrize("suite", [*SUITES, "all"])
+    @pytest.mark.parametrize("num_points", [0, -3])
+    def test_regression_sample_of_no_points_is_refused(self, suite, num_points):
+        # each suite failed in its own way on an empty sample (IndexError,
+        # ValueError, ZeroDivisionError); the sampler refuses it up front
+        S = get_entry("sl3_dj_levi").setup()
+        with pytest.raises(InputShapeError, match="num_points must be at least 1"):
+            run_suite(S, suite, num_points=num_points, seed=1)
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(InputShapeError):
