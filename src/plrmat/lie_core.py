@@ -30,6 +30,7 @@ is read-only.  All operations are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -305,60 +306,71 @@ class Subspace:
 
 
 def _bracket_into_first_slot(c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """U[a, (x, z)] = Σ_b c[a, b, x] t[b, z]: e_a bracketed into slot 1 of t.
+    """U[..., a, (x, z)] = Σ_b c[a, b, x] t[..., b, z]: e_a bracketed into slot 1 of t.
 
-    One product [(a, x), b] @ t[b, z]; each mixed bracket term is one more
-    product of U with the other tensor.
+    One product [(a, x), b] @ t[..., b, z] per tensor of the stack t; each
+    mixed bracket term is one more product of U with the other tensor.
     """
     n = c.shape[0]
-    return (c.transpose(0, 2, 1).reshape(n * n, n) @ t).reshape(n, n * n)
+    return (c.transpose(0, 2, 1).reshape(n * n, n) @ t).reshape(t.shape[:-2] + (n, n * n))
 
 
 def cybe_lhs(A: LieAlgebra, R) -> np.ndarray:
-    """[R12, R13] + [R12, R23] + [R13, R23] as a 3-tensor over the basis of A.
+    """[R12, R13] + [R12, R23] + [R13, R23] as a 3-tensor over the basis of A,
+    one (..., dim, dim, dim) tensor per R of a (..., dim, dim) stack.
 
     For an antisymmetric R this is the modified-Yang-Baxter anomaly; its
     ad-invariance is measured separately by invariance_residual3.  Each
     mixed bracket term is two matrix products over reshaped views, O(dim⁴)
-    work on dim³ arrays, and the first two share the product U_R.
+    work on dim³ arrays per R, and the first two share the product U_R.
     """
     r = np.asarray(R, dtype=float)
     n = A.dim
-    if r.shape != (n, n):
+    if r.shape[-2:] != (n, n):
         raise InputShapeError(f"tensor must be {n}x{n}, got {r.shape}")
+    cube, rt = r.shape[:-2] + (n, n, n), np.swapaxes(r, -1, -2)
     u = _bracket_into_first_slot(A.c, r)
-    # [R12, R13]: Σ_a r[a, y] U_R[a, x, z];  [R12, R23]: Σ_b r[x, b] U_R[b, y, z]
-    total = (r.T @ u).reshape(n, n, n).transpose(1, 0, 2) + (r @ u).reshape(n, n, n)
+    # [R12, R23]: Σ_b r[x, b] U_R[b, y, z];  [R12, R13]: Σ_a r[a, y] U_R[a, x, z]
+    total = (r @ u).reshape(cube)
+    total += (rt @ u).reshape(cube).swapaxes(-3, -2)
+    del u  # one stack of dim³ arrays fewer held at once
     # [R13, R23]: Σ_b r[x, b] U_Rᵀ[b, z, y], slot 2 of R the bracketed one
-    total += (r @ _bracket_into_first_slot(A.c, r.T)).reshape(n, n, n).transpose(0, 2, 1)
+    total += (r @ _bracket_into_first_slot(A.c, rt)).reshape(cube).swapaxes(-2, -1)
     return _freeze(total)
 
 
-# doubles in one block of invariance_residual3's stacked products: 256 kB,
-# all of a dim-8 algebra at once, and small beside the dim⁴ of the largest
+# doubles in one block of invariance_residual3's stacked products: 256 kB, all
+# of a dim-8 algebra on 8 tensors at once, small beside the dim⁴ of the largest
 INVARIANCE_BLOCK = 1 << 15
 
 
-def invariance_residual3(A: LieAlgebra, T) -> float:
-    """Max-norm of (ad_x⊗1⊗1 + 1⊗ad_x⊗1 + 1⊗1⊗ad_x)T over all basis x.
+def invariance_residual3(A: LieAlgebra, T):
+    """Max-norm of (ad_x⊗1⊗1 + 1⊗ad_x⊗1 + 1⊗1⊗ad_x)T over all basis x, one
+    per tensor of T (..., dim, dim, dim): a float for one tensor.
 
     ad_{e_i} acts on each slot as one matrix product against a reshaping of
-    T made once.  The basis vectors go in blocks whose dim³ arrays hold at
-    most INVARIANCE_BLOCK doubles in all, each block one stacked product per
-    slot: every slice is the product of one basis vector alone.
+    T.  A block, all basis vectors of a few tensors or a few of one, holds at
+    most INVARIANCE_BLOCK doubles in its dim³ arrays and is one stacked
+    product per slot: every slice is one basis vector on one tensor alone.
     """
     t = np.asarray(T, dtype=float)
     n = A.dim
-    slot1 = t.reshape(n, n * n)  # [a, (y, z)]
-    slot2 = t.transpose(1, 0, 2).reshape(n, n * n)  # [a, (x, z)]
-    slot3 = t.reshape(n * n, n)  # [(x, y), a]
-    block = max(1, INVARIANCE_BLOCK // max(1, n**3))
-    worst = np.zeros(n)  # at each block's first index
-    for i in range(0, n, block):
-        ads = A.c[i:i + block]  # ads[b, a, x] = c[i + b, a, x], ad_{e_(i+b)} transposed
-        b = len(ads)
-        acted = (np.swapaxes(ads, 1, 2) @ slot1).reshape(b, n, n, n)
-        acted += (np.swapaxes(ads, 1, 2) @ slot2).reshape(b, n, n, n).transpose(0, 2, 1, 3)
-        acted += (slot3 @ ads).reshape(b, n, n, n)
-        worst[i] = np.abs(acted).max()
-    return float(worst.max(initial=0.0))  # keeps a NaN
+    lead = t.shape[:-3]
+    t = t.reshape(math.prod(lead), 1, n, n, n)  # an axis for the basis vectors
+    cubes = max(1, INVARIANCE_BLOCK // max(1, n**3))
+    block, step = max(1, min(n, cubes)), max(1, cubes // max(1, n))  # basis vectors, tensors
+    worst = np.zeros((len(t), n))  # at each block's first index
+    for k in range(0, len(t), step):
+        at = t[k:k + step]
+        slot1 = at.reshape(len(at), 1, n, n * n)  # [a, (y, z)]
+        slot2 = at.transpose(0, 1, 3, 2, 4).reshape(len(at), 1, n, n * n)  # [a, (x, z)]
+        slot3 = at.reshape(len(at), 1, n * n, n)  # [(x, y), a]
+        for i in range(0, n, block):
+            ads = A.c[i:i + block]  # ads[b, a, x] = c[i + b, a, x], ad_{e_(i+b)} transposed
+            cube = (len(at), len(ads), n, n, n)
+            acted = (np.swapaxes(ads, 1, 2) @ slot1).reshape(cube)
+            acted += (np.swapaxes(ads, 1, 2) @ slot2).reshape(cube).transpose(0, 1, 3, 2, 4)
+            acted += (slot3 @ ads).reshape(cube)
+            worst[k:k + step, i] = np.abs(acted, out=acted).max(axis=(1, 2, 3, 4))
+    out = worst.max(axis=1, initial=0.0)  # keeps a NaN
+    return out.reshape(lead) if lead else float(out[0])

@@ -31,8 +31,7 @@ PPoint of stacks, each product point with a row of (f1, f2, f3) triples,
 builds one bracket form over the points and makes the jet of each
 distinct test function of a point once; nothing is kept on the functions
 or the form.  A Dirac point's test functions, and a characterization
-point's (u, v) pairs, are one draw each, point by point.  Only the cdybe
-section takes its points one by one, each a stack of one.  Every draw
+point's (u, v) pairs, are one draw each, point by point.  Every draw
 gives the stream of the scalar draws it replaced and every stacked product
 keeps each slice's shape, so the residuals are those of one call per
 point, bit for bit.  A section whose per-point arrays are larger than one
@@ -138,7 +137,7 @@ def describe_word(word: GroupWord) -> list:
 
 def plcdybe_lhs(S: ReductionSetup, rfun, C: CMatrix) -> np.ndarray:
     """Left side of the dynamical Yang-Baxter equation for the pair H ⊆ G at
-    the point of C, a stack of one, as a (dim G)³ array.
+    each point of the stack C, as a (len(C), dim G, dim G, dim G) stack.
 
     The cyclic images of [ (R+r)_12, (R+r)_23 ] sum to the full three-slot
     bracket combination of R + r(λ), and the derivative terms place the
@@ -146,17 +145,17 @@ def plcdybe_lhs(S: ReductionSetup, rfun, C: CMatrix) -> np.ndarray:
     the dual basis vector H^a in the other two, cyclically.
     """
     jet = rfun(C)
-    total = cybe_lhs(S.G, S.R + jet.value[0])
+    total = cybe_lhs(S.G, S.R + jet.value)
     ka = S.H_in_G
     n = S.G.dim
-    # d[x, y, z] = Σ_a H_a[x] (L_{H^a} r)[y, z]; its cyclic images fill the
+    # d[., x, y, z] = Σ_a H_a[x] (L_{H^a} r)[y, z]; its cyclic images fill the
     # other two slots
-    d = (ka.T @ jet.left[0].reshape(len(ka), n * n)).reshape(n, n, n)
-    return total + d + d.transpose(2, 0, 1) + d.transpose(1, 2, 0)
+    d = (ka.T @ jet.left.reshape(len(C), len(ka), n * n)).reshape(len(C), n, n, n)
+    return total + d + d.transpose(0, 3, 1, 2) + d.transpose(0, 2, 3, 1)
 
 
 def plcdybe_residual(S: ReductionSetup, rfun, C: CMatrix) -> np.ndarray:
-    """Residual of the dynamical Yang-Baxter equation at C's one point, a (dim G)³ array.
+    """Residual of the dynamical Yang-Baxter equation, a (len(C), dim G, dim G, dim G) stack.
 
     In the triangular normalization the right side is the anomaly of the
     constant R, so the residual is the left side minus cybe_lhs(R).
@@ -164,25 +163,20 @@ def plcdybe_residual(S: ReductionSetup, rfun, C: CMatrix) -> np.ndarray:
     return plcdybe_lhs(S, rfun, C) - S.anomaly
 
 
-def _triangularity(G: LieAlgebra, lhs: np.ndarray, ref_lhs: Optional[np.ndarray]) -> float:
-    worst = invariance_residual3(G, lhs)
-    if ref_lhs is not None:
-        worst = float(np.maximum(worst, np.max(np.abs(lhs - ref_lhs), initial=0.0)))
-    return worst
-
-
-def triangularity_check(
-    S: ReductionSetup, rfun, C: CMatrix, ref: Optional[CMatrix] = None
-) -> float:
-    """Triangularity of the dynamical left side L(λ) = plcdybe_lhs at C's one point.
+def triangularity_check(G: LieAlgebra, lhs: np.ndarray, ref_lhs: Optional[np.ndarray] = None):
+    """Triangularity of dynamical left sides L(λ) (plcdybe_lhs), one value
+    per tensor of the stack lhs.
 
     The larger of the ad-invariance residual of L(λ) and, when a reference
-    stack of one is given, max|L(λ) − L(ref)|: L must be an invariant constant.
+    left side is given, max|L(λ) − ref|: L must be an invariant constant.
     Unlike PL_CDYBE this never reads the anomaly of R, so on its own it
     cannot tell which constant L equals.
     """
-    ref_lhs = None if ref is None else plcdybe_lhs(S, rfun, ref)
-    return _triangularity(S.G, plcdybe_lhs(S, rfun, C), ref_lhs)
+    worst = invariance_residual3(G, lhs)
+    if ref_lhs is not None:
+        # np.maximum, unlike the builtin max, keeps a NaN of either side
+        worst = np.maximum(worst, np.abs(lhs - ref_lhs).max(axis=(-3, -2, -1), initial=0.0))
+    return worst
 
 
 def equivariance_residual(S: ReductionSetup, rfun, C: CMatrix, x_h) -> np.ndarray:
@@ -608,41 +602,32 @@ def run_suite(
         rng = np.random.Generator(np.random.PCG64(seed + section_seed[s]))
         if s == "cdybe":
             reports.append(
-                _report(
-                    EQ_MCYBE,
-                    [[]],
-                    [invariance_residual3(S.G, S.anomaly)],
-                    tol[EQ_MCYBE],
-                )
-            )
+                _report(EQ_MCYBE, [[]], [invariance_residual3(S.G, S.anomaly)], tol[EQ_MCYBE]))
             # the control flips the largest entry of rho at the first point
             bad = sign_flipped_rfun(rfun, *map(int, largest_entry(sample.solved[0][0])))
-
-            # the first point's left side, the triangularity reference, as in
-            # triangularity_check
-            ref = []
+            ref = None  # the first point's left side, the triangularity reference
 
             def cdybe(C, part):
-                rfun(C)  # the part's jets, once: each point's stack of one carries its row
-                res = []
-                for k in range(len(C)):
-                    pt = C[k:k + 1]
-                    # the left side once per point serves PL_CDYBE and TRIANGULARITY
-                    t = plcdybe_lhs(S, rfun, pt)
-                    if not ref:
-                        ref.append(t)
-                    flipped = np.abs(plcdybe_residual(S, bad, pt)).max(initial=0.0) if m else 0.0
-                    res.append((np.abs(t - S.anomaly).max(initial=0.0),
-                                _triangularity(S.G, t, ref[0]), flipped))
-                return np.array(res).T
+                nonlocal ref
+                # the left sides once per part serve PL_CDYBE and TRIANGULARITY;
+                # ref a copy, as a view would hold a whole part to the end of the run
+                lhs = plcdybe_lhs(S, rfun, C)
+                ref = lhs[0].copy() if ref is None else ref
+                res_p = np.abs(lhs - S.anomaly).max(axis=(1, 2, 3), initial=0.0)
+                res_t = triangularity_check(S.G, lhs, ref)
+                del lhs  # before the control makes its own stack
+                # no control without M, where rho and its flip are 0
+                control = plcdybe_residual(S, bad, C) if m else np.zeros((len(C), 0, 0, 0))
+                return res_p, res_t, np.abs(control).max(axis=(1, 2, 3), initial=0.0)
 
-            res_p, res_t, flipped = by_chunks(jet_size, cdybe)
+            # per point: its rho jet, and the three (dim G)³ tensors the section
+            # holds at a time (a left side and two products or temporaries)
+            res_p, res_t, flipped = by_chunks(jet_size + 3 * dim_g**3, cdybe)
             reports.append(_report(EQ_PLCDYBE, where, res_p, tol[EQ_PLCDYBE]))
             reports.append(_report(EQ_TRIANGULARITY, where, res_t, tol[EQ_TRIANGULARITY]))
-            if S.dim_M > 0:
+            if m:
                 reports.append(
-                    _report(EQ_CONTROL, where, flipped, tol[EQ_CONTROL], direction="lower")
-                )
+                    _report(EQ_CONTROL, where, flipped, tol[EQ_CONTROL], direction="lower"))
         elif s == "equivariance":
             # every H basis vector at every point of a part in one call, a
             # (p, dim G, dim G) residual stack per point

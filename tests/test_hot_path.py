@@ -349,12 +349,13 @@ def test_cdybe_suite_control_and_triangularity(name):
     assert control.passed and control.max_residual >= control.tolerance
     assert reports[EQ_PLCDYBE].passed
     # TRIANGULARITY shares the left side of each point with PL_CDYBE; it
-    # must equal what the public check computes on its own, against the
-    # first sample point
+    # must equal what the public check computes on each point's own left
+    # side, against the first sample point's
     rfun = reduced_r_function(S)
     sample = sample_hstar_points(S, 3, e.seed)
     pts = [sample[k:k + 1] for k in range(len(sample))]
-    want = [triangularity_check(S, rfun, pt, ref=pts[0]) for pt in pts]
+    ref = plcdybe_lhs(S, rfun, pts[0])[0]
+    want = [float(triangularity_check(S.G, plcdybe_lhs(S, rfun, pt), ref)[0]) for pt in pts]
     assert [r for _, r in reports[EQ_TRIANGULARITY].per_point] == want
     assert reports[EQ_TRIANGULARITY].passed
     assert reports[EQ_TRIANGULARITY].max_residual <= 1e-12
@@ -723,14 +724,15 @@ def test_sign_flipped_jet_breaks_triangularity(name):
     invariance part cannot see it (on sl2 it stays 0), the λ-dependence of
     the corrupted left side does."""
     S, sample, rfun, _, _, _, _ = _jacobi_points(name)
-    pts = [sample[k:k + 1] for k in range(len(sample))]
-    a, b = largest_entry(rfun(pts[0]).value[0])
+    a, b = largest_entry(rfun(sample).value[0])
     bad = sign_flipped_rfun(rfun, int(a), int(b))
-    assert max(triangularity_check(S, bad, pt, ref=pts[0]) for pt in pts) > 1e-2
-    assert max(triangularity_check(S, rfun, pt, ref=pts[0]) for pt in pts) <= 1e-12
-    # without a reference only the invariance part is left
-    for pt in pts:
-        assert triangularity_check(S, bad, pt) == invariance_residual3(S.G, plcdybe_lhs(S, bad, pt))
+    broken, clean = plcdybe_lhs(S, bad, sample), plcdybe_lhs(S, rfun, sample)
+    assert triangularity_check(S.G, broken, broken[0]).max() > 1e-2
+    assert triangularity_check(S.G, clean, clean[0]).max() <= 1e-12
+    # without a reference only the invariance part is left, point by point
+    alone = triangularity_check(S.G, broken)
+    assert alone.shape == (len(sample),)
+    assert alone.tolist() == [invariance_residual3(S.G, t) for t in broken]
 
 
 @pytest.mark.parametrize("slot", ["g", "dual"])

@@ -286,6 +286,56 @@ class TestInvariance:
         assert invariance_residual3(A, t) > 1.0
 
 
+class TestStackedKernels:
+    """cybe_lhs and invariance_residual3 over a stack of tensors give each
+    tensor's own value, bit for bit, however the invariance blocks cut the
+    points and the basis vectors."""
+
+    @pytest.mark.parametrize("make", [sl2, lambda: sl3_dj()[0]], ids=["sl2", "sl3"])
+    def test_cybe_lhs_stack_is_each_tensors_own(self, make):
+        A = make()
+        n = A.dim
+        rs = np.random.default_rng(21).uniform(-1, 1, (2, 3, n, n))
+        got = cybe_lhs(A, rs)
+        assert got.shape == (2, 3, n, n, n)
+        for idx in np.ndindex(2, 3):
+            assert got[idx].tobytes() == cybe_lhs(A, rs[idx]).tobytes()
+        with pytest.raises(InputShapeError):
+            cybe_lhs(A, rs[..., :-1])
+
+    @pytest.mark.parametrize("make", [sl2, lambda: sl3_dj()[0]], ids=["sl2", "sl3"])
+    # per block: one basis vector of one point, two of one point, all of
+    # one point, all of two points, and the default
+    @pytest.mark.parametrize("cubes", [1, 2, "n", "2n", None])
+    def test_invariance_stack_is_each_tensors_own(self, monkeypatch, make, cubes):
+        import plrmat.lie_core as lie_core
+
+        A = make()
+        n = A.dim
+        ts = np.random.default_rng(22).uniform(-1, 1, (5, n, n, n))
+        alone = [invariance_residual3(A, t) for t in ts]  # at the default block
+        assert all(isinstance(a, float) and a > 1.0 for a in alone)
+        if cubes is not None:
+            cubes = {"n": n, "2n": 2 * n}.get(cubes, cubes)
+            monkeypatch.setattr(lie_core, "INVARIANCE_BLOCK", cubes * n**3)
+        got = invariance_residual3(A, ts)
+        assert got.shape == (5,) and got.tolist() == alone
+        assert invariance_residual3(A, ts.reshape(1, 5, n, n, n)).tolist() == [alone]
+        # a NaN in one tensor is that tensor's value, and no other's
+        ts[2, 1, 0, 1] = np.nan
+        got = invariance_residual3(A, ts)
+        assert np.isnan(got[2])
+        assert np.delete(got, 2).tolist() == alone[:2] + alone[3:]
+
+    def test_empty_stacks_and_the_zero_algebra(self):
+        # numpy cannot infer an axis (-1) of an empty array: the shapes are explicit
+        zero = LieAlgebra(np.zeros((0, 0, 0)))
+        assert invariance_residual3(zero, np.zeros((0, 0, 0))) == 0.0
+        assert invariance_residual3(zero, np.zeros((3, 0, 0, 0))).tolist() == [0.0] * 3
+        assert cybe_lhs(zero, np.zeros((2, 0, 0))).shape == (2, 0, 0, 0)
+        assert invariance_residual3(sl2(), np.zeros((0, 3, 3, 3))).shape == (0,)
+
+
 class TestOverflowFails:
     """A residual that overflows to NaN is the maximum, and fails its check."""
 

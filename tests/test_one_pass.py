@@ -38,11 +38,14 @@ from plrmat.verify import (
     AMBIENT_BOX,
     EQ_CHARACTERIZATION,
     EQ_CONSTRAINT_PB,
+    EQ_CONTROL,
     EQ_DIRAC,
     EQ_EQUIVARIANCE,
+    EQ_PLCDYBE,
     EQ_P_JACOBI,
     EQ_Q_JACOBI,
     EQ_RHO_CONSISTENCY,
+    EQ_TRIANGULARITY,
     JACOBI_POINTS,
     PPoint,
     QPoint,
@@ -53,11 +56,14 @@ from plrmat.verify import (
     hat_entry,
     largest_entry,
     p_jacobi_residual,
+    plcdybe_lhs,
+    plcdybe_residual,
     q_jacobi_residual,
     reduced_r_function,
     run_suite,
     sign_flipped_rfun,
     tilde_entry,
+    triangularity_check,
 )
 
 from test_hot_path import skewed_levi_setup, slot_jet
@@ -157,6 +163,30 @@ def reference_dirac(S, words, seed):
     return res, {name: np.concatenate(values) for name, values in calls.items()}
 
 
+def reference_cdybe(S, words):
+    """The cdybe section one point at a time, each a stack of one with a jet
+    of its own: the residuals of PL_CDYBE, TRIANGULARITY and, where M is not
+    0, PL_CDYBE_CONTROL per point, and the stacked value each of the suite's
+    control and triangularity calls must equal."""
+    rfun = reduced_r_function(S)
+    first = stack(S, words[0])
+    bad = sign_flipped_rfun(rfun, *map(int, largest_entry(rfun(first).value[0])))
+    ref = plcdybe_lhs(S, rfun, first)[0]
+    res = {EQ_PLCDYBE: [], EQ_TRIANGULARITY: [], **({EQ_CONTROL: []} if S.dim_M else {})}
+    calls = {"triangularity_check": [], **({"plcdybe_residual": []} if S.dim_M else {})}
+    for w in words:
+        lhs = plcdybe_lhs(S, rfun, stack(S, w))
+        tri = triangularity_check(S.G, lhs, ref)
+        res[EQ_PLCDYBE].append(float(np.abs(lhs - S.anomaly).max(initial=0.0)))
+        res[EQ_TRIANGULARITY].append(float(tri[0]))
+        calls["triangularity_check"].append(tri)
+        if S.dim_M:
+            flipped = plcdybe_residual(S, bad, stack(S, w))
+            res[EQ_CONTROL].append(float(np.abs(flipped).max(initial=0.0)))
+            calls["plcdybe_residual"].append(flipped)
+    return res, {name: np.concatenate(values) for name, values in calls.items()}
+
+
 def _residuals(reports, eq):
     (report,) = [r for r in reports if r.equation_id == eq]
     return [r for _, r in report.per_point]
@@ -211,6 +241,28 @@ def test_dirac_suite_matches_fresh_calls(monkeypatch, name, S, num_points, seed)
         _same_bytes(got, want[fn])
     for eq, values in res.items():
         assert _residuals(reports, eq) == values
+
+
+@pytest.mark.parametrize("name,S,num_points,seed", CASES, ids=IDS)
+def test_cdybe_suite_matches_fresh_calls(monkeypatch, name, S, num_points, seed):
+    """One control call and one triangularity call over the whole sample,
+    each slice the value of its point alone, and the left side each point
+    shares between PL_CDYBE and TRIANGULARITY that point's own."""
+    calls = {}
+    _recording(monkeypatch, ("plcdybe_residual", "triangularity_check"), calls)
+    reports, sample = run_suite(S, "cdybe", num_points, seed)
+    monkeypatch.undo()
+    assert len(sample) > 1
+    res, want = reference_cdybe(S, sample.words)
+    # no control without M: rho, and its sign flip, are 0
+    assert {name for name, values in calls.items() if values} == set(want)
+    for fn, values in want.items():
+        (got,) = calls[fn]  # one call over the whole sample
+        _same_bytes(got, values)
+    assert [r.equation_id for r in reports][1:] == list(res)
+    for eq, values in res.items():
+        assert _residuals(reports, eq) == values
+    assert all(r.passed for r in reports)
 
 
 @pytest.mark.parametrize("name,S,num_points,seed", CASES, ids=IDS)
@@ -406,7 +458,7 @@ def test_suite_calls_every_traced_residual(monkeypatch):
     S = e.setup()
     names = ("q_jacobi_residual", "p_jacobi_residual", "equivariance_residual",
              "dirac_bracket", "native_hstar_bracket", "characterization_identity_residual",
-             "rho_via_n", "plcdybe_residual")
+             "rho_via_n", "plcdybe_residual", "triangularity_check")
     calls = {name: [] for name in names}
     for name in names:
         _counting(monkeypatch, verify, name, calls[name])

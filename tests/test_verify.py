@@ -42,6 +42,7 @@ from plrmat.verify import (
     largest_entry,
     bracket,
     p_jacobi_residual,
+    plcdybe_lhs,
     plcdybe_residual,
     q_jacobi_residual,
     reduced_r_function,
@@ -102,7 +103,7 @@ class TestPlcdybe:
         rfun = reduced_r_function(s)
         for pt in points(sample_hstar_points(s, 10, seed=6)):
             assert np.max(np.abs(plcdybe_residual(s, rfun, pt))) <= 1e-12
-            assert triangularity_check(s, rfun, pt) <= 1e-12
+            assert triangularity_check(s.G, plcdybe_lhs(s, rfun, pt)).max() <= 1e-12
 
     def test_quadratic_step_convergence(self):
         # with the exact derivative of rho replaced by a central difference of
@@ -399,6 +400,8 @@ class TestRunSuite:
         ("jacobi", "p_jacobi_residual", "P_JACOBI", np.array([0.0, np.nan])),
         ("dirac", "constraint_inverse_operator_residual", "RHO_CONSISTENCY", np.nan),
         ("dirac", "constraint_pb_check", "CONSTRAINT_PB", np.nan),
+        ("cdybe", "triangularity_check", "TRIANGULARITY", np.nan),
+        ("cdybe", "plcdybe_residual", "PL_CDYBE_CONTROL", np.nan),
     ])
     def test_nan_at_a_point_fails_its_equation(self, monkeypatch, suite, name, eq, value):
         # from the second point of the stack on, behind a finite first
@@ -416,8 +419,10 @@ class TestRunSuite:
         monkeypatch.setattr(verify_module, name, late_nan)
         reports, _ = run_suite(S, suite, e.num_points, e.seed)
         (report,) = [r for r in reports if r.equation_id == eq]
-        # the stack the one call took: the Dirac sample, or the Jacobi points
-        at = calls[0][1] if suite == "dirac" else calls[0][2].g
+        # the stack the one call took: the Dirac sample, the left sides, the
+        # control's sample, or the Jacobi points
+        args = calls[0]
+        at = args[2].g if suite == "jacobi" else args[2] if name == "plcdybe_residual" else args[1]
         assert len(calls) == 1 and len(at) > 1
         assert np.isfinite(report.per_point[0][1])
         assert np.isnan(report.max_residual)
@@ -428,8 +433,13 @@ class TestRunSuite:
         lhs = np.zeros((S.G.dim,) * 3)
         ref = lhs.copy()
         ref[-1, -1, -1] = np.nan
-        assert verify_module._triangularity(S.G, lhs, lhs) == 0.0
-        assert np.isnan(verify_module._triangularity(S.G, lhs, ref))
+        assert triangularity_check(S.G, lhs, lhs) == 0.0
+        assert np.isnan(triangularity_check(S.G, lhs, ref))
+        # on a stack, the NaN of one point's left side stays that point's
+        stacked = np.array([lhs, ref, lhs])
+        got = triangularity_check(S.G, stacked, lhs)
+        assert got.shape == (3,)
+        assert got[0] == got[2] == 0.0 and np.isnan(got[1])
 
     def test_single_suite_selection(self):
         s = replace(classical_setup(), cond_threshold=2.5)
